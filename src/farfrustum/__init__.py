@@ -18,12 +18,13 @@ from .evaluation import (
     points_per_object_stats,
 )
 from .geometry import (
-    FrustumContext,
+    CloudProjection,
     bev_project,
     frustum_rotation,
     lidar_to_camera,
     points_in_box_frustum,
     points_in_mask_frustum,
+    project_cloud,
     project_to_image,
     rot_y,
     to_centroid_frame,
@@ -58,6 +59,7 @@ from .regressor import (
     TrainConfig,
     build_training_set,
     forward,
+    frustum_raster,
     mae_loss,
     prior_regress,
     rasterize_bev,
@@ -72,11 +74,11 @@ __all__ = [
     "Box3D",
     "BoxRegression",
     "CalibrationSet",
+    "CloudProjection",
     "Detection2D",
     "EvalReport",
     "FarFrustumError",
     "Frame",
-    "FrustumContext",
     "LabelRecord",
     "PipelineConfig",
     "PointCloud",
@@ -93,6 +95,7 @@ __all__ = [
     "estimate_centroid",
     "evaluate_boxes",
     "forward",
+    "frustum_raster",
     "frustum_rotation",
     "iou_3d",
     "is_faraway",
@@ -108,6 +111,7 @@ __all__ = [
     "points_per_object_stats",
     "prior_regress",
     "process_frame",
+    "project_cloud",
     "project_to_image",
     "rasterize_bev",
     "rot_y",

@@ -21,17 +21,20 @@ DEFAULT_BIN_WIDTH = 0.1  # meters, finer than any target object's surface spread
 class AxisHistogram:
     """Fixed-width histogram over one coordinate axis."""
 
-    edges: tuple[tuple[float, float], ...]  # (e_left, e_right) per bin, contiguous
-    counts: np.ndarray                      # (n_bins,) int64
+    edge_values: np.ndarray  # (n_bins + 1,) float64 contiguous bin edges
+    counts: np.ndarray       # (n_bins,) int64
     axis: str = "x"
 
     def __post_init__(self) -> None:
-        counts = np.array(self.counts, dtype=np.int64, copy=True)
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(
-            self, "edges", tuple((float(a), float(b)) for a, b in self.edges)
-        )
+        for name, dtype in (("edge_values", np.float64), ("counts", np.int64)):
+            arr = np.array(getattr(self, name), dtype=dtype, copy=True)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def edges(self) -> tuple[tuple[float, float], ...]:
+        """(e_left, e_right) per bin."""
+        return tuple(zip(self.edge_values[:-1].tolist(), self.edge_values[1:].tolist()))
 
     @property
     def modal_bin(self) -> int:
@@ -40,8 +43,8 @@ class AxisHistogram:
 
     @property
     def modal_midpoint(self) -> float:
-        left, right = self.edges[self.modal_bin]
-        return 0.5 * (left + right)
+        i = self.modal_bin
+        return 0.5 * (float(self.edge_values[i]) + float(self.edge_values[i + 1]))
 
 
 def axis_histogram(
@@ -65,8 +68,7 @@ def axis_histogram(
     # Last left edge <= v guarantees idx in [0, n_bins - 1] for v in [min, max].
     idx = np.searchsorted(edge_vals[:-1], vals, side="right") - 1
     counts = np.bincount(idx, minlength=n_bins)
-    edges = tuple(zip(edge_vals[:-1].tolist(), edge_vals[1:].tolist()))
-    return AxisHistogram(edges=edges, counts=counts, axis=axis)
+    return AxisHistogram(edge_values=edge_vals, counts=counts, axis=axis)
 
 
 def estimate_centroid(

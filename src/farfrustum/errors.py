@@ -35,6 +35,10 @@ class MaskDimMismatch(FarFrustumError):
     """An instance mask's bitmap dimensions differ from the image dimensions."""
 
 
+class MalformedMask(FarFrustumError):
+    """A PGM mask file has a bad magic, a non-numeric header or a short raster."""
+
+
 class MalformedDetectionLine(FarFrustumError):
     """A detection line does not have 7 or 8 whitespace-separated fields."""
 

@@ -3,13 +3,19 @@
 Frames: lidar -> rectified camera (rigid transform + rectification) ->
 frustum (camera rotated about its vertical axis so the detection's center
 ray becomes +z) -> centroid (frustum shifted to the estimated centroid).
-All operations are pure and preserve point order and intensities, so
+
+The lidar -> camera -> image step depends only on the frame, so it runs
+once per frame: ``project_cloud`` keeps the camera-frame cloud, its pixel
+coordinates and their validity. ``points_in_box_frustum`` and
+``points_in_mask_frustum`` then cut each detection's frustum from that
+projection with a cheap per-point mask. All operations preserve point order
+and intensities, and a projection is never modified after it is built, so
 per-detection frustum extraction is safe to run in parallel.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,15 +31,6 @@ def rot_y(angle: float) -> np.ndarray:
     """
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-@dataclass(frozen=True)
-class FrustumContext:
-    """Frustum-frame bookkeeping for one detection."""
-
-    rotation_angle: float                    # camera-frame yaw of the center ray
-    centroid: tuple[float, float, float]     # estimated centroid, frustum frame
-    source_detection: Detection2D
 
 
 def _require_frame(cloud: PointCloud, frame: Frame) -> None:
@@ -68,6 +65,62 @@ def project_to_image(
     return uv, valid
 
 
+@dataclass(frozen=True, eq=False)
+class CloudProjection:
+    """One frame's cloud in the rectified camera frame and on the image plane."""
+
+    camera: PointCloud   # camera-frame points, in input order
+    uv: np.ndarray       # (N, 2) pixel coordinates
+    valid: np.ndarray    # (N,) in front of the camera with finite pixels
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    def box_candidates(
+        self, image_size: tuple[int, int] | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Valid points that a box clamped to an (W, H) image can hold.
+
+        A clamped box lies inside [0, W] x [0, H], so its half-open members
+        lie inside [0, W) x [0, H); with no image size every valid point is
+        a candidate. Returns (point indices, u, v), once per image size.
+        """
+        key = ("box", image_size)
+        if key not in self._cache:
+            keep = self.valid
+            if image_size is not None:
+                w, h = image_size
+                u, v = self.uv[:, 0], self.uv[:, 1]
+                with np.errstate(invalid="ignore"):
+                    keep = keep & (u >= 0) & (u < w) & (v >= 0) & (v < h)
+            idx = np.flatnonzero(keep)
+            self._cache[key] = (idx, self.uv[idx, 0], self.uv[idx, 1])
+        return self._cache[key]
+
+    def pixel_index(self, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """Valid points whose floor(u), floor(v) pixel lies in an (H, W) bitmap.
+
+        Returns (point indices, row-major flat pixel indices), once per
+        bitmap shape, so once per frame when every mask is image-sized.
+        """
+        key = ("mask", shape)
+        if key not in self._cache:
+            h, w = shape
+            with np.errstate(invalid="ignore"):
+                iu = np.floor(self.uv[:, 0]).astype(np.int64, copy=False)
+                iv = np.floor(self.uv[:, 1]).astype(np.int64, copy=False)
+            iu = np.where(self.valid, iu, -1)
+            iv = np.where(self.valid, iv, -1)
+            idx = np.flatnonzero((iu >= 0) & (iu < w) & (iv >= 0) & (iv < h))
+            self._cache[key] = (idx, iv[idx] * w + iu[idx])
+        return self._cache[key]
+
+
+def project_cloud(cloud: PointCloud, calib: CalibrationSet) -> CloudProjection:
+    """Project a lidar cloud once: camera-frame points, pixels and validity."""
+    camera = lidar_to_camera(cloud, calib)
+    uv, valid = project_to_image(camera, calib)
+    return CloudProjection(camera, uv, valid)
+
+
 def _clamped_bbox(det: Detection2D) -> tuple[float, float, float, float]:
     u0, v0, u1, v1 = det.bbox
     if det.image_size is not None:
@@ -77,49 +130,29 @@ def _clamped_bbox(det: Detection2D) -> tuple[float, float, float, float]:
     return u0, v0, u1, v1
 
 
-def points_in_box_frustum(
-    cloud: PointCloud, det: Detection2D, calib: CalibrationSet
-) -> PointCloud:
+def points_in_box_frustum(projection: CloudProjection, det: Detection2D) -> PointCloud:
     """Camera-frame subset of the cloud whose projection falls in the 2D box.
 
     Membership uses the half-open convention u_min <= u < u_max (likewise v)
     on the image-clamped box; points behind the camera are never members.
     """
-    _require_frame(cloud, Frame.LIDAR)
-    cam = lidar_to_camera(cloud, calib)
-    uv, valid = project_to_image(cam, calib)
+    idx, u, v = projection.box_candidates(det.image_size)
     u0, v0, u1, v1 = _clamped_bbox(det)
-    with np.errstate(invalid="ignore"):
-        inside = (
-            (uv[:, 0] >= u0) & (uv[:, 0] < u1) & (uv[:, 1] >= v0) & (uv[:, 1] < v1)
-        )
-    return cam.select(valid & inside)
+    inside = (u >= u0) & (u < u1) & (v >= v0) & (v < v1)
+    return projection.camera.select(idx[inside])
 
 
-def points_in_mask_frustum(
-    cloud: PointCloud, det: Detection2D, calib: CalibrationSet
-) -> PointCloud:
+def points_in_mask_frustum(projection: CloudProjection, det: Detection2D) -> PointCloud:
     """Camera-frame subset whose projection lands on a positive mask pixel.
 
     The pixel is selected by floor(u), floor(v); projections outside the
     bitmap are simply excluded. Whenever the mask's support lies inside the
     detection bbox this is a subset of the box-frustum result.
     """
-    _require_frame(cloud, Frame.LIDAR)
     mask = det.load_mask()
-    cam = lidar_to_camera(cloud, calib)
-    uv, valid = project_to_image(cam, calib)
-    h, w = mask.shape
-    with np.errstate(invalid="ignore"):
-        iu = np.floor(uv[:, 0]).astype(np.int64, copy=False)
-        iv = np.floor(uv[:, 1]).astype(np.int64, copy=False)
-    iu = np.where(valid, iu, -1)
-    iv = np.where(valid, iv, -1)
-    in_bitmap = (iu >= 0) & (iu < w) & (iv >= 0) & (iv < h)
-    hit = np.zeros(len(cloud), dtype=bool)
-    idx = np.nonzero(in_bitmap)[0]
-    hit[idx] = mask[iv[idx], iu[idx]] > 0
-    return cam.select(valid & hit)
+    idx, flat = projection.pixel_index(mask.shape)
+    hit = mask.reshape(-1)[flat] > 0
+    return projection.camera.select(idx[hit])
 
 
 def frustum_rotation(

@@ -28,6 +28,7 @@ from .errors import (
     MalformedCalibLine,
     MalformedDetectionLine,
     MalformedLabelLine,
+    MalformedMask,
     MaskDimMismatch,
     MissingCalibKey,
     NonFiniteBox,
@@ -177,7 +178,11 @@ def load_pointcloud(data: bytes) -> PointCloud:
 # --- P5 PGM masks ----------------------------------------------------------
 
 def read_pgm(path: str | Path) -> np.ndarray:
-    """Read a binary (P5) PGM file into a (H, W) uint8/uint16 array."""
+    """Read a binary (P5) PGM file into a (H, W) uint8/uint16 array.
+
+    Raises MalformedMask, naming the path, on a bad magic, a non-numeric or
+    out-of-range header, or a raster shorter than the header declares.
+    """
     data = Path(path).read_bytes()
 
     # Header is ASCII tokens (magic, width, height, maxval) with optional
@@ -186,12 +191,13 @@ def read_pgm(path: str | Path) -> np.ndarray:
 
     def next_token() -> bytes:
         nonlocal pos
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
+        while True:
+            while pos < len(data) and data[pos : pos + 1].isspace():
+                pos += 1
+            if data[pos : pos + 1] != b"#":
+                break
             while pos < len(data) and data[pos] != 0x0A:
                 pos += 1
-            return next_token()
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
@@ -199,16 +205,20 @@ def read_pgm(path: str | Path) -> np.ndarray:
 
     magic = next_token()
     if magic != b"P5":
-        raise ValueError(f"not a P5 PGM file: magic {magic!r}")
-    width = int(next_token())
-    height = int(next_token())
-    maxval = int(next_token())
+        raise MalformedMask(f"{path}: not a P5 PGM file (magic {magic!r})")
+    header = [next_token() for _ in range(3)]
+    try:
+        width, height, maxval = (int(tok) for tok in header)
+    except ValueError:
+        raise MalformedMask(f"{path}: non-numeric PGM header {header!r}") from None
+    if width < 1 or height < 1 or not 0 < maxval < 65536:
+        raise MalformedMask(f"{path}: bad PGM header {width}x{height}, maxval {maxval}")
     pos += 1  # single whitespace after maxval
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     count = width * height
+    if len(data) - pos < count * dtype.itemsize:
+        raise MalformedMask(f"{path}: PGM raster shorter than declared {width}x{height}")
     raster = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
-    if raster.size != count:
-        raise ValueError("PGM raster shorter than declared dimensions")
     return raster.reshape(height, width)
 
 

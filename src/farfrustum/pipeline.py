@@ -11,13 +11,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import regressor
-from .clustering import DEFAULT_BIN_WIDTH, estimate_centroid
+from .clustering import DEFAULT_BIN_WIDTH
 from .errors import (
     ConfigError,
     EmptyCluster,
@@ -25,15 +26,7 @@ from .errors import (
     NonFiniteBox,
     UnknownClass,
 )
-from .geometry import (
-    FrustumContext,
-    bev_project,
-    frustum_rotation,
-    points_in_box_frustum,
-    points_in_mask_frustum,
-    rot_y,
-    to_centroid_frame,
-)
+from .geometry import project_cloud, rot_y
 from .kitti_io import (
     Box3D,
     CalibrationSet,
@@ -47,7 +40,7 @@ from .kitti_io import (
     wrap_angle,
     write_results,
 )
-from .regressor import BoxRegression, RegressorParams, rasterize_bev
+from .regressor import BoxRegression, RegressorParams, frustum_raster
 
 logger = logging.getLogger(__name__)
 
@@ -211,6 +204,7 @@ class RunSummary:
     frames: int = 0
     detections: int = 0
     faraway: int = 0
+    routed_near: int = 0
     skipped_empty_frustum: int = 0
     skipped_unknown_class: int = 0
     fallback_seen: int = 0
@@ -221,18 +215,11 @@ class RunSummary:
             f"frames processed:        {self.frames}",
             f"2d detections seen:      {self.detections}",
             f"faraway boxes emitted:   {self.faraway}",
+            f"routed to near range:    {self.routed_near}",
             f"skipped empty frustums:  {self.skipped_empty_frustum}",
             f"skipped unknown classes: {self.skipped_unknown_class}",
             f"fallback boxes kept:     {self.fallback_kept}/{self.fallback_seen}",
         ]
-
-
-def _extract_frustum(
-    cloud: PointCloud, det: Detection2D, calib: CalibrationSet, mode: str
-) -> PointCloud:
-    if mode == "mask" and det.mask is not None:
-        return points_in_mask_frustum(cloud, det, calib)
-    return points_in_box_frustum(cloud, det, calib)
 
 
 def process_frame(
@@ -246,43 +233,33 @@ def process_frame(
 ) -> list[Box3D]:
     """Run the faraway branch over all detections and merge with fallback.
 
-    Detections whose frustum holds fewer than min_frustum_points points, or
-    whose class has no threshold/prior, are skipped (counted, never fatal).
-    Fallback boxes survive only when their own center depth is below their
-    class threshold; classes without a threshold are kept unconditionally.
-    The merged list is sorted by descending score, stable on input order
-    (fallback first, then faraway boxes in detection order).
+    The cloud is projected once for the frame, and each detection's frustum
+    is cut from that projection. Detections whose frustum holds fewer than
+    min_frustum_points points, or whose class has no threshold/prior, are
+    skipped; near-range ones are routed to the fallback detector (all three
+    are counted, never fatal). Fallback boxes survive only when their own
+    center depth is below their class threshold; classes without a
+    threshold are kept unconditionally. The merged list is sorted by
+    descending score, stable on input order (fallback first, then faraway
+    boxes in detection order).
     """
     stats = stats if stats is not None else RunSummary()
+    faraway = partial(is_faraway, thresholds=config.thresholds)
     ours: list[Box3D] = []
+    projection = project_cloud(cloud, calib) if detections else None
     for det in detections:
         stats.detections += 1
         try:
-            frustum = _extract_frustum(cloud, det, calib, config.frustum_mode)
-            if len(frustum) < config.min_frustum_points:
-                stats.skipped_empty_frustum += 1
+            sample = frustum_raster(projection, det, calib, config, keep=faraway)
+            if sample is None:
+                stats.routed_near += 1  # the fallback detector owns it
                 continue
-            rotated, theta = frustum_rotation(frustum, det, calib)
-            ctx = FrustumContext(
-                rotation_angle=theta,
-                centroid=estimate_centroid(rotated, config.bin_width),
-                source_detection=det,
-            )
-            if not is_faraway(ctx.centroid[2], det.class_name, config.thresholds):
-                continue  # near range: the fallback detector owns it
-            bev = bev_project(to_centroid_frame(rotated, ctx.centroid))
-            raster = rasterize_bev(
-                bev, det.class_name, config.raster_grid, config.raster_extent,
-                classes=config.classes,
-            )
+            theta, centroid, raster = sample
             if params is not None:
                 reg = regressor.forward(params, raster)
             else:
                 reg = regressor.prior_regress(raster, config.size_priors)
-            ours.append(
-                assemble_box(ctx.centroid, reg, ctx.rotation_angle,
-                             det.class_name, det.score)
-            )
+            ours.append(assemble_box(centroid, reg, theta, det.class_name, det.score))
             stats.faraway += 1
         except UnknownClass:
             stats.skipped_unknown_class += 1

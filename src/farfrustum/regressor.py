@@ -16,15 +16,25 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyDataset, ShapeError, UnknownClass
-from .kitti_io import LabelRecord, PointCloud, wrap_angle
+from .clustering import estimate_centroid
+from .errors import EmptyCluster, EmptyDataset, ShapeError, UnknownClass
+from .geometry import (
+    CloudProjection,
+    bev_project,
+    frustum_rotation,
+    points_in_box_frustum,
+    points_in_mask_frustum,
+    project_cloud,
+    rot_y,
+    to_centroid_frame,
+)
+from .kitti_io import CalibrationSet, Detection2D, LabelRecord, PointCloud, wrap_angle
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .kitti_io import CalibrationSet, Detection2D
     from .pipeline import PipelineConfig
 
 logger = logging.getLogger(__name__)
@@ -503,38 +513,63 @@ def bbox_iou_2d(
     return inter / (area_a + area_b - inter)
 
 
+def frustum_raster(
+    projection: CloudProjection,
+    det: Detection2D,
+    calib: CalibrationSet,
+    config: "PipelineConfig",
+    keep: Callable[[float, str], bool] | None = None,
+) -> tuple[float, tuple[float, float, float], BevRaster] | None:
+    """One detection's chain: frustum, rotation, centroid, centroid-frame raster.
+
+    The frustum is cut from the frame's projection by the detection's mask
+    in mask mode (when it has one), by its box otherwise. Returns (theta,
+    centroid, raster), or None when `keep(centroid depth, class name)`
+    rejects the detection before it is rasterized. Raises EmptyCluster when
+    the frustum holds fewer than config.min_frustum_points points.
+    """
+    if config.frustum_mode == "mask" and det.mask is not None:
+        frustum = points_in_mask_frustum(projection, det)
+    else:
+        frustum = points_in_box_frustum(projection, det)
+    if len(frustum) < config.min_frustum_points:
+        raise EmptyCluster(
+            f"frustum holds {len(frustum)} points, fewer than "
+            f"min_frustum_points={config.min_frustum_points}"
+        )
+    rotated, theta = frustum_rotation(frustum, det, calib)
+    centroid = estimate_centroid(rotated, config.bin_width)
+    if keep is not None and not keep(centroid[2], det.class_name):
+        return None
+    bev = bev_project(to_centroid_frame(rotated, centroid))
+    raster = rasterize_bev(
+        bev, det.class_name, config.raster_grid, config.raster_extent,
+        classes=config.classes,
+    )
+    return theta, centroid, raster
+
+
 def build_training_set(
     clouds: Mapping[str, PointCloud],
-    detections: Mapping[str, Sequence["Detection2D"]],
+    detections: Mapping[str, Sequence[Detection2D]],
     labels: Mapping[str, Sequence[LabelRecord]],
-    calibs: Mapping[str, "CalibrationSet"],
+    calibs: Mapping[str, CalibrationSet],
     config: "PipelineConfig",
 ) -> tuple[list[tuple[BevRaster, BoxRegression]], int]:
     """Pair each matched ground-truth object with its raster and targets.
 
     Detections are matched to same-class ground truth greedily by score at
-    2D IoU >= 0.5. Each match runs the frustum / clustering / centroid-frame
-    chain; targets are the ground-truth center minus the estimated centroid
-    (expressed in the frustum frame), the ground-truth size, and the
-    ground-truth yaw minus the frustum rotation. Returns (samples, number
-    of ground-truth objects skipped).
+    2D IoU >= 0.5. Each match runs frustum_raster on its frame's projection
+    (one per frame); targets are the ground-truth center minus the
+    estimated centroid (expressed in the frustum frame), the ground-truth
+    size, and the ground-truth yaw minus the frustum rotation. Returns
+    (samples, number of ground-truth objects skipped).
     """
-    from .geometry import (
-        bev_project,
-        frustum_rotation,
-        points_in_box_frustum,
-        points_in_mask_frustum,
-        rot_y,
-        to_centroid_frame,
-    )
-    from .clustering import estimate_centroid
-
     samples: list[tuple[BevRaster, BoxRegression]] = []
     skipped = 0
     frame_ids = sorted(set(clouds) & set(detections) & set(labels) & set(calibs))
     for frame_id in frame_ids:
         calib = calibs[frame_id]
-        cloud = clouds[frame_id]
         gt = [
             rec
             for rec in labels[frame_id]
@@ -542,7 +577,7 @@ def build_training_set(
             and rec.class_name in config.classes
         ]
         matched_gt: set[int] = set()
-        pairs: list[tuple[int, "Detection2D"]] = []
+        pairs: list[tuple[int, Detection2D]] = []
         for det in sorted(detections[frame_id], key=lambda d: -d.score):
             best_iou, best_idx = 0.0, -1
             for gi, rec in enumerate(gt):
@@ -555,23 +590,17 @@ def build_training_set(
                 matched_gt.add(best_idx)
                 pairs.append((best_idx, det))
         skipped += len(gt) - len(matched_gt)
+        if not pairs:
+            continue
 
+        projection = project_cloud(clouds[frame_id], calib)
         for gi, det in pairs:
             rec = gt[gi]
-            if config.frustum_mode == "mask" and det.mask is not None:
-                frustum = points_in_mask_frustum(cloud, det, calib)
-            else:
-                frustum = points_in_box_frustum(cloud, det, calib)
-            if len(frustum) < config.min_frustum_points:
+            try:
+                theta, centroid, raster = frustum_raster(projection, det, calib, config)
+            except EmptyCluster:
                 skipped += 1
                 continue
-            rotated, theta = frustum_rotation(frustum, det, calib)
-            centroid = estimate_centroid(rotated, config.bin_width)
-            bev = bev_project(to_centroid_frame(rotated, centroid))
-            raster = rasterize_bev(
-                bev, det.class_name, config.raster_grid, config.raster_extent,
-                classes=config.classes,
-            )
             gt_center_frustum = rot_y(-theta) @ np.asarray(rec.box.center)
             shift = gt_center_frustum - np.asarray(centroid)
             target = BoxRegression(
@@ -580,4 +609,5 @@ def build_training_set(
                 yaw=wrap_angle(rec.box.yaw - theta),
             )
             samples.append((raster, target))
+        del projection  # so the next frame's is built without this one alive
     return samples, skipped

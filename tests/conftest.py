@@ -7,6 +7,13 @@ from farfrustum.kitti_io import CalibrationSet
 from farfrustum.pipeline import PipelineConfig
 from farfrustum.synth import IMAGE_SIZE, build_mini_dataset, default_calibration
 
+# one malformed P5 file per read_pgm failure
+BAD_PGMS = {
+    "bad_magic": b"P2\n4 2\n255\n" + bytes(8),
+    "non_numeric_header": b"P5\n4 two\n255\n" + bytes(8),
+    "short_raster": b"P5\n4 2\n255\n" + bytes(5),
+}
+
 
 @pytest.fixture(scope="session")
 def mini_dataset(tmp_path_factory):

@@ -22,6 +22,7 @@ from farfrustum.geometry import (
     lidar_to_camera,
     points_in_box_frustum,
     points_in_mask_frustum,
+    project_cloud,
 )
 from farfrustum.kitti_io import (
     Box3D,
@@ -122,7 +123,8 @@ def test_criterion_02_frustum_membership(tmp_path):
             mask=MaskRef(mask_path, (width, height)), image_size=(width, height),
         )
 
-        got_box = points_in_box_frustum(cloud, det, calib)
+        projection = project_cloud(cloud, calib)
+        got_box = points_in_box_frustum(projection, det)
         want_box = oracles.box_frustum_indices(
             pts.tolist(), calib.R0_rect.tolist(), calib.Tr_velo_to_cam.tolist(),
             calib.P2.tolist(), bbox, (width, height),
@@ -130,7 +132,7 @@ def test_criterion_02_frustum_membership(tmp_path):
         cam_all = lidar_to_camera(cloud, calib)
         if not np.array_equal(got_box.points, cam_all.points[want_box]):
             all_equal = False
-        got_mask = points_in_mask_frustum(cloud, det, calib)
+        got_mask = points_in_mask_frustum(projection, det)
         want_mask = oracles.mask_frustum_indices(
             pts.tolist(), calib.R0_rect.tolist(), calib.Tr_velo_to_cam.tolist(),
             calib.P2.tolist(), mask,

@@ -11,6 +11,8 @@ from farfrustum.evaluation import points_per_object_stats
 from farfrustum.pipeline import PipelineConfig, load_frame_inputs
 from farfrustum.plots import bev_scene_ppm, bev_scene_svg, stats_scatter_svg
 
+from conftest import BAD_PGMS
+
 
 def run_cli(*args):
     return main([str(a) for a in args])
@@ -271,6 +273,24 @@ class TestTrainCommand:
             ) == 0
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
+
+
+@pytest.mark.parametrize("verb", ["train", "run"])
+@pytest.mark.parametrize("case", sorted(BAD_PGMS))
+def test_malformed_mask_exits_1_naming_the_path(
+    mini_dataset, tmp_path, capsys, verb, case
+):
+    root = tmp_path / "data"
+    shutil.copytree(mini_dataset.root, root)
+    mask = sorted((root / "detections_2d" / "masks").glob("*.pgm"))[0]
+    mask.write_bytes(BAD_PGMS[case])
+    code = run_cli(
+        verb, f"data_root={root}", "frustum_mode=mask", "--out", tmp_path / "out",
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert str(mask) in err
+    assert "Traceback" not in err
 
 
 def test_stats_scatter_contains_reference_line():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from farfrustum.errors import BadCalibration, FrameMismatch
 from farfrustum.geometry import (
@@ -10,11 +12,13 @@ from farfrustum.geometry import (
     lidar_to_camera,
     points_in_box_frustum,
     points_in_mask_frustum,
+    project_cloud,
     project_to_image,
     rot_y,
     to_centroid_frame,
 )
 from farfrustum.kitti_io import CalibrationSet, Detection2D, Frame, MaskRef, PointCloud, write_pgm
+from farfrustum.synth import camera_to_lidar_points
 
 import oracles
 from conftest import random_calibration
@@ -104,7 +108,7 @@ class TestBoxFrustum:
     def test_interior_point_included(self):
         cloud = PointCloud([[0, 0, 10]], Frame.LIDAR)
         det = make_det((590, 170, 610, 190))
-        out = points_in_box_frustum(cloud, det, IDENTITY_CALIB)
+        out = points_in_box_frustum(project_cloud(cloud, IDENTITY_CALIB), det)
         assert len(out) == 1
         assert out.frame == Frame.CAMERA
 
@@ -112,7 +116,7 @@ class TestBoxFrustum:
         # (0,0,-10) projects to the principal point numerically but is behind
         cloud = PointCloud([[0, 0, -10]], Frame.LIDAR)
         det = make_det((0, 0, 1242, 375))
-        out = points_in_box_frustum(cloud, det, IDENTITY_CALIB)
+        out = points_in_box_frustum(project_cloud(cloud, IDENTITY_CALIB), det)
         assert len(out) == 0
 
     def test_brute_force_equality(self):
@@ -125,7 +129,8 @@ class TestBoxFrustum:
             )
             bbox = (bbox[0], bbox[2], bbox[1], bbox[3])
             det = make_det(bbox)
-            got = points_in_box_frustum(PointCloud(pts, Frame.LIDAR), det, calib)
+            projection = project_cloud(PointCloud(pts, Frame.LIDAR), calib)
+            got = points_in_box_frustum(projection, det)
             want_idx = oracles.box_frustum_indices(
                 pts.tolist(), calib.R0_rect.tolist(),
                 calib.Tr_velo_to_cam.tolist(), calib.P2.tolist(),
@@ -153,15 +158,16 @@ class TestMaskFrustum:
         mask = np.zeros((h, w), dtype=np.uint8)
         mask[100:300, 400:800] = 255
         det = self._mask_det(tmp_path, mask, bbox)
-        via_mask = points_in_mask_frustum(PointCloud(pts, Frame.LIDAR), det, calib)
-        via_box = points_in_box_frustum(PointCloud(pts, Frame.LIDAR), det, calib)
+        projection = project_cloud(PointCloud(pts, Frame.LIDAR), calib)
+        via_mask = points_in_mask_frustum(projection, det)
+        via_box = points_in_box_frustum(projection, det)
         np.testing.assert_array_equal(via_mask.points, via_box.points)
 
     def test_all_zero_mask(self, tmp_path):
         mask = np.zeros((375, 1242), dtype=np.uint8)
         det = self._mask_det(tmp_path, mask, (0.0, 0.0, 1242.0, 375.0))
         cloud = PointCloud([[0, 0, 10]], Frame.LIDAR)
-        assert len(points_in_mask_frustum(cloud, det, IDENTITY_CALIB)) == 0
+        assert len(points_in_mask_frustum(project_cloud(cloud, IDENTITY_CALIB), det)) == 0
 
     def test_checkerboard_matches_oracle(self, tmp_path):
         rng = np.random.default_rng(31)
@@ -171,7 +177,8 @@ class TestMaskFrustum:
         mask = (((yy // 8) + (xx // 8)) % 2).astype(np.uint8) * 255
         det = self._mask_det(tmp_path, mask, (0.0, 0.0, float(w), float(h)))
         pts = rng.uniform(-40, 40, size=(500, 3))
-        got = points_in_mask_frustum(PointCloud(pts, Frame.LIDAR), det, calib)
+        projection = project_cloud(PointCloud(pts, Frame.LIDAR), calib)
+        got = points_in_mask_frustum(projection, det)
         want_idx = oracles.mask_frustum_indices(
             pts.tolist(), calib.R0_rect.tolist(),
             calib.Tr_velo_to_cam.tolist(), calib.P2.tolist(), mask,
@@ -189,10 +196,90 @@ class TestMaskFrustum:
         det = self._mask_det(tmp_path, mask, bbox)
         pts = rng.uniform(-40, 40, size=(400, 3))
         cloud = PointCloud(pts, Frame.LIDAR)
-        via_mask = points_in_mask_frustum(cloud, det, calib)
-        via_box = points_in_box_frustum(cloud, det, calib)
+        projection = project_cloud(cloud, calib)
+        via_mask = points_in_mask_frustum(projection, det)
+        via_box = points_in_box_frustum(projection, det)
         box_set = {tuple(p) for p in via_box.points}
         assert all(tuple(p) in box_set for p in via_mask.points)
+
+
+class TestSharedProjectionBoundaries:
+    # IDENTITY_CALIB maps (x, 0, 7) exactly to u = 600 + 100 x, v = 180:
+    # u = 625, 650, 700 in front of the camera, and one point behind it
+    PTS = [[0.25, 0, 7], [0.5, 0, 7], [1.0, 0, 7], [0.5, 0, -7]]
+
+    def _members(self, det):
+        projection = project_cloud(PointCloud(self.PTS, Frame.LIDAR), IDENTITY_CALIB)
+        cam = projection.camera.points
+        got = points_in_box_frustum(projection, det) if det.mask is None \
+            else points_in_mask_frustum(projection, det)
+        return [int(np.flatnonzero((cam == p).all(axis=1))[0]) for p in got.points]
+
+    def test_box_is_half_open(self):
+        assert self._members(make_det((650, 170, 700, 190))) == [1]
+
+    def test_box_clamped_to_image_edge(self):
+        assert self._members(make_det((600, 170, 800, 190), image_size=(626, 375))) == [0]
+        assert self._members(make_det((600, 170, 800, 190), image_size=None)) == [0, 1, 2]
+
+    def test_mask_pixel_is_floor_and_skips_points_behind(self, tmp_path):
+        bitmap = np.zeros((375, 1242), dtype=np.uint8)
+        bitmap[180, 650] = bitmap[180, 550] = 255  # 550: where the point behind lands
+        write_pgm(tmp_path / "m.pgm", bitmap)
+        det = make_det((0, 0, 10, 10), mask=MaskRef(tmp_path / "m.pgm", (1242, 375)))
+        assert self._members(det) == [1]
+
+
+SMALL_IMAGE = (320, 160)  # (W, H)
+
+# (u0, v0, width, height) in pixels, may reach past every image edge; whether
+# the box is clamped to the image; whether the detection carries a mask
+_detection_specs = st.tuples(
+    st.floats(-150.0, SMALL_IMAGE[0] + 50.0), st.floats(-80.0, SMALL_IMAGE[1] + 30.0),
+    st.floats(2.0, 300.0), st.floats(2.0, 150.0), st.booleans(), st.booleans(),
+)
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       specs=st.lists(_detection_specs, min_size=1, max_size=4))
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_shared_projection_matches_oracles(tmp_path, seed, specs):
+    """Every detection cut from one projection equals per-point brute force."""
+    rng = np.random.default_rng(seed)
+    calib = random_calibration(rng)
+    w, h = SMALL_IMAGE
+    # back-projected from pixels around the image; a quarter lie behind the camera
+    pix = np.column_stack([
+        rng.uniform(-60, w + 60, 300), rng.uniform(-30, h + 30, 300), np.ones(300)
+    ])
+    depth = rng.uniform(-20, 60, 300)
+    cam = (pix @ np.linalg.inv(calib.P2[:, :3]).T) * depth[:, None]
+    pts = camera_to_lidar_points(cam, calib)
+    projection = project_cloud(PointCloud(pts, Frame.LIDAR), calib)
+    cam_all = lidar_to_camera(PointCloud(pts, Frame.LIDAR), calib)
+    chain = (pts.tolist(), calib.R0_rect.tolist(), calib.Tr_velo_to_cam.tolist(),
+             calib.P2.tolist())
+    for k, (u0, v0, bw, bh, clamped, masked) in enumerate(specs):
+        bbox = (u0, v0, u0 + bw, v0 + bh)
+        image_size = SMALL_IMAGE if clamped else None
+        mask = ref = None
+        if masked:
+            # a random block anywhere in the image, unrelated to the bbox
+            mask = np.zeros((h, w), dtype=np.uint8)
+            r, c = int(rng.integers(0, h)), int(rng.integers(0, w))
+            block = mask[r:r + int(rng.integers(1, h)), c:c + int(rng.integers(1, w))]
+            block[...] = (rng.uniform(size=block.shape) < 0.6) * 255
+            write_pgm(tmp_path / f"m{k}.pgm", mask)
+            ref = MaskRef(tmp_path / f"m{k}.pgm", SMALL_IMAGE)
+        det = Detection2D("f", "car", 0.9, bbox, mask=ref, image_size=image_size)
+        want_box = oracles.box_frustum_indices(*chain, bbox, image_size)
+        got_box = points_in_box_frustum(projection, det)
+        np.testing.assert_array_equal(got_box.points, cam_all.points[want_box])
+        if masked:
+            want_mask = oracles.mask_frustum_indices(*chain, mask)
+            got_mask = points_in_mask_frustum(projection, det)
+            np.testing.assert_array_equal(got_mask.points, cam_all.points[want_mask])
 
 
 class TestFrustumRotation:

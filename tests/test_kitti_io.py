@@ -13,6 +13,7 @@ from farfrustum.errors import (
     MalformedCalibLine,
     MalformedDetectionLine,
     MalformedLabelLine,
+    MalformedMask,
     MaskDimMismatch,
     MissingCalibKey,
     NonFinitePoint,
@@ -21,6 +22,7 @@ from farfrustum.errors import (
 from farfrustum.kitti_io import (
     Box3D,
     Frame,
+    MaskRef,
     load_pointcloud,
     parse_calibration,
     parse_detections,
@@ -31,6 +33,8 @@ from farfrustum.kitti_io import (
     write_results,
 )
 from farfrustum.synth import default_calibration
+
+from conftest import BAD_PGMS
 
 CALIB_TEXT = """\
 P2: 700 0 600 0 0 700 180 0 0 0 1 0
@@ -171,6 +175,23 @@ def test_pgm_round_trip(tmp_path):
     write_pgm(tmp_path / "x.pgm", img)
     back = read_pgm(tmp_path / "x.pgm")
     np.testing.assert_array_equal(img, back)
+
+
+def test_pgm_header_comments(tmp_path):
+    # one comment line per token gap, and more comment lines than the
+    # interpreter's recursion limit
+    body = b"#c\n" * 5000
+    path = tmp_path / "c.pgm"
+    path.write_bytes(b"P5\n" + body + b"3 #w\n2\n# h\n255\n" + bytes(range(6)))
+    assert read_pgm(path).tolist() == [[0, 1, 2], [3, 4, 5]]
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PGMS))
+def test_malformed_pgm_names_the_path(tmp_path, case):
+    path = tmp_path / f"{case}.pgm"
+    path.write_bytes(BAD_PGMS[case])
+    with pytest.raises(MalformedMask, match=case):
+        MaskRef(path, (4, 2)).load()
 
 
 class TestParseLabels:

@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from farfrustum import geometry
 from farfrustum.errors import (
     ConfigError,
     MissingFrameData,
@@ -23,7 +25,7 @@ from farfrustum.pipeline import (
     process_frame,
     run_dataset,
 )
-from farfrustum.regressor import BoxRegression
+from farfrustum.regressor import BoxRegression, build_training_set
 from farfrustum.synth import camera_to_lidar_points
 
 
@@ -182,6 +184,68 @@ class TestProcessFrame:
         assert scores == sorted(scores, reverse=True)
 
 
+def _reconciles(stats: RunSummary) -> bool:
+    return stats.detections == (
+        stats.faraway + stats.routed_near
+        + stats.skipped_empty_frustum + stats.skipped_unknown_class
+    )
+
+
+def test_mixed_range_frame_counters_reconcile(simple_calib):
+    scenes = [
+        _planted_scene(simple_calib, depth=65.0, x=2.0),                  # faraway
+        _planted_scene(simple_calib, depth=30.0, x=-4.0),                 # near
+        _planted_scene(simple_calib, depth=70.0, x=-8.0, cls="cyclist"),  # unknown
+    ]
+    cloud = PointCloud(np.vstack([c.points for c, _, _ in scenes]), Frame.LIDAR)
+    sky = Detection2D("f", "car", 0.5, (10, 10, 20, 20), image_size=(1242, 375))
+    dets = [det for _, det, _ in scenes] + [sky]
+    stats = RunSummary()
+    process_frame(cloud, dets, [], simple_calib, PipelineConfig(frustum_mode="box"),
+                  stats=stats)
+    assert (stats.faraway, stats.routed_near, stats.skipped_unknown_class,
+            stats.skipped_empty_frustum) == (1, 1, 1, 1)
+    assert _reconciles(stats)
+    assert "routed to near range:    1" in stats.lines()
+
+
+def _count_projections(monkeypatch) -> Counter:
+    calls: Counter = Counter()
+    for name in ("lidar_to_camera", "project_to_image"):
+        def counted(*args, _name=name, _fn=getattr(geometry, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(geometry, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n_dets", [1, 3, 30])
+def test_process_frame_projects_once(simple_calib, monkeypatch, n_dets):
+    cloud, det, _ = _planted_scene(simple_calib)
+    calls = _count_projections(monkeypatch)
+    boxes = process_frame(cloud, [det] * n_dets, [], simple_calib,
+                          PipelineConfig(frustum_mode="box"))
+    assert len(boxes) == n_dets
+    assert calls == {"lidar_to_camera": 1, "project_to_image": 1}
+
+
+@pytest.mark.parametrize("mode", ["mask", "box"])
+def test_build_training_set_projects_once_per_frame(mini_dataset, monkeypatch, mode):
+    config = PipelineConfig(data_root=mini_dataset.root, frustum_mode=mode)
+    frames = {f: load_frame_inputs(mini_dataset.root, f, config)
+              for f in mini_dataset.frame_ids}
+    calls = _count_projections(monkeypatch)
+    samples, _ = build_training_set(
+        {f: i.cloud for f, i in frames.items()},
+        {f: i.detections for f, i in frames.items()},
+        {f: i.labels for f, i in frames.items()},
+        {f: i.calib for f, i in frames.items()},
+        config,
+    )
+    assert len(samples) == 10 > len(frames)
+    assert calls == {"lidar_to_camera": len(frames), "project_to_image": len(frames)}
+
+
 class TestConfig:
     def test_parse_config_text(self):
         mapping = parse_config_text(
@@ -226,7 +290,9 @@ class TestRunDataset:
         assert summary.frames == 5
         assert summary.detections == 11
         assert summary.faraway == 6       # 4 pedestrians + 2 far cars
+        assert summary.routed_near == 4
         assert summary.skipped_empty_frustum == 1  # the sky detection
+        assert _reconciles(summary)
         assert summary.fallback_seen == 6
         assert summary.fallback_kept == 5  # the 80.3 m duplicate is dropped
         for frame_id in mini_dataset.frame_ids:

@@ -320,7 +320,9 @@ class TestBuildTrainingSet:
             assert np.linalg.norm(target.shift) < 1.5
 
     def test_target_yaw_is_gt_minus_theta(self, mini_dataset):
-        from farfrustum.geometry import frustum_rotation, points_in_box_frustum
+        from farfrustum.geometry import (
+            frustum_rotation, points_in_box_frustum, project_cloud,
+        )
         from farfrustum.pipeline import load_frame_inputs
 
         config = self._config(mini_dataset.root)
@@ -331,7 +333,7 @@ class TestBuildTrainingSet:
         calibs = {"000003": inputs.calib}
         samples, _ = build_training_set(clouds, dets, labels, calibs, config)
         far_det = max(inputs.detections, key=lambda d: d.score)
-        frustum = points_in_box_frustum(inputs.cloud, far_det, inputs.calib)
+        frustum = points_in_box_frustum(project_cloud(inputs.cloud, inputs.calib), far_det)
         _, theta = frustum_rotation(frustum, far_det, inputs.calib)
         far_rec = next(
             rec for rec in inputs.labels
