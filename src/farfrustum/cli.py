@@ -257,7 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # key=value overrides may also follow options; argparse leaves those over
+    args, extra = parser.parse_known_args(argv)
+    unknown = [token for token in extra if token.startswith("-") or "=" not in token]
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    args.overrides = [*args.overrides, *extra]
     try:
         return args.func(args)
     except UsageError as exc:

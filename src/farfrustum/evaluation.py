@@ -3,6 +3,12 @@
 The faraway benchmark deliberately uses a low IoU threshold (0.1): at long
 range a coarse localization is still far more useful than a miss, so the
 metric rewards any overlap rather than tight fits.
+
+Scoring builds one IoU table per (frame, class) and feeds it to aIoU,
+AP-BEV and AP-3D. Pairs whose footprint bounds are disjoint are pruned;
+every other ground-truth/prediction pair is clipped at most once, and its
+BEV and 3D IoU both come from that one intersection area. The pairwise
+``bev_iou`` and ``iou_3d`` read from the same table builder.
 """
 from __future__ import annotations
 
@@ -18,15 +24,18 @@ from .kitti_io import Box3D, CalibrationSet, Frame, LabelRecord, PointCloud
 # --- rotated IoU ------------------------------------------------------------
 
 
-def _polygon_area(poly: np.ndarray) -> float:
-    """Shoelace area; positive for counter-clockwise vertex order."""
-    x, z = poly[:, 0], poly[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(z, -1) - np.roll(x, -1) * z))
+def _polygon_area(poly: np.ndarray) -> np.ndarray:
+    """Shoelace area of (..., n, 2) polygons; positive for counter-clockwise order."""
+    x, z = poly[..., 0], poly[..., 1]
+    following = np.concatenate((poly[..., 1:, :], poly[..., :1, :]), axis=-2)
+    return 0.5 * np.sum(x * following[..., 1] - following[..., 0] * z, axis=-1)
 
 
 def _clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
     """Sutherland-Hodgman clip of a convex polygon by a CCW convex polygon."""
-    output = [tuple(p) for p in subject]
+    # plain floats: the same IEEE arithmetic as numpy scalars, only faster
+    output = [tuple(p) for p in subject.tolist()]
+    clip = clip.tolist()
     n_clip = len(clip)
     for k in range(n_clip):
         if len(output) < 3:
@@ -51,28 +60,28 @@ def _clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
     return np.array(output) if len(output) >= 3 else np.zeros((0, 2))
 
 
-def _bev_footprint(box: Box3D) -> tuple[np.ndarray, float]:
-    """Corners and shoelace area of the ground-plane rectangle.
+_PRUNE_MARGIN = 1e-6  # relative pad on each footprint's axis-aligned bounds
+
+
+def _footprints(
+    boxes: Sequence[Box3D],
+) -> tuple[list[np.ndarray], list[float], np.ndarray, np.ndarray]:
+    """Corners, shoelace areas and padded axis-aligned bounds of footprints.
 
     The area is measured on the corner polygon itself (not as w*l) so that
     identical boxes compare at exactly 1.0: clipping a polygon by itself
     returns it verbatim, and the intersection then carries the same floats
     as each footprint.
     """
-    if box.size[0] * box.size[1] <= 0:
-        raise ZeroAreaBox(f"box has zero footprint area: size {box.size}")
-    corners = box.bev_corners()
-    return corners, _polygon_area(corners)
-
-
-def bev_iou(a: Box3D, b: Box3D) -> float:
-    """IoU of the two yaw-rotated ground-plane rectangles."""
-    poly_a, area_a = _bev_footprint(a)
-    poly_b, area_b = _bev_footprint(b)
-    inter_poly = _clip_polygon(poly_a, poly_b)
-    inter = _polygon_area(inter_poly) if len(inter_poly) else 0.0
-    union = area_a + area_b - inter
-    return min(max(inter / union, 0.0), 1.0)
+    for box in boxes:
+        if box.size[0] * box.size[1] <= 0:
+            raise ZeroAreaBox(f"box has zero footprint area: size {box.size}")
+    corners = np.stack([box.bev_corners() for box in boxes])
+    # the pad dwarfs the clip's rounding, which scales with the coordinates
+    pad = _PRUNE_MARGIN * np.abs(corners).max(axis=(1, 2))
+    low = corners.min(axis=1) - pad[:, None]
+    high = corners.max(axis=1) + pad[:, None]
+    return list(corners), _polygon_area(corners).tolist(), low, high
 
 
 def _vertical_interval(box: Box3D) -> tuple[float, float]:
@@ -80,35 +89,121 @@ def _vertical_interval(box: Box3D) -> tuple[float, float]:
     return box.center[1] - box.size[2], box.center[1]
 
 
-def iou_3d(a: Box3D, b: Box3D) -> float:
-    """Volume IoU for upright boxes: BEV intersection times vertical overlap."""
-    poly_a, area_a = _bev_footprint(a)
-    poly_b, area_b = _bev_footprint(b)
-    top_a, bottom_a = _vertical_interval(a)
-    top_b, bottom_b = _vertical_interval(b)
+def _iou_tables(
+    gt: Sequence[Box3D], preds: Sequence[Box3D]
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """BEV and 3D IoU of every (ground truth, prediction) pair, class-blind.
+
+    Each box's footprint is built once. Pairs whose padded bounds are
+    disjoint cannot overlap and keep IoU 0; every other pair is clipped
+    once, and both IoUs come from that one intersection area. 3D IoU is
+    the BEV intersection times the vertical overlap, over upright boxes.
+    The 3D table is None when a box has zero volume.
+    """
+    bev = np.zeros((len(gt), len(preds)))
+    vol_iou = np.zeros_like(bev)
+    if not len(gt) or not len(preds):
+        return bev, vol_iou
+    g_poly, g_area, g_low, g_high = _footprints(gt)
+    p_poly, p_area, p_low, p_high = _footprints(preds)
+    g_span = [_vertical_interval(g) for g in gt]
+    p_span = [_vertical_interval(p) for p in preds]
     # heights via the same subtractions used for the overlap, keeping the
     # identical-box case exact
-    vol_a = area_a * (bottom_a - top_a)
-    vol_b = area_b * (bottom_b - top_b)
-    if vol_a <= 0 or vol_b <= 0:
+    g_vol = [a * (bottom - top) for a, (top, bottom) in zip(g_area, g_span)]
+    p_vol = [a * (bottom - top) for a, (top, bottom) in zip(p_area, p_span)]
+    has_volume = min(g_vol) > 0 and min(p_vol) > 0
+    near = np.all(
+        (g_low[:, None, :] <= p_high[None, :, :]) & (p_low[None, :, :] <= g_high[:, None, :]),
+        axis=2,
+    )
+    for gi, pi in zip(*(ix.tolist() for ix in np.nonzero(near))):
+        inter_poly = _clip_polygon(g_poly[gi], p_poly[pi])
+        inter = float(_polygon_area(inter_poly)) if len(inter_poly) else 0.0
+        union = g_area[gi] + p_area[pi] - inter
+        bev[gi, pi] = min(max(inter / union, 0.0), 1.0)
+        if has_volume:
+            top_g, bottom_g = g_span[gi]
+            top_p, bottom_p = p_span[pi]
+            overlap = max(0.0, min(bottom_g, bottom_p) - max(top_g, top_p))
+            inter_vol = inter * overlap
+            union = g_vol[gi] + p_vol[pi] - inter_vol
+            vol_iou[gi, pi] = min(max(inter_vol / union, 0.0), 1.0)
+    return bev, vol_iou if has_volume else None
+
+
+def _volume_table(table: np.ndarray | None) -> np.ndarray:
+    if table is None:
         raise ZeroAreaBox("box has zero volume")
-    inter_poly = _clip_polygon(poly_a, poly_b)
-    inter_area = _polygon_area(inter_poly) if len(inter_poly) else 0.0
-    overlap = max(0.0, min(bottom_a, bottom_b) - max(top_a, top_b))
-    inter_vol = inter_area * overlap
-    union = vol_a + vol_b - inter_vol
-    return min(max(inter_vol / union, 0.0), 1.0)
+    return table
 
 
-def _iou_fn(kind: str) -> Callable[[Box3D, Box3D], float]:
-    if kind == "bev":
-        return bev_iou
-    if kind == "3d":
-        return iou_3d
-    raise ValueError(f"iou kind must be 'bev' or '3d', got {kind!r}")
+def _check_kind(kind: str) -> None:
+    if kind not in ("bev", "3d"):
+        raise ValueError(f"iou kind must be 'bev' or '3d', got {kind!r}")
+
+
+def bev_iou(a: Box3D, b: Box3D) -> float:
+    """IoU of the two yaw-rotated ground-plane rectangles."""
+    return float(_iou_tables([a], [b])[0][0, 0])
+
+
+def iou_3d(a: Box3D, b: Box3D) -> float:
+    """Volume IoU for upright boxes: BEV intersection times vertical overlap."""
+    return float(_volume_table(_iou_tables([a], [b])[1])[0, 0])
+
+
+def _same_class_table(
+    gt: Sequence[Box3D], preds: Sequence[Box3D], kind: str
+) -> np.ndarray:
+    """IoU table of one frame with each class clipped apart; 0 across classes."""
+    table = np.zeros((len(gt), len(preds)))
+    for cls in dict.fromkeys(g.class_name for g in gt):
+        rows = [i for i, g in enumerate(gt) if g.class_name == cls]
+        cols = [j for j, p in enumerate(preds) if p.class_name == cls]
+        if not cols:
+            continue
+        bev, vol_iou = _iou_tables([gt[i] for i in rows], [preds[j] for j in cols])
+        table[np.ix_(rows, cols)] = bev if kind == "bev" else _volume_table(vol_iou)
+    return table
 
 
 # --- matching and aggregate metrics ------------------------------------------
+
+
+def _overlaps(table: np.ndarray) -> list[list[tuple[int, float]]]:
+    """Positive entries of each row as (column, IoU), in column order.
+
+    Matching only ever takes an IoU above 0, so the pruned majority of a
+    table never needs a look.
+    """
+    rows: list[list[tuple[int, float]]] = [[] for _ in range(len(table))]
+    ri, ci = np.nonzero(table > 0.0)
+    for r, c, value in zip(ri.tolist(), ci.tolist(), table[ri, ci].tolist()):
+        rows[r].append((c, value))
+    return rows
+
+
+def _greedy(table: np.ndarray) -> list[tuple[int, int | None, float]]:
+    """Greedy one-to-one matching on a (gt, pred) IoU table; see match_greedy."""
+    rows = _overlaps(table)
+    order = sorted(
+        range(len(rows)), key=lambda gi: -max((v for _, v in rows[gi]), default=0.0)
+    )
+    used: set[int] = set()
+    result: list[tuple[int, int | None, float]] = []
+    for gi in order:
+        best_pi, best_iou = None, 0.0
+        for pi, value in rows[gi]:
+            if pi not in used and value > best_iou:
+                best_pi, best_iou = pi, value
+        if best_pi is not None:
+            used.add(best_pi)
+            result.append((gi, best_pi, best_iou))
+        else:
+            result.append((gi, None, 0.0))
+    result.sort(key=lambda t: t[0])
+    return result
 
 
 def match_greedy(
@@ -120,29 +215,8 @@ def match_greedy(
     the still-unmatched predictions; each prediction is consumed at most
     once. Returns (gt index, pred index or None, iou) per ground truth.
     """
-    iou = _iou_fn(kind)
-    table = np.zeros((len(gt), len(preds)))
-    for gi, g in enumerate(gt):
-        for pi, p in enumerate(preds):
-            if p.class_name == g.class_name:
-                table[gi, pi] = iou(g, p)
-    order = sorted(range(len(gt)), key=lambda gi: -table[gi].max(initial=0.0))
-    used: set[int] = set()
-    result: list[tuple[int, int | None, float]] = []
-    for gi in order:
-        best_pi, best_iou = None, 0.0
-        for pi in range(len(preds)):
-            if pi in used:
-                continue
-            if table[gi, pi] > best_iou:
-                best_pi, best_iou = pi, table[gi, pi]
-        if best_pi is not None:
-            used.add(best_pi)
-            result.append((gi, best_pi, float(best_iou)))
-        else:
-            result.append((gi, None, 0.0))
-    result.sort(key=lambda t: t[0])
-    return result
+    _check_kind(kind)
+    return _greedy(_same_class_table(gt, preds, kind))
 
 
 def average_iou(
@@ -172,6 +246,42 @@ def _interp_ap(points: list[tuple[float, float]]) -> float:
     return 100.0 * total / 11.0
 
 
+def _ap_from_tables(
+    tables: Mapping[str, np.ndarray],
+    preds_by_frame: Mapping[str, Sequence[Box3D]],
+    n_gt: int,
+    iou_threshold: float,
+) -> float:
+    """11-point AP from per-frame (gt, pred) IoU tables; see ap_11point."""
+    pool = [
+        (frame, i, box)
+        for frame in preds_by_frame
+        for i, box in enumerate(preds_by_frame[frame])
+    ]
+    pool.sort(key=lambda t: -t[2].score)  # sort() is stable: ties keep input order
+    overlaps = {frame: _overlaps(table.T) for frame, table in tables.items()}
+    matched: dict[str, set[int]] = {frame: set() for frame in tables}
+    tp = np.zeros(len(pool))
+    for rank, (frame, pi, _) in enumerate(pool):
+        if frame not in tables:
+            continue
+        best_gi, best_iou = None, 0.0
+        for gi, value in overlaps[frame][pi]:
+            if gi not in matched[frame] and value >= iou_threshold and value > best_iou:
+                best_gi, best_iou = gi, value
+        if best_gi is not None:
+            matched[frame].add(best_gi)
+            tp[rank] = 1.0
+    cum_tp = np.cumsum(tp)
+    ranks = np.arange(1, len(pool) + 1)
+    points = [
+        (cum_tp[i] / n_gt, cum_tp[i] / ranks[i]) for i in range(len(pool))
+    ]
+    if not points:
+        return 0.0
+    return _interp_ap(points)
+
+
 def ap_11point(
     gt_by_frame: Mapping[str, Sequence[Box3D]] | Sequence[Box3D],
     preds_by_frame: Mapping[str, Sequence[Box3D]] | Sequence[Box3D],
@@ -190,38 +300,15 @@ def ap_11point(
         gt_by_frame = {"": list(gt_by_frame)}
     if not isinstance(preds_by_frame, Mapping):
         preds_by_frame = {"": list(preds_by_frame)}
-    iou = _iou_fn(kind)
+    _check_kind(kind)
     n_gt = sum(len(v) for v in gt_by_frame.values())
     if n_gt == 0:
         return None
-    pool = [
-        (frame, i, box)
-        for frame in preds_by_frame
-        for i, box in enumerate(preds_by_frame[frame])
-    ]
-    pool.sort(key=lambda t: -t[2].score)  # sort() is stable: ties keep input order
-    matched: dict[str, set[int]] = {frame: set() for frame in gt_by_frame}
-    tp = np.zeros(len(pool))
-    for rank, (frame, _, box) in enumerate(pool):
-        candidates = gt_by_frame.get(frame, ())
-        best_gi, best_iou = None, 0.0
-        for gi, g in enumerate(candidates):
-            if gi in matched.get(frame, set()) or g.class_name != box.class_name:
-                continue
-            value = iou(g, box)
-            if value >= iou_threshold and value > best_iou:
-                best_gi, best_iou = gi, value
-        if best_gi is not None:
-            matched.setdefault(frame, set()).add(best_gi)
-            tp[rank] = 1.0
-    cum_tp = np.cumsum(tp)
-    ranks = np.arange(1, len(pool) + 1)
-    points = [
-        (cum_tp[i] / n_gt, cum_tp[i] / ranks[i]) for i in range(len(pool))
-    ]
-    if not points:
-        return 0.0
-    return _interp_ap(points)
+    tables = {
+        frame: _same_class_table(gt, preds_by_frame.get(frame, ()), kind)
+        for frame, gt in gt_by_frame.items()
+    }
+    return _ap_from_tables(tables, preds_by_frame, n_gt, iou_threshold)
 
 
 # --- report ------------------------------------------------------------------
@@ -289,17 +376,25 @@ def evaluate_boxes(
         pred_c = {f: [p for p in pred_f[f] if p.class_name == cls] for f in frames}
         n_gt = sum(len(v) for v in gt_c.values())
         n_pred = sum(len(v) for v in pred_c.values())
+        bev_tables, vol_tables = {}, {}
         iou_sum = 0.0
         for f in frames:
-            if not gt_c[f]:
-                continue
-            for gi, pi, iou in match_greedy(gt_c[f], pred_c[f], kind="bev"):
+            bev_tables[f], vol_tables[f] = _iou_tables(gt_c[f], pred_c[f])
+            for gi, pi, iou in _greedy(bev_tables[f]):
                 iou_sum += iou
                 report.matches.append((f, cls, gi, pi, iou))
+        if n_gt:
+            ap_bev = _ap_from_tables(bev_tables, pred_c, n_gt, iou_threshold)
+            ap_3d = _ap_from_tables(
+                {f: _volume_table(t) for f, t in vol_tables.items()},
+                pred_c, n_gt, iou_threshold,
+            )
+        else:
+            ap_bev = ap_3d = None
         report.per_class[cls] = ClassEval(
             aiou=(iou_sum / n_gt) if n_gt else None,
-            ap_bev=ap_11point(gt_c, pred_c, iou_threshold, kind="bev"),
-            ap_3d=ap_11point(gt_c, pred_c, iou_threshold, kind="3d"),
+            ap_bev=ap_bev,
+            ap_3d=ap_3d,
             n_gt=n_gt,
             n_pred=n_pred,
         )
@@ -394,27 +489,3 @@ def points_per_object_stats(
             )
     return out
 
-
-# --- ground-truth difficulty filter -------------------------------------------
-
-_DIFFICULTY_RULES = {
-    # min 2D bbox height (px), max occlusion level, max truncation
-    "easy": (40.0, 0, 0.15),
-    "moderate": (25.0, 1, 0.30),
-    "hard": (25.0, 2, 0.50),
-}
-
-
-def filter_difficulty(
-    records: Sequence[LabelRecord], level: str
-) -> list[LabelRecord]:
-    """Optional GT filter by the standard easy/moderate/hard rules."""
-    if level not in _DIFFICULTY_RULES:
-        raise ValueError(f"difficulty must be one of {sorted(_DIFFICULTY_RULES)}")
-    min_height, max_occ, max_trunc = _DIFFICULTY_RULES[level]
-    kept = []
-    for rec in records:
-        height = rec.bbox2d[3] - rec.bbox2d[1]
-        if height >= min_height and rec.occlusion <= max_occ and rec.truncation <= max_trunc:
-            kept.append(rec)
-    return kept

@@ -232,25 +232,26 @@ def write_pgm(path: str | Path, image: np.ndarray) -> None:
 
 
 class MaskRef:
-    """Lazily loaded P5 PGM instance mask, validated against the image size."""
+    """Lazily read P5 PGM instance mask, validated against the image size.
+
+    Nothing is cached: each ``load`` decodes the file afresh, so a mask is
+    freed as soon as its caller drops it.
+    """
 
     def __init__(self, path: str | Path, expected_size: tuple[int, int]):
         self.path = Path(path)
         self.expected_size = (int(expected_size[0]), int(expected_size[1]))  # (W, H)
-        self._data: np.ndarray | None = None
 
     def load(self) -> np.ndarray:
-        if self._data is None:
-            img = read_pgm(self.path)
-            h, w = img.shape
-            if (w, h) != self.expected_size:
-                raise MaskDimMismatch(
-                    f"mask {self.path} is {w}x{h}, image is "
-                    f"{self.expected_size[0]}x{self.expected_size[1]}"
-                )
-            img.setflags(write=False)
-            self._data = img
-        return self._data
+        img = read_pgm(self.path)
+        h, w = img.shape
+        if (w, h) != self.expected_size:
+            raise MaskDimMismatch(
+                f"mask {self.path} is {w}x{h}, image is "
+                f"{self.expected_size[0]}x{self.expected_size[1]}"
+            )
+        img.setflags(write=False)
+        return img
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"MaskRef({self.path})"

@@ -451,22 +451,28 @@ def save_checkpoint(params: RegressorParams, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path, classes: tuple[str, ...]) -> RegressorParams:
     data = Path(path).read_bytes()
+    header_bytes = 5 * 8
+    if len(data) < header_bytes or (len(data) - header_bytes) % 8:
+        raise ShapeError(
+            f"checkpoint {path} is {len(data)} bytes: not a {header_bytes}-byte "
+            f"header and a body of 8-byte reals"
+        )
     header = np.frombuffer(data, dtype="<i8", count=5)
     grid_size, n_classes, hidden, out_dim, version = (int(v) for v in header)
     if version != CHECKPOINT_VERSION:
-        raise ShapeError(f"unsupported checkpoint version {version}")
+        raise ShapeError(f"checkpoint {path}: unsupported version {version}")
     if out_dim != _OUTPUT_DIM:
-        raise ShapeError(f"checkpoint output dim {out_dim} != {_OUTPUT_DIM}")
+        raise ShapeError(f"checkpoint {path}: output dim {out_dim} != {_OUTPUT_DIM}")
     if n_classes != len(classes):
         raise ShapeError(
-            f"checkpoint has {n_classes} classes, config lists {len(classes)}"
+            f"checkpoint {path} has {n_classes} classes, config lists {len(classes)}"
         )
     d = grid_size * grid_size + n_classes
     n_weights = hidden * d + hidden + _OUTPUT_DIM * hidden + _OUTPUT_DIM
-    body = np.frombuffer(data, dtype="<f8", offset=header.nbytes)
+    body = np.frombuffer(data, dtype="<f8", offset=header_bytes)
     if body.size != n_weights + n_classes * 3:
         raise ShapeError(
-            f"checkpoint body has {body.size} reals, expected "
+            f"checkpoint {path}: body has {body.size} reals, expected "
             f"{n_weights + n_classes * 3}"
         )
     params = zero_params(

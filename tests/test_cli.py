@@ -104,6 +104,32 @@ class TestEval:
         assert "car,ap_bev,100.0000" in out
         assert "pedestrian,ap_bev,100.0000" in out
 
+    def test_overrides_may_follow_options(self, mini_dataset, tmp_path, capsys):
+        results = tmp_path / "results"
+        shutil.copytree(mini_dataset.root / "label_2", results)
+        outputs = []
+        for argv in (
+            ["eval", "--iou", "0.2", "threshold.car=70", "--faraway-only",
+             "raster_grid=8", "--results", results, "--machine",
+             f"data_root={mini_dataset.root}", "threshold.pedestrian=1000"],
+            ["eval", "threshold.car=70", "raster_grid=8",
+             f"data_root={mini_dataset.root}", "threshold.pedestrian=1000",
+             "--iou", "0.2", "--faraway-only", "--results", results, "--machine"],
+        ):
+            assert run_cli(*argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        # the last override, placed after the options, took effect
+        assert "car,n_gt," in outputs[0]
+        assert "pedestrian," not in outputs[0]
+
+    @pytest.mark.parametrize("token", ["stray", "--no-such-flag", "--no-such=1"])
+    def test_leftover_non_override_is_usage_error(self, mini_dataset, token, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli("eval", f"data_root={mini_dataset.root}", "--faraway-only", token)
+        assert err.value.code == 2
+        assert token in capsys.readouterr().err
+
     def test_empty_results_scores_zero(self, mini_dataset, tmp_path, capsys):
         results = tmp_path / "empty"
         results.mkdir()
@@ -290,6 +316,22 @@ def test_malformed_mask_exits_1_naming_the_path(
     err = capsys.readouterr().err
     assert code == 1
     assert str(mask) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("size", [0, 13, 43])
+def test_truncated_checkpoint_exits_1_naming_the_path(
+    mini_dataset, tmp_path, capsys, size
+):
+    ckpt = tmp_path / "reg.ckpt"
+    ckpt.write_bytes(bytes(size))
+    code = run_cli(
+        "run", f"data_root={mini_dataset.root}", f"checkpoint={ckpt}",
+        "--out", tmp_path / "out",
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert str(ckpt) in err
     assert "Traceback" not in err
 
 

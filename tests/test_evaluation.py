@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from farfrustum import evaluation
 from farfrustum.errors import ZeroAreaBox
 from farfrustum.evaluation import (
     ap_11point,
@@ -10,7 +13,6 @@ from farfrustum.evaluation import (
     bev_iou,
     evaluate_boxes,
     faraway_filter,
-    filter_difficulty,
     format_report,
     iou_3d,
     machine_lines,
@@ -150,6 +152,120 @@ class TestIou3d:
             assert iou_3d(a, b) == pytest.approx(bev_iou(a, b), abs=1e-12)
 
 
+def unpruned_ious(g, p):
+    """BEV and 3D IoU of one pair, clipped unconditionally, same float steps."""
+    poly_g, poly_p = g.bev_corners(), p.bev_corners()
+    area_g = float(evaluation._polygon_area(poly_g))
+    area_p = float(evaluation._polygon_area(poly_p))
+    inter_poly = evaluation._clip_polygon(poly_g, poly_p)
+    inter = float(evaluation._polygon_area(inter_poly)) if len(inter_poly) else 0.0
+    bev = min(max(inter / (area_g + area_p - inter), 0.0), 1.0)
+    top_g, bottom_g = g.center[1] - g.size[2], g.center[1]
+    top_p, bottom_p = p.center[1] - p.size[2], p.center[1]
+    vol_g, vol_p = area_g * (bottom_g - top_g), area_p * (bottom_p - top_p)
+    inter_vol = inter * max(0.0, min(bottom_g, bottom_p) - max(top_g, top_p))
+    return bev, min(max(inter_vol / (vol_g + vol_p - inter_vol), 0.0), 1.0)
+
+
+def same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def moved(b, dx=0.0, dz=0.0, cls=None):
+    return Box3D(center=(b.center[0] + dx, b.center[1], b.center[2] + dz), yaw=b.yaw,
+                 size=b.size, class_name=cls or b.class_name, score=b.score)
+
+
+def to_prune_bound(g, p, delta):
+    """``p`` shifted along x so its padded bounds start ``delta`` past ``g``'s."""
+    _, _, _, g_high = evaluation._footprints([g])
+    _, _, p_low, _ = evaluation._footprints([p])
+    return moved(p, dx=float(g_high[0, 0] - p_low[0, 0]) + delta)
+
+
+# yaw 0 boxes with dyadic sizes; edge and corner contacts are then exact
+_aligned = st.builds(
+    box,
+    cx=st.integers(-8, 8).map(lambda k: k / 4), cz=st.integers(236, 244).map(lambda k: k / 4),
+    w=st.integers(2, 10).map(lambda k: k / 4), l=st.integers(2, 20).map(lambda k: k / 4),
+    cy=st.sampled_from([1.0, 1.5]), h=st.sampled_from([1.0, 1.75]),
+    cls=st.sampled_from(["car", "pedestrian"]),
+)
+_rotated = st.builds(
+    box,
+    cx=st.floats(-3.0, 3.0), cz=st.floats(57.0, 63.0), w=st.floats(0.3, 2.5),
+    l=st.floats(0.3, 5.0), cy=st.floats(0.5, 2.0), h=st.floats(0.5, 2.5),
+    yaw=st.floats(-math.pi, math.pi) | st.sampled_from([0.0, math.pi / 2, math.pi]),
+    cls=st.sampled_from(["car", "pedestrian"]),
+)
+
+
+@st.composite
+def table_cases(draw):
+    gt = draw(st.lists(_aligned | _rotated, max_size=5))
+    preds = draw(st.lists(_aligned | _rotated, max_size=4))
+    for g in gt:
+        p = draw(_aligned | _rotated)
+        how = draw(st.sampled_from(
+            ["identical", "edge", "corner", "inside bound", "outside bound", "other class"]
+        ))
+        if how == "identical":
+            preds.append(g)
+        elif how in ("edge", "corner") and g.yaw == 0.0 and p.yaw == 0.0:
+            dx = (g.size[1] + p.size[1]) / 2
+            dz = (g.size[0] + p.size[0]) / 2 if how == "corner" else 0.0
+            preds.append(Box3D((g.center[0] + dx, p.center[1], g.center[2] + dz), 0.0,
+                               p.size, g.class_name))
+        elif how == "inside bound":
+            preds.append(to_prune_bound(g, p, -1e-9))
+        elif how == "outside bound":
+            preds.append(to_prune_bound(g, p, 1e-9))
+        else:
+            preds.append(moved(g, cls="cyclist"))
+    order = draw(st.permutations(range(len(preds))))
+    return gt, [preds[i] for i in order]
+
+
+class TestIouTable:
+    @given(table_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_entries_equal_pairwise_functions_bit_for_bit(self, case):
+        gt, preds = case
+        bev, vol = evaluation._iou_tables(gt, preds)
+        assert bev.shape == vol.shape == (len(gt), len(preds))
+        for gi, g in enumerate(gt):
+            for pi, p in enumerate(preds):
+                want_bev, want_3d = unpruned_ious(g, p)
+                assert same_bits(bev[gi, pi], want_bev)
+                assert same_bits(vol[gi, pi], want_3d)
+                assert same_bits(bev[gi, pi], bev_iou(g, p))
+                assert same_bits(vol[gi, pi], iou_3d(g, p))
+
+    def test_prune_bound_decides_the_clip(self, monkeypatch):
+        clipped = []
+        real = evaluation._clip_polygon
+        monkeypatch.setattr(evaluation, "_clip_polygon",
+                            lambda a, b: clipped.append(1) or real(a, b))
+        g = box(yaw=0.3)
+        inside = to_prune_bound(g, box(yaw=-0.7), -1e-9)
+        outside = to_prune_bound(g, box(yaw=-0.7), 1e-9)
+        bev, _ = evaluation._iou_tables([g], [inside])
+        assert len(clipped) == 1 and bev[0, 0] == 0.0
+        bev, _ = evaluation._iou_tables([g], [outside])
+        assert len(clipped) == 1 and bev[0, 0] == 0.0
+
+    def test_touching_rectangles(self):
+        g = box(w=2.0, l=4.0)
+        for p in (moved(g, dx=4.0), moved(g, dx=4.0, dz=2.0)):
+            assert bev_iou(g, p) == 0.0
+            assert bev_iou(g, p) == unpruned_ious(g, p)[0]
+
+    def test_empty_lists(self):
+        for gt, preds in (([], []), ([box()], []), ([], [box()])):
+            bev, vol = evaluation._iou_tables(gt, preds)
+            assert bev.shape == vol.shape == (len(gt), len(preds))
+
+
 class TestAverageIou:
     def test_perfect_predictions(self):
         gt = [box(cx=0), box(cx=10)]
@@ -280,6 +396,29 @@ class TestEvaluateBoxes:
         assert ev.n_pred == 1
         assert ev.ap_bev == pytest.approx(100.0)
 
+    def test_each_same_class_pair_clipped_at_most_once(self, monkeypatch):
+        clipped = []
+        real = evaluation._clip_polygon
+
+        def counting(subject, clip):
+            clipped.append((subject.tobytes(), clip.tobytes()))
+            return real(subject, clip)
+
+        monkeypatch.setattr(evaluation, "_clip_polygon", counting)
+        rng = np.random.default_rng(11)
+        gt, preds = {}, {}
+        for f in ("f0", "f1"):
+            gt[f] = [box(cx=10.0 * k, cz=80.0, yaw=rng.uniform(-1, 1),
+                         cls=("car", "pedestrian")[k % 2]) for k in range(6)]
+            # one same-class overlap per ground truth, an overlapping box of
+            # another class and a disjoint false positive
+            preds[f] = [moved(g, dx=rng.uniform(-0.5, 0.5)) for g in gt[f]]
+            preds[f] += [moved(gt[f][0], dx=0.2, cls="pedestrian"),
+                         box(cx=200.0, cz=80.0)]
+        report = evaluate_boxes(gt, preds, iou_threshold=0.1)
+        assert len(clipped) == len(set(clipped)) == 12
+        assert [m[3] for m in report.matches] == [0, 1, 2] * 4
+
     def test_report_formats(self):
         gt = {"f": [box(cz=80.0)]}
         report = evaluate_boxes(gt, gt, iou_threshold=0.1)
@@ -332,15 +471,3 @@ class TestPointsPerObjectStats:
         stats = points_per_object_stats({"f": [rec]}, {"f": cloud}, {"f": simple_calib})
         assert stats == []
 
-
-def test_filter_difficulty():
-    recs = [
-        LabelRecord("car", None, (0, 0, 10, 50), 0.1, 0, False),
-        LabelRecord("car", None, (0, 0, 10, 30), 0.2, 1, False),
-        LabelRecord("car", None, (0, 0, 10, 30), 0.4, 2, False),
-    ]
-    assert len(filter_difficulty(recs, "easy")) == 1
-    assert len(filter_difficulty(recs, "moderate")) == 2
-    assert len(filter_difficulty(recs, "hard")) == 3
-    with pytest.raises(ValueError):
-        filter_difficulty(recs, "extreme")

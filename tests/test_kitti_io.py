@@ -1,5 +1,7 @@
+import gc
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -167,6 +169,16 @@ class TestParseDetections:
         loaded = dets[0].load_mask()
         assert loaded.shape == (self.DIMS[1], self.DIMS[0])
         assert loaded[60, 110] == 255
+
+    def test_mask_ref_keeps_no_array(self, tmp_path):
+        write_pgm(tmp_path / "m.pgm", np.ones((self.DIMS[1], self.DIMS[0]), dtype=np.uint8))
+        dets = parse_detections(
+            "000001 car 0.9 100 50 120 110 m.pgm", self.DIMS, mask_dir=tmp_path
+        )
+        loaded = weakref.ref(dets[0].mask.load())
+        gc.collect()
+        assert loaded() is None
+        assert not any(isinstance(v, np.ndarray) for v in vars(dets[0].mask).values())
 
 
 def test_pgm_round_trip(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -279,8 +280,18 @@ class TestCheckpoint:
         params = zero_params(4, CLASSES, hidden=3, priors=PRIORS)
         path = tmp_path / "reg.ckpt"
         save_checkpoint(params, path)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=re.escape(str(path))):
             load_checkpoint(path, ("pedestrian",))
+
+    @pytest.mark.parametrize("cut", [13, 40 + 3, -3, -8])
+    def test_truncated_checkpoint_names_the_path(self, tmp_path, cut):
+        params = zero_params(4, CLASSES, hidden=3, priors=PRIORS)
+        path = tmp_path / "reg.ckpt"
+        save_checkpoint(params, path)
+        data = path.read_bytes()
+        path.write_bytes(data[:cut])
+        with pytest.raises(ShapeError, match=re.escape(str(path))):
+            load_checkpoint(path, CLASSES)
 
 
 def test_bbox_iou_2d_basics():
