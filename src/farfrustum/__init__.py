@@ -61,7 +61,6 @@ from .regressor import (
     forward,
     frustum_raster,
     mae_loss,
-    prior_regress,
     rasterize_bev,
     train,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "points_in_box_frustum",
     "points_in_mask_frustum",
     "points_per_object_stats",
-    "prior_regress",
     "process_frame",
     "project_cloud",
     "project_to_image",

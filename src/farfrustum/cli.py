@@ -11,10 +11,11 @@ import sys
 from pathlib import Path
 
 from . import evaluation, plots, regressor
-from .errors import FarFrustumError
+from .errors import ConfigError, FarFrustumError
 from .geometry import lidar_to_camera
 from .kitti_io import parse_labels
-from .pipeline import PipelineConfig, load_config, load_frame_inputs, run_dataset
+from .pipeline import PipelineConfig, config_mapping, load_frame_inputs, naming
+from .pipeline import read_boxes, run_dataset
 from .regressor import TrainConfig, build_training_set
 
 
@@ -32,7 +33,7 @@ def _parse_overrides(pairs: list[str]) -> dict[str, str]:
     return out
 
 
-def _build_config(args: argparse.Namespace) -> PipelineConfig:
+def _config_mapping(args: argparse.Namespace) -> dict[str, str]:
     overrides = _parse_overrides(args.overrides)
     if getattr(args, "frustum_mode", None):
         overrides["frustum_mode"] = args.frustum_mode
@@ -40,7 +41,11 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
         overrides["out"] = args.out
     if args.config is not None and not Path(args.config).is_file():
         raise FarFrustumError(f"config file not found: {args.config}")
-    return load_config(args.config, overrides)
+    return config_mapping(args.config, overrides)
+
+
+def _build_config(args: argparse.Namespace) -> PipelineConfig:
+    return PipelineConfig.from_mapping(_config_mapping(args))
 
 
 def _frame_list(args: argparse.Namespace, config: PipelineConfig) -> list[str]:
@@ -55,18 +60,32 @@ def _frame_list(args: argparse.Namespace, config: PipelineConfig) -> list[str]:
     return sorted(p.stem for p in velo.glob("*.bin"))
 
 
-def _load_params(config: PipelineConfig) -> regressor.RegressorParams | None:
+def _load_params(
+    config: PipelineConfig, explicit: dict[str, str]
+) -> regressor.RegressorParams | None:
+    """The checkpoint's weights. Its layout sets the config's classes,
+    raster_grid and raster_extent; an explicit key must hold the same value."""
     if config.checkpoint is None:
         return None
     if not config.checkpoint.is_file():
         raise FarFrustumError(f"checkpoint not found: {config.checkpoint}")
-    return regressor.load_checkpoint(config.checkpoint, config.classes)
+    params = regressor.load_checkpoint(config.checkpoint)
+    for key, value in (("classes", params.classes), ("raster_grid", params.grid_size),
+                       ("raster_extent", params.extent)):
+        if key not in explicit:
+            setattr(config, key, value)
+        elif getattr(config, key) != value:
+            raise ConfigError(f"checkpoint {config.checkpoint} has {key}={value}, "
+                              f"the config sets {getattr(config, key)}")
+    return params
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _build_config(args)
+    mapping = _config_mapping(args)
+    config = PipelineConfig.from_mapping(mapping)
+    params = _load_params(config, mapping)
     frames = _frame_list(args, config)
-    summary = run_dataset(frames, config, params=_load_params(config))
+    summary = run_dataset(frames, config, params=params)
     for line in summary.lines():
         print(line)
     print(f"results written to: {config.results_dir}")
@@ -81,7 +100,8 @@ def _load_gt_frames(config: PipelineConfig, frames: list[str]):
     for frame_id in frames:
         path = label_dir / f"{frame_id}.txt"
         if path.is_file():
-            out[frame_id] = parse_labels(path.read_text())
+            with naming(path):
+                out[frame_id] = parse_labels(path.read_text())
     return out
 
 
@@ -97,12 +117,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     preds_by_frame = {}
     for frame_id in gt_by_frame:
         path = results_dir / f"{frame_id}.txt"
-        if path.is_file():
-            preds_by_frame[frame_id] = [
-                rec.box for rec in parse_labels(path.read_text()) if rec.box is not None
-            ]
-        else:
-            preds_by_frame[frame_id] = []
+        preds_by_frame[frame_id] = read_boxes(path) if path.is_file() else []
     faraway = (
         evaluation.faraway_filter(config.thresholds) if args.faraway_only else None
     )
@@ -145,14 +160,9 @@ def cmd_plot(args: argparse.Namespace) -> int:
         gt_boxes = [
             rec.box for rec in inputs.labels if not rec.dontcare and rec.box is not None
         ]
-    pred_boxes = []
     results_dir = Path(args.results) if args.results else config.results_dir
     result_path = results_dir / f"{args.frame}.txt"
-    if result_path.is_file():
-        pred_boxes = [
-            rec.box for rec in parse_labels(result_path.read_text())
-            if rec.box is not None
-        ]
+    pred_boxes = read_boxes(result_path) if result_path.is_file() else []
     out = Path(args.plot_out)
     plots.write_text(out, plots.bev_scene_svg(points_xz, gt_boxes, pred_boxes))
     print(f"plot written to: {out}")

@@ -138,11 +138,6 @@ def _volume_table(table: np.ndarray | None) -> np.ndarray:
     return table
 
 
-def _check_kind(kind: str) -> None:
-    if kind not in ("bev", "3d"):
-        raise ValueError(f"iou kind must be 'bev' or '3d', got {kind!r}")
-
-
 def bev_iou(a: Box3D, b: Box3D) -> float:
     """IoU of the two yaw-rotated ground-plane rectangles."""
     return float(_iou_tables([a], [b])[0][0, 0])
@@ -153,18 +148,16 @@ def iou_3d(a: Box3D, b: Box3D) -> float:
     return float(_volume_table(_iou_tables([a], [b])[1])[0, 0])
 
 
-def _same_class_table(
-    gt: Sequence[Box3D], preds: Sequence[Box3D], kind: str
-) -> np.ndarray:
-    """IoU table of one frame with each class clipped apart; 0 across classes."""
+def _same_class_table(gt: Sequence[Box3D], preds: Sequence[Box3D]) -> np.ndarray:
+    """BEV IoU table of one frame with each class clipped apart; 0 across classes."""
     table = np.zeros((len(gt), len(preds)))
     for cls in dict.fromkeys(g.class_name for g in gt):
         rows = [i for i, g in enumerate(gt) if g.class_name == cls]
         cols = [j for j, p in enumerate(preds) if p.class_name == cls]
         if not cols:
             continue
-        bev, vol_iou = _iou_tables([gt[i] for i in rows], [preds[j] for j in cols])
-        table[np.ix_(rows, cols)] = bev if kind == "bev" else _volume_table(vol_iou)
+        bev, _ = _iou_tables([gt[i] for i in rows], [preds[j] for j in cols])
+        table[np.ix_(rows, cols)] = bev
     return table
 
 
@@ -207,25 +200,23 @@ def _greedy(table: np.ndarray) -> list[tuple[int, int | None, float]]:
 
 
 def match_greedy(
-    gt: Sequence[Box3D], preds: Sequence[Box3D], kind: str = "bev"
+    gt: Sequence[Box3D], preds: Sequence[Box3D]
 ) -> list[tuple[int, int | None, float]]:
     """One-to-one same-class matching, greedy over GTs by best available IoU.
 
     Ground truths are processed in descending order of their best IoU over
     the still-unmatched predictions; each prediction is consumed at most
-    once. Returns (gt index, pred index or None, iou) per ground truth.
+    once. Returns (gt index, pred index or None, BEV iou) per ground truth.
     """
-    _check_kind(kind)
-    return _greedy(_same_class_table(gt, preds, kind))
+    return _greedy(_same_class_table(gt, preds))
 
 
 def average_iou(
     gt: Sequence[Box3D],
     preds: Sequence[Box3D],
     faraway: Callable[[Box3D], bool] | None = None,
-    kind: str = "bev",
 ) -> float | None:
-    """Mean matched IoU over (optionally faraway-filtered) ground truths.
+    """Mean matched BEV IoU over (optionally faraway-filtered) ground truths.
 
     Unmatched ground truths contribute 0; returns None when no ground truth
     survives the filter (undefined rather than 0).
@@ -233,7 +224,7 @@ def average_iou(
     kept = [g for g in gt if faraway is None or faraway(g)]
     if not kept:
         return None
-    matches = match_greedy(kept, list(preds), kind)
+    matches = match_greedy(kept, list(preds))
     return float(sum(m[2] for m in matches) / len(kept))
 
 
@@ -286,9 +277,8 @@ def ap_11point(
     gt_by_frame: Mapping[str, Sequence[Box3D]] | Sequence[Box3D],
     preds_by_frame: Mapping[str, Sequence[Box3D]] | Sequence[Box3D],
     iou_threshold: float = 0.1,
-    kind: str = "bev",
 ) -> float | None:
-    """11-recall-point interpolated average precision, in percent.
+    """11-recall-point interpolated BEV average precision, in percent.
 
     Predictions are sorted by descending score (stable on input order) and
     matched greedily to the highest-IoU unmatched same-class ground truth of
@@ -300,12 +290,11 @@ def ap_11point(
         gt_by_frame = {"": list(gt_by_frame)}
     if not isinstance(preds_by_frame, Mapping):
         preds_by_frame = {"": list(preds_by_frame)}
-    _check_kind(kind)
     n_gt = sum(len(v) for v in gt_by_frame.values())
     if n_gt == 0:
         return None
     tables = {
-        frame: _same_class_table(gt, preds_by_frame.get(frame, ()), kind)
+        frame: _same_class_table(gt, preds_by_frame.get(frame, ()))
         for frame, gt in gt_by_frame.items()
     }
     return _ap_from_tables(tables, preds_by_frame, n_gt, iou_threshold)

@@ -152,6 +152,8 @@ def parse_calibration(
             found[key] = np.array([float(t) for t in tokens], dtype=np.float64)
         except ValueError as exc:
             raise MalformedCalibLine(f"{key}: {exc}") from exc
+        if not np.isfinite(found[key]).all():
+            raise MalformedCalibLine(f"{key}: values must be finite")
     for key in wanted:
         if key not in found:
             raise MissingCalibKey(f"calibration is missing required key {key}")

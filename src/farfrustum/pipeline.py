@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -22,6 +23,8 @@ from .clustering import DEFAULT_BIN_WIDTH
 from .errors import (
     ConfigError,
     EmptyCluster,
+    FarFrustumError,
+    MalformedDetectionLine,
     MissingFrameData,
     NonFiniteBox,
     UnknownClass,
@@ -151,16 +154,19 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
+def config_mapping(
+    path: str | Path | None = None, overrides: Mapping[str, str] | None = None
+) -> dict[str, str]:
+    """The config file's keys updated by the overrides: every key set explicitly."""
+    mapping = parse_config_text(Path(path).read_text()) if path is not None else {}
+    return {**mapping, **(overrides or {})}
+
+
 def load_config(
     path: str | Path | None = None, overrides: Mapping[str, str] | None = None
 ) -> PipelineConfig:
     """Defaults, then the config file, then overrides (highest precedence)."""
-    mapping: dict[str, str] = {}
-    if path is not None:
-        mapping.update(parse_config_text(Path(path).read_text()))
-    if overrides:
-        mapping.update(overrides)
-    return PipelineConfig.from_mapping(mapping)
+    return PipelineConfig.from_mapping(config_mapping(path, overrides))
 
 
 def is_faraway(depth: float, class_name: str, thresholds: Mapping[str, float]) -> bool:
@@ -234,16 +240,21 @@ def process_frame(
     """Run the faraway branch over all detections and merge with fallback.
 
     The cloud is projected once for the frame, and each detection's frustum
-    is cut from that projection. Detections whose frustum holds fewer than
-    min_frustum_points points, or whose class has no threshold/prior, are
-    skipped; near-range ones are routed to the fallback detector (all three
-    are counted, never fatal). Fallback boxes survive only when their own
-    center depth is below their class threshold; classes without a
-    threshold are kept unconditionally. The merged list is sorted by
-    descending score, stable on input order (fallback first, then faraway
-    boxes in detection order).
+    is cut from that projection; params default to zero weights. Detections
+    whose frustum holds fewer than min_frustum_points points, or whose class
+    is not listed or has no threshold, are skipped; near-range ones are
+    routed to the fallback detector (all three are counted, never fatal).
+    Fallback boxes survive only when their own center depth is below their
+    class threshold; classes without a threshold are kept unconditionally.
+    The merged list is sorted by descending score, stable on input order
+    (fallback first, then faraway boxes in detection order).
     """
     stats = stats if stats is not None else RunSummary()
+    if params is None:  # the size-prior baseline; UnknownClass if a prior is missing
+        params = regressor.zero_params(
+            config.raster_grid, config.classes, priors=config.size_priors,
+            extent=config.raster_extent,
+        )
     faraway = partial(is_faraway, thresholds=config.thresholds)
     ours: list[Box3D] = []
     projection = project_cloud(cloud, calib) if detections else None
@@ -255,10 +266,7 @@ def process_frame(
                 stats.routed_near += 1  # the fallback detector owns it
                 continue
             theta, centroid, raster = sample
-            if params is not None:
-                reg = regressor.forward(params, raster)
-            else:
-                reg = regressor.prior_regress(raster, config.size_priors)
+            reg = regressor.forward(params, raster)
             ours.append(assemble_box(centroid, reg, theta, det.class_name, det.score))
             stats.faraway += 1
         except UnknownClass:
@@ -304,32 +312,50 @@ def _required(path: Path) -> Path:
     return path
 
 
+@contextmanager
+def naming(path: Path) -> Iterator[None]:
+    """Re-raise a FarFrustumError from the block with `path` leading its message."""
+    try:
+        yield
+    except FarFrustumError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FarFrustumError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def read_boxes(path: Path) -> list[Box3D]:
+    """The 3D boxes of a KITTI label or result file."""
+    with naming(path):
+        return [rec.box for rec in parse_labels(path.read_text()) if rec.box is not None]
+
+
 def load_frame_inputs(
     root: str | Path, frame_id: str, config: PipelineConfig
 ) -> FrameInputs:
-    """Read one frame's files from the standard layout."""
+    """Read one frame's files from the standard layout; errors name the file."""
     root = Path(root)
-    cloud = load_pointcloud(_required(root / "velodyne" / f"{frame_id}.bin").read_bytes())
-    calib = parse_calibration(
-        _required(root / "calib" / f"{frame_id}.txt").read_text(), frame_id
-    )
+    velodyne = _required(root / "velodyne" / f"{frame_id}.bin")
+    with naming(velodyne):
+        cloud = load_pointcloud(velodyne.read_bytes())
+    calib_path = _required(root / "calib" / f"{frame_id}.txt")
+    with naming(calib_path):
+        calib = parse_calibration(calib_path.read_text(), frame_id)
     det_dir = root / "detections_2d"
-    detections = parse_detections(
-        _required(det_dir / f"{frame_id}.txt").read_text(),
-        config.image_size,
-        mask_dir=det_dir,
-    )
+    det_path = _required(det_dir / f"{frame_id}.txt")
+    with naming(det_path):
+        detections = parse_detections(det_path.read_text(), config.image_size, det_dir)
+        for det in detections:
+            if det.frame_id != frame_id:
+                raise MalformedDetectionLine(f"a line of frame {det.frame_id!r}")
     fallback_boxes: list[Box3D] = []
     fallback_dir = root / "fallback"
     if fallback_dir.is_dir():
-        text = _required(fallback_dir / f"{frame_id}.txt").read_text()
-        fallback_boxes = [
-            rec.box for rec in parse_labels(text) if rec.box is not None
-        ]
+        fallback_boxes = read_boxes(_required(fallback_dir / f"{frame_id}.txt"))
     labels = None
     label_path = root / "label_2" / f"{frame_id}.txt"
     if label_path.is_file():
-        labels = parse_labels(label_path.read_text())
+        with naming(label_path):
+            labels = parse_labels(label_path.read_text())
     return FrameInputs(frame_id, cloud, detections, fallback_boxes, calib, labels)
 
 

@@ -47,7 +47,7 @@ DEFAULT_SIZE_PRIORS: dict[str, tuple[float, float, float]] = {
     "car": (1.63, 3.88, 1.53),
 }
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _OUTPUT_DIM = 7
 
 
@@ -139,19 +139,16 @@ class BoxRegression:
 
 @dataclass
 class RegressorParams:
-    """Weights of the two-layer network plus per-class size priors."""
+    """Network weights, per-class size priors and their input layout."""
 
     classes: tuple[str, ...]
     grid_size: int
+    extent: float        # rasters span [-extent, extent] on both axes
     w1: np.ndarray       # (hidden, input)
     b1: np.ndarray       # (hidden,)
     w2: np.ndarray       # (7, hidden)
     b2: np.ndarray       # (7,)
     priors: np.ndarray   # (n_classes, 3) mean (w, l, h) per class
-
-    @property
-    def input_dim(self) -> int:
-        return self.grid_size * self.grid_size + len(self.classes)
 
     @property
     def hidden_dim(self) -> int:
@@ -161,17 +158,13 @@ class RegressorParams:
         return RegressorParams(
             classes=self.classes,
             grid_size=self.grid_size,
+            extent=self.extent,
             w1=self.w1.copy(),
             b1=self.b1.copy(),
             w2=self.w2.copy(),
             b2=self.b2.copy(),
             priors=self.priors.copy(),
         )
-
-    def prior_for(self, class_name: str) -> np.ndarray:
-        if class_name not in self.classes:
-            raise UnknownClass(f"{class_name!r} not in {self.classes}")
-        return self.priors[self.classes.index(class_name)]
 
 
 def _priors_matrix(
@@ -190,12 +183,14 @@ def zero_params(
     classes: tuple[str, ...] = DEFAULT_CLASSES,
     hidden: int = 64,
     priors: Mapping[str, Sequence[float]] = DEFAULT_SIZE_PRIORS,
+    extent: float = 4.0,
 ) -> RegressorParams:
     """All-zero weights: forward returns zero shift, prior sizes, zero yaw."""
     d = grid_size * grid_size + len(classes)
     return RegressorParams(
         classes=tuple(classes),
         grid_size=grid_size,
+        extent=extent,
         w1=np.zeros((hidden, d)),
         b1=np.zeros(hidden),
         w2=np.zeros((_OUTPUT_DIM, hidden)),
@@ -210,11 +205,12 @@ def init_params(
     hidden: int = 64,
     priors: Mapping[str, Sequence[float]] = DEFAULT_SIZE_PRIORS,
     seed: int = 0,
+    extent: float = 4.0,
 ) -> RegressorParams:
     """Small random initialization, deterministic for a fixed seed."""
     rng = np.random.default_rng(seed)
     d = grid_size * grid_size + len(classes)
-    params = zero_params(grid_size, classes, hidden, priors)
+    params = zero_params(grid_size, classes, hidden, priors, extent)
     params.w1 = rng.normal(0.0, 1.0 / math.sqrt(d), size=(hidden, d))
     params.w2 = rng.normal(0.0, 1.0 / math.sqrt(hidden), size=(_OUTPUT_DIM, hidden))
     return params
@@ -227,35 +223,24 @@ def _forward_batch(params: RegressorParams, x: np.ndarray) -> tuple[np.ndarray, 
     return hidden, raw
 
 
+def _check_layout(params: RegressorParams, raster: BevRaster) -> None:
+    have = (raster.grid_size, raster.extent, raster.classes)
+    if have != (params.grid_size, params.extent, params.classes):
+        raise ShapeError(f"raster (G, extent, classes) {have} does not match params")
+
+
 def forward(params: RegressorParams, raster: BevRaster) -> BoxRegression:
     """Deterministic forward pass; sizes are prior * exp(raw)."""
-    if raster.grid_size != params.grid_size or raster.classes != params.classes:
-        raise ShapeError(
-            f"raster (G={raster.grid_size}, classes={raster.classes}) does not "
-            f"match params (G={params.grid_size}, classes={params.classes})"
-        )
-    x = raster.feature_vector()
-    if x.shape[0] != params.input_dim:
-        raise ShapeError(f"input dim {x.shape[0]} != expected {params.input_dim}")
-    _, raw = _forward_batch(params, x[None, :])
+    _check_layout(params, raster)
+    _, raw = _forward_batch(params, raster.feature_vector()[None, :])
     y = raw[0]
-    prior = params.prior_for(raster.class_name)
+    prior = params.priors[params.classes.index(raster.class_name)]
     size = prior * np.exp(y[3:6])
     return BoxRegression(
         shift=(y[0], y[1], y[2]),
         size=(size[0], size[1], size[2]),
         yaw=wrap_angle(float(y[6])),
     )
-
-
-def prior_regress(
-    raster: BevRaster, priors: Mapping[str, Sequence[float]] = DEFAULT_SIZE_PRIORS
-) -> BoxRegression:
-    """Non-learned baseline: zero shift, class-prior size, zero yaw."""
-    if raster.class_name not in priors:
-        raise UnknownClass(f"no size prior for class {raster.class_name!r}")
-    w, l, h = (float(v) for v in priors[raster.class_name])
-    return BoxRegression(shift=(0.0, 0.0, 0.0), size=(w, l, h), yaw=0.0)
 
 
 def mae_loss(pred: BoxRegression, target: BoxRegression) -> tuple[float, np.ndarray]:
@@ -285,11 +270,10 @@ def _design_matrices(
         raise EmptyDataset("no training samples")
     xs, ts, ps = [], [], []
     for raster, target in dataset:
-        if raster.grid_size != params.grid_size or raster.classes != params.classes:
-            raise ShapeError("raster dimensions do not match the parameters")
+        _check_layout(params, raster)
         xs.append(raster.feature_vector())
         ts.append(target.as_vector())
-        ps.append(params.prior_for(raster.class_name))
+        ps.append(params.priors[params.classes.index(raster.class_name)])
     return np.array(xs), np.array(ts), np.array(ps)
 
 
@@ -387,6 +371,7 @@ def train(
         hidden=hyper.hidden,
         priors=prior_map,
         seed=hyper.seed,
+        extent=raster0.extent,
     )
 
     rng = np.random.default_rng(hyper.seed)
@@ -433,53 +418,64 @@ def train(
 
 # --- checkpoint file --------------------------------------------------------
 #
-# Flat binary: five little-endian int64 (G, n_classes, hidden, 7, version),
-# then float64 LE weights in (w1, b1, w2, b2) order, then n_classes*3
-# float64 priors. Class-name order is not stored; it comes from the config.
+# Flat little-endian binary, version 2. Header: six int64 (G, n_classes,
+# hidden, 7, version, name bytes), the float64 raster extent, and the class
+# names in order as newline-separated UTF-8. Body: float64 weights in (w1,
+# b1, w2, b2) order, then n_classes*3 float64 priors. Version 1 lacks names
+# and extent; its version sits in the same place, so it is refused.
+
+_HEADER_BYTES = 7 * 8
+
 
 def save_checkpoint(params: RegressorParams, path: str | Path) -> None:
+    names = "\n".join(params.classes).encode("utf-8")
     header = np.array(
         [params.grid_size, len(params.classes), params.hidden_dim,
-         _OUTPUT_DIM, CHECKPOINT_VERSION],
+         _OUTPUT_DIM, CHECKPOINT_VERSION, len(names)],
         dtype="<i8",
     )
-    body = np.concatenate(
-        [flatten_params(params), params.priors.ravel()]
-    ).astype("<f8")
-    Path(path).write_bytes(header.tobytes() + body.tobytes())
+    extent = np.array([params.extent], dtype="<f8").tobytes()
+    body = np.concatenate([flatten_params(params), params.priors.ravel()]).astype("<f8")
+    Path(path).write_bytes(header.tobytes() + extent + names + body.tobytes())
 
 
-def load_checkpoint(path: str | Path, classes: tuple[str, ...]) -> RegressorParams:
+def load_checkpoint(
+    path: str | Path, classes: Sequence[str] | None = None
+) -> RegressorParams:
+    """Read a checkpoint, layout included; given `classes` must equal its class
+    names, order included. Any other file raises ShapeError naming the path."""
     data = Path(path).read_bytes()
-    header_bytes = 5 * 8
-    if len(data) < header_bytes or (len(data) - header_bytes) % 8:
-        raise ShapeError(
-            f"checkpoint {path} is {len(data)} bytes: not a {header_bytes}-byte "
-            f"header and a body of 8-byte reals"
-        )
-    header = np.frombuffer(data, dtype="<i8", count=5)
-    grid_size, n_classes, hidden, out_dim, version = (int(v) for v in header)
+    if len(data) < _HEADER_BYTES:
+        raise ShapeError(f"checkpoint {path} is {len(data)} bytes, shorter than a header")
+    header = np.frombuffer(data, dtype="<i8", count=6)
+    grid_size, n_classes, hidden, out_dim, version, name_bytes = (int(v) for v in header)
+    extent = float(np.frombuffer(data, dtype="<f8", count=1, offset=48)[0])
     if version != CHECKPOINT_VERSION:
         raise ShapeError(f"checkpoint {path}: unsupported version {version}")
-    if out_dim != _OUTPUT_DIM:
-        raise ShapeError(f"checkpoint {path}: output dim {out_dim} != {_OUTPUT_DIM}")
-    if n_classes != len(classes):
-        raise ShapeError(
-            f"checkpoint {path} has {n_classes} classes, config lists {len(classes)}"
-        )
+    if out_dim != _OUTPUT_DIM or min(grid_size, hidden, name_bytes + 1) < 1 \
+            or not 0 < extent < math.inf:
+        raise ShapeError(f"checkpoint {path}: bad header {header.tolist()}, extent {extent}")
+    names_end = _HEADER_BYTES + name_bytes
+    try:
+        names = tuple(data[_HEADER_BYTES:names_end].decode("utf-8").split("\n"))
+    except UnicodeDecodeError:
+        raise ShapeError(f"checkpoint {path}: class names are not UTF-8") from None
+    if len(names) != n_classes or len(set(names)) != n_classes or "" in names:
+        raise ShapeError(f"checkpoint {path}: {n_classes} classes, names {names}")
+    if classes is not None and names != tuple(classes):
+        raise ShapeError(f"checkpoint {path} has classes {names}, config lists {classes}")
     d = grid_size * grid_size + n_classes
     n_weights = hidden * d + hidden + _OUTPUT_DIM * hidden + _OUTPUT_DIM
-    body = np.frombuffer(data, dtype="<f8", offset=header_bytes)
-    if body.size != n_weights + n_classes * 3:
+    if len(data) - names_end != 8 * (n_weights + n_classes * 3):
         raise ShapeError(
-            f"checkpoint {path}: body has {body.size} reals, expected "
-            f"{n_weights + n_classes * 3}"
+            f"checkpoint {path}: body has {len(data) - names_end} bytes, expected "
+            f"{n_weights + n_classes * 3} 8-byte reals"
         )
+    body = np.frombuffer(data, dtype="<f8", offset=names_end)
+    if not np.isfinite(body).all() or not (body[n_weights:] > 0).all():
+        raise ShapeError(f"checkpoint {path}: non-finite weights or non-positive priors")
     params = zero_params(
-        grid_size,
-        tuple(classes),
-        hidden,
-        {name: (1.0, 1.0, 1.0) for name in classes},
+        grid_size, names, hidden, {name: (1.0, 1.0, 1.0) for name in names}, extent
     )
     params = with_flat_params(params, body[:n_weights])
     params.priors = body[n_weights:].reshape(n_classes, 3).copy()

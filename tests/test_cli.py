@@ -335,6 +335,105 @@ def test_truncated_checkpoint_exits_1_naming_the_path(
     assert "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def trained(mini_dataset, tmp_path_factory):
+    """Checkpoints trained on the default layout and on a non-default one."""
+    out = tmp_path_factory.mktemp("trained")
+    layouts = {
+        "default": [],
+        "custom": ["classes=car,pedestrian", "raster_grid=16", "raster_extent=6"],
+    }
+    for name, keys in layouts.items():
+        assert run_cli(
+            "train", f"data_root={mini_dataset.root}", "--out", out / f"{name}.ckpt",
+            "--epochs", "15", "--hidden", "8", *keys,
+        ) == 0
+    return out, layouts
+
+
+def test_run_takes_the_layout_from_the_checkpoint(mini_dataset, trained, tmp_path):
+    out, layouts = trained
+    ckpt = out / "custom.ckpt"
+    results = {}
+    for name, keys in (("bare", []), ("repeated", layouts["custom"])):
+        assert run_cli(
+            "run", f"data_root={mini_dataset.root}", f"checkpoint={ckpt}",
+            f"out={tmp_path / name}", *keys,
+        ) == 0
+        results[name] = {
+            f.name: f.read_bytes() for f in sorted((tmp_path / name).glob("*.txt"))
+        }
+    assert len(results["bare"]) == 5
+    assert results["bare"] == results["repeated"]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("classes", "car,pedestrian"), ("raster_grid", "16"), ("raster_extent", "9")],
+)
+@pytest.mark.parametrize("where", ["override", "config file"])
+def test_run_refuses_a_layout_key_the_checkpoint_contradicts(
+    mini_dataset, trained, tmp_path, capsys, key, value, where
+):
+    ckpt = trained[0] / "default.ckpt"
+    args = ["run", f"data_root={mini_dataset.root}", f"checkpoint={ckpt}",
+            "--out", tmp_path / "out"]
+    if where == "override":
+        args.append(f"{key}={value}")
+    else:
+        (tmp_path / "config.txt").write_text(f"{key}={value}\n")
+        args += ["--config", tmp_path / "config.txt"]
+    code = run_cli(*args)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert str(ckpt) in err and key in err
+    assert "Traceback" not in err
+    assert not list((tmp_path / "out").glob("*.txt"))
+
+
+def test_version_1_checkpoint_exits_1_naming_the_path(mini_dataset, tmp_path, capsys):
+    ckpt = tmp_path / "v1.ckpt"
+    n_reals = 64 * (32 * 32 + 2) + 64 + 7 * 64 + 7 + 2 * 3
+    ckpt.write_bytes(np.array([32, 2, 64, 7, 1], "<i8").tobytes() + bytes(8 * n_reals))
+    code = run_cli("run", f"data_root={mini_dataset.root}", f"checkpoint={ckpt}",
+                   "--out", tmp_path / "out")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert str(ckpt) in err and "version 1" in err
+    assert "Traceback" not in err
+
+
+BAD_FILES = {
+    "calib": ("run", "calib/000000.txt", b"R0_rect: 1 0\n"),
+    "velodyne": ("run", "velodyne/000000.bin", bytes(13)),
+    "detections": ("run", "detections_2d/000000.txt", b"000000 car 0.9 1 2\n"),
+    "fallback": ("run", "fallback/000000.txt", b"Car 0 0\n"),
+    "labels": ("eval", "label_2/000000.txt", b"Car 0 0 0\n"),
+    "labels not text": ("eval", "label_2/000000.txt", b"Car \xff\xfe\n"),
+    "results": ("eval", "results/000000.txt", b"Car 1 2 3\n"),
+    "plotted results": ("plot", "results/000000.txt", b"Car 1 2 3\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FILES))
+def test_malformed_input_file_exits_1_naming_the_file(
+    mini_dataset, tmp_path, capsys, case
+):
+    verb, name, content = BAD_FILES[case]
+    root = tmp_path / "data"
+    shutil.copytree(mini_dataset.root, root)
+    (root / "results").mkdir()
+    path = root / name
+    path.write_bytes(content)
+    extra = {"run": ["--out", tmp_path / "out"], "eval": [],
+             "plot": ["--frame", "000000", "--out", tmp_path / "bev.svg"]}[verb]
+    code = run_cli(verb, f"data_root={root}", *extra)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert str(path) in err
+    assert "Traceback" not in err
+
+
 def test_stats_scatter_contains_reference_line():
     from farfrustum.evaluation import ObjectPointStat
 

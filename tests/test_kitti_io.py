@@ -12,6 +12,7 @@ from farfrustum.errors import (
     BadBBox,
     BadCalibration,
     BadScore,
+    FarFrustumError,
     MalformedCalibLine,
     MalformedDetectionLine,
     MalformedLabelLine,
@@ -71,6 +72,12 @@ class TestParseCalibration:
         with pytest.raises(MalformedCalibLine):
             parse_calibration(CALIB_TEXT.replace("700 0 600", "abc 0 600"))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value(self, value):
+        text = CALIB_TEXT.replace("R0_rect: 1 0 0", f"R0_rect: 1 {value} 0")
+        with pytest.raises(MalformedCalibLine, match="R0_rect"):
+            parse_calibration(text)
+
     def test_non_orthonormal_rectification_rejected(self):
         text = CALIB_TEXT.replace("R0_rect: 1 0 0 0 1 0 0 0 1",
                                   "R0_rect: 1 0 0 0 1 0 0 0 2")
@@ -88,6 +95,34 @@ class TestParseCalibration:
         assert calib.P2[0, 0] == 700
         with pytest.raises(MissingCalibKey):
             parse_calibration(text)  # default still wants P2
+
+
+_CALIB_TOKEN = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10, 10).map(str),
+    st.text(max_size=4),
+)
+_CALIB_LINE = st.builds(
+    lambda key, sep, tokens: key + sep + " ".join(tokens),
+    st.sampled_from(["P2", "R0_rect", "Tr_velo_to_cam", "P3", "", "#"]),
+    st.sampled_from([": ", ":", " ", ""]),
+    st.lists(_CALIB_TOKEN, max_size=13),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(_CALIB_LINE, max_size=5),
+    keep=st.lists(st.booleans(), min_size=3, max_size=3),
+    noise=st.text(max_size=20),
+)
+def test_calibration_fuzz_raises_only_package_errors(lines, keep, noise):
+    valid = [line for line, k in zip(CALIB_TEXT.splitlines(), keep) if k]
+    text = "\n".join(valid + lines) + noise
+    try:
+        parse_calibration(text)
+    except FarFrustumError:
+        pass
 
 
 class TestLoadPointcloud:

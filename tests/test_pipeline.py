@@ -1,4 +1,6 @@
 import math
+import re
+import shutil
 from collections import Counter
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from farfrustum import geometry
 from farfrustum.errors import (
     ConfigError,
+    MalformedDetectionLine,
     MissingFrameData,
     NonFiniteBox,
     UnknownClass,
@@ -148,6 +151,14 @@ class TestProcessFrame:
         out = process_frame(cloud, [det], [], simple_calib, config, stats=stats)
         assert out == []
         assert stats.skipped_unknown_class == 1
+
+    def test_listed_class_without_prior_fails_at_start(self, simple_calib):
+        # the prior baseline is forward on zero weights, built before any
+        # detection is looked at
+        cloud, det, _ = _planted_scene(simple_calib)
+        config = PipelineConfig(frustum_mode="box", classes=("pedestrian", "cyclist"))
+        with pytest.raises(UnknownClass, match="'cyclist'"):
+            process_frame(cloud, [det], [], simple_calib, config)
 
     def test_fallback_without_threshold_kept(self, simple_calib):
         cyclist = Box3D((0.0, 1.6, 90.0), 0.0, (0.6, 1.8, 1.7), "cyclist", 0.4)
@@ -334,6 +345,15 @@ class TestRunDataset:
             )
             summary = run_dataset(mini_dataset.frame_ids, config)
             assert summary.faraway == 6
+
+
+def test_detection_of_another_frame_names_the_file(mini_dataset, tmp_path):
+    root = tmp_path / "data"
+    shutil.copytree(mini_dataset.root, root)
+    path = root / "detections_2d" / "000000.txt"
+    path.write_text(path.read_text().replace("000000 ", "999999 ", 1))
+    with pytest.raises(MalformedDetectionLine, match=re.escape(str(path))):
+        load_frame_inputs(root, "000000", PipelineConfig(data_root=root))
 
 
 def test_load_frame_inputs_reads_all_parts(mini_dataset, mini_config):

@@ -1,10 +1,14 @@
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from farfrustum.errors import EmptyDataset, ShapeError, UnknownClass
+from farfrustum.errors import EmptyDataset, FarFrustumError, ShapeError, UnknownClass
 from farfrustum.kitti_io import parse_labels, wrap_angle
 from farfrustum.pipeline import PipelineConfig
 from farfrustum.regressor import (
@@ -20,7 +24,6 @@ from farfrustum.regressor import (
     loss_and_gradients,
     mae_loss,
     mean_loss,
-    prior_regress,
     rasterize_bev,
     save_checkpoint,
     train,
@@ -77,22 +80,24 @@ class TestRasterize:
 
 
 class TestPriorRegress:
+    """The size-prior baseline: forward on zero weights."""
+
     def test_constant_output(self):
         rng = np.random.default_rng(5)
-        reg = prior_regress(random_raster(rng, cls="car"), PRIORS)
+        params = zero_params(8, CLASSES, priors=PRIORS)
+        reg = forward(params, random_raster(rng, cls="car"))
         assert reg.shift == (0.0, 0.0, 0.0)
         assert reg.size == PRIORS["car"]
         assert reg.yaw == 0.0
 
     def test_empty_raster_still_valid(self):
         raster = rasterize_bev(np.zeros((0, 2)), "pedestrian", 8, 4.0, CLASSES)
-        reg = prior_regress(raster, PRIORS)
+        reg = forward(zero_params(8, CLASSES, priors=PRIORS), raster)
         assert reg.size == PRIORS["pedestrian"]
 
     def test_missing_prior(self):
-        rng = np.random.default_rng(5)
-        with pytest.raises(UnknownClass):
-            prior_regress(random_raster(rng), {"pedestrian": (1, 1, 1)})
+        with pytest.raises(UnknownClass, match="'car'"):
+            zero_params(8, CLASSES, priors={"pedestrian": (1, 1, 1)})
 
     def test_priors_from_labels_mean(self):
         lines = "\n".join(
@@ -130,6 +135,13 @@ class TestForward:
         rng = np.random.default_rng(13)
         with pytest.raises(ShapeError):
             forward(params, random_raster(rng, grid_size=16))
+
+    def test_extent_mismatch(self):
+        params = zero_params(8, CLASSES, hidden=16, priors=PRIORS, extent=4.0)
+        rng = np.random.default_rng(13)
+        forward(params, random_raster(rng, extent=4.0))
+        with pytest.raises(ShapeError, match="extent"):
+            forward(params, random_raster(rng, extent=6.0))
 
     def test_sizes_positive_under_random_weights(self):
         rng = np.random.default_rng(17)
@@ -257,24 +269,39 @@ class TestTrain:
         with pytest.raises(EmptyDataset):
             train([], TrainConfig())
 
+    def test_params_take_the_rasters_layout(self):
+        rng = np.random.default_rng(41)
+        dataset = [(random_raster(rng, grid_size=5, extent=6.0), random_target(rng))]
+        params = train(dataset, TrainConfig(hidden=4, epochs=2), priors=PRIORS)
+        assert (params.classes, params.grid_size, params.extent) == (CLASSES, 5, 6.0)
+
 
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
-        params = init_params(8, CLASSES, hidden=8, priors=PRIORS, seed=5)
+        params = init_params(8, CLASSES, hidden=8, priors=PRIORS, seed=5, extent=6.5)
         path = tmp_path / "reg.ckpt"
         save_checkpoint(params, path)
         back = load_checkpoint(path, CLASSES)
         assert back.grid_size == 8
         assert back.classes == CLASSES
+        assert back.extent == 6.5
         np.testing.assert_array_equal(flatten_params(back), flatten_params(params))
         np.testing.assert_array_equal(back.priors, params.priors)
 
     def test_header_layout(self, tmp_path):
-        params = zero_params(4, CLASSES, hidden=3, priors=PRIORS)
+        params = zero_params(4, CLASSES, hidden=3, priors=PRIORS, extent=6.5)
         path = tmp_path / "reg.ckpt"
         save_checkpoint(params, path)
-        header = np.frombuffer(path.read_bytes(), dtype="<i8", count=5)
-        assert header.tolist() == [4, 2, 3, 7, 1]
+        data = path.read_bytes()
+        names = b"pedestrian\ncar"
+        header = np.frombuffer(data, dtype="<i8", count=6)
+        assert header.tolist() == [4, 2, 3, 7, 2, len(names)]
+        assert np.frombuffer(data, dtype="<f8", count=1, offset=48).tolist() == [6.5]
+        assert data[56 : 56 + len(names)] == names
+        body = np.frombuffer(data, dtype="<f8", offset=56 + len(names))
+        np.testing.assert_array_equal(
+            body, np.concatenate([flatten_params(params), params.priors.ravel()])
+        )
 
     def test_class_count_mismatch(self, tmp_path):
         params = zero_params(4, CLASSES, hidden=3, priors=PRIORS)
@@ -282,6 +309,40 @@ class TestCheckpoint:
         save_checkpoint(params, path)
         with pytest.raises(ShapeError, match=re.escape(str(path))):
             load_checkpoint(path, ("pedestrian",))
+
+    def test_class_order_mismatch(self, tmp_path):
+        path = tmp_path / "reg.ckpt"
+        save_checkpoint(zero_params(4, CLASSES, hidden=3, priors=PRIORS), path)
+        assert load_checkpoint(path).classes == CLASSES
+        with pytest.raises(ShapeError, match=re.escape(str(path))):
+            load_checkpoint(path, ("car", "pedestrian"))
+
+    def test_version_1_refused(self, tmp_path):
+        # v1: five int64 (G, n_classes, hidden, 7, 1), then the reals
+        path = tmp_path / "v1.ckpt"
+        n_reals = 3 * (4 * 4 + 2) + 3 + 7 * 3 + 7 + 2 * 3
+        path.write_bytes(np.array([4, 2, 3, 7, 1], "<i8").tobytes() + bytes(8 * n_reals))
+        with pytest.raises(ShapeError, match=re.escape(str(path)) + ".*version 1"):
+            load_checkpoint(path, CLASSES)
+
+    @pytest.mark.parametrize("slot, value", [(0, -4), (3, 6)])  # G=-4 fits G=4's body
+    def test_bad_header_refused(self, tmp_path, slot, value):
+        path = tmp_path / "reg.ckpt"
+        save_checkpoint(zero_params(4, CLASSES, hidden=3, priors=PRIORS), path)
+        data = bytearray(path.read_bytes())
+        data[8 * slot : 8 * slot + 8] = np.array([value], "<i8").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(ShapeError, match=re.escape(str(path)) + ".*bad header"):
+            load_checkpoint(path)
+
+    def test_undecodable_names_refused(self, tmp_path):
+        path = tmp_path / "reg.ckpt"
+        save_checkpoint(zero_params(4, CLASSES, hidden=3, priors=PRIORS), path)
+        data = bytearray(path.read_bytes())
+        data[56] = 0xFF  # first byte of the class names
+        path.write_bytes(bytes(data))
+        with pytest.raises(ShapeError, match=re.escape(str(path))):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("cut", [13, 40 + 3, -3, -8])
     def test_truncated_checkpoint_names_the_path(self, tmp_path, cut):
@@ -292,6 +353,56 @@ class TestCheckpoint:
         path.write_bytes(data[:cut])
         with pytest.raises(ShapeError, match=re.escape(str(path))):
             load_checkpoint(path, CLASSES)
+
+
+_NAMES = st.lists(
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"),
+            min_size=1, max_size=4),
+    min_size=1, max_size=3, unique=True,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    names=_NAMES,
+    grid=st.integers(1, 3),
+    extent=st.one_of(st.floats(0.5, 8.0), st.floats()),
+    edit=st.sampled_from(["none", "truncate", "mutate", "extend", "header_int"]),
+    where=st.integers(0, 10_000),
+    value=st.one_of(st.integers(-4, 300), st.integers(-(2**63), 2**63 - 1)),
+    expect=st.booleans(),
+)
+def test_checkpoint_fuzz_raises_only_package_errors(
+    names, grid, extent, edit, where, value, expect
+):
+    """Truncated, mutated and extended checkpoints, non-ASCII class names,
+    wrong name lengths and bad extents fail with a package error only."""
+    params = zero_params(grid, tuple(names), hidden=2,
+                         priors={n: (1.0, 2.0, 3.0) for n in names}, extent=extent)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "reg.ckpt"
+        save_checkpoint(params, path)
+        data = bytearray(path.read_bytes())
+        at = where % len(data)
+        if edit == "truncate":
+            del data[at:]
+        elif edit == "mutate":
+            data[at] = value & 0xFF
+        elif edit == "extend":
+            data += value.to_bytes(8, "little", signed=True)[: 1 + where % 8]
+        elif edit == "header_int":  # G, n_classes, hidden, 7, version or name bytes
+            slot = 8 * (where % 6)
+            data[slot : slot + 8] = value.to_bytes(8, "little", signed=True)
+        path.write_bytes(bytes(data))
+        try:
+            back = load_checkpoint(path, tuple(names) if expect else None)
+        except FarFrustumError:
+            assert edit != "none" or not 0 < extent < math.inf
+        else:  # a loaded layout is one the raster accepts
+            rasterize_bev(np.zeros((0, 2)), back.classes[0], back.grid_size,
+                          back.extent, back.classes)
+            if edit == "none":
+                assert (back.classes, back.extent) == (tuple(names), extent)
 
 
 def test_bbox_iou_2d_basics():
