@@ -13,9 +13,8 @@ from pathlib import Path
 from . import evaluation, plots, regressor
 from .errors import ConfigError, FarFrustumError
 from .geometry import lidar_to_camera
-from .kitti_io import parse_labels
-from .pipeline import PipelineConfig, config_mapping, load_frame_inputs, naming
-from .pipeline import read_boxes, run_dataset
+from .pipeline import PipelineConfig, config_mapping, load_frame_inputs, read_boxes
+from .pipeline import run_dataset
 from .regressor import TrainConfig, build_training_set
 
 
@@ -92,27 +91,27 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_gt_frames(config: PipelineConfig, frames: list[str]):
+def _labeled_frames(config: PipelineConfig, frames: list[str]) -> list[str]:
+    """The listed frames that have a ground-truth label file."""
     label_dir = config.data_root / "label_2"
     if not label_dir.is_dir():
         raise FarFrustumError(f"label directory missing: {label_dir}")
-    out = {}
-    for frame_id in frames:
-        path = label_dir / f"{frame_id}.txt"
-        if path.is_file():
-            with naming(path):
-                out[frame_id] = parse_labels(path.read_text())
-    return out
+    return [f for f in frames if (label_dir / f"{f}.txt").is_file()]
+
+
+def _labeled_inputs(args: argparse.Namespace, config: PipelineConfig) -> dict:
+    return {
+        f: load_frame_inputs(config.data_root, f, config)
+        for f in _labeled_frames(config, _frame_list(args, config))
+    }
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _build_config(args)
     results_dir = Path(args.results) if args.results else config.results_dir
-    frames = _frame_list(args, config)
-    labels = _load_gt_frames(config, frames)
     gt_by_frame = {
-        f: [rec.box for rec in recs if not rec.dontcare and rec.box is not None]
-        for f, recs in labels.items()
+        f: read_boxes(config.data_root / "label_2" / f"{f}.txt")
+        for f in _labeled_frames(config, _frame_list(args, config))
     }
     preds_by_frame = {}
     for frame_id in gt_by_frame:
@@ -133,14 +132,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    frames = _frame_list(args, config)
-    labels = _load_gt_frames(config, frames)
-    clouds, calibs = {}, {}
-    for frame_id in labels:
-        inputs = load_frame_inputs(config.data_root, frame_id, config)
-        clouds[frame_id] = inputs.cloud
-        calibs[frame_id] = inputs.calib
-    stats = evaluation.points_per_object_stats(labels, clouds, calibs)
+    inputs = _labeled_inputs(args, config)
+    stats = evaluation.points_per_object_stats(
+        {f: i.labels for f, i in inputs.items()},
+        {f: i.cloud for f, i in inputs.items()},
+        {f: i.calib for f, i in inputs.items()},
+    )
     print(f"{'frame':<10} {'class':<12} {'depth_m':>8} {'points':>7}")
     for s in stats:
         print(f"{s.frame_id:<10} {s.class_name:<12} {s.depth:>8.2f} {s.count:>7}")
@@ -174,20 +171,20 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    frames = _frame_list(args, config)
-    labels = _load_gt_frames(config, frames)
-    clouds, detections, calibs = {}, {}, {}
-    for frame_id in labels:
-        inputs = load_frame_inputs(config.data_root, frame_id, config)
-        clouds[frame_id] = inputs.cloud
-        detections[frame_id] = inputs.detections
-        calibs[frame_id] = inputs.calib
+    inputs = _labeled_inputs(args, config)
+    labels = {f: i.labels for f, i in inputs.items()}
     priors = regressor.compute_size_priors(
         rec for recs in labels.values() for rec in recs
     )
     for name in config.classes:
         priors.setdefault(name, config.size_priors.get(name, (1.0, 1.0, 1.0)))
-    samples, skipped = build_training_set(clouds, detections, labels, calibs, config)
+    samples, skipped = build_training_set(
+        {f: i.cloud for f, i in inputs.items()},
+        {f: i.detections for f, i in inputs.items()},
+        labels,
+        {f: i.calib for f, i in inputs.items()},
+        config,
+    )
     if not samples:
         raise FarFrustumError("no training samples could be built from the dataset")
     hyper = TrainConfig(

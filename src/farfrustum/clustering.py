@@ -7,7 +7,7 @@ scatter. The estimate is the modal bin's midpoint, independently per axis.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,39 +17,14 @@ from .kitti_io import PointCloud
 DEFAULT_BIN_WIDTH = 0.1  # meters, finer than any target object's surface spread
 
 
-@dataclass(frozen=True)
-class AxisHistogram:
+class AxisHistogram(NamedTuple):
     """Fixed-width histogram over one coordinate axis."""
 
-    edge_values: np.ndarray  # (n_bins + 1,) float64 contiguous bin edges
-    counts: np.ndarray       # (n_bins,) int64
-    axis: str = "x"
-
-    def __post_init__(self) -> None:
-        for name, dtype in (("edge_values", np.float64), ("counts", np.int64)):
-            arr = np.array(getattr(self, name), dtype=dtype, copy=True)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def edges(self) -> tuple[tuple[float, float], ...]:
-        """(e_left, e_right) per bin."""
-        return tuple(zip(self.edge_values[:-1].tolist(), self.edge_values[1:].tolist()))
-
-    @property
-    def modal_bin(self) -> int:
-        """Index of the bin with the largest count; ties go to the lowest index."""
-        return int(np.argmax(self.counts))
-
-    @property
-    def modal_midpoint(self) -> float:
-        i = self.modal_bin
-        return 0.5 * (float(self.edge_values[i]) + float(self.edge_values[i + 1]))
+    edges: np.ndarray   # (n_bins + 1,) float64 contiguous bin edges
+    counts: np.ndarray  # (n_bins,) int64
 
 
-def axis_histogram(
-    values: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH, axis: str = "x"
-) -> AxisHistogram:
+def axis_histogram(values: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH) -> AxisHistogram:
     """Bin values into contiguous fixed-width bins covering [min, max].
 
     Bin edges sit at min + k*bin_width; the final bin is padded so it
@@ -68,7 +43,7 @@ def axis_histogram(
     # Last left edge <= v guarantees idx in [0, n_bins - 1] for v in [min, max].
     idx = np.searchsorted(edge_vals[:-1], vals, side="right") - 1
     counts = np.bincount(idx, minlength=n_bins)
-    return AxisHistogram(edge_values=edge_vals, counts=counts, axis=axis)
+    return AxisHistogram(edge_vals, counts)
 
 
 def estimate_centroid(
@@ -82,7 +57,8 @@ def estimate_centroid(
     if len(cloud) == 0:
         raise EmptyCluster("cannot estimate a centroid from zero points")
     mids = []
-    for col, axis in ((0, "x"), (1, "y"), (2, "z")):
-        hist = axis_histogram(cloud.points[:, col], bin_width, axis=axis)
-        mids.append(hist.modal_midpoint)
+    for col in range(3):
+        edges, counts = axis_histogram(cloud.points[:, col], bin_width)
+        i = int(np.argmax(counts))  # ties go to the lowest bin
+        mids.append(0.5 * (float(edges[i]) + float(edges[i + 1])))
     return (mids[0], mids[1], mids[2])

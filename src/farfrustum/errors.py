@@ -24,7 +24,7 @@ class NonFinitePoint(FarFrustumError):
 
 
 class BadScore(FarFrustumError):
-    """A detection score lies outside [0, 1]."""
+    """A detection or box score lies outside [0, 1]."""
 
 
 class BadBBox(FarFrustumError):
@@ -86,7 +86,7 @@ class MissingFrameData(FarFrustumError):
 
 
 class ZeroAreaBox(FarFrustumError):
-    """IoU was asked to compare a box with zero footprint area or volume."""
+    """A box has a non-positive size, or zero footprint area or volume."""
 
 
 class ConfigError(FarFrustumError):

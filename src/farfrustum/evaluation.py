@@ -211,23 +211,6 @@ def match_greedy(
     return _greedy(_same_class_table(gt, preds))
 
 
-def average_iou(
-    gt: Sequence[Box3D],
-    preds: Sequence[Box3D],
-    faraway: Callable[[Box3D], bool] | None = None,
-) -> float | None:
-    """Mean matched BEV IoU over (optionally faraway-filtered) ground truths.
-
-    Unmatched ground truths contribute 0; returns None when no ground truth
-    survives the filter (undefined rather than 0).
-    """
-    kept = [g for g in gt if faraway is None or faraway(g)]
-    if not kept:
-        return None
-    matches = match_greedy(kept, list(preds))
-    return float(sum(m[2] for m in matches) / len(kept))
-
-
 def _interp_ap(points: list[tuple[float, float]]) -> float:
     """11-point interpolated AP in percent from (recall, precision) points."""
     total = 0.0

@@ -149,7 +149,7 @@ def points_in_mask_frustum(projection: CloudProjection, det: Detection2D) -> Poi
     bitmap are simply excluded. Whenever the mask's support lies inside the
     detection bbox this is a subset of the box-frustum result.
     """
-    mask = det.load_mask()
+    mask = det.mask.load()
     idx, flat = projection.pixel_index(mask.shape)
     hit = mask.reshape(-1)[flat] > 0
     return projection.camera.select(idx[hit])

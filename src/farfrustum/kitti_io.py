@@ -34,6 +34,7 @@ from .errors import (
     NonFiniteBox,
     NonFinitePoint,
     TruncatedPointcloud,
+    ZeroAreaBox,
 )
 
 POINT_RECORD_BYTES = 16  # four little-endian float32 per point
@@ -124,16 +125,14 @@ class CalibrationSet:
             raise BadCalibration("Tr_velo_to_cam rotation block has det <= 0")
 
 
-def parse_calibration(
-    text: str, frame_id: str = "", camera_key: str = "P2"
-) -> CalibrationSet:
+def parse_calibration(text: str, frame_id: str = "") -> CalibrationSet:
     """Parse a KITTI calibration file (``key: v v v ...`` lines).
 
-    Only the camera projection (``camera_key``, by default P2 for the left
-    color camera), R0_rect, and Tr_velo_to_cam are consumed; unknown keys
-    are ignored. Raises MissingCalibKey / MalformedCalibLine on bad input.
+    Only P2 (the left color camera's projection), R0_rect, and
+    Tr_velo_to_cam are consumed; other keys are ignored. Raises
+    MissingCalibKey / MalformedCalibLine on bad input.
     """
-    wanted = {camera_key: 12, "R0_rect": 9, "Tr_velo_to_cam": 12}
+    wanted = {"P2": 12, "R0_rect": 9, "Tr_velo_to_cam": 12}
     found: dict[str, np.ndarray] = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -158,7 +157,7 @@ def parse_calibration(
         if key not in found:
             raise MissingCalibKey(f"calibration is missing required key {key}")
     calib = CalibrationSet(
-        P2=found[camera_key].reshape(3, 4),
+        P2=found["P2"].reshape(3, 4),
         R0_rect=found["R0_rect"].reshape(3, 3),
         Tr_velo_to_cam=found["Tr_velo_to_cam"].reshape(3, 4),
         frame_id=frame_id,
@@ -282,11 +281,6 @@ class Detection2D:
         u0, v0, u1, v1 = self.bbox
         return (0.5 * (u0 + u1), 0.5 * (v0 + v1))
 
-    def load_mask(self) -> np.ndarray:
-        if self.mask is None:
-            raise ValueError(f"detection {self.frame_id}/{self.class_name} has no mask")
-        return self.mask.load()
-
 
 def parse_detections(
     text: str,
@@ -358,9 +352,9 @@ class Box3D:
         if not all(math.isfinite(v) for v in values):
             raise NonFiniteBox(f"non-finite box field in {values}")
         if not all(s > 0.0 for s in size):
-            raise ValueError(f"box sizes must be positive, got {size}")
+            raise ZeroAreaBox(f"box sizes must be positive, got {size}")
         if not 0.0 <= score <= 1.0:
-            raise ValueError(f"box score {score} outside [0, 1]")
+            raise BadScore(f"box score {score} outside [0, 1]")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "yaw", wrap_angle(yaw))
@@ -393,8 +387,6 @@ class LabelRecord:
     class_name: str
     box: Box3D | None
     bbox2d: tuple[float, float, float, float]
-    truncation: float
-    occlusion: int
     dontcare: bool = False
 
 
@@ -404,6 +396,7 @@ def parse_labels(text: str) -> list[LabelRecord]:
     Field layout: type truncated occluded alpha bbox(4) h w l x y z
     rotation_y [score]. The on-disk (h, w, l) order is reordered into the
     Box3D (w, l, h) size convention; score defaults to 1.0 when absent.
+    Truncation, occlusion and alpha must be numbers and are not kept.
     """
     out: list[LabelRecord] = []
     for raw in text.splitlines():
@@ -420,8 +413,6 @@ def parse_labels(text: str) -> list[LabelRecord]:
             vals = [float(t) for t in tokens[1:]]
         except ValueError as exc:
             raise MalformedLabelLine(f"{exc}: {line!r}") from exc
-        truncation = vals[0]
-        occlusion = int(vals[1])
         bbox2d = (vals[3], vals[4], vals[5], vals[6])
         dontcare = name == "dontcare"
         box = None
@@ -436,18 +427,9 @@ def parse_labels(text: str) -> list[LabelRecord]:
                     class_name=name,
                     score=score,
                 )
-            except (NonFiniteBox, ValueError) as exc:
+            except (NonFiniteBox, ZeroAreaBox, BadScore) as exc:
                 raise MalformedLabelLine(f"{exc}: {line!r}") from exc
-        out.append(
-            LabelRecord(
-                class_name=name,
-                box=box,
-                bbox2d=bbox2d,
-                truncation=truncation,
-                occlusion=occlusion,
-                dontcare=dontcare,
-            )
-        )
+        out.append(LabelRecord(name, box, bbox2d, dontcare))
     return out
 
 

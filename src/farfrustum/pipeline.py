@@ -8,7 +8,6 @@ external detector whose result files are merged in as fallback boxes.
 """
 from __future__ import annotations
 
-import logging
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -28,7 +27,9 @@ from .errors import (
     MissingFrameData,
     NonFiniteBox,
     UnknownClass,
+    ZeroAreaBox,
 )
+from .evaluation import faraway_filter
 from .geometry import project_cloud, rot_y
 from .kitti_io import (
     Box3D,
@@ -44,8 +45,6 @@ from .kitti_io import (
     write_results,
 )
 from .regressor import BoxRegression, RegressorParams, frustum_raster
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_THRESHOLDS: dict[str, float] = {"pedestrian": 60.0, "car": 75.0}
 DEFAULT_IMAGE_SIZE: tuple[int, int] = (1242, 375)
@@ -84,6 +83,8 @@ class PipelineConfig:
             raise ConfigError("min_frustum_points must be >= 1")
         if self.raster_grid < 1 or self.raster_extent <= 0 or self.bin_width <= 0:
             raise ConfigError("raster_grid, raster_extent, bin_width must be positive")
+        if not all(0 < v < math.inf for prior in self.size_priors.values() for v in prior):
+            raise ConfigError("size priors must be positive and finite")
 
     @property
     def results_dir(self) -> Path:
@@ -122,6 +123,7 @@ class PipelineConfig:
                 elif key == "image_height":
                     cfg.image_size = (cfg.image_size[0], int(value))
                 elif key == "classes":
+                    value.encode("utf-8")  # a checkpoint stores the names as UTF-8
                     cfg.classes = tuple(
                         name.strip().lower() for name in value.split(",") if name.strip()
                     )
@@ -160,13 +162,6 @@ def config_mapping(
     """The config file's keys updated by the overrides: every key set explicitly."""
     mapping = parse_config_text(Path(path).read_text()) if path is not None else {}
     return {**mapping, **(overrides or {})}
-
-
-def load_config(
-    path: str | Path | None = None, overrides: Mapping[str, str] | None = None
-) -> PipelineConfig:
-    """Defaults, then the config file, then overrides (highest precedence)."""
-    return PipelineConfig.from_mapping(config_mapping(path, overrides))
 
 
 def is_faraway(depth: float, class_name: str, thresholds: Mapping[str, float]) -> bool:
@@ -244,6 +239,8 @@ def process_frame(
     whose frustum holds fewer than min_frustum_points points, or whose class
     is not listed or has no threshold, are skipped; near-range ones are
     routed to the fallback detector (all three are counted, never fatal).
+    A regression whose size overflows to infinity or zero raises, naming the
+    checkpoint, the frame and the detection.
     Fallback boxes survive only when their own center depth is below their
     class threshold; classes without a threshold are kept unconditionally.
     The merged list is sorted by descending score, stable on input order
@@ -258,7 +255,7 @@ def process_frame(
     faraway = partial(is_faraway, thresholds=config.thresholds)
     ours: list[Box3D] = []
     projection = project_cloud(cloud, calib) if detections else None
-    for det in detections:
+    for index, det in enumerate(detections):
         stats.detections += 1
         try:
             sample = frustum_raster(projection, det, calib, config, keep=faraway)
@@ -273,14 +270,16 @@ def process_frame(
             stats.skipped_unknown_class += 1
         except EmptyCluster:
             stats.skipped_empty_frustum += 1
+        except (NonFiniteBox, ZeroAreaBox) as exc:  # weights that overflow exp()
+            raise type(exc)(
+                f"checkpoint {config.checkpoint}, frame {det.frame_id}, detection "
+                f"{index} ({det.class_name}): {exc}"
+            ) from exc
 
-    kept: list[Box3D] = []
-    for box in fallback_boxes:
-        stats.fallback_seen += 1
-        threshold = config.thresholds.get(box.class_name)
-        if threshold is None or box.center[2] < threshold:
-            kept.append(box)
-            stats.fallback_kept += 1
+    faraway_box = faraway_filter(config.thresholds)
+    kept = [box for box in fallback_boxes if not faraway_box(box)]
+    stats.fallback_seen += len(fallback_boxes)
+    stats.fallback_kept += len(kept)
 
     merged = kept + ours
     order = sorted(range(len(merged)), key=lambda i: (-merged[i].score, i))

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .clustering import estimate_centroid
-from .errors import EmptyCluster, EmptyDataset, ShapeError, UnknownClass
+from .errors import EmptyCluster, EmptyDataset, NonFiniteBox, ShapeError, UnknownClass
 from .geometry import (
     CloudProjection,
     bev_project,
@@ -49,6 +49,7 @@ DEFAULT_SIZE_PRIORS: dict[str, tuple[float, float, float]] = {
 
 CHECKPOINT_VERSION = 2
 _OUTPUT_DIM = 7
+_VAL_FRACTION = 0.1  # share of samples train() holds out for early stopping
 
 
 @dataclass(frozen=True)
@@ -97,14 +98,11 @@ def rasterize_bev(
     """Count (x, z) points into a G x G grid over [-extent, extent)^2.
 
     Cell (i, j) covers x in [-R + i*2R/G, -R + (i+1)*2R/G) and likewise z;
-    points outside the extent are dropped.
+    points outside the extent are dropped. BevRaster checks the extent and
+    the class.
     """
     if grid_size < 1:
         raise ValueError(f"grid_size must be >= 1, got {grid_size}")
-    if not extent > 0:
-        raise ValueError(f"extent must be positive, got {extent}")
-    if class_name not in classes:
-        raise UnknownClass(f"{class_name!r} not in {classes}")
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     cell = 2.0 * extent / grid_size
     grid = np.zeros((grid_size, grid_size), dtype=np.int64)
@@ -127,7 +125,7 @@ class BoxRegression:
     def __post_init__(self) -> None:
         vals = (*self.shift, *self.size, self.yaw)
         if not all(math.isfinite(v) for v in vals):
-            raise ValueError(f"non-finite regression {vals}")
+            raise NonFiniteBox(f"non-finite regression {[float(v) for v in vals]}")
         object.__setattr__(self, "shift", tuple(float(v) for v in self.shift))
         object.__setattr__(self, "size", tuple(float(v) for v in self.size))
         object.__setattr__(self, "yaw", float(self.yaw))
@@ -235,7 +233,8 @@ def forward(params: RegressorParams, raster: BevRaster) -> BoxRegression:
     _, raw = _forward_batch(params, raster.feature_vector()[None, :])
     y = raw[0]
     prior = params.priors[params.classes.index(raster.class_name)]
-    size = prior * np.exp(y[3:6])
+    with np.errstate(over="ignore"):  # BoxRegression refuses the inf
+        size = prior * np.exp(y[3:6])
     return BoxRegression(
         shift=(y[0], y[1], y[2]),
         size=(size[0], size[1], size[2]),
@@ -243,22 +242,14 @@ def forward(params: RegressorParams, raster: BevRaster) -> BoxRegression:
     )
 
 
-def mae_loss(pred: BoxRegression, target: BoxRegression) -> tuple[float, np.ndarray]:
-    """Per-output absolute errors over (dx, dy, dz, w, l, h, yaw) and their sum.
-
-    The yaw difference is wrapped into (-pi, pi] before taking the absolute
-    value, so opposite-signed near-pi angles are close, not 2*pi apart.
-    """
-    diff = pred.as_vector() - target.as_vector()
-    diff[6] = wrap_angle(diff[6])
-    per_term = np.abs(diff)
-    return float(per_term.sum()), per_term
-
-
 def mean_loss(
     params: RegressorParams, dataset: Sequence[tuple[BevRaster, BoxRegression]]
 ) -> float:
-    """Mean summed MAE over a dataset (the quantity train() minimizes)."""
+    """Mean summed MAE over a dataset (the quantity train() minimizes).
+
+    The yaw error is wrapped into (-pi, pi], so opposite-signed near-pi
+    angles are close, not 2*pi apart.
+    """
     x, targets, priors = _design_matrices(params, dataset)
     return _batch_loss(params, x, targets, priors)[0]
 
@@ -343,7 +334,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     epochs: int = 500
     patience: int = 10
-    val_fraction: float = 0.1
     seed: int = 0
 
 
@@ -376,7 +366,7 @@ def train(
 
     rng = np.random.default_rng(hyper.seed)
     order = rng.permutation(len(dataset))
-    n_val = int(len(dataset) * hyper.val_fraction) if len(dataset) >= 5 else 0
+    n_val = int(len(dataset) * _VAL_FRACTION) if len(dataset) >= 5 else 0
     val_idx = order[:n_val]
     train_idx = order[n_val:]
     train_set = [dataset[i] for i in train_idx]

@@ -5,6 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
+from farfrustum import regressor
 from farfrustum.cli import main
 from farfrustum.kitti_io import Box3D
 from farfrustum.evaluation import points_per_object_stats
@@ -389,6 +390,36 @@ def test_run_refuses_a_layout_key_the_checkpoint_contradicts(
     assert str(ckpt) in err and key in err
     assert "Traceback" not in err
     assert not list((tmp_path / "out").glob("*.txt"))
+
+
+@pytest.mark.parametrize("raw_width", [1000.0, -1000.0])
+def test_overflowing_checkpoint_exits_1_naming_frame_and_detection(
+    mini_dataset, trained, tmp_path, capsys, raw_width
+):
+    # exp(+1000) overflows the width to inf, exp(-1000) underflows it to 0
+    params = regressor.load_checkpoint(trained[0] / "default.ckpt")
+    params.b2[3] = raw_width
+    ckpt = tmp_path / "overflow.ckpt"
+    regressor.save_checkpoint(params, ckpt)
+    out = tmp_path / "out"
+    code = run_cli("run", f"data_root={mini_dataset.root}", f"checkpoint={ckpt}",
+                   "--out", out)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert str(ckpt) in err
+    frame = re.search(r"frame (\d+), detection \d+ \((pedestrian|car)\)", err).group(1)
+    assert not (out / f"{frame}.txt").exists()
+
+
+def test_unencodable_class_name_exits_1_before_training(mini_dataset, tmp_path, capsys):
+    ckpt = tmp_path / "reg.ckpt"
+    code = run_cli("train", f"data_root={mini_dataset.root}", "classes=car,\udcff",
+                   "--out", ckpt, "--epochs", "2")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "classes" in err and "Traceback" not in err
+    assert not ckpt.exists()
 
 
 def test_version_1_checkpoint_exits_1_naming_the_path(mini_dataset, tmp_path, capsys):

@@ -9,7 +9,6 @@ from farfrustum import evaluation
 from farfrustum.errors import ZeroAreaBox
 from farfrustum.evaluation import (
     ap_11point,
-    average_iou,
     bev_iou,
     evaluate_boxes,
     faraway_filter,
@@ -266,6 +265,12 @@ class TestIouTable:
             assert bev.shape == vol.shape == (len(gt), len(preds))
 
 
+def average_iou(gt, preds, faraway=None):
+    """The car aIoU evaluate_boxes reports for one frame; None when it has none."""
+    report = evaluate_boxes({"f": gt}, {"f": preds}, faraway=faraway)
+    return report.per_class["car"].aiou if "car" in report.per_class else None
+
+
 class TestAverageIou:
     def test_perfect_predictions(self):
         gt = [box(cx=0), box(cx=10)]
@@ -278,7 +283,6 @@ class TestAverageIou:
         gt = [box(cx=0.0, w=2, l=4), box(cx=50.0)]
         # prediction overlapping the first GT with IoU 0.4: shift along x
         # iou = inter/(2*area - inter); solve inter for 0.4: inter = 0.4*union
-        pred = [box(cx=4.0 * (1 - 0.4 / 0.4) or 0.0)]  # placeholder, replaced below
         # build a prediction with known IoU via axis offset
         offset = 4.0 * (1 - (2 * 0.4) / (1 + 0.4))  # inter fraction f = 2*iou/(1+iou)
         pred = [box(cx=offset)]
@@ -299,6 +303,7 @@ class TestAverageIou:
         thresholds = {"car": 75.0}
         far = faraway_filter(thresholds)
         assert average_iou([box(cz=50.0)], [box(cz=50.0)], faraway=far) is None
+        assert average_iou([box(cz=50.0)], [box(cz=80.0)], faraway=far) is None
 
     def test_each_prediction_used_once(self):
         gt = [box(cx=0.0), box(cx=0.5)]
@@ -434,7 +439,7 @@ class TestPointsPerObjectStats:
         b = box(cx=0.0, cy=1.5, cz=65.0, w=1.0, l=1.0, h=2.0, cls="pedestrian")
         pts_cam = np.array([[0.0, 1.0, 65.0]] * 7)
         cloud = PointCloud(camera_to_lidar_points(pts_cam, simple_calib), Frame.LIDAR)
-        rec = LabelRecord("pedestrian", b, (0, 0, 1, 1), 0.0, 0, False)
+        rec = LabelRecord("pedestrian", b, (0, 0, 1, 1), False)
         stats = points_per_object_stats(
             {"f": [rec]}, {"f": cloud}, {"f": simple_calib}
         )
@@ -466,7 +471,7 @@ class TestPointsPerObjectStats:
             assert got.tolist() == want
 
     def test_dontcare_excluded(self, simple_calib):
-        rec = LabelRecord("dontcare", None, (0, 0, 1, 1), -1.0, -1, True)
+        rec = LabelRecord("dontcare", None, (0, 0, 1, 1), True)
         cloud = PointCloud(np.zeros((0, 3)), Frame.LIDAR)
         stats = points_per_object_stats({"f": [rec]}, {"f": cloud}, {"f": simple_calib})
         assert stats == []

@@ -89,13 +89,6 @@ class TestParseCalibration:
         calib = parse_calibration(text)
         assert calib.P2[0, 2] == 600
 
-    def test_alternate_camera_key(self):
-        text = CALIB_TEXT.replace("P2:", "P3:")
-        calib = parse_calibration(text, camera_key="P3")
-        assert calib.P2[0, 0] == 700
-        with pytest.raises(MissingCalibKey):
-            parse_calibration(text)  # default still wants P2
-
 
 _CALIB_TOKEN = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
@@ -192,7 +185,7 @@ class TestParseDetections:
             "000001 car 0.9 100 50 120 110 m.pgm", self.DIMS, mask_dir=tmp_path
         )
         with pytest.raises(MaskDimMismatch):
-            dets[0].load_mask()
+            dets[0].mask.load()
 
     def test_mask_loads_when_dims_match(self, tmp_path):
         mask = np.zeros((self.DIMS[1], self.DIMS[0]), dtype=np.uint8)
@@ -201,7 +194,7 @@ class TestParseDetections:
         dets = parse_detections(
             "000001 car 0.9 100 50 120 110 m.pgm", self.DIMS, mask_dir=tmp_path
         )
-        loaded = dets[0].load_mask()
+        loaded = dets[0].mask.load()
         assert loaded.shape == (self.DIMS[1], self.DIMS[0])
         assert loaded[60, 110] == 255
 
@@ -278,6 +271,57 @@ class TestParseLabels:
         )
         recs = parse_labels(lines)
         assert [r.box.center[0] for r in recs] == [0.0, 1.0, 2.0, 3.0]
+
+
+LABEL_LINE = ("Car 0.0 {occlusion} -1.58 587.0 173.3 614.1 200.1 "
+              "1.5 1.62 3.88 2.1 1.6 70.2 -1.55 0.9")
+
+
+@pytest.mark.parametrize("occlusion", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_occlusion_parses_like_zero(occlusion):
+    got = parse_labels(LABEL_LINE.format(occlusion=occlusion))
+    assert got == parse_labels(LABEL_LINE.format(occlusion="0"))
+
+
+_FUZZ_TOKEN = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-(10**400), 10**400).map(str),
+    st.sampled_from(["nan", "-inf", "1e400", "-0", "1_0", "0x10", "DontCare"]),
+    st.text(max_size=4),
+)
+
+
+def _mutated(line, keep, edits, noise):
+    """The first `keep` tokens of a valid line, some replaced, plus noise."""
+    tokens = line.split()[:keep]
+    for index, token in edits:
+        if tokens:
+            tokens[index % len(tokens)] = token
+    return " ".join(tokens) + noise
+
+
+_EDITS = st.lists(st.tuples(st.integers(0, 20), _FUZZ_TOKEN), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(keep=st.one_of(st.just(16), st.integers(0, 17)), edits=_EDITS,
+       noise=st.text(max_size=12))
+def test_label_fuzz_raises_only_package_errors(keep, edits, noise):
+    try:
+        parse_labels(_mutated(LABEL_LINE.format(occlusion=0), keep, edits, noise))
+    except FarFrustumError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(keep=st.one_of(st.just(8), st.integers(0, 9)), edits=_EDITS,
+       noise=st.text(max_size=12))
+def test_detection_fuzz_raises_only_package_errors(keep, edits, noise):
+    line = "000001 car 0.9 100 50 120 110 masks/a.pgm"
+    try:
+        parse_detections(_mutated(line, keep, edits, noise), (1242, 375))
+    except FarFrustumError:
+        pass
 
 
 class TestWriteResults:

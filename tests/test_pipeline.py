@@ -21,8 +21,8 @@ from farfrustum.pipeline import (
     PipelineConfig,
     RunSummary,
     assemble_box,
+    config_mapping,
     is_faraway,
-    load_config,
     load_frame_inputs,
     parse_config_text,
     process_frame,
@@ -271,25 +271,36 @@ class TestConfig:
     def test_precedence_default_file_flag(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("threshold.pedestrian=60\nbin_width=0.2\n")
-        config = load_config(path, {"threshold.pedestrian": "50"})
+        config = PipelineConfig.from_mapping(
+            config_mapping(path, {"threshold.pedestrian": "50"})
+        )
         assert config.thresholds["pedestrian"] == 50.0   # flag wins
         assert config.bin_width == 0.2                   # file wins over default
         assert config.thresholds["car"] == 75.0          # default preserved
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
-            load_config(None, {"no_such_key": "1"})
+            PipelineConfig.from_mapping({"no_such_key": "1"})
 
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigError):
-            load_config(None, {"min_frustum_points": "0"})
+            PipelineConfig.from_mapping({"min_frustum_points": "0"})
         with pytest.raises(ConfigError):
-            load_config(None, {"frustum_mode": "sphere"})
+            PipelineConfig.from_mapping({"frustum_mode": "sphere"})
+
+    def test_unencodable_class_name_rejected(self):
+        # what Python makes of an undecodable byte in a command-line argument
+        with pytest.raises(ConfigError, match="classes"):
+            PipelineConfig.from_mapping({"classes": "car,\udcff"})
+
+    @pytest.mark.parametrize("prior", ["0,1,1", "1,-1,1", "1,1,inf", "nan,1,1"])
+    def test_non_positive_or_non_finite_prior_rejected(self, prior):
+        with pytest.raises(ConfigError, match="prior"):
+            PipelineConfig.from_mapping({"prior.car": prior})
 
     def test_priors_and_classes_keys(self):
-        config = load_config(
-            None,
-            {"classes": "pedestrian,car,cyclist", "prior.cyclist": "0.6,1.8,1.7"},
+        config = PipelineConfig.from_mapping(
+            {"classes": "pedestrian,car,cyclist", "prior.cyclist": "0.6,1.8,1.7"}
         )
         assert config.classes == ("pedestrian", "car", "cyclist")
         assert config.size_priors["cyclist"] == (0.6, 1.8, 1.7)
