@@ -13,7 +13,7 @@ from pathlib import Path
 from . import evaluation, plots, regressor
 from .errors import ConfigError, FarFrustumError
 from .geometry import lidar_to_camera
-from .pipeline import PipelineConfig, config_mapping, load_frame_inputs, read_boxes
+from .pipeline import PipelineConfig, config_mapping, load_frame_inputs, naming, read_boxes
 from .pipeline import run_dataset
 from .regressor import TrainConfig, build_training_set
 
@@ -51,7 +51,8 @@ def _frame_list(args: argparse.Namespace, config: PipelineConfig) -> list[str]:
     if args.frames:
         path = Path(args.frames)
         if path.is_file():
-            return [line.strip() for line in path.read_text().splitlines() if line.strip()]
+            with naming(path):
+                return [line.strip() for line in path.read_text().splitlines() if line.strip()]
         return [f.strip() for f in args.frames.split(",") if f.strip()]
     velo = config.data_root / "velodyne"
     if not velo.is_dir():

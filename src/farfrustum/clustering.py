@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyCluster
+from .errors import ConfigError, EmptyCluster
 from .kitti_io import PointCloud
 
 DEFAULT_BIN_WIDTH = 0.1  # meters, finer than any target object's surface spread
@@ -35,7 +35,7 @@ def axis_histogram(values: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH) -> 
     if vals.size == 0:
         raise EmptyCluster("cannot histogram zero values")
     if not bin_width > 0:
-        raise ValueError(f"bin_width must be positive, got {bin_width}")
+        raise ConfigError(f"bin_width must be positive, got {bin_width}")
     vmin = float(vals.min())
     vmax = float(vals.max())
     n_bins = max(1, int(np.ceil((vmax - vmin) / bin_width)))

@@ -48,6 +48,12 @@ def wrap_angle(angle: float) -> float:
     return a
 
 
+def wrap_angles(angles: np.ndarray) -> np.ndarray:
+    """wrap_angle on every element, bit for bit: the same fmod, then sign fix."""
+    a = np.remainder(angles, 2.0 * math.pi)
+    return np.where(a > math.pi, a - 2.0 * math.pi, a)
+
+
 class Frame(str, Enum):
     """Coordinate frame a pointcloud lives in."""
 

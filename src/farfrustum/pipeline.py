@@ -81,8 +81,9 @@ class PipelineConfig:
             raise ConfigError("faraway thresholds must be positive")
         if self.min_frustum_points < 1:
             raise ConfigError("min_frustum_points must be >= 1")
-        if self.raster_grid < 1 or self.raster_extent <= 0 or self.bin_width <= 0:
-            raise ConfigError("raster_grid, raster_extent, bin_width must be positive")
+        if not (self.raster_grid >= 1 and 0 < self.raster_extent < math.inf
+                and 0 < self.bin_width < math.inf):
+            raise ConfigError("raster_grid, raster_extent, bin_width must be positive, finite")
         if not all(0 < v < math.inf for prior in self.size_priors.values() for v in prior):
             raise ConfigError("size priors must be positive and finite")
 
@@ -123,10 +124,13 @@ class PipelineConfig:
                 elif key == "image_height":
                     cfg.image_size = (cfg.image_size[0], int(value))
                 elif key == "classes":
-                    value.encode("utf-8")  # a checkpoint stores the names as UTF-8
+                    # a checkpoint stores the names as UTF-8, one per line
+                    value.encode("utf-8")
                     cfg.classes = tuple(
                         name.strip().lower() for name in value.split(",") if name.strip()
                     )
+                    if any("\n" in name for name in cfg.classes):
+                        raise ValueError("a class name holds a newline")
                 elif key.startswith("threshold."):
                     cfg.thresholds[key.split(".", 1)[1].lower()] = float(value)
                 elif key.startswith("prior."):
@@ -160,7 +164,10 @@ def config_mapping(
     path: str | Path | None = None, overrides: Mapping[str, str] | None = None
 ) -> dict[str, str]:
     """The config file's keys updated by the overrides: every key set explicitly."""
-    mapping = parse_config_text(Path(path).read_text()) if path is not None else {}
+    mapping = {}
+    if path is not None:
+        with naming(Path(path)):
+            mapping = parse_config_text(Path(path).read_text())
     return {**mapping, **(overrides or {})}
 
 

@@ -16,7 +16,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,7 +32,8 @@ from .geometry import (
     rot_y,
     to_centroid_frame,
 )
-from .kitti_io import CalibrationSet, Detection2D, LabelRecord, PointCloud, wrap_angle
+from .kitti_io import CalibrationSet, Detection2D, LabelRecord, PointCloud
+from .kitti_io import wrap_angle, wrap_angles
 
 if TYPE_CHECKING:  # pragma: no cover
     from .pipeline import PipelineConfig
@@ -66,7 +67,7 @@ class BevRaster:
         if grid.ndim != 2 or grid.shape[0] != grid.shape[1] or grid.shape[0] < 1:
             raise ShapeError(f"raster grid must be square, got {grid.shape}")
         if not self.extent > 0:
-            raise ValueError(f"raster extent must be positive, got {self.extent}")
+            raise ShapeError(f"raster extent must be positive, got {self.extent}")
         if self.class_name not in self.classes:
             raise UnknownClass(f"{self.class_name!r} not in {self.classes}")
         grid.setflags(write=False)
@@ -99,10 +100,8 @@ def rasterize_bev(
 
     Cell (i, j) covers x in [-R + i*2R/G, -R + (i+1)*2R/G) and likewise z;
     points outside the extent are dropped. BevRaster checks the extent and
-    the class.
+    the class; PipelineConfig and load_checkpoint keep G >= 1.
     """
-    if grid_size < 1:
-        raise ValueError(f"grid_size must be >= 1, got {grid_size}")
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     cell = 2.0 * extent / grid_size
     grid = np.zeros((grid_size, grid_size), dtype=np.int64)
@@ -242,30 +241,41 @@ def forward(params: RegressorParams, raster: BevRaster) -> BoxRegression:
     )
 
 
-def mean_loss(
-    params: RegressorParams, dataset: Sequence[tuple[BevRaster, BoxRegression]]
-) -> float:
-    """Mean summed MAE over a dataset (the quantity train() minimizes).
+class TrainingBatch(NamedTuple):
+    """A sample list as network-ready matrices; train() builds one per split."""
 
-    The yaw error is wrapped into (-pi, pi], so opposite-signed near-pi
-    angles are close, not 2*pi apart.
-    """
-    x, targets, priors = _design_matrices(params, dataset)
-    return _batch_loss(params, x, targets, priors)[0]
+    x: np.ndarray        # (N, G*G + n_classes) feature vectors
+    targets: np.ndarray  # (N, 7) dx dy dz w l h yaw
+    priors: np.ndarray   # (N, 3) each sample's class size prior
 
 
-def _design_matrices(
-    params: RegressorParams, dataset: Sequence[tuple[BevRaster, BoxRegression]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if not dataset:
+Samples = Sequence[tuple[BevRaster, BoxRegression]]
+
+
+def training_batch(params: RegressorParams, data: Samples | TrainingBatch) -> TrainingBatch:
+    """`data` as a TrainingBatch; each raster of a sample list is checked
+    against the params' layout. A TrainingBatch is returned as it is."""
+    if isinstance(data, TrainingBatch):
+        return data
+    if not data:
         raise EmptyDataset("no training samples")
     xs, ts, ps = [], [], []
-    for raster, target in dataset:
+    for raster, target in data:
         _check_layout(params, raster)
         xs.append(raster.feature_vector())
         ts.append(target.as_vector())
         ps.append(params.priors[params.classes.index(raster.class_name)])
-    return np.array(xs), np.array(ts), np.array(ps)
+    return TrainingBatch(np.array(xs), np.array(ts), np.array(ps))
+
+
+def mean_loss(params: RegressorParams, data: Samples | TrainingBatch) -> float:
+    """Mean summed MAE over a dataset (the quantity train() minimizes).
+
+    `data` is a sample list or the TrainingBatch that train() builds from
+    one before its epoch loop. The yaw error is wrapped into (-pi, pi], so
+    opposite-signed near-pi angles are close, not 2*pi apart.
+    """
+    return _batch_loss(params, *training_batch(params, data))[0]
 
 
 def _batch_loss(
@@ -276,21 +286,22 @@ def _batch_loss(
     pred = raw.copy()
     pred[:, 3:6] = priors * np.exp(raw[:, 3:6])
     diff = pred - targets
-    diff[:, 6] = np.array([wrap_angle(d) for d in diff[:, 6]])
+    diff[:, 6] = wrap_angles(diff[:, 6])
     loss = float(np.abs(diff).sum(axis=1).mean())
     return loss, diff, hidden, pred
 
 
 def loss_and_gradients(
-    params: RegressorParams, dataset: Sequence[tuple[BevRaster, BoxRegression]]
+    params: RegressorParams, data: Samples | TrainingBatch
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean summed MAE over the dataset and its gradient in each tensor.
 
-    MAE derivatives are sign functions; the exp size mapping contributes a
-    factor of the predicted size itself, and the yaw wrap has unit slope
-    almost everywhere.
+    `data` is a sample list or the TrainingBatch that train() builds from
+    one before its epoch loop. MAE derivatives are sign functions; the exp
+    size mapping contributes a factor of the predicted size itself, and the
+    yaw wrap has unit slope almost everywhere.
     """
-    x, targets, priors = _design_matrices(params, dataset)
+    x, targets, priors = training_batch(params, data)
     loss, diff, hidden, pred = _batch_loss(params, x, targets, priors)
     n = x.shape[0]
     d_raw = np.sign(diff) / n
@@ -338,7 +349,7 @@ class TrainConfig:
 
 
 def train(
-    dataset: Sequence[tuple[BevRaster, BoxRegression]],
+    dataset: Samples,
     hyper: TrainConfig = TrainConfig(),
     priors: Mapping[str, Sequence[float]] | None = None,
 ) -> RegressorParams:
@@ -346,8 +357,10 @@ def train(
 
     The dataset is split 90/10 into train/validation (all-train below five
     samples); the monitored loss is validation when available, else train.
-    The best-seen parameters are restored at the end. Deterministic for a
-    fixed seed: two runs yield bit-identical parameters.
+    Each split becomes a TrainingBatch once, before the epochs, which pass
+    it to loss_and_gradients and mean_loss. The best-seen parameters are
+    restored at the end. Deterministic for a fixed seed: two runs yield
+    bit-identical parameters.
     """
     if not dataset:
         raise EmptyDataset("cannot train on an empty dataset")
@@ -367,12 +380,10 @@ def train(
     rng = np.random.default_rng(hyper.seed)
     order = rng.permutation(len(dataset))
     n_val = int(len(dataset) * _VAL_FRACTION) if len(dataset) >= 5 else 0
-    val_idx = order[:n_val]
-    train_idx = order[n_val:]
-    train_set = [dataset[i] for i in train_idx]
-    val_set = [dataset[i] for i in val_idx]
+    train_batch = training_batch(params, [dataset[i] for i in order[n_val:]])
+    monitor = training_batch(params, [dataset[i] for i in order[:n_val]]) if n_val else train_batch
 
-    # Adam state, one slot per weight tensor.
+    # Adam state, one slot per weight tensor; updated in place, grads as scratch.
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     moment1 = {k: np.zeros_like(getattr(params, k)) for k in ("w1", "b1", "w2", "b2")}
     moment2 = {k: np.zeros_like(v) for k, v in moment1.items()}
@@ -381,19 +392,18 @@ def train(
     best_loss = math.inf
     stale = 0
     for step in range(1, hyper.epochs + 1):
-        _, grads = loss_and_gradients(params, train_set)
+        _, grads = loss_and_gradients(params, train_batch)
         for key, grad in grads.items():
-            moment1[key] = beta1 * moment1[key] + (1.0 - beta1) * grad
-            moment2[key] = beta2 * moment2[key] + (1.0 - beta2) * grad**2
-            m_hat = moment1[key] / (1.0 - beta1**step)
-            v_hat = moment2[key] / (1.0 - beta2**step)
-            tensor = getattr(params, key)
-            setattr(
-                params,
-                key,
-                tensor - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + eps),
-            )
-        monitored = mean_loss(params, val_set if val_set else train_set)
+            m, v, tensor = moment1[key], moment2[key], getattr(params, key)
+            m *= beta1
+            m += (1.0 - beta1) * grad
+            v *= beta2
+            v += (1.0 - beta2) * np.square(grad, out=grad)
+            # lr * m_hat first, then / (sqrt(v_hat) + eps): the order fixes the rounding
+            update = np.multiply(hyper.learning_rate, m / (1.0 - beta1**step), out=grad)
+            update /= np.sqrt(v / (1.0 - beta2**step)) + eps
+            tensor -= update
+        monitored = mean_loss(params, monitor)
         if monitored < best_loss:
             best_loss = monitored
             best = params.copy()

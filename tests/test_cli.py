@@ -422,6 +422,35 @@ def test_unencodable_class_name_exits_1_before_training(mini_dataset, tmp_path, 
     assert not ckpt.exists()
 
 
+def test_newline_in_a_class_name_exits_1_before_training(mini_dataset, tmp_path, capsys):
+    ckpt = tmp_path / "reg.ckpt"
+    code = run_cli("train", f"data_root={mini_dataset.root}", "classes=car,a\nb",
+                   "--out", ckpt, "--epochs", "2")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "classes" in err and "Traceback" not in err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "eval", "train"])
+@pytest.mark.parametrize("option, content", [
+    ("--config", b"threshold.car=7\xff\n"),
+    ("--frames", b"000000\n\xff\n"),
+], ids=["config", "frames"])
+def test_non_utf8_config_or_frame_list_exits_1_naming_the_file(
+    mini_dataset, tmp_path, capsys, verb, option, content
+):
+    path = tmp_path / "listed.txt"
+    path.write_bytes(content)
+    extra = {"run": ["--out", tmp_path / "out"], "eval": ["--results", tmp_path / "out"],
+             "train": ["--out", tmp_path / "reg.ckpt", "--epochs", "2"]}[verb]
+    code = run_cli(verb, option, path, f"data_root={mini_dataset.root}", *extra)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert str(path) in err and "not UTF-8" in err
+    assert "Traceback" not in err
+
+
 def test_version_1_checkpoint_exits_1_naming_the_path(mini_dataset, tmp_path, capsys):
     ckpt = tmp_path / "v1.ckpt"
     n_reals = 64 * (32 * 32 + 2) + 64 + 7 * 64 + 7 + 2 * 3

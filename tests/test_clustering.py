@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from farfrustum.clustering import axis_histogram, estimate_centroid
-from farfrustum.errors import EmptyCluster
+from farfrustum.errors import ConfigError, EmptyCluster
 from farfrustum.kitti_io import Frame, PointCloud
 
 import oracles
@@ -25,7 +25,7 @@ class TestAxisHistogram:
             axis_histogram([], 0.1)
 
     def test_bad_width(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="bin_width"):
             axis_histogram([1.0], 0.0)
 
     def test_edges_contiguous_and_counts_sum(self):

@@ -293,6 +293,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="classes"):
             PipelineConfig.from_mapping({"classes": "car,\udcff"})
 
+    def test_class_name_with_a_newline_rejected(self):
+        # a checkpoint stores one class name per line
+        with pytest.raises(ConfigError, match="classes"):
+            PipelineConfig.from_mapping({"classes": "car,a\nb"})
+
+    @pytest.mark.parametrize("key", ["raster_extent", "bin_width"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_non_positive_or_non_finite_raster_setting_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            PipelineConfig.from_mapping({key: value})
+
     @pytest.mark.parametrize("prior", ["0,1,1", "1,-1,1", "1,1,inf", "nan,1,1"])
     def test_non_positive_or_non_finite_prior_rejected(self, prior):
         with pytest.raises(ConfigError, match="prior"):

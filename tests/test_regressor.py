@@ -1,6 +1,7 @@
 import math
 import re
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from farfrustum.errors import EmptyDataset, FarFrustumError, ShapeError, UnknownClass
-from farfrustum.kitti_io import parse_labels, wrap_angle
+from farfrustum import regressor
+from farfrustum.kitti_io import parse_labels, wrap_angle, wrap_angles
 from farfrustum.pipeline import PipelineConfig
 from farfrustum.regressor import (
     BoxRegression,
@@ -70,6 +72,11 @@ class TestRasterize:
             raster = rasterize_bev(pts, "car", 16, 4.0, CLASSES)
             want = oracles.rasterize_by_scan(pts.tolist(), 16, 4.0)
             np.testing.assert_array_equal(raster.grid, want)
+
+    @pytest.mark.parametrize("extent", [0.0, -1.0, math.nan])
+    def test_bad_extent_is_a_shape_error(self, extent):
+        with pytest.raises(ShapeError, match="extent"):
+            rasterize_bev(np.zeros((0, 2)), "car", 4, extent, CLASSES)
 
     def test_feature_vector_layout(self):
         raster = rasterize_bev(np.array([[0.0, 0.0]]), "pedestrian", 4, 4.0, CLASSES)
@@ -279,6 +286,126 @@ class TestTrain:
         dataset = [(random_raster(rng, grid_size=5, extent=6.0), random_target(rng))]
         params = train(dataset, TrainConfig(hidden=4, epochs=2), priors=PRIORS)
         assert (params.classes, params.grid_size, params.extent) == (CLASSES, 5, 6.0)
+
+
+def reference_train(dataset, hyper, priors):
+    """train() as it ran before its matrices were built once per call: every
+    epoch converts each sample, wraps each yaw error in Python and updates
+    Adam out of place. Its parameters are the ones train() must return."""
+    raster0 = dataset[0][0]
+    params = init_params(raster0.grid_size, raster0.classes, hyper.hidden, priors,
+                         hyper.seed, raster0.extent)
+
+    def loss(params, samples):
+        x = np.array([raster.feature_vector() for raster, _ in samples])
+        targets = np.array([target.as_vector() for _, target in samples])
+        prior = np.array([params.priors[params.classes.index(raster.class_name)]
+                          for raster, _ in samples])
+        hidden = np.tanh(x @ params.w1.T + params.b1)
+        raw = hidden @ params.w2.T + params.b2
+        pred = raw.copy()
+        pred[:, 3:6] = prior * np.exp(raw[:, 3:6])
+        diff = pred - targets
+        diff[:, 6] = np.array([wrap_angle(d) for d in diff[:, 6]])
+        return float(np.abs(diff).sum(axis=1).mean()), diff, hidden, pred, x
+
+    def gradients(params, samples):
+        _, diff, hidden, pred, x = loss(params, samples)
+        d_raw = np.sign(diff) / x.shape[0]
+        d_raw[:, 3:6] *= pred[:, 3:6]
+        d_pre = (d_raw @ params.w2) * (1.0 - hidden**2)
+        return {"w1": d_pre.T @ x, "b1": d_pre.sum(axis=0),
+                "w2": d_raw.T @ hidden, "b2": d_raw.sum(axis=0)}
+
+    order = np.random.default_rng(hyper.seed).permutation(len(dataset))
+    n_val = int(len(dataset) * 0.1) if len(dataset) >= 5 else 0
+    train_set = [dataset[i] for i in order[n_val:]]
+    val_set = [dataset[i] for i in order[:n_val]]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    moment1 = {k: np.zeros_like(getattr(params, k)) for k in ("w1", "b1", "w2", "b2")}
+    moment2 = {k: np.zeros_like(v) for k, v in moment1.items()}
+    best, best_loss, stale = params.copy(), math.inf, 0
+    for step in range(1, hyper.epochs + 1):
+        for key, grad in gradients(params, train_set).items():
+            moment1[key] = beta1 * moment1[key] + (1.0 - beta1) * grad
+            moment2[key] = beta2 * moment2[key] + (1.0 - beta2) * grad**2
+            m_hat = moment1[key] / (1.0 - beta1**step)
+            v_hat = moment2[key] / (1.0 - beta2**step)
+            setattr(params, key, getattr(params, key)
+                    - hyper.learning_rate * m_hat / (np.sqrt(v_hat) + eps))
+        monitored = loss(params, val_set or train_set)[0]
+        if monitored < best_loss:
+            best, best_loss, stale = params.copy(), monitored, 0
+        else:
+            stale += 1
+            if stale > hyper.patience:
+                break
+    return best
+
+
+def two_class_samples(rng, n):
+    """n samples alternating the two classes, yaw targets anywhere on the circle."""
+    return [
+        (random_raster(rng, cls=CLASSES[i % 2]),
+         BoxRegression(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(0.5, 4.0, 3)),
+                       float(rng.uniform(-math.pi, math.pi))))
+        for i in range(n)
+    ]
+
+
+class TestTrainMatchesReference:
+    @pytest.mark.parametrize("n, epochs, patience", [
+        (12, 60, 60),   # one validation sample monitored
+        (23, 80, 3),    # two validation samples, early stop
+        (3, 60, 60),    # under five samples: the training set is monitored
+        (4, 80, 2),
+    ])
+    def test_parameters_bit_identical(self, n, epochs, patience):
+        rng = np.random.default_rng(43 + n)
+        dataset = two_class_samples(rng, n)
+        hyper = TrainConfig(hidden=8, learning_rate=0.02, epochs=epochs,
+                            patience=patience, seed=n)
+        got = train(dataset, hyper, priors=PRIORS)
+        want = reference_train(dataset, hyper, PRIORS)
+        assert np.array_equal(flatten_params(got), flatten_params(want))
+        assert np.array_equal(got.priors, want.priors)
+
+    def test_each_sample_converted_once_per_call(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for owner, name in [(regressor, "loss_and_gradients"), (regressor, "mean_loss"),
+                            (regressor, "_check_layout"), (regressor.BevRaster, "feature_vector")]:
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+        dataset = two_class_samples(np.random.default_rng(47), 12)
+        train(dataset, TrainConfig(hidden=4, epochs=7, patience=7), priors=PRIORS)
+        assert calls == {"loss_and_gradients": 7, "mean_loss": 7,
+                         "_check_layout": 12, "feature_vector": 12}
+
+
+def _wrap_edges():
+    """0, -0.0, multiples of pi and 2*pi, and one ulp either side of each."""
+    edges = [0.0, -0.0]
+    for k in range(-6, 7):
+        for v in (k * math.pi, k * 2.0 * math.pi):
+            edges += [v, np.nextafter(v, -math.inf), np.nextafter(v, math.inf)]
+    return [float(v) for v in edges]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_wrap_edges()),
+                          st.floats(-40.0, 40.0),
+                          st.floats(allow_nan=False, allow_infinity=False)),
+                min_size=1, max_size=40))
+def test_wrap_angles_is_wrap_angle_bit_for_bit(values):
+    angles = np.array(values)
+    want = np.array([wrap_angle(a) for a in angles])
+    assert wrap_angles(angles).tobytes() == want.tobytes()
 
 
 class TestCheckpoint:
