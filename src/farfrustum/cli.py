@@ -108,6 +108,8 @@ def _labeled_inputs(args: argparse.Namespace, config: PipelineConfig) -> dict:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if not 0.0 < args.iou <= 1.0:
+        raise UsageError(f"--iou must lie in (0, 1], got {args.iou}")
     config = _build_config(args)
     results_dir = Path(args.results) if args.results else config.results_dir
     gt_by_frame = {

@@ -20,7 +20,7 @@ class TruncatedPointcloud(FarFrustumError):
 
 
 class NonFinitePoint(FarFrustumError):
-    """A pointcloud contains NaN or infinite coordinates."""
+    """A velodyne value or a pointcloud coordinate is NaN or infinite."""
 
 
 class BadScore(FarFrustumError):
@@ -72,7 +72,7 @@ class UnknownClass(FarFrustumError):
 
 
 class ShapeError(FarFrustumError):
-    """Array dimensions do not match the regressor's parameter shapes."""
+    """An array is not 2-D for a PGM image or misfits the regressor's shapes."""
 
 
 class EmptyDataset(FarFrustumError):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ZeroAreaBox
 from .geometry import lidar_to_camera, rot_y
-from .kitti_io import Box3D, CalibrationSet, Frame, LabelRecord, PointCloud
+from .kitti_io import Box3D, CalibrationSet, LabelRecord, PointCloud
 
 # --- rotated IoU ------------------------------------------------------------
 
@@ -436,18 +436,14 @@ def points_per_object_stats(
 ) -> list[ObjectPointStat]:
     """Per ground-truth object: class, center depth, lidar points inside it.
 
-    The resulting (depth, count) scatter is what motivates choosing per-class
-    faraway thresholds where typical objects drop to about ten points.
+    The clouds are in the lidar frame. The resulting (depth, count) scatter
+    is what motivates choosing per-class faraway thresholds where typical
+    objects drop to about ten points.
     """
     out: list[ObjectPointStat] = []
     for frame_id in sorted(labels_by_frame):
-        labels = labels_by_frame[frame_id]
-        cloud = clouds_by_frame[frame_id]
-        calib = calibs_by_frame[frame_id]
-        cam = (
-            lidar_to_camera(cloud, calib) if cloud.frame == Frame.LIDAR else cloud
-        )
-        for rec in labels:
+        cam = lidar_to_camera(clouds_by_frame[frame_id], calibs_by_frame[frame_id])
+        for rec in labels_by_frame[frame_id]:
             if rec.dontcare or rec.box is None:
                 continue
             inside = points_in_box_mask(cam.points, rec.box)

@@ -1,16 +1,19 @@
-"""Coordinate chain from raw lidar to the centroid-frame BEV projection.
+"""Coordinate chain from raw lidar to a detection's frustum frame.
 
 Frames: lidar -> rectified camera (rigid transform + rectification) ->
 frustum (camera rotated about its vertical axis so the detection's center
-ray becomes +z) -> centroid (frustum shifted to the estimated centroid).
+ray becomes +z).
 
 The lidar -> camera -> image step depends only on the frame, so it runs
 once per frame: ``project_cloud`` keeps the camera-frame cloud, its pixel
 coordinates and their validity. ``points_in_box_frustum`` and
 ``points_in_mask_frustum`` then cut each detection's frustum from that
-projection with a cheap per-point mask. All operations preserve point order
-and intensities, and a projection is never modified after it is built, so
-per-detection frustum extraction is safe to run in parallel.
+projection with a cheap per-point mask. All operations preserve point order,
+and a projection is never modified after it is built, so per-detection
+frustum extraction is safe to run in parallel.
+
+Clouds are checked where they enter (``kitti_io``); a rigid transform only
+re-checks that its output is finite, as a huge calibration can overflow.
 """
 from __future__ import annotations
 
@@ -174,17 +177,3 @@ def frustum_rotation(
     rotated = cloud.points @ rot_y(-theta).T
     return cloud.with_points(rotated, Frame.FRUSTUM), theta
 
-
-def to_centroid_frame(
-    cloud: PointCloud, centroid: tuple[float, float, float]
-) -> PointCloud:
-    """Shift a frustum-frame cloud so the estimated centroid is the origin."""
-    _require_frame(cloud, Frame.FRUSTUM)
-    shifted = cloud.points - np.asarray(centroid, dtype=np.float64)
-    return cloud.with_points(shifted, Frame.CENTROID)
-
-
-def bev_project(cloud: PointCloud) -> np.ndarray:
-    """Drop the vertical axis: (N, 2) array of (x, z), order preserved."""
-    _require_frame(cloud, Frame.CENTROID)
-    return cloud.points[:, [0, 2]].copy()

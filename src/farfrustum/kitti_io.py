@@ -4,6 +4,7 @@ Covers every on-disk format the pipeline exchanges with the outside world:
 
 * calibration text files (``P2``, ``R0_rect``, ``Tr_velo_to_cam``),
 * velodyne scans as little-endian float32 ``(x, y, z, intensity)`` records,
+  of which only the finite ``(x, y, z)`` is kept,
 * label / result text files (15 fields, optional trailing score),
 * 2D detection lists with optional P5 PGM instance masks.
 
@@ -11,6 +12,9 @@ Parsers tolerate repeated whitespace and blank lines. ``write_results``
 produces text that round-trips through ``parse_labels`` to 1e-4 on every
 numeric field. All returned objects are immutable after construction, so
 different frames can be parsed in parallel.
+
+Point arrays are checked where they enter: by ``load_pointcloud`` and by
+the ``PointCloud`` constructor. Derived clouds wrap fresh arrays uncopied.
 """
 from __future__ import annotations
 
@@ -33,6 +37,7 @@ from .errors import (
     MissingCalibKey,
     NonFiniteBox,
     NonFinitePoint,
+    ShapeError,
     TruncatedPointcloud,
     ZeroAreaBox,
 )
@@ -60,7 +65,6 @@ class Frame(str, Enum):
     LIDAR = "lidar"
     CAMERA = "camera"      # rectified camera: x right, y down, z forward
     FRUSTUM = "frustum"    # camera rotated so the frustum center ray is +z
-    CENTROID = "centroid"  # frustum frame shifted to the estimated centroid
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -69,40 +73,42 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _require_finite(points: np.ndarray) -> np.ndarray:
+    if not np.isfinite(points).all():
+        raise NonFinitePoint("pointcloud contains non-finite coordinates")
+    return points
+
+
 @dataclass(frozen=True)
 class PointCloud:
-    """Ordered set of 3D points in a declared frame, with optional intensities."""
+    """Ordered set of finite 3D points in a declared frame."""
 
-    points: np.ndarray                    # (N, 3) float64
+    points: np.ndarray  # (N, 3) float64, read-only
     frame: Frame
-    intensities: np.ndarray | None = None  # (N,) float64
 
-    def __post_init__(self) -> None:
-        pts = np.array(self.points, dtype=np.float64, copy=True).reshape(-1, 3)
-        if not np.isfinite(pts).all():
-            raise NonFinitePoint("pointcloud contains non-finite coordinates")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        if self.intensities is not None:
-            inten = np.array(self.intensities, dtype=np.float64, copy=True).reshape(-1)
-            if inten.shape[0] != pts.shape[0]:
-                raise ValueError("intensities must have exactly one value per point")
-            if not np.isfinite(inten).all():
-                raise NonFinitePoint("pointcloud contains non-finite intensities")
-            inten.setflags(write=False)
-            object.__setattr__(self, "intensities", inten)
+    def __post_init__(self) -> None:  # copy and check an outside array
+        pts = _readonly(self.points).reshape(-1, 3)
+        object.__setattr__(self, "points", _require_finite(pts))
+
+    @classmethod
+    def _wrap(cls, points: np.ndarray, frame: Frame) -> "PointCloud":
+        """A cloud around a fresh finite (N, 3) float64 array, not copied."""
+        points.setflags(write=False)
+        cloud = object.__new__(cls)
+        object.__setattr__(cloud, "points", points)
+        object.__setattr__(cloud, "frame", frame)
+        return cloud
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
     def select(self, mask: np.ndarray) -> "PointCloud":
         """Subset by boolean mask or index array, preserving point order."""
-        inten = self.intensities[mask] if self.intensities is not None else None
-        return PointCloud(self.points[mask], self.frame, inten)
+        return PointCloud._wrap(self.points[mask], self.frame)
 
     def with_points(self, points: np.ndarray, frame: Frame) -> "PointCloud":
-        """Same intensities, new coordinates/frame (for rigid transforms)."""
-        return PointCloud(points, frame, self.intensities)
+        """Wrap a transform's fresh output, checked: a huge transform can overflow."""
+        return PointCloud._wrap(_require_finite(points), frame)
 
 
 @dataclass(frozen=True)
@@ -173,13 +179,18 @@ def parse_calibration(text: str, frame_id: str = "") -> CalibrationSet:
 
 
 def load_pointcloud(data: bytes) -> PointCloud:
-    """Decode a velodyne binary: consecutive float32 LE (x, y, z, intensity)."""
+    """Decode a velodyne binary: consecutive float32 LE (x, y, z, intensity).
+
+    Every value must be finite; the intensity is checked, then dropped.
+    """
     if len(data) % POINT_RECORD_BYTES != 0:
         raise TruncatedPointcloud(
             f"byte length {len(data)} is not a multiple of {POINT_RECORD_BYTES}"
         )
-    arr = np.frombuffer(data, dtype="<f4").reshape(-1, 4).astype(np.float64)
-    return PointCloud(points=arr[:, :3], frame=Frame.LIDAR, intensities=arr[:, 3])
+    raw = np.frombuffer(data, dtype="<f4").reshape(-1, 4)
+    if not np.isfinite(raw[:, 3]).all():
+        raise NonFinitePoint("pointcloud contains non-finite intensities")
+    return PointCloud(raw[:, :3], Frame.LIDAR)
 
 
 # --- P5 PGM masks ----------------------------------------------------------
@@ -233,7 +244,7 @@ def write_pgm(path: str | Path, image: np.ndarray) -> None:
     """Write a (H, W) uint8 array as a binary (P5) PGM file."""
     img = np.asarray(image, dtype=np.uint8)
     if img.ndim != 2:
-        raise ValueError("PGM image must be 2-D")
+        raise ShapeError(f"PGM image must be 2-D, got shape {img.shape}")
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
     Path(path).write_bytes(header + img.tobytes())
 

@@ -77,7 +77,7 @@ class PipelineConfig:
         self.checkpoint = Path(self.checkpoint) if self.checkpoint is not None else None
         if self.frustum_mode not in ("mask", "box"):
             raise ConfigError(f"frustum_mode must be mask or box, got {self.frustum_mode!r}")
-        if any(t <= 0 for t in self.thresholds.values()):
+        if not all(t > 0 for t in self.thresholds.values()):
             raise ConfigError("faraway thresholds must be positive")
         if self.min_frustum_points < 1:
             raise ConfigError("min_frustum_points must be >= 1")

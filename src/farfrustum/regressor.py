@@ -24,13 +24,11 @@ from .clustering import estimate_centroid
 from .errors import EmptyCluster, EmptyDataset, NonFiniteBox, ShapeError, UnknownClass
 from .geometry import (
     CloudProjection,
-    bev_project,
     frustum_rotation,
     points_in_box_frustum,
     points_in_mask_frustum,
     project_cloud,
     rot_y,
-    to_centroid_frame,
 )
 from .kitti_io import CalibrationSet, Detection2D, LabelRecord, PointCloud
 from .kitti_io import wrap_angle, wrap_angles
@@ -543,7 +541,7 @@ def frustum_raster(
     centroid = estimate_centroid(rotated, config.bin_width)
     if keep is not None and not keep(centroid[2], det.class_name):
         return None
-    bev = bev_project(to_centroid_frame(rotated, centroid))
+    bev = rotated.points[:, [0, 2]] - (centroid[0], centroid[2])
     raster = rasterize_bev(
         bev, det.class_name, config.raster_grid, config.raster_extent,
         classes=config.classes,

@@ -1,6 +1,7 @@
 import math
 import re
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -61,6 +62,12 @@ class TestRun:
         config.write_text("no_such_key=1\n")
         assert run_cli("run", "--config", config) == 1
         assert "no_such_key" in capsys.readouterr().err
+
+    def test_nan_faraway_threshold_is_runtime_error(self, dataset_args, capsys):
+        _, args, out = dataset_args
+        assert run_cli("run", *args, "threshold.car=nan") == 1
+        assert "threshold" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_flag_overrides_config_file(self, mini_dataset, tmp_path, capsys):
         config_path = tmp_path / "config.txt"
@@ -142,6 +149,11 @@ class TestEval:
         out = capsys.readouterr().out
         assert "car,aiou,0.000000" in out
         assert "car,ap_bev,0.0000" in out
+
+    @pytest.mark.parametrize("iou", ["0", "-0.1", "1.5", "nan", "inf"])
+    def test_iou_outside_unit_interval_is_usage_error(self, mini_dataset, iou, capsys):
+        assert run_cli("eval", "--iou", iou, f"data_root={mini_dataset.root}") == 2
+        assert "--iou" in capsys.readouterr().err
 
     def test_missing_label_dir(self, tmp_path, capsys):
         (tmp_path / "velodyne").mkdir()
@@ -466,6 +478,7 @@ def test_version_1_checkpoint_exits_1_naming_the_path(mini_dataset, tmp_path, ca
 BAD_FILES = {
     "calib": ("run", "calib/000000.txt", b"R0_rect: 1 0\n"),
     "velodyne": ("run", "velodyne/000000.bin", bytes(13)),
+    "velodyne intensity": ("run", "velodyne/000000.bin", struct.pack("<4f", 1, 2, 3, math.nan)),
     "detections": ("run", "detections_2d/000000.txt", b"000000 car 0.9 1 2\n"),
     "fallback": ("run", "fallback/000000.txt", b"Car 0 0\n"),
     "labels": ("eval", "label_2/000000.txt", b"Car 0 0 0\n"),

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from farfrustum.errors import BadCalibration, FrameMismatch
+from farfrustum.errors import BadCalibration, FrameMismatch, NonFinitePoint
 from farfrustum.geometry import (
-    bev_project,
     frustum_rotation,
     lidar_to_camera,
     points_in_box_frustum,
@@ -15,9 +14,10 @@ from farfrustum.geometry import (
     project_cloud,
     project_to_image,
     rot_y,
-    to_centroid_frame,
 )
 from farfrustum.kitti_io import CalibrationSet, Detection2D, Frame, MaskRef, PointCloud, write_pgm
+from farfrustum.pipeline import PipelineConfig
+from farfrustum.regressor import frustum_raster, rasterize_bev
 from farfrustum.synth import camera_to_lidar_points
 
 import oracles
@@ -59,10 +59,15 @@ class TestLidarToCamera:
         with pytest.raises(FrameMismatch):
             lidar_to_camera(cloud, IDENTITY_CALIB)
 
-    def test_intensities_preserved(self):
-        cloud = PointCloud([[1, 2, 3]], Frame.LIDAR, intensities=[0.7])
-        out = lidar_to_camera(cloud, IDENTITY_CALIB)
-        np.testing.assert_array_equal(out.intensities, [0.7])
+    def test_overflowing_calibration_raises_non_finite(self):
+        # finite but huge: the transform overflows to inf
+        calib = CalibrationSet(
+            P2=IDENTITY_CALIB.P2,
+            R0_rect=np.eye(3),
+            Tr_velo_to_cam=np.hstack([np.eye(3) * 1e308, np.zeros((3, 1))]),
+        )
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinitePoint):
+            lidar_to_camera(PointCloud([[10.0, 0.0, 1.0]], Frame.LIDAR), calib)
 
     def test_random_rigid_round_trip(self):
         rng = np.random.default_rng(7)
@@ -327,44 +332,63 @@ class TestFrustumRotation:
 
 
 class TestCentroidFrameAndBev:
-    def test_zero_shift_identity(self):
-        cloud = PointCloud([[1, 2, 3]], Frame.FRUSTUM)
-        out = to_centroid_frame(cloud, (0.0, 0.0, 0.0))
-        np.testing.assert_array_equal(out.points, cloud.points)
-        assert out.frame == Frame.CENTROID
+    """frustum_raster's last step: (x, z) relative to the centroid, then a raster."""
+
+    # a box centered on the principal point rotates by exactly theta = 0
+    DET = make_det((0.0, 0.0, 1200.0, 360.0))
+
+    def raster(self, pts, grid=5, extent=1.0, bin_width=0.125):
+        config = PipelineConfig(frustum_mode="box", raster_grid=grid,
+                                raster_extent=extent, bin_width=bin_width)
+        projection = project_cloud(PointCloud(pts, Frame.LIDAR), IDENTITY_CALIB)
+        theta, centroid, raster = frustum_raster(projection, self.DET, IDENTITY_CALIB, config)
+        assert theta == 0.0
+        return centroid, raster
 
     def test_point_equal_to_centroid_maps_to_origin(self):
-        cloud = PointCloud([[2.0, 1.0, 65.0]], Frame.FRUSTUM)
-        out = to_centroid_frame(cloud, (2.0, 1.0, 65.0))
-        np.testing.assert_array_equal(out.points, [[0, 0, 0]])
-
-    def test_shift_unshift_round_trip(self):
-        rng = np.random.default_rng(43)
-        pts = rng.uniform(-80, 80, size=(25, 3))
-        centroid = tuple(rng.uniform(-10, 10, 3))
-        out = to_centroid_frame(PointCloud(pts, Frame.FRUSTUM), centroid)
-        back = out.points + np.asarray(centroid)
-        assert np.abs(back - pts).max() < 1e-15 * 80 + 1e-13
-
-    def test_frame_mismatch(self):
-        with pytest.raises(FrameMismatch):
-            to_centroid_frame(PointCloud([[0, 0, 0]], Frame.CAMERA), (0, 0, 0))
+        # one modal bin per axis: its midpoint is the middle point, exactly
+        pts = [[2.0, 0.5, 32.0], [2.0625, 0.5625, 32.0625], [2.1, 0.6, 32.1]]
+        centroid, raster = self.raster(pts)
+        assert centroid == (2.0625, 0.5625, 32.0625)
+        assert raster.grid[2, 2] == 3 and raster.grid.sum() == 3
 
     def test_bev_drops_vertical(self):
-        cloud = PointCloud([[1, 5, 2]], Frame.CENTROID)
-        np.testing.assert_array_equal(bev_project(cloud), [[1, 2]])
+        rng = np.random.default_rng(41)
+        pts = rng.uniform(-0.4, 0.4, size=(30, 3)) + [1.0, 0.0, 30.0]
+        lifted = pts + [0.0, 1.5, 0.0]
+        _, base = self.raster(pts, grid=8, extent=0.5, bin_width=0.1)
+        _, other = self.raster(lifted, grid=8, extent=0.5, bin_width=0.1)
+        np.testing.assert_array_equal(base.grid, other.grid)
 
     def test_bev_empty(self):
-        cloud = PointCloud(np.zeros((0, 3)), Frame.CENTROID)
-        assert bev_project(cloud).shape == (0, 2)
+        # a single point sits half a bin from the centroid, outside a tiny extent
+        _, raster = self.raster([[1.0, 0.0, 30.0]], extent=1.0, bin_width=5.0)
+        assert raster.grid.sum() == 0
 
     def test_bev_composition_oracle(self):
         rng = np.random.default_rng(47)
-        pts = rng.uniform(-5, 5, size=(40, 3))
-        centroid = tuple(rng.uniform(-2, 2, 3))
-        got = bev_project(to_centroid_frame(PointCloud(pts, Frame.FRUSTUM), centroid))
-        want = np.column_stack([pts[:, 0] - centroid[0], pts[:, 2] - centroid[2]])
-        np.testing.assert_array_equal(got, want)
+        pts = rng.uniform(-2, 2, size=(40, 3)) + [0.0, 0.0, 25.0]
+        centroid, raster = self.raster(pts, grid=16, extent=2.0, bin_width=0.5)
+        cx, cz = centroid[0], centroid[2]
+        bev = [(x - cx, z - cz) for x, _, z in pts]
+        want = rasterize_bev(np.array(bev), "car", 16, 2.0)
+        np.testing.assert_array_equal(raster.grid, want.grid)
+
+
+def test_derived_clouds_are_read_only():
+    cloud = PointCloud([[1.0, 0.0, 10.0], [0.0, 1.0, 20.0]], Frame.LIDAR)
+    camera = lidar_to_camera(cloud, IDENTITY_CALIB)
+    derived = [
+        cloud.select(np.array([True, False])),
+        cloud.select(np.array([1])),
+        cloud.with_points(np.zeros((2, 3)), Frame.CAMERA),
+        camera,
+        frustum_rotation(camera, make_det((10, 10, 50, 50)), IDENTITY_CALIB)[0],
+    ]
+    for out in [cloud, *derived]:
+        assert not out.points.flags.writeable
+        with pytest.raises(ValueError):
+            out.points[0, 0] = 5.0
 
 
 def test_rot_y_adds_azimuth():

@@ -20,6 +20,7 @@ from farfrustum.errors import (
     MaskDimMismatch,
     MissingCalibKey,
     NonFinitePoint,
+    ShapeError,
     TruncatedPointcloud,
 )
 from farfrustum.kitti_io import (
@@ -125,7 +126,6 @@ class TestLoadPointcloud:
         assert len(cloud) == 2
         assert cloud.frame == Frame.LIDAR
         np.testing.assert_allclose(cloud.points, [[1, 2, 3], [4, 5, 6]], atol=1e-6)
-        np.testing.assert_allclose(cloud.intensities, [0.5, 0.1], atol=1e-6)
 
     def test_empty(self):
         cloud = load_pointcloud(b"")
@@ -145,6 +145,35 @@ class TestLoadPointcloud:
     def test_total_on_well_formed_input(self, n):
         data = np.zeros((n, 4), dtype="<f4").tobytes()
         assert len(load_pointcloud(data)) == n
+
+    def test_non_finite_intensity(self):
+        data = struct.pack("<8f", 1, 2, 3, 0.5, 4, 5, 6, math.inf)
+        with pytest.raises(NonFinitePoint):
+            load_pointcloud(data)
+
+    @given(st.binary(max_size=200))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_random_bytes_raises_only_package_errors(self, data):
+        try:
+            cloud = load_pointcloud(data)
+        except FarFrustumError:
+            return
+        assert cloud.points.shape == (len(data) // 16, 3)
+        assert np.isfinite(cloud.points).all()
+
+    @given(
+        records=st.lists(st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                                  min_size=4, max_size=4), min_size=1, max_size=10),
+        row=st.integers(min_value=0),
+        column=st.integers(min_value=0, max_value=3),
+        bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_non_finite_in_any_column(self, records, row, column, bad):
+        records[row % len(records)][column] = bad
+        values = [v for record in records for v in record]
+        with pytest.raises(NonFinitePoint):
+            load_pointcloud(struct.pack(f"<{len(values)}f", *values))
 
 
 class TestParseDetections:
@@ -215,6 +244,13 @@ def test_pgm_round_trip(tmp_path):
     write_pgm(tmp_path / "x.pgm", img)
     back = read_pgm(tmp_path / "x.pgm")
     np.testing.assert_array_equal(img, back)
+
+
+@pytest.mark.parametrize("shape", [(6,), (2, 3, 1)])
+def test_write_pgm_rejects_non_2d_image(tmp_path, shape):
+    with pytest.raises(ShapeError):
+        write_pgm(tmp_path / "x.pgm", np.zeros(shape, dtype=np.uint8))
+    assert not (tmp_path / "x.pgm").exists()
 
 
 def test_pgm_header_comments(tmp_path):

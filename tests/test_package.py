@@ -1,7 +1,12 @@
+import ast
+import builtins
+import importlib
 import re
 from pathlib import Path
 
 import farfrustum
+from farfrustum.cli import UsageError
+from farfrustum.errors import FarFrustumError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -20,3 +25,65 @@ def test_readme_library_example_runs(mini_dataset, monkeypatch):
     exec(compile(code, "README.md", "exec"), names)
     assert len(names["frustum"]) > 0
     assert len(names["centroid"]) == 3
+
+
+def _parents(tree: ast.AST) -> dict:
+    return {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+
+def _names(expr: ast.expr | None) -> list[str]:
+    """The plain names in `X` or `(X, Y)`; the callee's name in `X(...)`."""
+    if isinstance(expr, ast.Call):
+        expr = expr.func
+    items = expr.elts if isinstance(expr, ast.Tuple) else [expr]
+    return [n.id for n in items if isinstance(n, ast.Name)]
+
+
+def _raised_classes(node: ast.Raise, parents: dict, module) -> list:
+    """The exception classes a raise statement names.
+
+    `raise type(exc)(...)` and a bare `raise` re-raise what the enclosing
+    handler caught, so they name that handler's classes.
+    """
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    if exc is None or isinstance(exc, ast.Call):  # bare raise, or type(exc)(...)
+        name = None if exc is None else exc.args[0].id
+        handler = parents[node]
+        while not (isinstance(handler, ast.ExceptHandler)
+                   and (name is None or handler.name == name)):
+            handler = parents[handler]
+        exc = handler.type
+    return [vars(module).get(name) or getattr(builtins, name) for name in _names(exc)]
+
+
+def _handled_as_config_error(node: ast.Raise, parents: dict) -> bool:
+    """True inside a try body whose ValueError handler raises ConfigError."""
+    child, outer = node, parents[node]
+    while not isinstance(outer, ast.Module):
+        if isinstance(outer, ast.Try) and child in outer.body:
+            for handler in outer.handlers:
+                raised = [n for r in ast.walk(handler) if isinstance(r, ast.Raise)
+                          for n in _names(r.exc)]
+                if "ValueError" in _names(handler.type) and "ConfigError" in raised:
+                    return True
+        child, outer = outer, parents[outer]
+    return False
+
+
+def test_every_raise_names_a_package_error():
+    src = Path(farfrustum.__file__).parent
+    bad = []
+    for path in sorted(src.glob("*.py")):
+        module = importlib.import_module(f"farfrustum.{path.stem}")
+        tree = ast.parse(path.read_text(), str(path))
+        parents = _parents(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise):
+                continue
+            for cls in _raised_classes(node, parents, module):
+                if issubclass(cls, (FarFrustumError, UsageError)):
+                    continue
+                if cls is ValueError and _handled_as_config_error(node, parents):
+                    continue
+                bad.append(f"{path.name}:{node.lineno} raises {cls.__name__}")
+    assert not bad, bad

@@ -21,6 +21,7 @@ from farfrustum.regressor import (
     compute_size_priors,
     flatten_params,
     forward,
+    frustum_raster,
     init_params,
     load_checkpoint,
     loss_and_gradients,
@@ -159,13 +160,22 @@ class TestForward:
 
 class TestTranslationConsistency:
     def test_shifted_frustum_cloud_gives_identical_raster_and_output(self):
-        # absolute position never reaches the network: the raster lives in
-        # the centroid frame, so shifting the whole frustum cloud leaves the
-        # grid (and hence the output) bit-identical
-        from farfrustum.clustering import estimate_centroid
-        from farfrustum.geometry import bev_project, to_centroid_frame
-        from farfrustum.kitti_io import Frame, PointCloud
+        # absolute position never reaches the network: frustum_raster rasters
+        # the points relative to their centroid, so shifting the whole cloud
+        # leaves the grid (and hence the output) bit-identical
+        from farfrustum.geometry import project_cloud
+        from farfrustum.kitti_io import CalibrationSet, Detection2D, Frame, PointCloud
 
+        calib = CalibrationSet(
+            P2=np.array([[700.0, 0, 600, 0], [0, 700.0, 180, 0], [0, 0, 1, 0]]),
+            R0_rect=np.eye(3),
+            Tr_velo_to_cam=np.hstack([np.eye(3), np.zeros((3, 1))]),
+        )
+        # centered on the principal point: the frustum rotation is the identity
+        det = Detection2D("t", "pedestrian", 0.9, (0.0, 0.0, 1200.0, 360.0),
+                          image_size=(1242, 375))
+        config = PipelineConfig(frustum_mode="box", raster_grid=8, raster_extent=4.0,
+                                bin_width=0.1, classes=CLASSES)
         rng = np.random.default_rng(61)
         params = init_params(8, CLASSES, hidden=8, priors=PRIORS, seed=2)
         for _ in range(10):
@@ -173,10 +183,10 @@ class TestTranslationConsistency:
             offset = rng.uniform(-8, 8, size=3)
 
             def raster_of(points):
-                cloud = PointCloud(points, Frame.FRUSTUM)
-                centroid = estimate_centroid(cloud, 0.1)
-                bev = bev_project(to_centroid_frame(cloud, centroid))
-                return rasterize_bev(bev, "pedestrian", 8, 4.0, CLASSES)
+                projection = project_cloud(PointCloud(points, Frame.LIDAR), calib)
+                theta, _, raster = frustum_raster(projection, det, calib, config)
+                assert theta == 0.0 and raster.grid.sum() == len(points)
+                return raster
 
             base = raster_of(pts)
             shifted = raster_of(pts + offset)
