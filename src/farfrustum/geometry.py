@@ -6,11 +6,14 @@ ray becomes +z).
 
 The lidar -> camera -> image step depends only on the frame, so it runs
 once per frame: ``project_cloud`` keeps the camera-frame cloud, its pixel
-coordinates and their validity. ``points_in_box_frustum`` and
-``points_in_mask_frustum`` then cut each detection's frustum from that
-projection with a cheap per-point mask. All operations preserve point order,
-and a projection is never modified after it is built, so per-detection
-frustum extraction is safe to run in parallel.
+coordinates and their validity. Each 3x4 transform is applied as an affine
+map (3x3 block, then 4th column) with no homogeneous (N, 4) copy; from two
+points on it rounds as the homogeneous product (BLAS sums a lone point in
+another order). ``points_in_box_frustum`` and ``points_in_mask_frustum``
+then cut each detection's frustum from that projection; mask pixels are
+floored for the valid points only. All operations preserve point order, and
+a projection is never modified after it is built, so per-detection frustum
+extraction is safe to run in parallel.
 
 Clouds are checked where they enter (``kitti_io``); a rigid transform only
 re-checks that its output is finite, as a huge calibration can overflow.
@@ -41,12 +44,19 @@ def _require_frame(cloud: PointCloud, frame: Frame) -> None:
         raise FrameMismatch(f"expected {frame.value} cloud, got {cloud.frame.value}")
 
 
+def _affine(points: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """[p;1] . m^T for each row p, as a fresh (N, 3) array."""
+    out = points @ m[:, :3].T
+    for k in range(3):  # column by column: a broadcast (N, 3) add is 2x slower
+        out[:, k] += m[k, 3]
+    return out
+
+
 def lidar_to_camera(cloud: PointCloud, calib: CalibrationSet) -> PointCloud:
     """Map lidar points into the rectified camera frame: R0 . (Tr . [p;1])."""
     _require_frame(cloud, Frame.LIDAR)
-    hom = np.hstack([cloud.points, np.ones((len(cloud), 1))])
-    cam = hom @ calib.Tr_velo_to_cam.T
-    rect = cam @ calib.R0_rect.T
+    with np.errstate(over="ignore", invalid="ignore"):  # with_points raises
+        rect = _affine(cloud.points, calib.Tr_velo_to_cam) @ calib.R0_rect.T
     return cloud.with_points(rect, Frame.CAMERA)
 
 
@@ -60,11 +70,13 @@ def project_to_image(
     invalid points keep their slot so indices stay aligned with the input.
     """
     _require_frame(cloud, Frame.CAMERA)
-    hom = np.hstack([cloud.points, np.ones((len(cloud), 1))])
-    uvw = hom @ calib.P2.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        uv = uvw[:, :2] / uvw[:, 2:3]
-    valid = (cloud.points[:, 2] > 0) & np.isfinite(uv).all(axis=1)
+    uvw = _affine(cloud.points, calib.P2)
+    uv = np.empty((len(cloud), 2))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        np.divide(uvw[:, 0], uvw[:, 2], out=uv[:, 0])
+        np.divide(uvw[:, 1], uvw[:, 2], out=uv[:, 1])
+    finite = np.isfinite(uv)
+    valid = (cloud.points[:, 2] > 0) & finite[:, 0] & finite[:, 1]
     return uv, valid
 
 
@@ -90,6 +102,8 @@ class CloudProjection:
         if key not in self._cache:
             keep = self.valid
             if image_size is not None:
+                # full-array tests: gathering the valid points first took 2x
+                # as long on a 120k-point frame with a third of them in view
                 w, h = image_size
                 u, v = self.uv[:, 0], self.uv[:, 1]
                 with np.errstate(invalid="ignore"):
@@ -107,13 +121,13 @@ class CloudProjection:
         key = ("mask", shape)
         if key not in self._cache:
             h, w = shape
-            with np.errstate(invalid="ignore"):
-                iu = np.floor(self.uv[:, 0]).astype(np.int64, copy=False)
-                iv = np.floor(self.uv[:, 1]).astype(np.int64, copy=False)
-            iu = np.where(self.valid, iu, -1)
-            iv = np.where(self.valid, iv, -1)
-            idx = np.flatnonzero((iu >= 0) & (iu < w) & (iv >= 0) & (iv < h))
-            self._cache[key] = (idx, iv[idx] * w + iu[idx])
+            idx = np.flatnonzero(self.valid)
+            with np.errstate(invalid="ignore"):  # a finite pixel can exceed int64
+                iu = np.floor(self.uv[idx, 0]).astype(np.int64, copy=False)
+                iv = np.floor(self.uv[idx, 1]).astype(np.int64, copy=False)
+            inside = (iu >= 0) & (iu < w) & (iv >= 0) & (iv < h)
+            idx = idx[inside]
+            self._cache[key] = (idx, iv[inside] * w + iu[inside])
         return self._cache[key]
 
 

@@ -130,10 +130,12 @@ class CalibrationSet:
     def validate(self, tol: float = 1e-3) -> None:
         """Check rectification orthonormality and mounting-rotation handedness."""
         r = self.R0_rect
-        err = np.abs(r @ r.T - np.eye(3)).max()
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries overflow
+            err = np.abs(r @ r.T - np.eye(3)).max()
+            det = np.linalg.det(self.Tr_velo_to_cam[:, :3])
         if not err < tol:
             raise BadCalibration(f"R0_rect not orthonormal (|R R^T - I| = {err:g})")
-        if np.linalg.det(self.Tr_velo_to_cam[:, :3]) <= 0:
+        if det <= 0:
             raise BadCalibration("Tr_velo_to_cam rotation block has det <= 0")
 
 

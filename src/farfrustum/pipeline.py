@@ -26,6 +26,7 @@ from .errors import (
     MalformedDetectionLine,
     MissingFrameData,
     NonFiniteBox,
+    NonFinitePoint,
     UnknownClass,
     ZeroAreaBox,
 )
@@ -329,6 +330,23 @@ def naming(path: Path) -> Iterator[None]:
         raise FarFrustumError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
+def _calibration_path(root: str | Path, frame_id: str) -> Path:
+    return Path(root) / "calib" / f"{frame_id}.txt"
+
+
+@contextmanager
+def naming_calibration(root: str | Path, frame_id: str) -> Iterator[None]:
+    """Name the frame's calibration file on a NonFinitePoint from the block.
+
+    Clouds are finite where they enter, so only a huge calibration can carry
+    a projected point out of float range.
+    """
+    try:
+        yield
+    except NonFinitePoint as exc:
+        raise NonFinitePoint(f"{_calibration_path(root, frame_id)}: {exc}") from exc
+
+
 def read_boxes(path: Path) -> list[Box3D]:
     """The 3D boxes of a KITTI label or result file."""
     with naming(path):
@@ -343,7 +361,7 @@ def load_frame_inputs(
     velodyne = _required(root / "velodyne" / f"{frame_id}.bin")
     with naming(velodyne):
         cloud = load_pointcloud(velodyne.read_bytes())
-    calib_path = _required(root / "calib" / f"{frame_id}.txt")
+    calib_path = _required(_calibration_path(root, frame_id))
     with naming(calib_path):
         calib = parse_calibration(calib_path.read_text(), frame_id)
     det_dir = root / "detections_2d"
@@ -376,15 +394,16 @@ def run_dataset(
     summary = RunSummary()
     for frame_id in frames:
         inputs = load_frame_inputs(config.data_root, frame_id, config)
-        boxes = process_frame(
-            inputs.cloud,
-            inputs.detections,
-            inputs.fallback_boxes,
-            inputs.calib,
-            config,
-            params=params,
-            stats=summary,
-        )
+        with naming_calibration(config.data_root, frame_id):
+            boxes = process_frame(
+                inputs.cloud,
+                inputs.detections,
+                inputs.fallback_boxes,
+                inputs.calib,
+                config,
+                params=params,
+                stats=summary,
+            )
         text = write_results(boxes, inputs.calib, config.image_size)
         (out_dir / f"{frame_id}.txt").write_text(text)
         summary.frames += 1

@@ -475,6 +475,33 @@ def test_version_1_checkpoint_exits_1_naming_the_path(mini_dataset, tmp_path, ca
     assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("verb", ["run", "train", "stats", "plot"])
+def test_overflowing_calibration_exits_1_naming_the_file(
+    mini_dataset, tmp_path, capsys, verb
+):
+    # finite, parseable and right-handed, but any point maps out of float range
+    root = tmp_path / "data"
+    shutil.copytree(mini_dataset.root, root)
+    path = root / "calib" / "000000.txt"
+    lines = path.read_text().splitlines()
+    for k, line in enumerate(lines):
+        if line.startswith("Tr_velo_to_cam:"):
+            values = [float(t) for t in line.split(":")[1].split()]
+            for i in (0, 1, 2, 4, 5, 6, 8, 9, 10):
+                values[i] *= 1e308
+            lines[k] = "Tr_velo_to_cam: " + " ".join(map(repr, values))
+    path.write_text("\n".join(lines) + "\n")
+    extra = {"run": ["--out", tmp_path / "out"], "stats": [],
+             "train": ["--out", tmp_path / "reg.ckpt", "--epochs", "2"],
+             "plot": ["--frame", "000000", "--out", tmp_path / "bev.svg"]}[verb]
+    code = run_cli(verb, f"data_root={root}", *extra)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert str(path) in err and "non-finite" in err
+    assert "Traceback" not in err and "Warning" not in err
+
+
 BAD_FILES = {
     "calib": ("run", "calib/000000.txt", b"R0_rect: 1 0\n"),
     "velodyne": ("run", "velodyne/000000.bin", bytes(13)),

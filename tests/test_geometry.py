@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from farfrustum.errors import BadCalibration, FrameMismatch, NonFinitePoint
 from farfrustum.geometry import (
+    CloudProjection,
     frustum_rotation,
     lidar_to_camera,
     points_in_box_frustum,
@@ -285,6 +286,117 @@ def test_shared_projection_matches_oracles(tmp_path, seed, specs):
             want_mask = oracles.mask_frustum_indices(*chain, mask)
             got_mask = points_in_mask_frustum(projection, det)
             np.testing.assert_array_equal(got_mask.points, cam_all.points[want_mask])
+
+
+def _reference_projection(points, calib):
+    """The homogeneous-copy, full-array projection the fast path must equal."""
+    hom = np.hstack([points, np.ones((len(points), 1))])
+    cam = (hom @ calib.Tr_velo_to_cam.T) @ calib.R0_rect.T
+    uv, valid = _reference_image(cam, calib)
+    return cam, uv, valid
+
+
+def _reference_image(cam, calib):
+    hom = np.hstack([cam, np.ones((len(cam), 1))])
+    uvw = hom @ calib.P2.T
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        uv = uvw[:, :2] / uvw[:, 2:3]
+    return uv, (cam[:, 2] > 0) & np.isfinite(uv).all(axis=1)
+
+
+def _reference_box_candidates(uv, valid, image_size):
+    keep = valid
+    if image_size is not None:
+        w, h = image_size
+        u, v = uv[:, 0], uv[:, 1]
+        with np.errstate(invalid="ignore"):
+            keep = keep & (u >= 0) & (u < w) & (v >= 0) & (v < h)
+    idx = np.flatnonzero(keep)
+    return idx, uv[idx, 0], uv[idx, 1]
+
+
+def _reference_pixel_index(uv, valid, shape):
+    h, w = shape
+    with np.errstate(invalid="ignore"):
+        iu = np.floor(uv[:, 0]).astype(np.int64, copy=False)
+        iv = np.floor(uv[:, 1]).astype(np.int64, copy=False)
+    iu = np.where(valid, iu, -1)
+    iv = np.where(valid, iv, -1)
+    idx = np.flatnonzero((iu >= 0) & (iu < w) & (iv >= 0) & (iv < h))
+    return idx, iv[idx] * w + iu[idx]
+
+
+def _assert_same_bytes(got, want, exact=True):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        if exact or a.dtype != np.float64:
+            assert a.tobytes() == b.tobytes()
+        else:
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-9)
+
+
+def _kitti_like_calibration(rng):
+    """A random rigid mounting with a KITTI-like P2: a non-zero 4th column.
+
+    Its depth entry is zero half the time, so that a tiny positive depth
+    projects to a huge finite pixel.
+    """
+    calib = random_calibration(rng)
+    p2 = calib.P2.copy()
+    p2[:, 3] = [rng.uniform(-60, 60), rng.uniform(-1, 1),
+                rng.uniform(-0.01, 0.01) * rng.integers(0, 2)]
+    return CalibrationSet(P2=p2, R0_rect=calib.R0_rect,
+                          Tr_velo_to_cam=calib.Tr_velo_to_cam)
+
+
+def _check_projection_bytes(rng, n):
+    # numpy hands a one-row product to BLAS gemv, whose dot kernel sums a
+    # 4-long homogeneous row in another order than a 3-long one; the
+    # reference rounds a lone point differently from the same point in a
+    # larger cloud, so one point is held to a tolerance
+    exact = n != 1
+    calib = _kitti_like_calibration(rng)
+    pts = rng.uniform(-80, 80, size=(n, 3))
+    projection = project_cloud(PointCloud(pts, Frame.LIDAR), calib)
+    cam, uv, valid = _reference_projection(pts, calib)
+    _assert_same_bytes((projection.camera.points, projection.uv, projection.valid),
+                       (cam, uv, valid), exact)
+    # camera points on, behind and just in front of the image plane; a tiny
+    # positive depth projects to a huge finite pixel
+    cam = cam.copy()
+    special = rng.integers(0, 4, size=n)
+    cam[special == 0, 2] = 0.0
+    cam[special == 1, 2] *= -1.0
+    cam[special == 2, 2] = rng.choice([1e-304, 1e-300, 1e-12, 1e-3],
+                                      size=int((special == 2).sum()))
+    camera = PointCloud(cam, Frame.CAMERA)
+    uv, valid = project_to_image(camera, calib)
+    _assert_same_bytes((uv, valid), _reference_image(cam, calib), exact)
+    # valid pixels on and next to every image edge below, which the
+    # half-open tests split
+    uv = uv.copy()
+    edge = valid & (rng.uniform(size=n) < 0.2)
+    edges = np.concatenate([[-1.0, -0.0, 374.0, 375.0, 1241.0, 1242.0], np.arange(51.0)])
+    uv[edge] = rng.choice(edges, size=(int(edge.sum()), 2))
+    projection = CloudProjection(camera, uv, valid)
+    for size in (None, (1242, 375), (int(rng.integers(1, 50)), int(rng.integers(1, 50)))):
+        _assert_same_bytes(projection.box_candidates(size),
+                           _reference_box_candidates(uv, valid, size))
+    for shape in ((375, 1242), (int(rng.integers(1, 50)), int(rng.integers(1, 50)))):
+        _assert_same_bytes(projection.pixel_index(shape),
+                           _reference_pixel_index(uv, valid, shape))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(seed=st.integers(0, 2**32 - 1), n=st.one_of(st.integers(0, 3), st.integers(0, 3000)))
+@settings(max_examples=100, deadline=None)
+def test_projection_is_byte_identical_to_homogeneous_reference(seed, n):
+    _check_projection_bytes(np.random.default_rng(seed), n)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_projection_is_byte_identical_at_kitti_scale():
+    _check_projection_bytes(np.random.default_rng(120_000), 120_000)
 
 
 class TestFrustumRotation:

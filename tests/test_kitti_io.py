@@ -319,6 +319,63 @@ def test_non_finite_occlusion_parses_like_zero(occlusion):
     assert got == parse_labels(LABEL_LINE.format(occlusion="0"))
 
 
+@pytest.fixture(scope="module")
+def pgm_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("pgm_fuzz") / "m.pgm"
+
+
+def _load_mask(path, data, size):
+    path.write_bytes(data)
+    try:
+        return MaskRef(path, size).load()
+    except FarFrustumError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=300))
+def test_pgm_fuzz_random_bytes_raises_only_package_errors(pgm_path, data):
+    _load_mask(pgm_path, data, (4, 2))
+    _load_mask(pgm_path, b"P5 " + data, (4, 2))
+
+
+_PGM_TOKEN = st.one_of(
+    st.integers(-2, 70000).map(lambda n: str(n).encode()),
+    st.sampled_from([b"-0", b"+3", b"1e3", b"0x10", b"1_0", b"9" * 5000, b"\xff", b"P5"]),
+    st.binary(max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    width=st.integers(1, 6), height=st.integers(1, 6),
+    maxval=st.sampled_from([0, 1, 255, 256, 65535, 65536]),
+    edits=st.lists(st.tuples(st.integers(0, 3), _PGM_TOKEN), max_size=2),
+    comments=st.lists(
+        st.tuples(st.integers(1, 3), st.binary(max_size=8).map(lambda b: b.replace(b"\n", b""))),
+        max_size=3,
+    ),
+    sep=st.sampled_from([b" ", b"\n", b"\t", b"\r\n"]),
+    cut=st.integers(0, 80),
+)
+def test_pgm_fuzz_mutated_p5_raises_only_package_errors(
+    pgm_path, width, height, maxval, edits, comments, sep, cut
+):
+    tokens = [b"P5", str(width).encode(), str(height).encode(), str(maxval).encode()]
+    for index, token in edits:
+        tokens[index] = token
+    header = tokens[0]
+    for index in (1, 2, 3):
+        lines = b"".join(b"#" + body + b"\n" for at, body in comments if at == index)
+        header += sep + lines + tokens[index]
+    itemsize = 2 if maxval > 255 else 1
+    data = header + b"\n" + bytes(range(256))[: width * height * itemsize]
+    data = data[: len(data) - cut]
+    img = _load_mask(pgm_path, data, (width, height))
+    if not edits and not cut and 0 < maxval < 65536:
+        assert img is not None and img.shape == (height, width)
+
+
 _FUZZ_TOKEN = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.integers(-(10**400), 10**400).map(str),

@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from farfrustum import geometry
 from farfrustum.errors import (
@@ -315,6 +317,41 @@ class TestConfig:
         )
         assert config.classes == ("pedestrian", "car", "cyclist")
         assert config.size_priors["cyclist"] == (0.6, 1.8, 1.7)
+
+
+_CONFIG_KEYS = [
+    "data_root", "out", "frustum_mode", "bin_width", "raster_grid", "raster_extent",
+    "min_frustum_points", "checkpoint", "image_width", "image_height", "classes",
+    "threshold.car", "threshold.pedestrian", "threshold.", "prior.car", "prior.",
+    "prior.cyclist", "no_such_key", "", "#threshold.car",
+]
+_CONFIG_VALUE = st.one_of(
+    st.sampled_from([
+        "nan", "inf", "-inf", "-1", "0", "1e400", "-0", "1_0", "0x10", "9" * 5000,
+        "1,1", "1,1,1", "0.6,1.8,nan", "1,-1,1", "1,1,1,1", "1,,1", "car,,pedestrian",
+        ",", "box", "mask", "car,\udcff", "a\x0bb",
+    ]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-(10**30), 10**30).map(str),
+    st.text(max_size=8),
+)
+_CONFIG_LINE = st.builds(
+    lambda key, sep, value: key + sep + value,
+    st.sampled_from(_CONFIG_KEYS), st.sampled_from(["=", " = ", "", "=="]), _CONFIG_VALUE,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(
+    st.text(max_size=60),
+    st.builds(lambda lines, noise: "\n".join(lines) + noise,
+              st.lists(_CONFIG_LINE, max_size=6), st.text(max_size=12)),
+))
+def test_config_fuzz_raises_only_config_errors(text):
+    try:
+        PipelineConfig.from_mapping(parse_config_text(text))
+    except ConfigError:
+        pass
 
 
 class TestRunDataset:
