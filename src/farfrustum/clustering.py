@@ -15,6 +15,7 @@ from .errors import ConfigError, EmptyCluster
 from .kitti_io import PointCloud
 
 DEFAULT_BIN_WIDTH = 0.1  # meters, finer than any target object's surface spread
+MAX_BINS = 1 << 20  # 8 MB each of edges and counts
 
 
 class AxisHistogram(NamedTuple):
@@ -29,7 +30,7 @@ def axis_histogram(values: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH) -> 
 
     Bin edges sit at min + k*bin_width; the final bin is padded so it
     contains max. Bins are half-open [e_left, e_right) except the last,
-    which is closed on the right.
+    which is closed on the right. Raises ConfigError past MAX_BINS bins.
     """
     vals = np.asarray(values, dtype=np.float64).reshape(-1)
     if vals.size == 0:
@@ -38,7 +39,13 @@ def axis_histogram(values: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH) -> 
         raise ConfigError(f"bin_width must be positive, got {bin_width}")
     vmin = float(vals.min())
     vmax = float(vals.max())
-    n_bins = max(1, int(np.ceil((vmax - vmin) / bin_width)))
+    span = np.ceil((vmax - vmin) / bin_width)
+    if not span <= MAX_BINS:
+        raise ConfigError(
+            f"bin_width {bin_width:g} splits a {vmax - vmin:g} m spread into "
+            f"more than {MAX_BINS} bins"
+        )
+    n_bins = max(1, int(span))
     edge_vals = vmin + np.arange(n_bins + 1, dtype=np.float64) * bin_width
     # Last left edge <= v guarantees idx in [0, n_bins - 1] for v in [min, max].
     idx = np.searchsorted(edge_vals[:-1], vals, side="right") - 1

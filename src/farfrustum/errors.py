@@ -23,6 +23,10 @@ class NonFinitePoint(FarFrustumError):
     """A velodyne value or a pointcloud coordinate is NaN or infinite."""
 
 
+class PointOutOfRange(FarFrustumError):
+    """A velodyne point lies farther from the sensor than any lidar reaches."""
+
+
 class BadScore(FarFrustumError):
     """A detection or box score lies outside [0, 1]."""
 
@@ -59,6 +63,10 @@ class FrameMismatch(FarFrustumError):
 
 class BadCalibration(FarFrustumError):
     """Calibration matrices are degenerate or violate rigidity constraints."""
+
+
+class CropMismatch(FarFrustumError):
+    """A detection's image size differs from the crop of its frame's projection."""
 
 
 # --- clustering / regression ----------------------------------------------

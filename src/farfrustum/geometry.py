@@ -5,17 +5,23 @@ frustum (camera rotated about its vertical axis so the detection's center
 ray becomes +z).
 
 The lidar -> camera -> image step depends only on the frame, so it runs
-once per frame: ``project_cloud`` keeps the camera-frame cloud, its pixel
-coordinates and their validity. Each 3x4 transform is applied as an affine
-map (3x3 block, then 4th column) with no homogeneous (N, 4) copy; from two
-points on it rounds as the homogeneous product (BLAS sums a lone point in
-another order). ``points_in_box_frustum`` and ``points_in_mask_frustum``
-then cut each detection's frustum from that projection; mask pixels are
-floored for the valid points only. All operations preserve point order, and
+once per frame. ``project_cloud`` keeps only the points that can be frustum
+members: those in front of the camera with finite pixels and, given an
+image size (W, H), with 0 <= u < W and 0 <= v < H. The crop loses nothing,
+since a box clamped to the image and a mask of the image's size hold no
+other point. The cloud is projected in blocks of ``BLOCK_ROWS`` rows, so
+each temporary has a block's size, not the cloud's, and the heap reuses it
+from block to block; only the kept rows are gathered. Each 3x4 transform
+is applied as an affine map (``kitti_io.apply_affine``). From two rows on
+it rounds as the homogeneous product, but numpy hands a one-row product to
+BLAS gemv, which rounds otherwise, so a lone tail row joins the block
+before it. ``points_in_box_frustum`` and ``points_in_mask_frustum`` cut
+each detection's frustum from that projection and refuse a detection whose
+image size differs from the crop. All operations preserve point order, and
 a projection is never modified after it is built, so per-detection frustum
 extraction is safe to run in parallel.
 
-Clouds are checked where they enter (``kitti_io``); a rigid transform only
+Clouds are checked where they enter (``kitti_io``); a transform only
 re-checks that its output is finite, as a huge calibration can overflow.
 """
 from __future__ import annotations
@@ -25,8 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadCalibration, FrameMismatch
-from .kitti_io import CalibrationSet, Detection2D, Frame, PointCloud
+from .errors import BadCalibration, CropMismatch, FrameMismatch, NonFinitePoint
+from .kitti_io import CalibrationSet, Detection2D, Frame, PointCloud, apply_affine
+
+BLOCK_ROWS = 8192  # a block's temporaries (192 kB each) stay in L2 cache
 
 
 def rot_y(angle: float) -> np.ndarray:
@@ -44,19 +52,11 @@ def _require_frame(cloud: PointCloud, frame: Frame) -> None:
         raise FrameMismatch(f"expected {frame.value} cloud, got {cloud.frame.value}")
 
 
-def _affine(points: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """[p;1] . m^T for each row p, as a fresh (N, 3) array."""
-    out = points @ m[:, :3].T
-    for k in range(3):  # column by column: a broadcast (N, 3) add is 2x slower
-        out[:, k] += m[k, 3]
-    return out
-
-
 def lidar_to_camera(cloud: PointCloud, calib: CalibrationSet) -> PointCloud:
     """Map lidar points into the rectified camera frame: R0 . (Tr . [p;1])."""
     _require_frame(cloud, Frame.LIDAR)
     with np.errstate(over="ignore", invalid="ignore"):  # with_points raises
-        rect = _affine(cloud.points, calib.Tr_velo_to_cam) @ calib.R0_rect.T
+        rect = apply_affine(cloud.points, calib.Tr_velo_to_cam) @ calib.R0_rect.T
     return cloud.with_points(rect, Frame.CAMERA)
 
 
@@ -65,77 +65,94 @@ def project_to_image(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Project camera-frame points through P2 onto the image plane.
 
-    Returns ((N, 2) pixel coordinates, (N,) validity). A point is valid when
-    it lies in front of the camera (z > 0) and projects to finite pixels;
-    invalid points keep their slot so indices stay aligned with the input.
+    Returns ((N, 2) pixel coordinates, (N,) validity); each pixel column is
+    contiguous in memory. A point is valid when it lies in front of the
+    camera (z > 0) and projects to finite pixels; invalid points keep their
+    slot so indices stay aligned with the input. Raises NonFinitePoint when
+    P2 carries a point out of float range; a tiny positive depth that only
+    overflows the pixel division leaves the point invalid.
     """
     _require_frame(cloud, Frame.CAMERA)
-    uvw = _affine(cloud.points, calib.P2)
-    uv = np.empty((len(cloud), 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        uvw = apply_affine(cloud.points, calib.P2)
+    if not np.isfinite(uvw).all():
+        raise NonFinitePoint("P2 maps a point to non-finite image coordinates")
+    uv = np.empty((2, len(cloud)))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        np.divide(uvw[:, 0], uvw[:, 2], out=uv[:, 0])
-        np.divide(uvw[:, 1], uvw[:, 2], out=uv[:, 1])
+        np.divide(uvw[:, 0], uvw[:, 2], out=uv[0])
+        np.divide(uvw[:, 1], uvw[:, 2], out=uv[1])
     finite = np.isfinite(uv)
-    valid = (cloud.points[:, 2] > 0) & finite[:, 0] & finite[:, 1]
-    return uv, valid
+    valid = (cloud.points[:, 2] > 0) & finite[0] & finite[1]
+    return uv.T, valid
 
 
 @dataclass(frozen=True, eq=False)
 class CloudProjection:
-    """One frame's cloud in the rectified camera frame and on the image plane."""
+    """The points of one frame that can be frustum members, on the image plane.
 
-    camera: PointCloud   # camera-frame points, in input order
-    uv: np.ndarray       # (N, 2) pixel coordinates
-    valid: np.ndarray    # (N,) in front of the camera with finite pixels
+    Rows keep the input order: the points in front of the camera with
+    finite pixels and, when `image_size` (W, H) is set, 0 <= u < W and
+    0 <= v < H.
+    """
+
+    camera: PointCloud   # camera-frame points
+    u: np.ndarray        # (N,) pixel columns, contiguous
+    v: np.ndarray        # (N,) pixel rows, contiguous
+    image_size: tuple[int, int] | None  # the crop (W, H), or None
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
-    def box_candidates(
-        self, image_size: tuple[int, int] | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Valid points that a box clamped to an (W, H) image can hold.
-
-        A clamped box lies inside [0, W] x [0, H], so its half-open members
-        lie inside [0, W) x [0, H); with no image size every valid point is
-        a candidate. Returns (point indices, u, v), once per image size.
-        """
-        key = ("box", image_size)
-        if key not in self._cache:
-            keep = self.valid
-            if image_size is not None:
-                # full-array tests: gathering the valid points first took 2x
-                # as long on a 120k-point frame with a third of them in view
-                w, h = image_size
-                u, v = self.uv[:, 0], self.uv[:, 1]
-                with np.errstate(invalid="ignore"):
-                    keep = keep & (u >= 0) & (u < w) & (v >= 0) & (v < h)
-            idx = np.flatnonzero(keep)
-            self._cache[key] = (idx, self.uv[idx, 0], self.uv[idx, 1])
-        return self._cache[key]
+    def require_crop(self, image_size: tuple[int, int] | None) -> None:
+        """Raise CropMismatch unless a frustum on an image of that size lies in the crop."""
+        if self.image_size is not None and image_size != self.image_size:
+            raise CropMismatch(
+                f"detection image size {image_size} differs from the projection's "
+                f"crop {self.image_size}"
+            )
 
     def pixel_index(self, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        """Valid points whose floor(u), floor(v) pixel lies in an (H, W) bitmap.
+        """Points whose floor(u), floor(v) pixel lies in an (H, W) bitmap.
 
         Returns (point indices, row-major flat pixel indices), once per
         bitmap shape, so once per frame when every mask is image-sized.
         """
-        key = ("mask", shape)
-        if key not in self._cache:
+        if shape not in self._cache:
             h, w = shape
-            idx = np.flatnonzero(self.valid)
             with np.errstate(invalid="ignore"):  # a finite pixel can exceed int64
-                iu = np.floor(self.uv[idx, 0]).astype(np.int64, copy=False)
-                iv = np.floor(self.uv[idx, 1]).astype(np.int64, copy=False)
-            inside = (iu >= 0) & (iu < w) & (iv >= 0) & (iv < h)
-            idx = idx[inside]
-            self._cache[key] = (idx, iv[inside] * w + iu[inside])
-        return self._cache[key]
+                iu = np.floor(self.u).astype(np.int64, copy=False)
+                iv = np.floor(self.v).astype(np.int64, copy=False)
+            idx = np.flatnonzero((iu >= 0) & (iu < w) & (iv >= 0) & (iv < h))
+            self._cache[shape] = (idx, iv[idx] * w + iu[idx])
+        return self._cache[shape]
 
 
-def project_cloud(cloud: PointCloud, calib: CalibrationSet) -> CloudProjection:
-    """Project a lidar cloud once: camera-frame points, pixels and validity."""
-    camera = lidar_to_camera(cloud, calib)
-    uv, valid = project_to_image(camera, calib)
-    return CloudProjection(camera, uv, valid)
+def _blocks(n: int) -> list[tuple[int, int]]:
+    """(start, stop) rows of each block of n; a lone tail row joins the one before."""
+    starts = list(range(0, n, BLOCK_ROWS)) or [0]
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def project_cloud(
+    cloud: PointCloud, calib: CalibrationSet, image_size: tuple[int, int] | None = None
+) -> CloudProjection:
+    """Project a lidar cloud once, keeping the rows that can be frustum members.
+
+    Each block goes through ``lidar_to_camera`` and ``project_to_image``;
+    with `image_size` (W, H) only the points inside the image are kept.
+    """
+    kept = []  # (camera points, u, v) of each block
+    for start, stop in _blocks(len(cloud)):
+        camera = lidar_to_camera(cloud.select(slice(start, stop)), calib)
+        uv, keep = project_to_image(camera, calib)
+        u, v = uv[:, 0], uv[:, 1]
+        if image_size is not None:
+            w, h = image_size
+            keep &= (u >= 0) & (u < w) & (v >= 0) & (v < h)
+        idx = np.flatnonzero(keep)
+        kept.append((camera.points[idx], u[idx], v[idx]))
+    points, u, v = (np.concatenate(part) for part in zip(*kept))
+    return CloudProjection(PointCloud._wrap(points, Frame.CAMERA), u, v, image_size)
 
 
 def _clamped_bbox(det: Detection2D) -> tuple[float, float, float, float]:
@@ -153,10 +170,11 @@ def points_in_box_frustum(projection: CloudProjection, det: Detection2D) -> Poin
     Membership uses the half-open convention u_min <= u < u_max (likewise v)
     on the image-clamped box; points behind the camera are never members.
     """
-    idx, u, v = projection.box_candidates(det.image_size)
+    projection.require_crop(det.image_size)
     u0, v0, u1, v1 = _clamped_bbox(det)
+    u, v = projection.u, projection.v
     inside = (u >= u0) & (u < u1) & (v >= v0) & (v < v1)
-    return projection.camera.select(idx[inside])
+    return projection.camera.select(np.flatnonzero(inside))
 
 
 def points_in_mask_frustum(projection: CloudProjection, det: Detection2D) -> PointCloud:
@@ -167,6 +185,7 @@ def points_in_mask_frustum(projection: CloudProjection, det: Detection2D) -> Poi
     detection bbox this is a subset of the box-frustum result.
     """
     mask = det.mask.load()
+    projection.require_crop((mask.shape[1], mask.shape[0]))
     idx, flat = projection.pixel_index(mask.shape)
     hit = mask.reshape(-1)[flat] > 0
     return projection.camera.select(idx[hit])

@@ -37,12 +37,14 @@ from .errors import (
     MissingCalibKey,
     NonFiniteBox,
     NonFinitePoint,
+    PointOutOfRange,
     ShapeError,
     TruncatedPointcloud,
     ZeroAreaBox,
 )
 
 POINT_RECORD_BYTES = 16  # four little-endian float32 per point
+MAX_POINT_RANGE_M = 1e4  # no lidar reaches 10 km: a farther point is a corrupt record
 
 
 def wrap_angle(angle: float) -> float:
@@ -103,7 +105,7 @@ class PointCloud:
         return self.points.shape[0]
 
     def select(self, mask: np.ndarray) -> "PointCloud":
-        """Subset by boolean mask or index array, preserving point order."""
+        """Subset by boolean mask, index array or slice, preserving point order."""
         return PointCloud._wrap(self.points[mask], self.frame)
 
     def with_points(self, points: np.ndarray, frame: Frame) -> "PointCloud":
@@ -137,6 +139,17 @@ class CalibrationSet:
             raise BadCalibration(f"R0_rect not orthonormal (|R R^T - I| = {err:g})")
         if det <= 0:
             raise BadCalibration("Tr_velo_to_cam rotation block has det <= 0")
+
+
+def apply_affine(points: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """[p;1] . m^T for each row p of (N, 3) points and a 3x4 matrix, as a fresh array.
+
+    No homogeneous (N, 4) copy: from two rows on this rounds as that product.
+    """
+    out = points @ m[:, :3].T
+    for k in range(3):  # column by column: a broadcast (N, 3) add is 2x slower
+        out[:, k] += m[k, 3]
+    return out
 
 
 def parse_calibration(text: str, frame_id: str = "") -> CalibrationSet:
@@ -183,7 +196,8 @@ def parse_calibration(text: str, frame_id: str = "") -> CalibrationSet:
 def load_pointcloud(data: bytes) -> PointCloud:
     """Decode a velodyne binary: consecutive float32 LE (x, y, z, intensity).
 
-    Every value must be finite; the intensity is checked, then dropped.
+    Every value must be finite and every coordinate within
+    MAX_POINT_RANGE_M of the sensor; the intensity is checked, then dropped.
     """
     if len(data) % POINT_RECORD_BYTES != 0:
         raise TruncatedPointcloud(
@@ -192,7 +206,11 @@ def load_pointcloud(data: bytes) -> PointCloud:
     raw = np.frombuffer(data, dtype="<f4").reshape(-1, 4)
     if not np.isfinite(raw[:, 3]).all():
         raise NonFinitePoint("pointcloud contains non-finite intensities")
-    return PointCloud(raw[:, :3], Frame.LIDAR)
+    cloud = PointCloud(raw[:, :3], Frame.LIDAR)
+    if len(cloud) and not (cloud.points.min() >= -MAX_POINT_RANGE_M
+                           and cloud.points.max() <= MAX_POINT_RANGE_M):
+        raise PointOutOfRange(f"a coordinate lies beyond {MAX_POINT_RANGE_M:g} m")
+    return cloud
 
 
 # --- P5 PGM masks ----------------------------------------------------------
@@ -452,23 +470,29 @@ def parse_labels(text: str) -> list[LabelRecord]:
     return out
 
 
-def _projected_bbox(
-    box: Box3D, calib: CalibrationSet, image_dims: tuple[int, int]
-) -> tuple[float, float, float, float]:
-    """2D bbox of the projected box corners, clamped to the image."""
-    corners = box.corners()
-    hom = np.hstack([corners, np.ones((8, 1))])
-    uvw = hom @ calib.P2.T
-    valid = corners[:, 2] > 0
-    if not valid.any():
-        return (0.0, 0.0, 0.0, 0.0)
-    uv = uvw[valid, :2] / uvw[valid, 2:3]
+def _projected_bboxes(
+    boxes: list[Box3D], calib: CalibrationSet, image_dims: tuple[int, int]
+) -> np.ndarray:
+    """(K, 4) 2D bboxes of the boxes' projected corners, clamped to the image.
+
+    Corners behind the camera are left out; a box with none in front gets
+    an all-zero bbox. All corners of the frame go through one product.
+    """
+    corners = np.concatenate([box.corners() for box in boxes])  # (8K, 3)
+    uvw = apply_affine(corners, calib.P2)
+    front = (corners[:, 2] > 0).reshape(-1, 8)
+    with np.errstate(divide="ignore", invalid="ignore"):  # corners behind: masked
+        u = (uvw[:, 0] / uvw[:, 2]).reshape(-1, 8)
+        v = (uvw[:, 1] / uvw[:, 2]).reshape(-1, 8)
     w_img, h_img = image_dims
-    u0 = float(np.clip(uv[:, 0].min(), 0.0, w_img))
-    u1 = float(np.clip(uv[:, 0].max(), 0.0, w_img))
-    v0 = float(np.clip(uv[:, 1].min(), 0.0, h_img))
-    v1 = float(np.clip(uv[:, 1].max(), 0.0, h_img))
-    return (u0, v0, u1, v1)
+    bboxes = np.column_stack([
+        np.clip(np.where(front, u, np.inf).min(axis=1), 0.0, w_img),
+        np.clip(np.where(front, v, np.inf).min(axis=1), 0.0, h_img),
+        np.clip(np.where(front, u, -np.inf).max(axis=1), 0.0, w_img),
+        np.clip(np.where(front, v, -np.inf).max(axis=1), 0.0, h_img),
+    ])
+    bboxes[~front.any(axis=1)] = 0.0
+    return bboxes
 
 
 def write_results(
@@ -479,12 +503,13 @@ def write_results(
     Round-trip property: ``parse_labels(write_results(boxes))`` reproduces
     every Box3D field to 1e-4 (yaw compared modulo 2*pi).
     """
+    if not boxes:
+        return ""
     lines = []
-    for box in boxes:
+    for box, (u0, v0, u1, v1) in zip(boxes, _projected_bboxes(boxes, calib, image_dims)):
         x, y, z = box.center
         w, l, h = box.size
         alpha = wrap_angle(box.yaw - math.atan2(x, z))
-        u0, v0, u1, v1 = _projected_bbox(box, calib, image_dims)
         lines.append(
             f"{box.class_name.capitalize()} -1 -1 {alpha:.4f} "
             f"{u0:.4f} {v0:.4f} {u1:.4f} {v1:.4f} "

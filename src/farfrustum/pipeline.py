@@ -242,8 +242,9 @@ def process_frame(
 ) -> list[Box3D]:
     """Run the faraway branch over all detections and merge with fallback.
 
-    The cloud is projected once for the frame, and each detection's frustum
-    is cut from that projection; params default to zero weights. Detections
+    The cloud is projected once for the frame, cropped to config.image_size,
+    and each detection's frustum is cut from that projection (CropMismatch
+    for a detection of another image size); params default to zero weights. Detections
     whose frustum holds fewer than min_frustum_points points, or whose class
     is not listed or has no threshold, are skipped; near-range ones are
     routed to the fallback detector (all three are counted, never fatal).
@@ -262,7 +263,7 @@ def process_frame(
         )
     faraway = partial(is_faraway, thresholds=config.thresholds)
     ours: list[Box3D] = []
-    projection = project_cloud(cloud, calib) if detections else None
+    projection = project_cloud(cloud, calib, config.image_size) if detections else None
     for index, det in enumerate(detections):
         stats.detections += 1
         try:
@@ -371,6 +372,8 @@ def load_frame_inputs(
         for det in detections:
             if det.frame_id != frame_id:
                 raise MalformedDetectionLine(f"a line of frame {det.frame_id!r}")
+            if det.mask is not None and not det.mask.path.is_file():
+                raise MissingFrameData(f"missing mask file: {det.mask.path}")
     fallback_boxes: list[Box3D] = []
     fallback_dir = root / "fallback"
     if fallback_dir.is_dir():

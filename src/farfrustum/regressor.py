@@ -560,7 +560,7 @@ def build_training_set(
 
     Detections are matched to same-class ground truth greedily by score at
     2D IoU >= 0.5. Each match runs frustum_raster on its frame's projection
-    (one per frame); targets are the ground-truth center minus the
+    (one per frame, cropped to config.image_size); targets are the ground-truth center minus the
     estimated centroid (expressed in the frustum frame), the ground-truth
     size, and the ground-truth yaw minus the frustum rotation. Returns
     (samples, number of ground-truth objects skipped).
@@ -593,7 +593,7 @@ def build_training_set(
         if not pairs:
             continue
 
-        projection = project_cloud(clouds[frame_id], calib)
+        projection = project_cloud(clouds[frame_id], calib, config.image_size)
         for gi, det in pairs:
             rec = gt[gi]
             try:

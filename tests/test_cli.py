@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from farfrustum import regressor
 from farfrustum.cli import main
@@ -475,22 +477,30 @@ def test_version_1_checkpoint_exits_1_naming_the_path(mini_dataset, tmp_path, ca
     assert "Traceback" not in err
 
 
+# the entries scaled: Tr's rotation block, or P2's two focal lengths
+OVERFLOWED = {"Tr_velo_to_cam": ((0, 1, 2, 4, 5, 6, 8, 9, 10), 1e308), "P2": ((0, 5), 1e305)}
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("verb", ["run", "train", "stats", "plot"])
+@pytest.mark.parametrize("verb, key", [
+    ("run", "Tr_velo_to_cam"), ("train", "Tr_velo_to_cam"), ("stats", "Tr_velo_to_cam"),
+    ("plot", "Tr_velo_to_cam"), ("run", "P2"), ("train", "P2"),
+], ids=["run", "train", "stats", "plot", "run P2", "train P2"])
 def test_overflowing_calibration_exits_1_naming_the_file(
-    mini_dataset, tmp_path, capsys, verb
+    mini_dataset, tmp_path, capsys, verb, key
 ):
-    # finite, parseable and right-handed, but any point maps out of float range
+    # finite, parseable and right-handed, but points map out of float range
     root = tmp_path / "data"
     shutil.copytree(mini_dataset.root, root)
     path = root / "calib" / "000000.txt"
     lines = path.read_text().splitlines()
+    entries, scale = OVERFLOWED[key]
     for k, line in enumerate(lines):
-        if line.startswith("Tr_velo_to_cam:"):
+        if line.startswith(f"{key}:"):
             values = [float(t) for t in line.split(":")[1].split()]
-            for i in (0, 1, 2, 4, 5, 6, 8, 9, 10):
-                values[i] *= 1e308
-            lines[k] = "Tr_velo_to_cam: " + " ".join(map(repr, values))
+            for i in entries:
+                values[i] *= scale
+            lines[k] = f"{key}: " + " ".join(map(repr, values))
     path.write_text("\n".join(lines) + "\n")
     extra = {"run": ["--out", tmp_path / "out"], "stats": [],
              "train": ["--out", tmp_path / "reg.ckpt", "--epochs", "2"],
@@ -507,6 +517,9 @@ BAD_FILES = {
     "velodyne": ("run", "velodyne/000000.bin", bytes(13)),
     "velodyne intensity": ("run", "velodyne/000000.bin", struct.pack("<4f", 1, 2, 3, math.nan)),
     "detections": ("run", "detections_2d/000000.txt", b"000000 car 0.9 1 2\n"),
+    "missing mask": ("run", "detections_2d/000000.txt", b"000000 car 0.9 1 2 3 4 no.pgm\n"),
+    "mask path with NUL": ("run", "detections_2d/000000.txt",
+                           b"000000 car 0.9 1 2 3 4 m\x00.pgm\n"),
     "fallback": ("run", "fallback/000000.txt", b"Car 0 0\n"),
     "labels": ("eval", "label_2/000000.txt", b"Car 0 0 0\n"),
     "labels not text": ("eval", "label_2/000000.txt", b"Car \xff\xfe\n"),
@@ -532,6 +545,43 @@ def test_malformed_input_file_exits_1_naming_the_file(
     assert code == 1
     assert str(path) in err
     assert "Traceback" not in err
+
+
+INPUT_DIRS = ("velodyne", "calib", "detections_2d", "fallback", "label_2")
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_corrupted_input_file_exits_0_or_1_naming_it(mini_dataset, tmp_path, capsys, data):
+    """Overwrite a byte range of one dataset file: never a traceback or another code."""
+    root = tmp_path / "data"
+    if not root.exists():  # one copy for every example; each restores its file
+        shutil.copytree(mini_dataset.root, root)
+    names = sorted(str(p.relative_to(root)) for sub in INPUT_DIRS
+                   for p in (root / sub).rglob("*") if p.is_file())
+    path = root / data.draw(st.sampled_from(names), label="file")
+    original = path.read_bytes()
+    start = data.draw(st.integers(0, len(original)), label="start")
+    stop = data.draw(st.integers(start, min(len(original), start + 16)), label="stop")
+    junk = data.draw(st.binary(max_size=16), label="bytes")
+    path.write_bytes(original[:start] + junk + original[stop:])
+    out = tmp_path / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    try:
+        for verb, extra in (
+            ("run", ["--out", out]),
+            ("eval", ["--results", out]),
+            ("train", ["--out", tmp_path / "reg.ckpt", "--epochs", "2"]),
+        ):
+            code = run_cli(verb, f"data_root={root}", *extra)
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert code in (0, 1), (verb, err)
+            if code == 1:
+                assert str(path) in err, (verb, err)
+    finally:
+        path.write_bytes(original)
 
 
 def test_stats_scatter_contains_reference_line():

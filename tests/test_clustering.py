@@ -28,6 +28,16 @@ class TestAxisHistogram:
         with pytest.raises(ConfigError, match="bin_width"):
             axis_histogram([1.0], 0.0)
 
+    @pytest.mark.parametrize("values, width", [
+        ([0.0, 1.0], 1e-310),           # the bin count overflows to inf
+        ([0.0, 1.0], 1e-7),             # ten million bins per metre
+        ([-8e3, 8e3], 0.01),            # a spread far wider than any frustum
+        ([-1e308, 1e308], 0.1),         # the spread itself overflows
+    ])
+    def test_too_many_bins_is_refused_before_allocating(self, values, width):
+        with pytest.raises(ConfigError, match="bins"):
+            axis_histogram(values, width)
+
     def test_edges_contiguous_and_counts_sum(self):
         rng = np.random.default_rng(2)
         values = rng.uniform(-3, 3, 200)

@@ -1,13 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from farfrustum.errors import BadCalibration, FrameMismatch, NonFinitePoint
+from farfrustum.errors import BadCalibration, CropMismatch, FrameMismatch, NonFinitePoint
 from farfrustum.geometry import (
-    CloudProjection,
+    BLOCK_ROWS,
     frustum_rotation,
     lidar_to_camera,
     points_in_box_frustum,
@@ -304,7 +305,8 @@ def _reference_image(cam, calib):
     return uv, (cam[:, 2] > 0) & np.isfinite(uv).all(axis=1)
 
 
-def _reference_box_candidates(uv, valid, image_size):
+def _reference_crop(cam, uv, valid, image_size):
+    """The rows a projection cropped to `image_size` keeps: points, u and v."""
     keep = valid
     if image_size is not None:
         w, h = image_size
@@ -312,18 +314,15 @@ def _reference_box_candidates(uv, valid, image_size):
         with np.errstate(invalid="ignore"):
             keep = keep & (u >= 0) & (u < w) & (v >= 0) & (v < h)
     idx = np.flatnonzero(keep)
-    return idx, uv[idx, 0], uv[idx, 1]
+    return cam[idx], uv[idx, 0], uv[idx, 1]
 
 
-def _reference_pixel_index(uv, valid, shape):
+def _reference_pixel_index(u, v, shape):
     h, w = shape
-    with np.errstate(invalid="ignore"):
-        iu = np.floor(uv[:, 0]).astype(np.int64, copy=False)
-        iv = np.floor(uv[:, 1]).astype(np.int64, copy=False)
-    iu = np.where(valid, iu, -1)
-    iv = np.where(valid, iv, -1)
-    idx = np.flatnonzero((iu >= 0) & (iu < w) & (iv >= 0) & (iv < h))
-    return idx, iv[idx] * w + iu[idx]
+    pixels = [(k, math.floor(a), math.floor(b)) for k, (a, b) in enumerate(zip(u, v))]
+    inside = [(k, iv * w + iu) for k, iu, iv in pixels if 0 <= iu < w and 0 <= iv < h]
+    idx = np.array([k for k, _ in inside], dtype=np.int64)
+    return idx, np.array([flat for _, flat in inside], dtype=np.int64)
 
 
 def _assert_same_bytes(got, want, exact=True):
@@ -349,6 +348,28 @@ def _kitti_like_calibration(rng):
                           Tr_velo_to_cam=calib.Tr_velo_to_cam)
 
 
+# maps lidar (u, v, 1) to the pixel (u, v) exactly
+UNIT_CALIB = CalibrationSet(
+    P2=np.hstack([np.eye(3), np.zeros((3, 1))]),
+    R0_rect=np.eye(3),
+    Tr_velo_to_cam=np.hstack([np.eye(3), np.zeros((3, 1))]),
+)
+
+
+def _check_crops(pts, calib, rng, exact):
+    """Each crop of the projection holds the reference rows valid & inside."""
+    cam, uv, valid = _reference_projection(pts, calib)
+    small = (int(rng.integers(1, 50)), int(rng.integers(1, 50)))
+    for size in (None, (1242, 375), small):
+        projection = project_cloud(PointCloud(pts, Frame.LIDAR), calib, size)
+        want = _reference_crop(cam, uv, valid, size)
+        _assert_same_bytes((projection.camera.points, projection.u, projection.v),
+                           want, exact)
+        for shape in ((375, 1242), small[::-1]) if size is None else (size[::-1],):
+            _assert_same_bytes(projection.pixel_index(shape),
+                               _reference_pixel_index(want[1], want[2], shape))
+
+
 def _check_projection_bytes(rng, n):
     # numpy hands a one-row product to BLAS gemv, whose dot kernel sums a
     # 4-long homogeneous row in another order than a 3-long one; the
@@ -357,34 +378,23 @@ def _check_projection_bytes(rng, n):
     exact = n != 1
     calib = _kitti_like_calibration(rng)
     pts = rng.uniform(-80, 80, size=(n, 3))
-    projection = project_cloud(PointCloud(pts, Frame.LIDAR), calib)
-    cam, uv, valid = _reference_projection(pts, calib)
-    _assert_same_bytes((projection.camera.points, projection.uv, projection.valid),
-                       (cam, uv, valid), exact)
+    _check_crops(pts, calib, rng, exact)
     # camera points on, behind and just in front of the image plane; a tiny
     # positive depth projects to a huge finite pixel
-    cam = cam.copy()
+    cam = _reference_projection(pts, calib)[0]
     special = rng.integers(0, 4, size=n)
     cam[special == 0, 2] = 0.0
     cam[special == 1, 2] *= -1.0
     cam[special == 2, 2] = rng.choice([1e-304, 1e-300, 1e-12, 1e-3],
                                       size=int((special == 2).sum()))
-    camera = PointCloud(cam, Frame.CAMERA)
-    uv, valid = project_to_image(camera, calib)
+    uv, valid = project_to_image(PointCloud(cam, Frame.CAMERA), calib)
     _assert_same_bytes((uv, valid), _reference_image(cam, calib), exact)
-    # valid pixels on and next to every image edge below, which the
-    # half-open tests split
-    uv = uv.copy()
-    edge = valid & (rng.uniform(size=n) < 0.2)
+    # pixels on and next to every image edge, which the half-open tests
+    # split, at unit depth; on, behind and just in front of the image plane
     edges = np.concatenate([[-1.0, -0.0, 374.0, 375.0, 1241.0, 1242.0], np.arange(51.0)])
-    uv[edge] = rng.choice(edges, size=(int(edge.sum()), 2))
-    projection = CloudProjection(camera, uv, valid)
-    for size in (None, (1242, 375), (int(rng.integers(1, 50)), int(rng.integers(1, 50)))):
-        _assert_same_bytes(projection.box_candidates(size),
-                           _reference_box_candidates(uv, valid, size))
-    for shape in ((375, 1242), (int(rng.integers(1, 50)), int(rng.integers(1, 50)))):
-        _assert_same_bytes(projection.pixel_index(shape),
-                           _reference_pixel_index(uv, valid, shape))
+    pts = np.column_stack([rng.choice(edges, size=(n, 2)),
+                           rng.choice([1.0, 1.0, 1.0, 0.0, -1.0, 1e-304], size=n)])
+    _check_crops(pts, UNIT_CALIB, rng, exact)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -395,8 +405,63 @@ def test_projection_is_byte_identical_to_homogeneous_reference(seed, n):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+def test_projection_is_byte_identical_across_block_edges(n):
+    _check_projection_bytes(np.random.default_rng(n), n)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_projection_is_byte_identical_at_kitti_scale():
     _check_projection_bytes(np.random.default_rng(120_000), 120_000)
+
+
+def _lidar_sweep(n, seed=0):
+    """A 360-degree sweep of n points, 2-80 m out; about a sixth lie in the image."""
+    rng = np.random.default_rng(seed)
+    azimuth = rng.uniform(-math.pi, math.pi, n)
+    elevation = rng.uniform(-0.43, 0.05, n)
+    dist = rng.uniform(2.0, 80.0, n)
+    flat = dist * np.cos(elevation)
+    pts = np.column_stack([flat * np.cos(azimuth), flat * np.sin(azimuth),
+                           dist * np.sin(elevation) + 1.7])
+    return PointCloud(pts, Frame.LIDAR)
+
+
+def test_cropped_projection_peaks_below_3_mb(simple_calib):
+    # a temporary over the whole 120k-point cloud (2.9 MB for its camera
+    # points alone) would show here
+    cloud = _lidar_sweep(120_000)
+    tracemalloc.start()
+    try:
+        projection = project_cloud(cloud, simple_calib, (1242, 375))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < len(projection.camera) < len(cloud) // 4
+    assert peak < 3e6
+
+
+class TestCropMismatch:
+    SIZE = (64, 32)  # (W, H)
+
+    @pytest.mark.parametrize("image_size", [None, (63, 32), (64, 33)])
+    def test_box_detection_sized_otherwise_raises(self, image_size):
+        projection = project_cloud(PointCloud([[0, 0, 10]], Frame.LIDAR), UNIT_CALIB,
+                                   self.SIZE)
+        det = make_det((0.0, 0.0, 1.0, 1.0), image_size=image_size)
+        with pytest.raises(CropMismatch):
+            points_in_box_frustum(projection, det)
+
+    @pytest.mark.parametrize("mask_size", [(63, 32), (64, 33)])
+    def test_mask_sized_otherwise_raises(self, tmp_path, mask_size):
+        w, h = mask_size
+        write_pgm(tmp_path / "m.pgm", np.full((h, w), 255, dtype=np.uint8))
+        projection = project_cloud(PointCloud([[0, 0, 10]], Frame.LIDAR), UNIT_CALIB,
+                                   self.SIZE)
+        det = make_det((0.0, 0.0, 1.0, 1.0), image_size=self.SIZE,
+                       mask=MaskRef(tmp_path / "m.pgm", mask_size))
+        with pytest.raises(CropMismatch):
+            points_in_mask_frustum(projection, det)
 
 
 class TestFrustumRotation:

@@ -20,11 +20,14 @@ from farfrustum.errors import (
     MaskDimMismatch,
     MissingCalibKey,
     NonFinitePoint,
+    PointOutOfRange,
     ShapeError,
     TruncatedPointcloud,
 )
 from farfrustum.kitti_io import (
+    MAX_POINT_RANGE_M,
     Box3D,
+    CalibrationSet,
     Frame,
     MaskRef,
     load_pointcloud,
@@ -150,6 +153,16 @@ class TestLoadPointcloud:
         data = struct.pack("<8f", 1, 2, 3, 0.5, 4, 5, 6, math.inf)
         with pytest.raises(NonFinitePoint):
             load_pointcloud(data)
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_point_beyond_lidar_range(self, column, sign):
+        record = [1.0, 2.0, 3.0, 0.5]
+        record[column] = sign * MAX_POINT_RANGE_M
+        assert len(load_pointcloud(struct.pack("<8f", 0, 0, 0, 0, *record))) == 2
+        record[column] = sign * 2 * MAX_POINT_RANGE_M
+        with pytest.raises(PointOutOfRange):
+            load_pointcloud(struct.pack("<8f", 0, 0, 0, 0, *record))
 
     @given(st.binary(max_size=200))
     @settings(max_examples=300, deadline=None)
@@ -465,6 +478,45 @@ def test_wrap_angle_boundaries():
     assert wrap_angle(-math.pi) == pytest.approx(math.pi)
     assert wrap_angle(0.0) == 0.0
     assert wrap_angle(2 * math.pi + 0.25) == pytest.approx(0.25)
+
+
+def _reference_bbox(box, calib, image_dims):
+    """One box's homogeneous projection, the form write_results must reproduce."""
+    corners = box.corners()
+    uvw = np.hstack([corners, np.ones((8, 1))]) @ calib.P2.T
+    front = corners[:, 2] > 0
+    if not front.any():
+        return (0.0, 0.0, 0.0, 0.0)
+    uv = uvw[front, :2] / uvw[front, 2:3]
+    w, h = image_dims
+    return (float(np.clip(uv[:, 0].min(), 0.0, w)), float(np.clip(uv[:, 1].min(), 0.0, h)),
+            float(np.clip(uv[:, 0].max(), 0.0, w)), float(np.clip(uv[:, 1].max(), 0.0, h)))
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
+@settings(max_examples=100, deadline=None)
+def test_written_2d_boxes_match_the_per_box_projection(seed, n):
+    rng = np.random.default_rng(seed)
+    calib = default_calibration()
+    if rng.uniform() < 0.5:  # KITTI's P2 carries a non-zero 4th column
+        p2 = calib.P2.copy()
+        p2[:, 3] = [44.857, 0.2163, 0.002746]
+        calib = CalibrationSet(P2=p2, R0_rect=calib.R0_rect,
+                               Tr_velo_to_cam=calib.Tr_velo_to_cam)
+    boxes = []
+    for _ in range(n):
+        w, l, h = rng.uniform(0.5, 5.0, 3)
+        # in view, past an image edge, straddling the image plane, behind it,
+        # or with corners exactly on it (yaw 0 puts corners at z +- w/2)
+        z = rng.choice([rng.uniform(1.0, 80.0), rng.uniform(-3.0, 3.0), -20.0, w / 2])
+        yaw = 0.0 if z == w / 2 else rng.uniform(-math.pi, math.pi)
+        center = (rng.uniform(-30.0, 30.0), rng.uniform(-2.0, 4.0), z)
+        boxes.append(Box3D(center, yaw, (w, l, h), "car", 0.5))
+    lines = write_results(boxes, calib, (1242, 375)).splitlines()
+    assert len(lines) == n
+    for line, box in zip(lines, boxes):
+        want = " ".join(f"{c:.4f}" for c in _reference_bbox(box, calib, (1242, 375)))
+        assert " ".join(line.split()[4:8]) == want
 
 
 def test_default_calibration_is_valid():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from farfrustum import geometry
 from farfrustum.errors import (
     ConfigError,
+    CropMismatch,
     MalformedDetectionLine,
     MissingFrameData,
     NonFiniteBox,
@@ -240,6 +241,32 @@ def test_process_frame_projects_once(simple_calib, monkeypatch, n_dets):
                           PipelineConfig(frustum_mode="box"))
     assert len(boxes) == n_dets
     assert calls == {"lidar_to_camera": 1, "project_to_image": 1}
+
+
+def test_process_frame_passes_every_point_through_lidar_to_camera_once(
+    simple_calib, monkeypatch
+):
+    planted, det, _ = _planted_scene(simple_calib)
+    rng = np.random.default_rng(3)
+    clutter = rng.uniform(-40.0, 40.0, size=(3 * geometry.BLOCK_ROWS + 7, 3))
+    cloud = PointCloud(np.vstack([clutter, planted.points]), Frame.LIDAR)
+    blocks = []
+
+    def recorded(block, calib, _fn=geometry.lidar_to_camera):
+        blocks.append(block.points)
+        return _fn(block, calib)
+
+    monkeypatch.setattr(geometry, "lidar_to_camera", recorded)
+    process_frame(cloud, [det], [], simple_calib, PipelineConfig(frustum_mode="box"))
+    assert len(blocks) == 4
+    np.testing.assert_array_equal(np.vstack(blocks), cloud.points)
+
+
+def test_process_frame_refuses_a_detection_sized_otherwise(simple_calib):
+    cloud, det, _ = _planted_scene(simple_calib)
+    config = PipelineConfig(frustum_mode="box", image_size=(1242, 376))
+    with pytest.raises(CropMismatch):
+        process_frame(cloud, [det], [], simple_calib, config)
 
 
 @pytest.mark.parametrize("mode", ["mask", "box"])
