@@ -14,7 +14,7 @@ from . import evaluation, plots, regressor
 from .errors import ConfigError, FarFrustumError
 from .geometry import lidar_to_camera
 from .pipeline import PipelineConfig, config_mapping, load_frame_inputs, naming, read_boxes
-from .pipeline import naming_calibration, run_dataset
+from .pipeline import run_dataset
 from .regressor import TrainConfig, build_training_set
 
 
@@ -136,12 +136,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     config = _build_config(args)
     inputs = _labeled_inputs(args, config)
-    stats = []
-    for f in sorted(inputs):  # the frame order points_per_object_stats uses
-        with naming_calibration(config.data_root, f):
-            stats += evaluation.points_per_object_stats(
-                {f: inputs[f].labels}, {f: inputs[f].cloud}, {f: inputs[f].calib}
-            )
+    stats = evaluation.points_per_object_stats(
+        {f: i.labels for f, i in inputs.items()},
+        {f: i.cloud for f, i in inputs.items()},
+        {f: i.calib for f, i in inputs.items()},
+    )
     print(f"{'frame':<10} {'class':<12} {'depth_m':>8} {'points':>7}")
     for s in stats:
         print(f"{s.frame_id:<10} {s.class_name:<12} {s.depth:>8.2f} {s.count:>7}")
@@ -154,8 +153,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_plot(args: argparse.Namespace) -> int:
     config = _build_config(args)
     inputs = load_frame_inputs(config.data_root, args.frame, config)
-    with naming_calibration(config.data_root, args.frame):
-        cam = lidar_to_camera(inputs.cloud, inputs.calib)
+    cam = lidar_to_camera(inputs.cloud, inputs.calib)
     points_xz = cam.points[:, [0, 2]]
     gt_boxes = []
     if inputs.labels:
@@ -182,15 +180,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     for name in config.classes:
         priors.setdefault(name, config.size_priors.get(name, (1.0, 1.0, 1.0)))
-    samples, skipped = [], 0
-    for f in sorted(inputs):  # the frame order build_training_set uses
-        i = inputs[f]
-        with naming_calibration(config.data_root, f):
-            got, missed = build_training_set(
-                {f: i.cloud}, {f: i.detections}, {f: i.labels}, {f: i.calib}, config
-            )
-        samples += got
-        skipped += missed
+    samples, skipped = build_training_set(
+        {f: i.cloud for f, i in inputs.items()},
+        {f: i.detections for f, i in inputs.items()},
+        {f: i.labels for f, i in inputs.items()},
+        {f: i.calib for f, i in inputs.items()},
+        config,
+    )
     if not samples:
         raise FarFrustumError("no training samples could be built from the dataset")
     hyper = TrainConfig(

@@ -53,6 +53,13 @@ def axis_histogram(values: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH) -> 
     return AxisHistogram(edge_vals, counts)
 
 
+def modal_midpoint(values: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH) -> float:
+    """Midpoint of the fullest bin of axis_histogram(values); ties go to the lowest bin."""
+    edges, counts = axis_histogram(values, bin_width)
+    i = int(np.argmax(counts))
+    return 0.5 * (float(edges[i]) + float(edges[i + 1]))
+
+
 def estimate_centroid(
     cloud: PointCloud, bin_width: float = DEFAULT_BIN_WIDTH
 ) -> tuple[float, float, float]:
@@ -63,9 +70,5 @@ def estimate_centroid(
     """
     if len(cloud) == 0:
         raise EmptyCluster("cannot estimate a centroid from zero points")
-    mids = []
-    for col in range(3):
-        edges, counts = axis_histogram(cloud.points[:, col], bin_width)
-        i = int(np.argmax(counts))  # ties go to the lowest bin
-        mids.append(0.5 * (float(edges[i]) + float(edges[i + 1])))
-    return (mids[0], mids[1], mids[2])
+    x, y, z = (modal_midpoint(cloud.points[:, col], bin_width) for col in range(3))
+    return (x, y, z)

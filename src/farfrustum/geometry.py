@@ -9,20 +9,26 @@ once per frame. ``project_cloud`` keeps only the points that can be frustum
 members: those in front of the camera with finite pixels and, given an
 image size (W, H), with 0 <= u < W and 0 <= v < H. The crop loses nothing,
 since a box clamped to the image and a mask of the image's size hold no
-other point. The cloud is projected in blocks of ``BLOCK_ROWS`` rows, so
+other point. Given an image size, a pre-test first drops the points that
+are certainly behind the camera or off the image, by one product with a
+6x3 matrix built once per frame; its margin, 2^-40 of the magnitude each
+tested value reaches on points within MAX_POINT_RANGE_M, dwarfs the
+rounding of either path, so the chain alone decides which of the other
+points are kept. The cloud is projected in blocks of ``BLOCK_ROWS`` rows, so
 each temporary has a block's size, not the cloud's, and the heap reuses it
-from block to block; only the kept rows are gathered. Each 3x4 transform
-is applied as an affine map (``kitti_io.apply_affine``). From two rows on
-it rounds as the homogeneous product, but numpy hands a one-row product to
-BLAS gemv, which rounds otherwise, so a lone tail row joins the block
-before it. ``points_in_box_frustum`` and ``points_in_mask_frustum`` cut
-each detection's frustum from that projection and refuse a detection whose
+from block to block; only candidate and kept rows are gathered. Each 3x4
+transform is applied as an affine map (``kitti_io.apply_affine``). From two
+rows on it rounds as the homogeneous product, but numpy hands a one-row
+product to BLAS gemv, which rounds otherwise, so a lone tail row joins the
+block before it and a lone candidate takes a neighbour along.
+``points_in_box_frustum`` and ``points_in_mask_frustum`` cut each
+detection's frustum from that projection and refuse a detection whose
 image size differs from the crop. All operations preserve point order, and
 a projection is never modified after it is built, so per-detection frustum
 extraction is safe to run in parallel.
 
-Clouds are checked where they enter (``kitti_io``); a transform only
-re-checks that its output is finite, as a huge calibration can overflow.
+Clouds and calibrations are bounded where they enter (``kitti_io``), so no
+product here overflows.
 """
 from __future__ import annotations
 
@@ -31,10 +37,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadCalibration, CropMismatch, FrameMismatch, NonFinitePoint
+from .errors import BadCalibration, CropMismatch, FrameMismatch
 from .kitti_io import CalibrationSet, Detection2D, Frame, PointCloud, apply_affine
 
 BLOCK_ROWS = 8192  # a block's temporaries (192 kB each) stay in L2 cache
+_SLACK = 2.0**-40  # >100x the relative rounding either path to a pre-test row adds
 
 
 def rot_y(angle: float) -> np.ndarray:
@@ -55,9 +62,8 @@ def _require_frame(cloud: PointCloud, frame: Frame) -> None:
 def lidar_to_camera(cloud: PointCloud, calib: CalibrationSet) -> PointCloud:
     """Map lidar points into the rectified camera frame: R0 . (Tr . [p;1])."""
     _require_frame(cloud, Frame.LIDAR)
-    with np.errstate(over="ignore", invalid="ignore"):  # with_points raises
-        rect = apply_affine(cloud.points, calib.Tr_velo_to_cam) @ calib.R0_rect.T
-    return cloud.with_points(rect, Frame.CAMERA)
+    rect = apply_affine(cloud.points, calib.Tr_velo_to_cam) @ calib.R0_rect.T
+    return PointCloud._wrap(rect, Frame.CAMERA)
 
 
 def project_to_image(
@@ -68,15 +74,11 @@ def project_to_image(
     Returns ((N, 2) pixel coordinates, (N,) validity); each pixel column is
     contiguous in memory. A point is valid when it lies in front of the
     camera (z > 0) and projects to finite pixels; invalid points keep their
-    slot so indices stay aligned with the input. Raises NonFinitePoint when
-    P2 carries a point out of float range; a tiny positive depth that only
+    slot so indices stay aligned with the input. A tiny positive depth that
     overflows the pixel division leaves the point invalid.
     """
     _require_frame(cloud, Frame.CAMERA)
-    with np.errstate(over="ignore", invalid="ignore"):  # raised below
-        uvw = apply_affine(cloud.points, calib.P2)
-    if not np.isfinite(uvw).all():
-        raise NonFinitePoint("P2 maps a point to non-finite image coordinates")
+    uvw = apply_affine(cloud.points, calib.P2)
     uv = np.empty((2, len(cloud)))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         np.divide(uvw[:, 0], uvw[:, 2], out=uv[0])
@@ -133,17 +135,49 @@ def _blocks(n: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n]))
 
 
+def _screen(
+    calib: CalibrationSet, image_size: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pre-test: a 6x3 matrix and the limit each row of its product must reach.
+
+    Rows: camera z, w, u*w, W*w - u*w, v*w, H*w - v*w, less their offsets.
+    Each limit is widened by _SLACK of the row's reach plus w's (a tiny
+    negative u rounds to -0.0); the w limit is raised, to mean w > 0.
+    """
+    w_img, h_img = image_size
+    camera = calib.R0_rect @ calib.Tr_velo_to_cam  # camera = R0 . (Tr . [p;1])
+    uw, vw, w = calib.P2 @ np.vstack([camera, [0.0, 0.0, 0.0, 1.0]])
+    rows = np.array([camera[2], w, uw, w_img * w - uw, vw, h_img * w - vw])
+    (_, _, rz), (ru, rv, rw) = calib.reach()
+    reach = np.array([rz, rw, ru, ru + w_img * rw, rv, rv + h_img * rw]) + rw
+    sign = np.array([-1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
+    return rows[:, :3], (sign * _SLACK * reach - rows[:, 3])[:, None]
+
+
+def _candidates(points: np.ndarray, matrix: np.ndarray, limits: np.ndarray) -> np.ndarray:
+    """Rows of a block not certainly behind the camera or off the image; never just one."""
+    passed = matrix @ points.T >= limits
+    rows = np.flatnonzero(passed[0] & (~passed[1] | passed[2:].all(axis=0)))
+    if len(rows) == 1 < len(points):
+        rows = np.arange(2) + max(rows[0] - 1, 0)
+    return rows
+
+
 def project_cloud(
     cloud: PointCloud, calib: CalibrationSet, image_size: tuple[int, int] | None = None
 ) -> CloudProjection:
     """Project a lidar cloud once, keeping the rows that can be frustum members.
 
-    Each block goes through ``lidar_to_camera`` and ``project_to_image``;
-    with `image_size` (W, H) only the points inside the image are kept.
+    Each block's candidate rows (every row without `image_size`) go through
+    ``lidar_to_camera`` and ``project_to_image``; with `image_size` (W, H)
+    only the points inside the image are kept.
     """
+    screen = _screen(calib, image_size) if image_size is not None else None
     kept = []  # (camera points, u, v) of each block
     for start, stop in _blocks(len(cloud)):
-        camera = lidar_to_camera(cloud.select(slice(start, stop)), calib)
+        block = slice(start, stop)
+        rows = block if screen is None else start + _candidates(cloud.points[block], *screen)
+        camera = lidar_to_camera(cloud.select(rows), calib)
         uv, keep = project_to_image(camera, calib)
         u, v = uv[:, 0], uv[:, 1]
         if image_size is not None:
@@ -201,12 +235,11 @@ def frustum_rotation(
     rotated by -theta about the camera vertical axis (norm-preserving).
     """
     _require_frame(cloud, Frame.CAMERA)
-    k = calib.P2[:, :3]
-    if abs(np.linalg.det(k)) < 1e-12:
+    if abs(calib.p2_left_det) < 1e-12:
         raise BadCalibration("left 3x3 of P2 is not invertible")
     u, v = det.bbox_center
-    ray = np.linalg.solve(k, np.array([u, v, 1.0]))
+    ray = np.linalg.solve(calib.P2[:, :3], np.array([u, v, 1.0]))
     theta = math.atan2(ray[0], ray[2])
     rotated = cloud.points @ rot_y(-theta).T
-    return cloud.with_points(rotated, Frame.FRUSTUM), theta
+    return PointCloud._wrap(rotated, Frame.FRUSTUM), theta
 

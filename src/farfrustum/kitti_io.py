@@ -15,11 +15,13 @@ different frames can be parsed in parallel.
 
 Point arrays are checked where they enter: by ``load_pointcloud`` and by
 the ``PointCloud`` constructor. Derived clouds wrap fresh arrays uncopied.
+A calibration is bounded when it is built, so no product of a checked
+cloud and its matrices overflows.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -45,6 +47,8 @@ from .errors import (
 
 POINT_RECORD_BYTES = 16  # four little-endian float32 per point
 MAX_POINT_RANGE_M = 1e4  # no lidar reaches 10 km: a farther point is a corrupt record
+# A 3x3 determinant or a pixel times an image size stays finite below this.
+MAX_CALIBRATION_MAGNITUDE = 1e100
 
 
 def wrap_angle(angle: float) -> float:
@@ -75,22 +79,21 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _require_finite(points: np.ndarray) -> np.ndarray:
-    if not np.isfinite(points).all():
-        raise NonFinitePoint("pointcloud contains non-finite coordinates")
-    return points
-
-
 @dataclass(frozen=True)
 class PointCloud:
-    """Ordered set of finite 3D points in a declared frame."""
+    """Ordered set of finite 3D points, within MAX_POINT_RANGE_M when from outside."""
 
     points: np.ndarray  # (N, 3) float64, read-only
     frame: Frame
 
     def __post_init__(self) -> None:  # copy and check an outside array
         pts = _readonly(self.points).reshape(-1, 3)
-        object.__setattr__(self, "points", _require_finite(pts))
+        if not np.isfinite(pts).all():
+            raise NonFinitePoint("pointcloud contains non-finite coordinates")
+        if len(pts) and not (pts.min() >= -MAX_POINT_RANGE_M
+                             and pts.max() <= MAX_POINT_RANGE_M):
+            raise PointOutOfRange(f"a coordinate lies beyond {MAX_POINT_RANGE_M:g} m")
+        object.__setattr__(self, "points", pts)
 
     @classmethod
     def _wrap(cls, points: np.ndarray, frame: Frame) -> "PointCloud":
@@ -108,19 +111,17 @@ class PointCloud:
         """Subset by boolean mask, index array or slice, preserving point order."""
         return PointCloud._wrap(self.points[mask], self.frame)
 
-    def with_points(self, points: np.ndarray, frame: Frame) -> "PointCloud":
-        """Wrap a transform's fresh output, checked: a huge transform can overflow."""
-        return PointCloud._wrap(_require_finite(points), frame)
-
 
 @dataclass(frozen=True)
 class CalibrationSet:
-    """Projection and mounting matrices for one frame."""
+    """Projection and mounting matrices for one frame; BadCalibration past
+    MAX_CALIBRATION_MAGNITUDE on an entry or on ``reach()``."""
 
     P2: np.ndarray               # 3x4 camera projection, pixels
     R0_rect: np.ndarray          # 3x3 rectification rotation
     Tr_velo_to_cam: np.ndarray   # 3x4 rigid lidar-to-camera transform, meters
     frame_id: str = ""
+    p2_left_det: float = field(init=False, repr=False, compare=False)  # det(P2[:, :3])
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "P2", _readonly(np.reshape(self.P2, (3, 4))))
@@ -128,13 +129,25 @@ class CalibrationSet:
         object.__setattr__(
             self, "Tr_velo_to_cam", _readonly(np.reshape(self.Tr_velo_to_cam, (3, 4)))
         )
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            biggest = np.abs(np.concatenate([self.P2.ravel(), self.R0_rect.ravel(),
+                                             self.Tr_velo_to_cam.ravel(), *self.reach()])).max()
+        if not biggest <= MAX_CALIBRATION_MAGNITUDE:
+            raise BadCalibration(f"an entry or a mapped {MAX_POINT_RANGE_M:g} m point exceeds "
+                                 f"{MAX_CALIBRATION_MAGNITUDE:g}: products could turn non-finite")
+        object.__setattr__(self, "p2_left_det", float(np.linalg.det(self.P2[:, :3])))
+
+    def reach(self) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds on |camera (x, y, z)| and |(u*w, v*w, w)| of a point within MAX_POINT_RANGE_M."""
+        r = MAX_POINT_RANGE_M
+        camera = np.abs(self.R0_rect) @ (np.abs(self.Tr_velo_to_cam) @ [r, r, r, 1.0])
+        return camera, np.abs(self.P2) @ np.append(camera, 1.0)
 
     def validate(self, tol: float = 1e-3) -> None:
         """Check rectification orthonormality and mounting-rotation handedness."""
         r = self.R0_rect
-        with np.errstate(over="ignore", invalid="ignore"):  # huge entries overflow
-            err = np.abs(r @ r.T - np.eye(3)).max()
-            det = np.linalg.det(self.Tr_velo_to_cam[:, :3])
+        err = np.abs(r @ r.T - np.eye(3)).max()
+        det = np.linalg.det(self.Tr_velo_to_cam[:, :3])
         if not err < tol:
             raise BadCalibration(f"R0_rect not orthonormal (|R R^T - I| = {err:g})")
         if det <= 0:
@@ -206,11 +219,7 @@ def load_pointcloud(data: bytes) -> PointCloud:
     raw = np.frombuffer(data, dtype="<f4").reshape(-1, 4)
     if not np.isfinite(raw[:, 3]).all():
         raise NonFinitePoint("pointcloud contains non-finite intensities")
-    cloud = PointCloud(raw[:, :3], Frame.LIDAR)
-    if len(cloud) and not (cloud.points.min() >= -MAX_POINT_RANGE_M
-                           and cloud.points.max() <= MAX_POINT_RANGE_M):
-        raise PointOutOfRange(f"a coordinate lies beyond {MAX_POINT_RANGE_M:g} m")
-    return cloud
+    return PointCloud(raw[:, :3], Frame.LIDAR)
 
 
 # --- P5 PGM masks ----------------------------------------------------------

@@ -26,7 +26,6 @@ from .errors import (
     MalformedDetectionLine,
     MissingFrameData,
     NonFiniteBox,
-    NonFinitePoint,
     UnknownClass,
     ZeroAreaBox,
 )
@@ -331,23 +330,6 @@ def naming(path: Path) -> Iterator[None]:
         raise FarFrustumError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def _calibration_path(root: str | Path, frame_id: str) -> Path:
-    return Path(root) / "calib" / f"{frame_id}.txt"
-
-
-@contextmanager
-def naming_calibration(root: str | Path, frame_id: str) -> Iterator[None]:
-    """Name the frame's calibration file on a NonFinitePoint from the block.
-
-    Clouds are finite where they enter, so only a huge calibration can carry
-    a projected point out of float range.
-    """
-    try:
-        yield
-    except NonFinitePoint as exc:
-        raise NonFinitePoint(f"{_calibration_path(root, frame_id)}: {exc}") from exc
-
-
 def read_boxes(path: Path) -> list[Box3D]:
     """The 3D boxes of a KITTI label or result file."""
     with naming(path):
@@ -355,14 +337,17 @@ def read_boxes(path: Path) -> list[Box3D]:
 
 
 def load_frame_inputs(
-    root: str | Path, frame_id: str, config: PipelineConfig
+    root: str | Path, frame_id: str, config: PipelineConfig, labels: bool = True
 ) -> FrameInputs:
-    """Read one frame's files from the standard layout; errors name the file."""
+    """Read one frame's files from the standard layout; errors name the file.
+
+    Labels are parsed only when `labels` is set (FrameInputs.labels is None otherwise).
+    """
     root = Path(root)
     velodyne = _required(root / "velodyne" / f"{frame_id}.bin")
     with naming(velodyne):
         cloud = load_pointcloud(velodyne.read_bytes())
-    calib_path = _required(_calibration_path(root, frame_id))
+    calib_path = _required(root / "calib" / f"{frame_id}.txt")
     with naming(calib_path):
         calib = parse_calibration(calib_path.read_text(), frame_id)
     det_dir = root / "detections_2d"
@@ -378,12 +363,12 @@ def load_frame_inputs(
     fallback_dir = root / "fallback"
     if fallback_dir.is_dir():
         fallback_boxes = read_boxes(_required(fallback_dir / f"{frame_id}.txt"))
-    labels = None
+    records = None
     label_path = root / "label_2" / f"{frame_id}.txt"
-    if label_path.is_file():
+    if labels and label_path.is_file():
         with naming(label_path):
-            labels = parse_labels(label_path.read_text())
-    return FrameInputs(frame_id, cloud, detections, fallback_boxes, calib, labels)
+            records = parse_labels(label_path.read_text())
+    return FrameInputs(frame_id, cloud, detections, fallback_boxes, calib, records)
 
 
 def run_dataset(
@@ -396,17 +381,9 @@ def run_dataset(
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = RunSummary()
     for frame_id in frames:
-        inputs = load_frame_inputs(config.data_root, frame_id, config)
-        with naming_calibration(config.data_root, frame_id):
-            boxes = process_frame(
-                inputs.cloud,
-                inputs.detections,
-                inputs.fallback_boxes,
-                inputs.calib,
-                config,
-                params=params,
-                stats=summary,
-            )
+        inputs = load_frame_inputs(config.data_root, frame_id, config, labels=False)
+        boxes = process_frame(inputs.cloud, inputs.detections, inputs.fallback_boxes,
+                              inputs.calib, config, params=params, stats=summary)
         text = write_results(boxes, inputs.calib, config.image_size)
         (out_dir / f"{frame_id}.txt").write_text(text)
         summary.frames += 1

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Seque
 
 import numpy as np
 
-from .clustering import estimate_centroid
+from .clustering import modal_midpoint
 from .errors import EmptyCluster, EmptyDataset, NonFiniteBox, ShapeError, UnknownClass
 from .geometry import (
     CloudProjection,
@@ -525,8 +525,8 @@ def frustum_raster(
     The frustum is cut from the frame's projection by the detection's mask
     in mask mode (when it has one), by its box otherwise. Returns (theta,
     centroid, raster), or None when `keep(centroid depth, class name)`
-    rejects the detection before it is rasterized. Raises EmptyCluster when
-    the frustum holds fewer than config.min_frustum_points points.
+    rejects the detection, before x and y are histogrammed. Raises
+    EmptyCluster when the frustum holds fewer than config.min_frustum_points.
     """
     if config.frustum_mode == "mask" and det.mask is not None:
         frustum = points_in_mask_frustum(projection, det)
@@ -538,10 +538,12 @@ def frustum_raster(
             f"min_frustum_points={config.min_frustum_points}"
         )
     rotated, theta = frustum_rotation(frustum, det, calib)
-    centroid = estimate_centroid(rotated, config.bin_width)
-    if keep is not None and not keep(centroid[2], det.class_name):
+    depth = modal_midpoint(rotated.points[:, 2], config.bin_width)
+    if keep is not None and not keep(depth, det.class_name):
         return None
-    bev = rotated.points[:, [0, 2]] - (centroid[0], centroid[2])
+    x, y = (modal_midpoint(rotated.points[:, col], config.bin_width) for col in (0, 1))
+    centroid = (x, y, depth)
+    bev = rotated.points[:, [0, 2]] - (x, depth)
     raster = rasterize_bev(
         bev, det.class_name, config.raster_grid, config.raster_extent,
         classes=config.classes,

@@ -512,6 +512,46 @@ def test_overflowing_calibration_exits_1_naming_the_file(
     assert "Traceback" not in err and "Warning" not in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_p2_exits_1_on_a_frame_without_detections(mini_dataset, tmp_path, capsys):
+    # no detection projects the cloud, yet the fallback boxes' 2D boxes would
+    root = tmp_path / "data"
+    shutil.copytree(mini_dataset.root, root)
+    (root / "detections_2d" / "000000.txt").write_text("")
+    path = root / "calib" / "000000.txt"
+    entries, scale = OVERFLOWED["P2"]
+    lines = path.read_text().splitlines()
+    k = next(k for k, line in enumerate(lines) if line.startswith("P2:"))
+    values = [float(t) for t in lines[k].split(":")[1].split()]
+    for i in entries:
+        values[i] *= scale
+    lines[k] = "P2: " + " ".join(map(repr, values))
+    path.write_text("\n".join(lines) + "\n")
+    code = run_cli("run", f"data_root={root}", "--out", tmp_path / "out")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert str(path) in err and "non-finite" in err
+    assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.parametrize("verb", ["run", "train", "stats", "plot"])
+def test_only_the_verbs_that_read_labels_parse_them(mini_dataset, tmp_path, capsys, verb):
+    root = tmp_path / "data"
+    shutil.copytree(mini_dataset.root, root)
+    path = root / "label_2" / "000000.txt"
+    path.write_text("Car 0 0 0\n")
+    extra = {"run": ["--out", tmp_path / "out"], "stats": [],
+             "train": ["--out", tmp_path / "reg.ckpt", "--epochs", "2"],
+             "plot": ["--frame", "000000", "--out", tmp_path / "bev.svg"]}[verb]
+    code = run_cli(verb, f"data_root={root}", *extra)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if verb == "run":
+        assert code == 0 and err == ""
+    else:
+        assert code == 1 and str(path) in err
+
+
 BAD_FILES = {
     "calib": ("run", "calib/000000.txt", b"R0_rect: 1 0\n"),
     "velodyne": ("run", "velodyne/000000.bin", bytes(13)),

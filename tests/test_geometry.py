@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from farfrustum.errors import BadCalibration, CropMismatch, FrameMismatch, NonFinitePoint
+from farfrustum.errors import BadCalibration, CropMismatch, FrameMismatch
 from farfrustum.geometry import (
     BLOCK_ROWS,
     frustum_rotation,
@@ -61,15 +61,15 @@ class TestLidarToCamera:
         with pytest.raises(FrameMismatch):
             lidar_to_camera(cloud, IDENTITY_CALIB)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_calibration_raises_non_finite(self):
-        # finite but huge: the transform overflows to inf
-        calib = CalibrationSet(
-            P2=IDENTITY_CALIB.P2,
-            R0_rect=np.eye(3),
-            Tr_velo_to_cam=np.hstack([np.eye(3) * 1e308, np.zeros((3, 1))]),
-        )
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFinitePoint):
-            lidar_to_camera(PointCloud([[10.0, 0.0, 1.0]], Frame.LIDAR), calib)
+        # finite but huge: the transform would overflow, so it is refused when built
+        with pytest.raises(BadCalibration, match="non-finite"):
+            CalibrationSet(
+                P2=IDENTITY_CALIB.P2,
+                R0_rect=np.eye(3),
+                Tr_velo_to_cam=np.hstack([np.eye(3) * 1e308, np.zeros((3, 1))]),
+            )
 
     def test_random_rigid_round_trip(self):
         rng = np.random.default_rng(7)
@@ -337,15 +337,22 @@ def _assert_same_bytes(got, want, exact=True):
 def _kitti_like_calibration(rng):
     """A random rigid mounting with a KITTI-like P2: a non-zero 4th column.
 
-    Its depth entry is zero half the time, so that a tiny positive depth
-    projects to a huge finite pixel.
+    Its depth entry is zero a third of the time, so that a tiny positive
+    depth projects to a huge finite pixel; tiny another third; and -1 to
+    -30 m otherwise, so that w <= 0 for points up to that far in front.
     """
     calib = random_calibration(rng)
     p2 = calib.P2.copy()
     p2[:, 3] = [rng.uniform(-60, 60), rng.uniform(-1, 1),
-                rng.uniform(-0.01, 0.01) * rng.integers(0, 2)]
+                [0.0, rng.uniform(-0.01, 0.01), -rng.uniform(1, 30)][rng.integers(0, 3)]]
     return CalibrationSet(P2=p2, R0_rect=calib.R0_rect,
                           Tr_velo_to_cam=calib.Tr_velo_to_cam)
+
+
+def _lidar_at_pixels(uv, w, calib):
+    """Lidar points that P2 maps to (u*w, v*w, w): exactly, up to rounding."""
+    image = np.column_stack([uv * w[:, None], w]) - calib.P2[:, 3]
+    return camera_to_lidar_points(np.linalg.solve(calib.P2[:, :3], image.T).T, calib)
 
 
 # maps lidar (u, v, 1) to the pixel (u, v) exactly
@@ -395,6 +402,22 @@ def _check_projection_bytes(rng, n):
     pts = np.column_stack([rng.choice(edges, size=(n, 2)),
                            rng.choice([1.0, 1.0, 1.0, 0.0, -1.0, 1e-304], size=n)])
     _check_crops(pts, UNIT_CALIB, rng, exact)
+    if not exact:  # a lone point's floor(u) may differ from the reference's
+        return
+    # the same pixels through the KITTI-like calibration, a rounding or two
+    # off the edges, at either sign of w, where the pre-test's margin decides
+    w = rng.uniform(0.5, 80, size=n) * rng.choice([1.0, 1.0, -1.0], size=n)
+    _check_crops(_lidar_at_pixels(pts[:, :2], w, calib), calib, rng, exact)
+    # 0, 1 or 2 points in view among points behind the camera: a block
+    # with one candidate must still project it in a product of two rows
+    behind = _lidar_at_pixels(rng.uniform(-500, 1500, size=(n, 2)),
+                              -rng.uniform(0.5, 80, size=n), calib)
+    for k in range(min(n, 2) + 1):
+        pts = behind.copy()
+        rows = rng.choice(n, size=k, replace=False)
+        pts[rows] = _lidar_at_pixels(rng.uniform(0, 375, size=(k, 2)),
+                                     rng.uniform(31, 80, size=k), calib)
+        _check_crops(pts, calib, rng, exact)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -413,6 +436,17 @@ def test_projection_is_byte_identical_across_block_edges(n):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_projection_is_byte_identical_at_kitti_scale():
     _check_projection_bytes(np.random.default_rng(120_000), 120_000)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_projection_keeps_a_pixel_that_rounds_to_minus_zero():
+    # u*w = -5e-324 whatever the point: u = u*w / w rounds to -0.0 >= 0
+    # from w = 2 on, so the pre-test must not drop these points
+    calib = CalibrationSet(P2=[[0, 0, 0, -5e-324], [0, 1, 0, 0], [0, 0, 1, 0]],
+                           R0_rect=np.eye(3), Tr_velo_to_cam=UNIT_CALIB.Tr_velo_to_cam)
+    pts = np.column_stack([np.zeros(40), np.full(40, 100.0), np.arange(1.0, 41.0)])
+    _check_crops(pts, calib, np.random.default_rng(0), exact=True)
+    assert len(project_cloud(PointCloud(pts, Frame.LIDAR), calib, (1242, 375)).u) == 39
 
 
 def _lidar_sweep(n, seed=0):
@@ -558,7 +592,6 @@ def test_derived_clouds_are_read_only():
     derived = [
         cloud.select(np.array([True, False])),
         cloud.select(np.array([1])),
-        cloud.with_points(np.zeros((2, 3)), Frame.CAMERA),
         camera,
         frustum_rotation(camera, make_det((10, 10, 50, 50)), IDENTITY_CALIB)[0],
     ]

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import struct
 import weakref
@@ -30,6 +31,7 @@ from farfrustum.kitti_io import (
     CalibrationSet,
     Frame,
     MaskRef,
+    PointCloud,
     load_pointcloud,
     parse_calibration,
     parse_detections,
@@ -39,6 +41,7 @@ from farfrustum.kitti_io import (
     write_pgm,
     write_results,
 )
+from farfrustum.geometry import lidar_to_camera, project_to_image
 from farfrustum.synth import default_calibration
 
 from conftest import BAD_PGMS
@@ -92,6 +95,22 @@ class TestParseCalibration:
         text = CALIB_TEXT.replace(" ", "   ") + "\n\n"
         calib = parse_calibration(text)
         assert calib.P2[0, 2] == 600
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("focal", [1e97, 1e305])
+    def test_calibration_past_the_magnitude_bound_is_refused(self, focal):
+        # a 10 km point would reach u*w = 1e101 or overflow
+        text = CALIB_TEXT.replace("700 0 600 0 0 700", f"{focal!r} 0 600 0 0 {focal!r}")
+        with pytest.raises(BadCalibration, match="non-finite"):
+            parse_calibration(text)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_largest_accepted_calibration_projects_finitely(self):
+        calib = parse_calibration(CALIB_TEXT.replace("700 0 600 0 0 700", "1e94 0 600 0 0 1e94"))
+        r = MAX_POINT_RANGE_M
+        corners = PointCloud(list(itertools.product([-r, r], repeat=3)), Frame.LIDAR)
+        uv, valid = project_to_image(lidar_to_camera(corners, calib), calib)
+        assert valid.sum() == 4 and np.isfinite(uv).all()
 
 
 _CALIB_TOKEN = st.one_of(
@@ -163,6 +182,11 @@ class TestLoadPointcloud:
         record[column] = sign * 2 * MAX_POINT_RANGE_M
         with pytest.raises(PointOutOfRange):
             load_pointcloud(struct.pack("<8f", 0, 0, 0, 0, *record))
+
+    def test_outside_cloud_beyond_lidar_range_is_refused(self):
+        PointCloud([[0.0, MAX_POINT_RANGE_M, 0.0]], Frame.CAMERA)
+        with pytest.raises(PointOutOfRange):
+            PointCloud([[0.0, 2 * MAX_POINT_RANGE_M, 0.0]], Frame.CAMERA)
 
     @given(st.binary(max_size=200))
     @settings(max_examples=300, deadline=None)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from farfrustum import geometry
+from farfrustum import clustering, geometry
 from farfrustum.errors import (
     ConfigError,
     CropMismatch,
@@ -223,6 +223,55 @@ def test_mixed_range_frame_counters_reconcile(simple_calib):
     assert "routed to near range:    1" in stats.lines()
 
 
+def test_process_frame_histograms_x_and_y_only_for_faraway_detections(
+    simple_calib, monkeypatch
+):
+    scenes = [
+        _planted_scene(simple_calib, depth=65.0, x=2.0),                  # faraway
+        _planted_scene(simple_calib, depth=30.0, x=-4.0),                 # near
+        _planted_scene(simple_calib, depth=70.0, x=-8.0, cls="cyclist"),  # unknown
+    ]
+    cloud = PointCloud(np.vstack([c.points for c, _, _ in scenes]), Frame.LIDAR)
+    dets = [det for _, det, _ in scenes] + [
+        Detection2D("f", cls, 0.5, (10, 10, 20, 20), image_size=(1242, 375))
+        for cls in ("car", "cyclist")  # empty frustums, one of an unknown class
+    ]
+    calls = []
+
+    def counted(values, bin_width, _fn=clustering.axis_histogram):
+        calls.append(len(values))
+        return _fn(values, bin_width)
+
+    monkeypatch.setattr(clustering, "axis_histogram", counted)
+    stats = RunSummary()
+    process_frame(cloud, dets, [], simple_calib, PipelineConfig(frustum_mode="box"),
+                  stats=stats)
+    # depth, then x and y, for the faraway one; depth alone for the near and
+    # the unknown-class ones; nothing for an empty frustum
+    assert len(calls) == 3 + 1 + 1
+    assert (stats.faraway, stats.routed_near, stats.skipped_unknown_class,
+            stats.skipped_empty_frustum) == (1, 1, 1, 2)
+    assert _reconciles(stats)
+
+
+def test_process_frame_takes_no_determinant_per_detection(simple_calib, monkeypatch):
+    cloud, det, _ = _planted_scene(simple_calib)
+    calls = []
+    monkeypatch.setattr(np.linalg, "det", lambda m, _fn=np.linalg.det: calls.append(m) or _fn(m))
+    assert len(process_frame(cloud, [det] * 5, [], simple_calib,
+                             PipelineConfig(frustum_mode="box"))) == 5
+    assert calls == []
+
+
+def test_run_dataset_parses_no_labels(mini_dataset, tmp_path):
+    root = tmp_path / "data"
+    shutil.copytree(mini_dataset.root, root)
+    for path in (root / "label_2").iterdir():
+        path.write_text("Car 0 0 0\n")  # malformed: run must not read it
+    config = PipelineConfig(data_root=root, out_dir=tmp_path / "out")
+    assert run_dataset(mini_dataset.frame_ids, config).frames == len(mini_dataset.frame_ids)
+
+
 def _count_projections(monkeypatch) -> Counter:
     calls: Counter = Counter()
     for name in ("lidar_to_camera", "project_to_image"):
@@ -243,13 +292,18 @@ def test_process_frame_projects_once(simple_calib, monkeypatch, n_dets):
     assert calls == {"lidar_to_camera": 1, "project_to_image": 1}
 
 
-def test_process_frame_passes_every_point_through_lidar_to_camera_once(
+def test_process_frame_passes_every_candidate_row_through_lidar_to_camera_once(
     simple_calib, monkeypatch
 ):
     planted, det, _ = _planted_scene(simple_calib)
     rng = np.random.default_rng(3)
     clutter = rng.uniform(-40.0, 40.0, size=(3 * geometry.BLOCK_ROWS + 7, 3))
     cloud = PointCloud(np.vstack([clutter, planted.points]), Frame.LIDAR)
+    # the rows the whole-cloud chain keeps in the image
+    uv, valid = geometry.project_to_image(
+        geometry.lidar_to_camera(cloud, simple_calib), simple_calib)
+    (w, h), (u, v) = PipelineConfig().image_size, uv.T
+    in_image = np.flatnonzero(valid & (u >= 0) & (u < w) & (v >= 0) & (v < h))
     blocks = []
 
     def recorded(block, calib, _fn=geometry.lidar_to_camera):
@@ -259,7 +313,11 @@ def test_process_frame_passes_every_point_through_lidar_to_camera_once(
     monkeypatch.setattr(geometry, "lidar_to_camera", recorded)
     process_frame(cloud, [det], [], simple_calib, PipelineConfig(frustum_mode="box"))
     assert len(blocks) == 4
-    np.testing.assert_array_equal(np.vstack(blocks), cloud.points)
+    row_of = {p.tobytes(): k for k, p in enumerate(cloud.points)}
+    sent = np.array([row_of[p.tobytes()] for p in np.vstack(blocks)])
+    assert (np.diff(sent) > 0).all()  # each candidate once, in cloud order
+    assert np.isin(in_image, sent).all()
+    assert len(in_image) <= len(sent) < len(cloud) / 3
 
 
 def test_process_frame_refuses_a_detection_sized_otherwise(simple_calib):
