@@ -145,7 +145,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     for s in stats:
         print(f"{s.frame_id:<10} {s.class_name:<12} {s.depth:>8.2f} {s.count:>7}")
     if args.out:
-        plots.write_text(args.out, plots.stats_scatter_svg(stats))
+        Path(args.out).write_text(plots.stats_scatter_svg(stats))
         print(f"scatter written to: {args.out}")
     return 0
 
@@ -164,10 +164,10 @@ def cmd_plot(args: argparse.Namespace) -> int:
     result_path = results_dir / f"{args.frame}.txt"
     pred_boxes = read_boxes(result_path) if result_path.is_file() else []
     out = Path(args.plot_out)
-    plots.write_text(out, plots.bev_scene_svg(points_xz, gt_boxes, pred_boxes))
+    out.write_text(plots.bev_scene_svg(points_xz, gt_boxes, pred_boxes))
     print(f"plot written to: {out}")
     if args.ppm:
-        plots.write_bytes(args.ppm, plots.bev_scene_ppm(points_xz, gt_boxes, pred_boxes))
+        Path(args.ppm).write_bytes(plots.bev_scene_ppm(points_xz, gt_boxes, pred_boxes))
         print(f"ppm written to: {args.ppm}")
     return 0
 

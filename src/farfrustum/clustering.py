@@ -66,9 +66,7 @@ def estimate_centroid(
     """Estimate the object centroid as per-axis modal-bin midpoints.
 
     Run after frustum rotation, so the returned z is directly the depth
-    used for faraway routing.
+    used for faraway routing. Raises EmptyCluster on zero points.
     """
-    if len(cloud) == 0:
-        raise EmptyCluster("cannot estimate a centroid from zero points")
     x, y, z = (modal_midpoint(cloud.points[:, col], bin_width) for col in range(3))
     return (x, y, z)

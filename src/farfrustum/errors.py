@@ -52,7 +52,13 @@ class MalformedLabelLine(FarFrustumError):
 
 
 class NonFiniteBox(FarFrustumError):
-    """A 3D box contains NaN or infinite fields."""
+    """A 3D box has a center coordinate beyond MAX_POINT_RANGE_M (10 km), a
+    size above it, or a yaw that is NaN or infinite."""
+
+
+class ZeroAreaBox(FarFrustumError):
+    """A 3D box has a size below MIN_BOX_SIZE_M (1 cm), the resolution of
+    KITTI label sizes."""
 
 
 # --- geometry / calibration ----------------------------------------------
@@ -91,10 +97,6 @@ class EmptyDataset(FarFrustumError):
 
 class MissingFrameData(FarFrustumError):
     """A listed frame is missing one of its required input files."""
-
-
-class ZeroAreaBox(FarFrustumError):
-    """A box has a non-positive size, or zero footprint area or volume."""
 
 
 class ConfigError(FarFrustumError):

@@ -8,7 +8,9 @@ Scoring builds one IoU table per (frame, class) and feeds it to aIoU,
 AP-BEV and AP-3D. Pairs whose footprint bounds are disjoint are pruned;
 every other ground-truth/prediction pair is clipped at most once, and its
 BEV and 3D IoU both come from that one intersection area. The pairwise
-``bev_iou`` and ``iou_3d`` read from the same table builder.
+``bev_iou`` and ``iou_3d`` read from the same table builder. ``Box3D``
+bounds every box's center and sizes where it is built, so each footprint
+area and volume is positive and both tables are always defined.
 """
 from __future__ import annotations
 
@@ -17,7 +19,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ZeroAreaBox
 from .geometry import lidar_to_camera, rot_y
 from .kitti_io import Box3D, CalibrationSet, LabelRecord, PointCloud
 
@@ -73,9 +74,6 @@ def _footprints(
     returns it verbatim, and the intersection then carries the same floats
     as each footprint.
     """
-    for box in boxes:
-        if box.size[0] * box.size[1] <= 0:
-            raise ZeroAreaBox(f"box has zero footprint area: size {box.size}")
     corners = np.stack([box.bev_corners() for box in boxes])
     # the pad dwarfs the clip's rounding, which scales with the coordinates
     pad = _PRUNE_MARGIN * np.abs(corners).max(axis=(1, 2))
@@ -91,14 +89,13 @@ def _vertical_interval(box: Box3D) -> tuple[float, float]:
 
 def _iou_tables(
     gt: Sequence[Box3D], preds: Sequence[Box3D]
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """BEV and 3D IoU of every (ground truth, prediction) pair, class-blind.
 
     Each box's footprint is built once. Pairs whose padded bounds are
     disjoint cannot overlap and keep IoU 0; every other pair is clipped
     once, and both IoUs come from that one intersection area. 3D IoU is
     the BEV intersection times the vertical overlap, over upright boxes.
-    The 3D table is None when a box has zero volume.
     """
     bev = np.zeros((len(gt), len(preds)))
     vol_iou = np.zeros_like(bev)
@@ -112,7 +109,6 @@ def _iou_tables(
     # identical-box case exact
     g_vol = [a * (bottom - top) for a, (top, bottom) in zip(g_area, g_span)]
     p_vol = [a * (bottom - top) for a, (top, bottom) in zip(p_area, p_span)]
-    has_volume = min(g_vol) > 0 and min(p_vol) > 0
     near = np.all(
         (g_low[:, None, :] <= p_high[None, :, :]) & (p_low[None, :, :] <= g_high[:, None, :]),
         axis=2,
@@ -122,20 +118,13 @@ def _iou_tables(
         inter = float(_polygon_area(inter_poly)) if len(inter_poly) else 0.0
         union = g_area[gi] + p_area[pi] - inter
         bev[gi, pi] = min(max(inter / union, 0.0), 1.0)
-        if has_volume:
-            top_g, bottom_g = g_span[gi]
-            top_p, bottom_p = p_span[pi]
-            overlap = max(0.0, min(bottom_g, bottom_p) - max(top_g, top_p))
-            inter_vol = inter * overlap
-            union = g_vol[gi] + p_vol[pi] - inter_vol
-            vol_iou[gi, pi] = min(max(inter_vol / union, 0.0), 1.0)
-    return bev, vol_iou if has_volume else None
-
-
-def _volume_table(table: np.ndarray | None) -> np.ndarray:
-    if table is None:
-        raise ZeroAreaBox("box has zero volume")
-    return table
+        top_g, bottom_g = g_span[gi]
+        top_p, bottom_p = p_span[pi]
+        overlap = max(0.0, min(bottom_g, bottom_p) - max(top_g, top_p))
+        inter_vol = inter * overlap
+        union = g_vol[gi] + p_vol[pi] - inter_vol
+        vol_iou[gi, pi] = min(max(inter_vol / union, 0.0), 1.0)
+    return bev, vol_iou
 
 
 def bev_iou(a: Box3D, b: Box3D) -> float:
@@ -145,7 +134,7 @@ def bev_iou(a: Box3D, b: Box3D) -> float:
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
     """Volume IoU for upright boxes: BEV intersection times vertical overlap."""
-    return float(_volume_table(_iou_tables([a], [b])[1])[0, 0])
+    return float(_iou_tables([a], [b])[1][0, 0])
 
 
 def _same_class_table(gt: Sequence[Box3D], preds: Sequence[Box3D]) -> np.ndarray:
@@ -357,10 +346,7 @@ def evaluate_boxes(
                 report.matches.append((f, cls, gi, pi, iou))
         if n_gt:
             ap_bev = _ap_from_tables(bev_tables, pred_c, n_gt, iou_threshold)
-            ap_3d = _ap_from_tables(
-                {f: _volume_table(t) for f, t in vol_tables.items()},
-                pred_c, n_gt, iou_threshold,
-            )
+            ap_3d = _ap_from_tables(vol_tables, pred_c, n_gt, iou_threshold)
         else:
             ap_bev = ap_3d = None
         report.per_class[cls] = ClassEval(

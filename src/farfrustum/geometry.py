@@ -28,7 +28,8 @@ a projection is never modified after it is built, so per-detection frustum
 extraction is safe to run in parallel.
 
 Clouds and calibrations are bounded where they enter (``kitti_io``), so no
-product here overflows.
+product here overflows, and ``frustum_rotation`` can back-project through
+P2 because ``parse_calibration`` refuses a singular left 3x3.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadCalibration, CropMismatch, FrameMismatch
+from .errors import CropMismatch, FrameMismatch
 from .kitti_io import CalibrationSet, Detection2D, Frame, PointCloud, apply_affine
 
 BLOCK_ROWS = 8192  # a block's temporaries (192 kB each) stay in L2 cache
@@ -235,8 +236,6 @@ def frustum_rotation(
     rotated by -theta about the camera vertical axis (norm-preserving).
     """
     _require_frame(cloud, Frame.CAMERA)
-    if abs(calib.p2_left_det) < 1e-12:
-        raise BadCalibration("left 3x3 of P2 is not invertible")
     u, v = det.bbox_center
     ray = np.linalg.solve(calib.P2[:, :3], np.array([u, v, 1.0]))
     theta = math.atan2(ray[0], ray[2])

@@ -16,12 +16,15 @@ different frames can be parsed in parallel.
 Point arrays are checked where they enter: by ``load_pointcloud`` and by
 the ``PointCloud`` constructor. Derived clouds wrap fresh arrays uncopied.
 A calibration is bounded when it is built, so no product of a checked
-cloud and its matrices overflows.
+cloud and its matrices overflows, and ``parse_calibration`` refuses a P2
+whose left 3x3 is singular. Every ``Box3D`` has its center within
+MAX_POINT_RANGE_M and its sizes in [MIN_BOX_SIZE_M, MAX_POINT_RANGE_M], so
+its footprint area and volume are positive and finite.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -47,6 +50,7 @@ from .errors import (
 
 POINT_RECORD_BYTES = 16  # four little-endian float32 per point
 MAX_POINT_RANGE_M = 1e4  # no lidar reaches 10 km: a farther point is a corrupt record
+MIN_BOX_SIZE_M = 0.01  # the resolution of KITTI label sizes
 # A 3x3 determinant or a pixel times an image size stays finite below this.
 MAX_CALIBRATION_MAGNITUDE = 1e100
 
@@ -74,7 +78,8 @@ class Frame(str, Enum):
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, copy=True)
+    with np.errstate(invalid="ignore"):  # a signaling NaN: every caller refuses it
+        out = np.array(arr, dtype=np.float64, copy=True)
     out.setflags(write=False)
     return out
 
@@ -120,8 +125,6 @@ class CalibrationSet:
     P2: np.ndarray               # 3x4 camera projection, pixels
     R0_rect: np.ndarray          # 3x3 rectification rotation
     Tr_velo_to_cam: np.ndarray   # 3x4 rigid lidar-to-camera transform, meters
-    frame_id: str = ""
-    p2_left_det: float = field(init=False, repr=False, compare=False)  # det(P2[:, :3])
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "P2", _readonly(np.reshape(self.P2, (3, 4))))
@@ -135,7 +138,6 @@ class CalibrationSet:
         if not biggest <= MAX_CALIBRATION_MAGNITUDE:
             raise BadCalibration(f"an entry or a mapped {MAX_POINT_RANGE_M:g} m point exceeds "
                                  f"{MAX_CALIBRATION_MAGNITUDE:g}: products could turn non-finite")
-        object.__setattr__(self, "p2_left_det", float(np.linalg.det(self.P2[:, :3])))
 
     def reach(self) -> tuple[np.ndarray, np.ndarray]:
         """Bounds on |camera (x, y, z)| and |(u*w, v*w, w)| of a point within MAX_POINT_RANGE_M."""
@@ -144,14 +146,16 @@ class CalibrationSet:
         return camera, np.abs(self.P2) @ np.append(camera, 1.0)
 
     def validate(self, tol: float = 1e-3) -> None:
-        """Check rectification orthonormality and mounting-rotation handedness."""
+        """Check rectification orthonormality, mounting-rotation handedness, and
+        that the left 3x3 of P2 can back-project a pixel."""
         r = self.R0_rect
         err = np.abs(r @ r.T - np.eye(3)).max()
-        det = np.linalg.det(self.Tr_velo_to_cam[:, :3])
         if not err < tol:
             raise BadCalibration(f"R0_rect not orthonormal (|R R^T - I| = {err:g})")
-        if det <= 0:
+        if np.linalg.det(self.Tr_velo_to_cam[:, :3]) <= 0:
             raise BadCalibration("Tr_velo_to_cam rotation block has det <= 0")
+        if abs(np.linalg.det(self.P2[:, :3])) < 1e-12:
+            raise BadCalibration("left 3x3 of P2 is not invertible")
 
 
 def apply_affine(points: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -165,12 +169,13 @@ def apply_affine(points: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def parse_calibration(text: str, frame_id: str = "") -> CalibrationSet:
+def parse_calibration(text: str) -> CalibrationSet:
     """Parse a KITTI calibration file (``key: v v v ...`` lines).
 
     Only P2 (the left color camera's projection), R0_rect, and
     Tr_velo_to_cam are consumed; other keys are ignored. Raises
-    MissingCalibKey / MalformedCalibLine on bad input.
+    MissingCalibKey / MalformedCalibLine on bad input and BadCalibration on
+    matrices that fail ``validate``.
     """
     wanted = {"P2": 12, "R0_rect": 9, "Tr_velo_to_cam": 12}
     found: dict[str, np.ndarray] = {}
@@ -200,7 +205,6 @@ def parse_calibration(text: str, frame_id: str = "") -> CalibrationSet:
         P2=found["P2"].reshape(3, 4),
         R0_rect=found["R0_rect"].reshape(3, 3),
         Tr_velo_to_cam=found["Tr_velo_to_cam"].reshape(3, 4),
-        frame_id=frame_id,
     )
     calib.validate()
     return calib
@@ -294,7 +298,7 @@ class MaskRef:
         h, w = img.shape
         if (w, h) != self.expected_size:
             raise MaskDimMismatch(
-                f"mask {self.path} is {w}x{h}, image is "
+                f"{self.path}: mask is {w}x{h}, image is "
                 f"{self.expected_size[0]}x{self.expected_size[1]}"
             )
         img.setflags(write=False)
@@ -381,6 +385,9 @@ class Box3D:
     (y down, so the box spans y in [center.y - h, center.y]). ``size`` is
     (w, l, h) with length along the box's local x axis and width along its
     local z axis; ``yaw`` rotates about the camera vertical (y) axis.
+    A center coordinate beyond MAX_POINT_RANGE_M, a size above it or a
+    non-finite yaw raises NonFiniteBox; a size below MIN_BOX_SIZE_M raises
+    ZeroAreaBox.
     """
 
     center: tuple[float, float, float]
@@ -394,11 +401,14 @@ class Box3D:
         size = tuple(float(s) for s in self.size)
         yaw = float(self.yaw)
         score = float(self.score)
-        values = (*center, *size, yaw, score)
-        if not all(math.isfinite(v) for v in values):
-            raise NonFiniteBox(f"non-finite box field in {values}")
-        if not all(s > 0.0 for s in size):
-            raise ZeroAreaBox(f"box sizes must be positive, got {size}")
+        r = MAX_POINT_RANGE_M
+        if not (all(-r <= c <= r for c in center) and math.isfinite(yaw)):
+            raise NonFiniteBox(f"box center beyond {r:g} m or non-finite yaw in "
+                               f"{(*center, yaw)}")
+        if not all(MIN_BOX_SIZE_M <= s <= r for s in size):
+            if all(s <= r for s in size):
+                raise ZeroAreaBox(f"box sizes must be at least {MIN_BOX_SIZE_M:g} m, got {size}")
+            raise NonFiniteBox(f"box size above {r:g} m or non-finite in {size}")
         if not 0.0 <= score <= 1.0:
             raise BadScore(f"box score {score} outside [0, 1]")
         object.__setattr__(self, "center", center)

@@ -191,9 +191,6 @@ def assemble_box(
     and vertical positions come from the clustered centroid. The center is
     rotated back by +theta and the yaw converted to the camera frame.
     """
-    vals = (*centroid, *reg.shift, *reg.size, reg.yaw, theta, score)
-    if not all(math.isfinite(v) for v in vals):
-        raise NonFiniteBox(f"non-finite box assembly inputs {vals}")
     center_frustum = np.array([centroid[0], centroid[1], centroid[2] + reg.shift[2]])
     center_cam = rot_y(theta) @ center_frustum
     return Box3D(
@@ -247,7 +244,8 @@ def process_frame(
     whose frustum holds fewer than min_frustum_points points, or whose class
     is not listed or has no threshold, are skipped; near-range ones are
     routed to the fallback detector (all three are counted, never fatal).
-    A regression whose size overflows to infinity or zero raises, naming the
+    A regressed box that Box3D refuses (a size that overflows past 10 km or
+    underflows below 1 cm, or a center beyond 10 km) raises, naming the
     checkpoint, the frame and the detection.
     Fallback boxes survive only when their own center depth is below their
     class threshold; classes without a threshold are kept unconditionally.
@@ -349,7 +347,7 @@ def load_frame_inputs(
         cloud = load_pointcloud(velodyne.read_bytes())
     calib_path = _required(root / "calib" / f"{frame_id}.txt")
     with naming(calib_path):
-        calib = parse_calibration(calib_path.read_text(), frame_id)
+        calib = parse_calibration(calib_path.read_text())
     det_dir = root / "detections_2d"
     det_path = _required(det_dir / f"{frame_id}.txt")
     with naming(det_path):

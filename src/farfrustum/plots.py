@@ -7,7 +7,6 @@ plotting library or on wall-clock state.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -170,11 +169,3 @@ def bev_scene_ppm(
                 _draw_line(img, canvas[k], canvas[(k + 1) % 4], color)
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
     return header + img.tobytes()
-
-
-def write_text(path: str | Path, content: str) -> None:
-    Path(path).write_text(content)
-
-
-def write_bytes(path: str | Path, content: bytes) -> None:
-    Path(path).write_bytes(content)

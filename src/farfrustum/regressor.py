@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Seque
 import numpy as np
 
 from .clustering import modal_midpoint
-from .errors import EmptyCluster, EmptyDataset, NonFiniteBox, ShapeError, UnknownClass
+from .errors import EmptyCluster, EmptyDataset, ShapeError, UnknownClass
 from .geometry import (
     CloudProjection,
     frustum_rotation,
@@ -118,14 +118,6 @@ class BoxRegression:
     shift: tuple[float, float, float]  # (dx, dy, dz) meters
     size: tuple[float, float, float]   # (w, l, h) meters
     yaw: float                         # radians, frustum frame
-
-    def __post_init__(self) -> None:
-        vals = (*self.shift, *self.size, self.yaw)
-        if not all(math.isfinite(v) for v in vals):
-            raise NonFiniteBox(f"non-finite regression {[float(v) for v in vals]}")
-        object.__setattr__(self, "shift", tuple(float(v) for v in self.shift))
-        object.__setattr__(self, "size", tuple(float(v) for v in self.size))
-        object.__setattr__(self, "yaw", float(self.yaw))
 
     def as_vector(self) -> np.ndarray:
         """(7,) target layout: dx dy dz w l h yaw."""
@@ -230,7 +222,7 @@ def forward(params: RegressorParams, raster: BevRaster) -> BoxRegression:
     _, raw = _forward_batch(params, raster.feature_vector()[None, :])
     y = raw[0]
     prior = params.priors[params.classes.index(raster.class_name)]
-    with np.errstate(over="ignore"):  # BoxRegression refuses the inf
+    with np.errstate(over="ignore"):  # Box3D refuses the inf
         size = prior * np.exp(y[3:6])
     return BoxRegression(
         shift=(y[0], y[1], y[2]),

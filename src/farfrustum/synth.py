@@ -34,7 +34,7 @@ _CU = 609.5593
 _CV = 172.854
 
 
-def default_calibration(frame_id: str = "") -> CalibrationSet:
+def default_calibration() -> CalibrationSet:
     """KITTI-like camera intrinsics and lidar mounting."""
     p2 = np.array(
         [[_FU, 0.0, _CU, 0.0], [0.0, _FU, _CV, 0.0], [0.0, 0.0, 1.0, 0.0]]
@@ -43,7 +43,7 @@ def default_calibration(frame_id: str = "") -> CalibrationSet:
     tr = np.array(
         [[0.0, -1.0, 0.0, 0.0], [0.0, 0.0, -1.0, -0.075], [1.0, 0.0, 0.0, -0.272]]
     )
-    return CalibrationSet(P2=p2, R0_rect=r0, Tr_velo_to_cam=tr, frame_id=frame_id)
+    return CalibrationSet(P2=p2, R0_rect=r0, Tr_velo_to_cam=tr)
 
 
 def camera_to_lidar_points(points_cam: np.ndarray, calib: CalibrationSet) -> np.ndarray:

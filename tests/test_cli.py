@@ -552,12 +552,22 @@ def test_only_the_verbs_that_read_labels_parse_them(mini_dataset, tmp_path, caps
         assert code == 1 and str(path) in err
 
 
+def _assert_refused(code, err, path):
+    """Exit 1 with one stderr line: an error that names `path` first."""
+    assert code == 1 and err.startswith(f"error: {path}: ") and err.count("\n") == 1, (code, err)
+
+
 BAD_FILES = {
     "calib": ("run", "calib/000000.txt", b"R0_rect: 1 0\n"),
     "velodyne": ("run", "velodyne/000000.bin", bytes(13)),
     "velodyne intensity": ("run", "velodyne/000000.bin", struct.pack("<4f", 1, 2, 3, math.nan)),
+    # a signaling NaN x once printed a cast RuntimeWarning before the error
+    "velodyne signaling NaN": ("run", "velodyne/000000.bin",
+                               struct.pack("<I3f", 0x7F800001, 2, 3, 1)),
     "detections": ("run", "detections_2d/000000.txt", b"000000 car 0.9 1 2\n"),
     "missing mask": ("run", "detections_2d/000000.txt", b"000000 car 0.9 1 2 3 4 no.pgm\n"),
+    "mask of another size": ("run", "detections_2d/masks/000000_0.pgm",
+                             b"P5\n4 2\n255\n" + bytes(8)),
     "mask path with NUL": ("run", "detections_2d/000000.txt",
                            b"000000 car 0.9 1 2 3 4 m\x00.pgm\n"),
     "fallback": ("run", "fallback/000000.txt", b"Car 0 0\n"),
@@ -581,10 +591,24 @@ def test_malformed_input_file_exits_1_naming_the_file(
     extra = {"run": ["--out", tmp_path / "out"], "eval": [],
              "plot": ["--frame", "000000", "--out", tmp_path / "bev.svg"]}[verb]
     code = run_cli(verb, f"data_root={root}", *extra)
-    err = capsys.readouterr().err
-    assert code == 1
-    assert str(path) in err
-    assert "Traceback" not in err
+    _assert_refused(code, capsys.readouterr().err, path)
+
+
+def _assert_each_verb_passes_or_names(path, root, tmp_path, capsys):
+    """run, eval and train each exit 0 saying nothing, or are refused naming `path`."""
+    out = tmp_path / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    for verb, extra in (
+        ("run", ["--out", out]),
+        ("eval", ["--results", out]),
+        ("train", ["--out", tmp_path / "reg.ckpt", "--epochs", "2"]),
+    ):
+        code = run_cli(verb, f"data_root={root}", *extra)
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == "", verb
+        else:
+            _assert_refused(code, err, path)
 
 
 INPUT_DIRS = ("velodyne", "calib", "detections_2d", "fallback", "label_2")
@@ -594,7 +618,7 @@ INPUT_DIRS = ("velodyne", "calib", "detections_2d", "fallback", "label_2")
 @settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_corrupted_input_file_exits_0_or_1_naming_it(mini_dataset, tmp_path, capsys, data):
-    """Overwrite a byte range of one dataset file: never a traceback or another code."""
+    """Overwrite a byte range of one dataset file: never a traceback, a warning or another code."""
     root = tmp_path / "data"
     if not root.exists():  # one copy for every example; each restores its file
         shutil.copytree(mini_dataset.root, root)
@@ -606,22 +630,113 @@ def test_corrupted_input_file_exits_0_or_1_naming_it(mini_dataset, tmp_path, cap
     stop = data.draw(st.integers(start, min(len(original), start + 16)), label="stop")
     junk = data.draw(st.binary(max_size=16), label="bytes")
     path.write_bytes(original[:start] + junk + original[stop:])
-    out = tmp_path / "out"
-    shutil.rmtree(out, ignore_errors=True)
     try:
-        for verb, extra in (
-            ("run", ["--out", out]),
-            ("eval", ["--results", out]),
-            ("train", ["--out", tmp_path / "reg.ckpt", "--epochs", "2"]),
-        ):
-            code = run_cli(verb, f"data_root={root}", *extra)
-            err = capsys.readouterr().err
-            assert "Traceback" not in err
-            assert code in (0, 1), (verb, err)
-            if code == 1:
-                assert str(path) in err, (verb, err)
+        _assert_each_verb_passes_or_names(path, root, tmp_path, capsys)
     finally:
         path.write_bytes(original)
+
+
+def _number_spans(text):
+    """(start, stop) of each whitespace-separated token of `text` that is a number."""
+    spans = []
+    for match in re.finditer(r"\S+", text):
+        try:
+            float(match.group())
+        except ValueError:
+            continue
+        spans.append(match.span())
+    return spans
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_number_scaled_out_of_range_exits_0_or_1_naming_it(mini_dataset, tmp_path, capsys, data):
+    """Scale one number of a calibration, label or fallback file by 1e300 or 1e-300."""
+    root = tmp_path / "data"
+    if not root.exists():  # one copy for every example; each restores its file
+        shutil.copytree(mini_dataset.root, root)
+    names = sorted(str(p.relative_to(root)) for sub in ("calib", "label_2", "fallback")
+                   for p in (root / sub).glob("*.txt"))
+    path = root / data.draw(st.sampled_from(names), label="file")
+    original = path.read_text()
+    start, stop = data.draw(st.sampled_from(_number_spans(original)), label="number")
+    scale = data.draw(st.sampled_from([1e300, 1e-300]), label="scale")
+    path.write_text(original[:start] + repr(float(original[start:stop]) * scale) + original[stop:])
+    try:
+        _assert_each_verb_passes_or_names(path, root, tmp_path, capsys)
+    finally:
+        path.write_text(original)
+
+
+def _set_first_line_field(path, index, value):
+    lines = path.read_text().splitlines()
+    tokens = lines[0].split()
+    tokens[index] = value
+    lines[0] = " ".join(tokens)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_far_fallback_box_exits_1_naming_the_file(mini_dataset, tmp_path, capsys):
+    # x = 1e300 was once written back as a 300-digit x with a 1242 ... 1242 bbox
+    root = tmp_path / "data"
+    shutil.copytree(mini_dataset.root, root)
+    path = root / "fallback" / "000000.txt"
+    _set_first_line_field(path, 11, "1e300")
+    out = tmp_path / "out"
+    code = run_cli("run", f"data_root={root}", "--out", out)
+    _assert_refused(code, capsys.readouterr().err, path)
+    assert not (out / "000000.txt").exists()
+
+
+def test_box_whose_footprint_rounds_to_zero_exits_1_naming_the_file(
+    mini_dataset, tmp_path, capsys
+):
+    # sides of 0.35 um at x = -46 m: the shoelace area rounds to 0, which once
+    # divided by zero in eval
+    root = tmp_path / "data"
+    shutil.copytree(mini_dataset.root, root)
+    line = ("Car 0 0 0 100 100 110 110 3.5305856304085927e-07 3.5305856304085927e-07 "
+            "3.5305856304085927e-07 -45.90264760638053 1.0 2770.6186795485523 "
+            "-2.9008341868288254")
+    path = root / "label_2" / "000000.txt"
+    path.write_text(line + "\n")
+    results = tmp_path / "results"
+    results.mkdir()
+    (results / "000000.txt").write_text(line + " 0.9\n")
+    code = run_cli("eval", f"data_root={root}", "--results", results)
+    _assert_refused(code, capsys.readouterr().err, path)
+
+
+def test_far_label_box_exits_1_naming_the_file(mini_dataset, tmp_path, capsys):
+    # once "error: box has zero volume", naming no file
+    root = tmp_path / "data"
+    shutil.copytree(mini_dataset.root, root)
+    results = tmp_path / "results"
+    assert run_cli("run", f"data_root={root}", "--out", results) == 0
+    capsys.readouterr()
+    path = root / "label_2" / "000000.txt"
+    _set_first_line_field(path, 11, "1e300")
+    code = run_cli("eval", f"data_root={root}", "--results", results)
+    _assert_refused(code, capsys.readouterr().err, path)
+
+
+def test_singular_p2_exits_1_naming_the_file(mini_dataset, tmp_path, capsys):
+    # P2's second row [0, f, c_v, 0] made [0, 0, c_v, 0]: once "error: left 3x3
+    # of P2 is not invertible", naming no file
+    root = tmp_path / "data"
+    shutil.copytree(mini_dataset.root, root)
+    path = root / "calib" / "000000.txt"
+    lines = path.read_text().splitlines()
+    k = next(k for k, line in enumerate(lines) if line.startswith("P2:"))
+    tokens = lines[k].split()
+    tokens[5:9] = ["0", "0", tokens[7], "0"]
+    lines[k] = " ".join(tokens)
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    code = run_cli("run", f"data_root={root}", "--out", out)
+    _assert_refused(code, capsys.readouterr().err, path)
+    assert not (out / "000000.txt").exists()
 
 
 def test_stats_scatter_contains_reference_line():

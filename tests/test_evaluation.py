@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from farfrustum import evaluation
-from farfrustum.errors import ZeroAreaBox
 from farfrustum.evaluation import (
     ap_11point,
     bev_iou,
@@ -19,7 +18,14 @@ from farfrustum.evaluation import (
     points_in_box_mask,
     points_per_object_stats,
 )
-from farfrustum.kitti_io import Box3D, Frame, LabelRecord, PointCloud
+from farfrustum.kitti_io import (
+    MAX_POINT_RANGE_M,
+    MIN_BOX_SIZE_M,
+    Box3D,
+    Frame,
+    LabelRecord,
+    PointCloud,
+)
 from farfrustum.synth import camera_to_lidar_points
 
 import oracles
@@ -28,6 +34,19 @@ import oracles
 def box(cx=0.0, cy=1.0, cz=50.0, w=2.0, l=4.0, h=1.5, yaw=0.0, cls="car", score=1.0):
     return Box3D(center=(cx, cy, cz), yaw=yaw, size=(w, l, h),
                  class_name=cls, score=score)
+
+
+# a coordinate within MAX_POINT_RANGE_M, often at or next to an end or at 0,
+# so that boxes overlap; a side from MIN_BOX_SIZE_M to MAX_POINT_RANGE_M
+_R = MAX_POINT_RANGE_M
+_COORD = st.one_of(st.sampled_from([-_R, -_R + 0.004, 0.0, _R - 0.004, _R]),
+                   st.floats(-_R, _R))
+_SIDE = st.one_of(st.sampled_from([MIN_BOX_SIZE_M, _R]), st.floats(MIN_BOX_SIZE_M, _R))
+_BOUNDED_BOX = st.builds(
+    lambda center, yaw, size: Box3D(center, yaw, size, "car"),
+    st.tuples(_COORD, _COORD, _COORD), st.floats(-math.pi, math.pi),
+    st.tuples(_SIDE, _SIDE, _SIDE),
+)
 
 
 class TestBevIou:
@@ -105,16 +124,16 @@ class TestBevIou:
 
             assert bev_iou(moved(a), moved(b)) == pytest.approx(base, abs=1e-9)
 
-    def test_zero_area_box(self):
-        # Box3D validation forbids zero sizes, so reach the guard directly
-        degenerate = object.__new__(Box3D)
-        object.__setattr__(degenerate, "center", (0.0, 0.0, 0.0))
-        object.__setattr__(degenerate, "yaw", 0.0)
-        object.__setattr__(degenerate, "size", (0.0, 1.0, 1.0))
-        object.__setattr__(degenerate, "class_name", "car")
-        object.__setattr__(degenerate, "score", 1.0)
-        with pytest.raises(ZeroAreaBox):
-            bev_iou(degenerate, box())
+    @settings(max_examples=300, deadline=None)
+    @given(gt=st.lists(_BOUNDED_BOX, min_size=1, max_size=4),
+           preds=st.lists(_BOUNDED_BOX, min_size=1, max_size=4))
+    def test_boxes_within_the_bounds_have_area_and_finite_tables(self, gt, preds):
+        # the footprint area and both tables never need a guard of their own
+        _, areas, _, _ = evaluation._footprints(gt + preds)
+        for b, area in zip(gt + preds, areas):
+            assert area > 0.99 * b.size[0] * b.size[1]
+        for table in evaluation._iou_tables(gt, preds):
+            assert ((table >= 0.0) & (table <= 1.0)).all()
 
 
 class TestIou3d:

@@ -17,10 +17,18 @@ from farfrustum.geometry import (
     project_to_image,
     rot_y,
 )
-from farfrustum.kitti_io import CalibrationSet, Detection2D, Frame, MaskRef, PointCloud, write_pgm
+from farfrustum.kitti_io import (
+    CalibrationSet,
+    Detection2D,
+    Frame,
+    MaskRef,
+    PointCloud,
+    parse_calibration,
+    write_pgm,
+)
 from farfrustum.pipeline import PipelineConfig
 from farfrustum.regressor import frustum_raster, rasterize_bev
-from farfrustum.synth import camera_to_lidar_points
+from farfrustum.synth import calibration_text, camera_to_lidar_points
 
 import oracles
 from conftest import random_calibration
@@ -532,14 +540,15 @@ class TestFrustumRotation:
             np.testing.assert_allclose(out.points, want, atol=1e-12)
 
     def test_degenerate_projection_matrix(self):
+        # frustum_rotation back-projects through P2's left 3x3, so no parsed
+        # calibration may carry a singular one
         calib = CalibrationSet(
             P2=np.array([[1.0, 0, 0, 0], [2.0, 0, 0, 0], [0, 0, 1, 0]]),
             R0_rect=np.eye(3),
             Tr_velo_to_cam=np.hstack([np.eye(3), np.zeros((3, 1))]),
         )
-        cloud = PointCloud([[0, 0, 5]], Frame.CAMERA)
-        with pytest.raises(BadCalibration):
-            frustum_rotation(cloud, make_det((10, 10, 20, 20)), calib)
+        with pytest.raises(BadCalibration, match="left 3x3 of P2 is not invertible"):
+            parse_calibration(calibration_text(calib))
 
 
 class TestCentroidFrameAndBev:

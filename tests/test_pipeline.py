@@ -506,4 +506,3 @@ def test_load_frame_inputs_reads_all_parts(mini_dataset, mini_config):
     assert len(inputs.detections) == 3
     assert len(inputs.fallback_boxes) == 2
     assert inputs.labels is not None
-    assert inputs.calib.frame_id == "000001"
