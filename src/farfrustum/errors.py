@@ -32,7 +32,7 @@ class BadScore(FarFrustumError):
 
 
 class BadBBox(FarFrustumError):
-    """A 2D bounding box has inverted or degenerate extents."""
+    """A 2D bounding box is inverted or has an edge far off any image."""
 
 
 class MaskDimMismatch(FarFrustumError):

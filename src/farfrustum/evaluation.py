@@ -5,12 +5,15 @@ range a coarse localization is still far more useful than a miss, so the
 metric rewards any overlap rather than tight fits.
 
 Scoring builds one IoU table per (frame, class) and feeds it to aIoU,
-AP-BEV and AP-3D. Pairs whose footprint bounds are disjoint are pruned;
-every other ground-truth/prediction pair is clipped at most once, and its
-BEV and 3D IoU both come from that one intersection area. The pairwise
-``bev_iou`` and ``iou_3d`` read from the same table builder. ``Box3D``
-bounds every box's center and sizes where it is built, so each footprint
-area and volume is positive and both tables are always defined.
+AP-BEV and AP-3D. An ``evaluate_boxes`` call builds all of its tables
+together: one footprint pass stacks every box's ground-plane corners, pairs
+whose footprint bounds are disjoint are pruned, and one clip pass
+intersects every other ground-truth/prediction pair of every table, so
+each pair is clipped at most once and its BEV and 3D IoU both come from
+that one intersection area. ``bev_iou``, ``iou_3d``, ``match_greedy`` and
+``ap_11point`` read from the same table builder. ``Box3D`` bounds every
+box's center and sizes where it is built, so each footprint area and
+volume is positive and both tables are always defined.
 """
 from __future__ import annotations
 
@@ -20,134 +23,186 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .geometry import lidar_to_camera, rot_y
-from .kitti_io import Box3D, CalibrationSet, LabelRecord, PointCloud
+from .kitti_io import Box3D, CalibrationSet, LabelRecord, PointCloud, bev_footprints
 
 # --- rotated IoU ------------------------------------------------------------
 
 
-def _polygon_area(poly: np.ndarray) -> np.ndarray:
-    """Shoelace area of (..., n, 2) polygons; positive for counter-clockwise order."""
-    x, z = poly[..., 0], poly[..., 1]
-    following = np.concatenate((poly[..., 1:, :], poly[..., :1, :]), axis=-2)
-    return 0.5 * np.sum(x * following[..., 1] - following[..., 0] * z, axis=-1)
+def _sum_as_numpy(terms: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Sum of each row's first ``count`` terms, rounded as np.sum of that 1-D row.
+
+    np.sum adds up to 7 terms left to right onto +0.0. From 8 terms on it
+    keeps 8 running lanes over whole blocks of 8, adds the lanes as a tree
+    ((0+1)+(2+3))+((4+5)+(6+7)), adds the rest left to right, and adds that
+    onto +0.0. A clip leaves at most 19 vertices, far below the 128 terms
+    where np.sum would split the row.
+    """
+    total = np.zeros(len(terms))
+    for j in range(min(terms.shape[1], 7)):  # a +0.0 pad leaves a sum begun at +0.0 alone
+        total += terms[:, j]
+    for n in set(count[count >= 8].tolist()):
+        rows = np.flatnonzero(count == n)
+        lanes = terms[rows, :8].copy()
+        end = n - n % 8
+        for i in range(8, end, 8):
+            lanes += terms[rows, i:i + 8]
+        tree = ((lanes[:, 0] + lanes[:, 1]) + (lanes[:, 2] + lanes[:, 3])) + (
+            (lanes[:, 4] + lanes[:, 5]) + (lanes[:, 6] + lanes[:, 7]))
+        for i in range(end, n):
+            tree += terms[rows, i]
+        total[rows] = 0.0 + tree
+    return total
 
 
-def _clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman clip of a convex polygon by a CCW convex polygon."""
-    # plain floats: the same IEEE arithmetic as numpy scalars, only faster
-    output = [tuple(p) for p in subject.tolist()]
-    clip = clip.tolist()
-    n_clip = len(clip)
-    for k in range(n_clip):
-        if len(output) < 3:
-            return np.zeros((0, 2))
-        a = clip[k]
-        b = clip[(k + 1) % n_clip]
-        edge = (b[0] - a[0], b[1] - a[1])
-        inputs = output
-        output = []
+def _intersection_areas(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
+    """Areas of the intersections of (P, 4, 2) convex polygons with CCW (P, 4, 2) ones.
+
+    One Sutherland-Hodgman pass per clip edge runs over all P pairs at once,
+    on vertex arrays padded to the longest polygon. It keeps each polygon's
+    vertices in order and uses the same float expressions as a one-pair
+    clip, so every area carries the same bits; a polygon that drops below 3
+    vertices has area 0.
+    """
+    x, z = subject[:, :, 0].copy(), subject[:, :, 1].copy()  # padded past each count
+    count = np.full(len(subject), subject.shape[1])
+    alive = np.arange(len(subject))  # pairs still holding 3 or more vertices
+    edges = np.roll(clip, -1, axis=1) - clip  # edge k runs from corner k to k + 1
+    for k in range(clip.shape[1]):
+        a, edge = clip[alive, k], edges[alive, k]
         # signed area of (edge, a->p); >= 0 keeps points on the inner side
-        values = [
-            edge[0] * (p[1] - a[1]) - edge[1] * (p[0] - a[0]) for p in inputs
-        ]
-        for i, p in enumerate(inputs):
-            q = inputs[(i + 1) % len(inputs)]
-            vp, vq = values[i], values[(i + 1) % len(inputs)]
-            if vp >= 0:
-                output.append(p)
-            if vp * vq < 0:  # strict sign change: insert the crossing point
-                t = vp / (vp - vq)
-                output.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-    return np.array(output) if len(output) >= 3 else np.zeros((0, 2))
+        value = edge[:, :1] * (z - a[:, 1:]) - edge[:, 1:] * (x - a[:, :1])
+        value_q = _following(value, count)
+        valid = np.arange(x.shape[1]) < count[:, None]
+        keep = valid & (value >= 0)
+        cross = valid & (value * value_q < 0)  # strict sign change: a crossing point
+        r, c = np.nonzero(cross)
+        q = np.where(c + 1 < count[r], c + 1, 0)
+        t = value[r, c] / (value[r, c] - value_q[r, c])
+        cross_x = x[r, c] + t * (x[r, q] - x[r, c])
+        cross_z = z[r, c] + t * (z[r, q] - z[r, c])
+        # each vertex is followed by its edge's crossing point, if any
+        slots = np.stack([keep, cross], axis=2).reshape(len(x), 2 * x.shape[1])
+        count = slots.sum(axis=1)
+        slot = np.cumsum(slots, axis=1) - 1
+        new_x, new_z = np.zeros((2, len(x), max(count.max(initial=0), 1)))
+        new_x[r, slot[r, 2 * c + 1]] = cross_x
+        new_z[r, slot[r, 2 * c + 1]] = cross_z
+        r, c = np.nonzero(keep)
+        new_x[r, slot[r, 2 * c]] = x[r, c]
+        new_z[r, slot[r, 2 * c]] = z[r, c]
+        left = count >= 3
+        x, z, count, alive = new_x[left], new_z[left], count[left], alive[left]
+    area = np.zeros(len(subject))
+    area[alive] = _shoelace_areas(x, z, count)
+    return area
+
+
+def _following(rows: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The entry after each of a row's first ``count``, the last wrapping to the first."""
+    out = np.concatenate((rows[:, 1:], rows[:, :1]), axis=1)
+    out[np.arange(len(rows)), count - 1] = rows[:, 0]
+    return out
+
+
+def _shoelace_areas(x: np.ndarray, z: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Shoelace area of each row's first ``count`` vertices, as np.sum rounds it;
+    positive for counter-clockwise order."""
+    terms = x * _following(z, count) - _following(x, count) * z
+    terms[np.arange(terms.shape[1]) >= count[:, None]] = 0.0
+    return 0.5 * _sum_as_numpy(terms, count)
 
 
 _PRUNE_MARGIN = 1e-6  # relative pad on each footprint's axis-aligned bounds
 
 
-def _footprints(
-    boxes: Sequence[Box3D],
-) -> tuple[list[np.ndarray], list[float], np.ndarray, np.ndarray]:
-    """Corners, shoelace areas and padded axis-aligned bounds of footprints.
-
-    The area is measured on the corner polygon itself (not as w*l) so that
-    identical boxes compare at exactly 1.0: clipping a polygon by itself
-    returns it verbatim, and the intersection then carries the same floats
-    as each footprint.
-    """
-    corners = np.stack([box.bev_corners() for box in boxes])
-    # the pad dwarfs the clip's rounding, which scales with the coordinates
-    pad = _PRUNE_MARGIN * np.abs(corners).max(axis=(1, 2))
-    low = corners.min(axis=1) - pad[:, None]
-    high = corners.max(axis=1) + pad[:, None]
-    return list(corners), _polygon_area(corners).tolist(), low, high
-
-
-def _vertical_interval(box: Box3D) -> tuple[float, float]:
-    # y points down: a box spans [center_y - h, center_y]
-    return box.center[1] - box.size[2], box.center[1]
+def _clamp_unit(ratio: np.ndarray) -> np.ndarray:
+    """min(max(ratio, 0.0), 1.0) elementwise, signed zeros included."""
+    ratio = np.where(ratio < 0.0, 0.0, ratio)
+    return np.where(ratio > 1.0, 1.0, ratio)
 
 
 def _iou_tables(
-    gt: Sequence[Box3D], preds: Sequence[Box3D]
-) -> tuple[np.ndarray, np.ndarray]:
-    """BEV and 3D IoU of every (ground truth, prediction) pair, class-blind.
+    tables: Sequence[tuple[Sequence[Box3D], Sequence[Box3D]]],
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """BEV and 3D IoU of every (ground truth, prediction) pair of each table, class-blind.
 
-    Each box's footprint is built once. Pairs whose padded bounds are
-    disjoint cannot overlap and keep IoU 0; every other pair is clipped
-    once, and both IoUs come from that one intersection area. 3D IoU is
-    the BEV intersection times the vertical overlap, over upright boxes.
+    One stacked product builds the footprint of every box of every table.
+    Within a table, pairs whose padded footprint bounds are disjoint cannot
+    overlap and keep IoU 0; every other pair of every table goes to one clip
+    pass, and both IoUs come from that one intersection area. 3D IoU is the
+    BEV intersection times the vertical overlap, over upright boxes. The
+    footprint area is measured on the corner polygon itself (not as w*l) so
+    that identical boxes compare at exactly 1.0.
     """
-    bev = np.zeros((len(gt), len(preds)))
-    vol_iou = np.zeros_like(bev)
-    if not len(gt) or not len(preds):
-        return bev, vol_iou
-    g_poly, g_area, g_low, g_high = _footprints(gt)
-    p_poly, p_area, p_low, p_high = _footprints(preds)
-    g_span = [_vertical_interval(g) for g in gt]
-    p_span = [_vertical_interval(p) for p in preds]
-    # heights via the same subtractions used for the overlap, keeping the
-    # identical-box case exact
-    g_vol = [a * (bottom - top) for a, (top, bottom) in zip(g_area, g_span)]
-    p_vol = [a * (bottom - top) for a, (top, bottom) in zip(p_area, p_span)]
-    near = np.all(
-        (g_low[:, None, :] <= p_high[None, :, :]) & (p_low[None, :, :] <= g_high[:, None, :]),
-        axis=2,
-    )
-    for gi, pi in zip(*(ix.tolist() for ix in np.nonzero(near))):
-        inter_poly = _clip_polygon(g_poly[gi], p_poly[pi])
-        inter = float(_polygon_area(inter_poly)) if len(inter_poly) else 0.0
-        union = g_area[gi] + p_area[pi] - inter
-        bev[gi, pi] = min(max(inter / union, 0.0), 1.0)
-        top_g, bottom_g = g_span[gi]
-        top_p, bottom_p = p_span[pi]
-        overlap = max(0.0, min(bottom_g, bottom_p) - max(top_g, top_p))
-        inter_vol = inter * overlap
-        union = g_vol[gi] + p_vol[pi] - inter_vol
-        vol_iou[gi, pi] = min(max(inter_vol / union, 0.0), 1.0)
-    return bev, vol_iou
+    shapes = [(len(gt), len(preds)) for gt, preds in tables]
+    out = [(np.zeros(shape), np.zeros(shape)) for shape in shapes]
+    boxes = [box for gt, preds in tables for box in (*gt, *preds)]
+    if not boxes:
+        return out
+    poly = bev_footprints(boxes)
+    area = _shoelace_areas(poly[..., 0], poly[..., 1], np.full(len(poly), 4))
+    # the pad dwarfs the clip's rounding, which scales with the coordinates
+    pad = _PRUNE_MARGIN * np.abs(poly).max(axis=(1, 2))
+    low = poly.min(axis=1) - pad[:, None]
+    high = poly.max(axis=1) + pad[:, None]
+    # y points down: a box spans [center_y - h, center_y]; heights via the
+    # same subtractions used for the overlap keep the identical-box case exact
+    bottom = np.array([box.center[1] for box in boxes])
+    top = bottom - np.array([box.size[2] for box in boxes])
+    vol = area * (bottom - top)
+    pairs, gi, pi, start = [], [np.zeros(0, int)], [np.zeros(0, int)], 0
+    for n_gt, n_pred in shapes:
+        g, p = slice(start, start + n_gt), slice(start + n_gt, start + n_gt + n_pred)
+        near = np.all((low[g, None] <= high[None, p]) & (low[None, p] <= high[g, None]), axis=2)
+        rows, cols = np.nonzero(near)
+        pairs.append((rows, cols))
+        gi.append(start + rows)
+        pi.append(start + n_gt + cols)
+        start += n_gt + n_pred
+    gi, pi = np.concatenate(gi), np.concatenate(pi)
+    inter = _intersection_areas(poly[gi], poly[pi])
+    bev = _clamp_unit(inter / (area[gi] + area[pi] - inter))
+    lowest = np.where(bottom[pi] < bottom[gi], bottom[pi], bottom[gi])
+    highest = np.where(top[pi] > top[gi], top[pi], top[gi])
+    overlap = lowest - highest
+    inter_vol = inter * np.where(overlap > 0.0, overlap, 0.0)
+    vol_iou = _clamp_unit(inter_vol / (vol[gi] + vol[pi] - inter_vol))
+    done = 0
+    for (bev_table, vol_table), (rows, cols) in zip(out, pairs):
+        part = slice(done, done + len(rows))
+        bev_table[rows, cols] = bev[part]
+        vol_table[rows, cols] = vol_iou[part]
+        done += len(rows)
+    return out
 
 
 def bev_iou(a: Box3D, b: Box3D) -> float:
     """IoU of the two yaw-rotated ground-plane rectangles."""
-    return float(_iou_tables([a], [b])[0][0, 0])
+    return float(_iou_tables([([a], [b])])[0][0][0, 0])
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
     """Volume IoU for upright boxes: BEV intersection times vertical overlap."""
-    return float(_iou_tables([a], [b])[1][0, 0])
+    return float(_iou_tables([([a], [b])])[0][1][0, 0])
 
 
-def _same_class_table(gt: Sequence[Box3D], preds: Sequence[Box3D]) -> np.ndarray:
-    """BEV IoU table of one frame with each class clipped apart; 0 across classes."""
-    table = np.zeros((len(gt), len(preds)))
-    for cls in dict.fromkeys(g.class_name for g in gt):
-        rows = [i for i, g in enumerate(gt) if g.class_name == cls]
-        cols = [j for j, p in enumerate(preds) if p.class_name == cls]
-        if not cols:
-            continue
-        bev, _ = _iou_tables([gt[i] for i in rows], [preds[j] for j in cols])
-        table[np.ix_(rows, cols)] = bev
-    return table
+def _same_class_tables(
+    frames: Sequence[tuple[Sequence[Box3D], Sequence[Box3D]]],
+) -> list[np.ndarray]:
+    """BEV IoU table of each (gt, preds) frame, each class scored apart; 0 across classes."""
+    parts = []  # (frame, gt rows, pred columns) of each class present on both sides
+    for k, (gt, preds) in enumerate(frames):
+        for cls in dict.fromkeys(g.class_name for g in gt):
+            rows = [i for i, g in enumerate(gt) if g.class_name == cls]
+            cols = [j for j, p in enumerate(preds) if p.class_name == cls]
+            if cols:
+                parts.append((k, rows, cols))
+    scored = _iou_tables([([frames[k][0][i] for i in rows], [frames[k][1][j] for j in cols])
+                          for k, rows, cols in parts])
+    tables = [np.zeros((len(gt), len(preds))) for gt, preds in frames]
+    for (k, rows, cols), (bev, _) in zip(parts, scored):
+        tables[k][np.ix_(rows, cols)] = bev
+    return tables
 
 
 # --- matching and aggregate metrics ------------------------------------------
@@ -197,7 +252,7 @@ def match_greedy(
     the still-unmatched predictions; each prediction is consumed at most
     once. Returns (gt index, pred index or None, BEV iou) per ground truth.
     """
-    return _greedy(_same_class_table(gt, preds))
+    return _greedy(_same_class_tables([(gt, preds)])[0])
 
 
 def _interp_ap(points: list[tuple[float, float]]) -> float:
@@ -265,10 +320,9 @@ def ap_11point(
     n_gt = sum(len(v) for v in gt_by_frame.values())
     if n_gt == 0:
         return None
-    tables = {
-        frame: _same_class_table(gt, preds_by_frame.get(frame, ()))
-        for frame, gt in gt_by_frame.items()
-    }
+    tables = dict(zip(gt_by_frame, _same_class_tables(
+        [(gt, preds_by_frame.get(frame, ())) for frame, gt in gt_by_frame.items()]
+    )))
     return _ap_from_tables(tables, preds_by_frame, n_gt, iou_threshold)
 
 
@@ -331,22 +385,25 @@ def evaluate_boxes(
         {b.class_name for boxes in gt_f.values() for b in boxes}
         | {b.class_name for boxes in pred_f.values() for b in boxes}
     )
+    keys = [(cls, f) for cls in classes for f in frames]
+    gt_c = {(cls, f): [g for g in gt_f[f] if g.class_name == cls] for cls, f in keys}
+    pred_c = {(cls, f): [p for p in pred_f[f] if p.class_name == cls] for cls, f in keys}
+    tables = dict(zip(keys, _iou_tables([(gt_c[key], pred_c[key]) for key in keys])))
     report = EvalReport()
     for cls in classes:
-        gt_c = {f: [g for g in gt_f[f] if g.class_name == cls] for f in frames}
-        pred_c = {f: [p for p in pred_f[f] if p.class_name == cls] for f in frames}
-        n_gt = sum(len(v) for v in gt_c.values())
-        n_pred = sum(len(v) for v in pred_c.values())
-        bev_tables, vol_tables = {}, {}
+        n_gt = sum(len(gt_c[cls, f]) for f in frames)
+        n_pred = sum(len(pred_c[cls, f]) for f in frames)
+        bev_tables = {f: tables[cls, f][0] for f in frames}
+        vol_tables = {f: tables[cls, f][1] for f in frames}
+        preds = {f: pred_c[cls, f] for f in frames}
         iou_sum = 0.0
         for f in frames:
-            bev_tables[f], vol_tables[f] = _iou_tables(gt_c[f], pred_c[f])
             for gi, pi, iou in _greedy(bev_tables[f]):
                 iou_sum += iou
                 report.matches.append((f, cls, gi, pi, iou))
         if n_gt:
-            ap_bev = _ap_from_tables(bev_tables, pred_c, n_gt, iou_threshold)
-            ap_3d = _ap_from_tables(vol_tables, pred_c, n_gt, iou_threshold)
+            ap_bev = _ap_from_tables(bev_tables, preds, n_gt, iou_threshold)
+            ap_3d = _ap_from_tables(vol_tables, preds, n_gt, iou_threshold)
         else:
             ap_bev = ap_3d = None
         report.per_class[cls] = ClassEval(

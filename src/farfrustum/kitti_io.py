@@ -19,7 +19,9 @@ A calibration is bounded when it is built, so no product of a checked
 cloud and its matrices overflows, and ``parse_calibration`` refuses a P2
 whose left 3x3 is singular. Every ``Box3D`` has its center within
 MAX_POINT_RANGE_M and its sizes in [MIN_BOX_SIZE_M, MAX_POINT_RANGE_M], so
-its footprint area and volume are positive and finite.
+its footprint area and volume are positive and finite; ``parse_labels``
+runs each box through that one check on the floats it has just read. Every
+``Detection2D`` edge lies within MAX_BBOX_PIXEL.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -53,6 +56,7 @@ MAX_POINT_RANGE_M = 1e4  # no lidar reaches 10 km: a farther point is a corrupt 
 MIN_BOX_SIZE_M = 0.01  # the resolution of KITTI label sizes
 # A 3x3 determinant or a pixel times an image size stays finite below this.
 MAX_CALIBRATION_MAGNITUDE = 1e100
+MAX_BBOX_PIXEL = 1e5  # a 2D box edge this far off any image is a corrupt record
 
 
 def wrap_angle(angle: float) -> float:
@@ -310,7 +314,10 @@ class MaskRef:
 
 @dataclass(frozen=True)
 class Detection2D:
-    """One 2D detector output: class, score, pixel box, optional mask."""
+    """One 2D detector output: class, score, pixel box, optional mask.
+
+    An edge beyond MAX_BBOX_PIXEL or an inverted box raises BadBBox.
+    """
 
     frame_id: str
     class_name: str
@@ -323,6 +330,8 @@ class Detection2D:
         if not 0.0 <= self.score <= 1.0:
             raise BadScore(f"score {self.score} outside [0, 1]")
         u0, v0, u1, v1 = self.bbox
+        if not all(-MAX_BBOX_PIXEL <= e <= MAX_BBOX_PIXEL for e in self.bbox):
+            raise BadBBox(f"bbox edge beyond {MAX_BBOX_PIXEL:g} px or non-finite in {self.bbox}")
         if not (u0 < u1 and v0 < v1):
             raise BadBBox(f"inverted bbox {self.bbox}")
 
@@ -401,39 +410,78 @@ class Box3D:
         size = tuple(float(s) for s in self.size)
         yaw = float(self.yaw)
         score = float(self.score)
-        r = MAX_POINT_RANGE_M
-        if not (all(-r <= c <= r for c in center) and math.isfinite(yaw)):
-            raise NonFiniteBox(f"box center beyond {r:g} m or non-finite yaw in "
-                               f"{(*center, yaw)}")
-        if not all(MIN_BOX_SIZE_M <= s <= r for s in size):
-            if all(s <= r for s in size):
-                raise ZeroAreaBox(f"box sizes must be at least {MIN_BOX_SIZE_M:g} m, got {size}")
-            raise NonFiniteBox(f"box size above {r:g} m or non-finite in {size}")
-        if not 0.0 <= score <= 1.0:
-            raise BadScore(f"box score {score} outside [0, 1]")
+        _check_box(center, yaw, size, score)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "yaw", wrap_angle(yaw))
         object.__setattr__(self, "score", score)
 
+    @classmethod
+    def _checked(cls, center: tuple[float, float, float], yaw: float,
+                 size: tuple[float, float, float], class_name: str, score: float) -> "Box3D":
+        """A box from fields that are already plain floats: checked, not converted again."""
+        _check_box(center, yaw, size, score)
+        box = object.__new__(cls)
+        box.__dict__.update(center=center, yaw=wrap_angle(yaw), size=size,
+                            class_name=class_name, score=score)
+        return box
+
     def bev_corners(self) -> np.ndarray:
         """(4, 2) array of (x, z) ground-plane corners, counter-clockwise."""
-        w, l, _ = self.size
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        local = np.array(
-            [[l / 2, w / 2], [-l / 2, w / 2], [-l / 2, -w / 2], [l / 2, -w / 2]]
-        )
-        rot = np.array([[c, s], [-s, c]])
-        return local @ rot.T + np.array([self.center[0], self.center[2]])
+        return bev_footprints([self])[0]
 
     def corners(self) -> np.ndarray:
         """(8, 3) camera-frame corners; rows 0-3 bottom face, 4-7 top face."""
-        bev = self.bev_corners()
-        cy = self.center[1]
-        h = self.size[2]
-        bottom = np.column_stack([bev[:, 0], np.full(4, cy), bev[:, 1]])
-        top = np.column_stack([bev[:, 0], np.full(4, cy - h), bev[:, 1]])
-        return np.vstack([bottom, top])
+        return box_corners([self])[0]
+
+
+def _check_box(center: tuple[float, float, float], yaw: float,
+               size: tuple[float, float, float], score: float) -> None:
+    """The bounds every Box3D is built under; see Box3D."""
+    r = MAX_POINT_RANGE_M
+    x, y, z = center
+    if not (-r <= x <= r and -r <= y <= r and -r <= z <= r and math.isfinite(yaw)):
+        raise NonFiniteBox(f"box center beyond {r:g} m or non-finite yaw in "
+                           f"{(*center, yaw)}")
+    w, l, h = size
+    if not (MIN_BOX_SIZE_M <= w <= r and MIN_BOX_SIZE_M <= l <= r and MIN_BOX_SIZE_M <= h <= r):
+        if w <= r and l <= r and h <= r:
+            raise ZeroAreaBox(f"box sizes must be at least {MIN_BOX_SIZE_M:g} m, got {size}")
+        raise NonFiniteBox(f"box size above {r:g} m or non-finite in {size}")
+    if not 0.0 <= score <= 1.0:
+        raise BadScore(f"box score {score} outside [0, 1]")
+
+
+_CORNER_SIGNS = np.array([1.0, 1.0, -1.0, 1.0, -1.0, -1.0, 1.0, -1.0])  # (l, w) halves
+_ROTATION_SIGNS = np.array([1.0, 1.0, -1.0, 1.0])  # [[c, s], [-s, c]]
+
+
+def bev_footprints(boxes: Sequence[Box3D]) -> np.ndarray:
+    """(K, 4, 2) counter-clockwise (x, z) ground-plane corners of K boxes.
+
+    One stacked product turns every box; each box's (4, 2) @ (2, 2) product
+    goes to the same BLAS call as on its own, so a box's corners do not
+    depend on the boxes stacked with it.
+    """
+    fields = np.array(
+        [(b.size[1], b.size[0], math.cos(b.yaw), math.sin(b.yaw), b.center[0], b.center[2])
+         for b in boxes]
+    ).reshape(-1, 6)
+    half = fields[:, :2] / 2
+    local = (half[:, [0, 1, 0, 1, 0, 1, 0, 1]] * _CORNER_SIGNS).reshape(-1, 4, 2)
+    rot = (fields[:, [2, 3, 3, 2]] * _ROTATION_SIGNS).reshape(-1, 2, 2)
+    return local @ rot.transpose(0, 2, 1) + fields[:, None, 4:]
+
+
+def box_corners(boxes: Sequence[Box3D]) -> np.ndarray:
+    """(K, 8, 3) camera-frame corners of K boxes; see Box3D.corners."""
+    bev = bev_footprints(boxes)
+    y = np.array([(b.center[1], b.center[1] - b.size[2]) for b in boxes]).reshape(-1, 2)
+    corners = np.empty((len(boxes), 8, 3))
+    corners[:, :4, 0::2] = corners[:, 4:, 0::2] = bev
+    corners[:, :4, 1] = y[:, :1]  # bottom face
+    corners[:, 4:, 1] = y[:, 1:]  # top face
+    return corners
 
 
 @dataclass(frozen=True)
@@ -476,13 +524,8 @@ def parse_labels(text: str) -> list[LabelRecord]:
             h, w, l = vals[7], vals[8], vals[9]
             score = vals[14] if len(vals) == 15 else 1.0
             try:
-                box = Box3D(
-                    center=(vals[10], vals[11], vals[12]),
-                    yaw=vals[13],
-                    size=(w, l, h),
-                    class_name=name,
-                    score=score,
-                )
+                box = Box3D._checked((vals[10], vals[11], vals[12]), vals[13], (w, l, h),
+                                     name, score)
             except (NonFiniteBox, ZeroAreaBox, BadScore) as exc:
                 raise MalformedLabelLine(f"{exc}: {line!r}") from exc
         out.append(LabelRecord(name, box, bbox2d, dontcare))
@@ -497,7 +540,7 @@ def _projected_bboxes(
     Corners behind the camera are left out; a box with none in front gets
     an all-zero bbox. All corners of the frame go through one product.
     """
-    corners = np.concatenate([box.corners() for box in boxes])  # (8K, 3)
+    corners = box_corners(boxes).reshape(-1, 3)
     uvw = apply_affine(corners, calib.P2)
     front = (corners[:, 2] > 0).reshape(-1, 8)
     with np.errstate(divide="ignore", invalid="ignore"):  # corners behind: masked

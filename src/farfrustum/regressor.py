@@ -48,6 +48,9 @@ DEFAULT_SIZE_PRIORS: dict[str, tuple[float, float, float]] = {
 
 CHECKPOINT_VERSION = 2
 _OUTPUT_DIM = 7
+# tanh bounds the hidden layer, so under this bound on every weight and prior
+# no product of a loaded checkpoint overflows
+MAX_WEIGHT_MAGNITUDE = 1e100
 _VAL_FRACTION = 0.1  # share of samples train() holds out for early stopping
 
 
@@ -462,8 +465,9 @@ def load_checkpoint(
             f"{n_weights + n_classes * 3} 8-byte reals"
         )
     body = np.frombuffer(data, dtype="<f8", offset=names_end)
-    if not np.isfinite(body).all() or not (body[n_weights:] > 0).all():
-        raise ShapeError(f"checkpoint {path}: non-finite weights or non-positive priors")
+    if not (np.abs(body) <= MAX_WEIGHT_MAGNITUDE).all() or not (body[n_weights:] > 0).all():
+        raise ShapeError(f"checkpoint {path}: a weight non-finite or beyond "
+                         f"{MAX_WEIGHT_MAGNITUDE:g}, or a prior not positive")
     params = zero_params(
         grid_size, names, hidden, {name: (1.0, 1.0, 1.0) for name in names}, extent
     )

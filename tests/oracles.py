@@ -171,6 +171,54 @@ def monte_carlo_bev_iou(box_a, box_b, n_samples=100_000, seed=0):
     return n_inter / n_union
 
 
+def polygon_area(poly) -> float:
+    """Shoelace area of one (n, 2) polygon, its n terms summed by np.sum.
+
+    The per-pair reference the package's batched intersection areas must
+    match bit for bit; positive for counter-clockwise order.
+    """
+    poly = np.asarray(poly, dtype=np.float64).reshape(-1, 2)
+    x, z = poly[:, 0], poly[:, 1]
+    following = np.concatenate((poly[1:], poly[:1]))
+    return float(0.5 * np.sum(x * following[:, 1] - following[:, 0] * z))
+
+
+def clip_polygon(subject, clip):
+    """One-pair Sutherland-Hodgman clip of a convex polygon by a CCW convex one.
+
+    Returns the intersection as an (n, 2) array with n >= 3, or (0, 2) once
+    fewer than 3 vertices are left.
+    """
+    output = [tuple(p) for p in np.asarray(subject).tolist()]
+    clip = np.asarray(clip).tolist()
+    n_clip = len(clip)
+    for k in range(n_clip):
+        if len(output) < 3:
+            return np.zeros((0, 2))
+        a = clip[k]
+        b = clip[(k + 1) % n_clip]
+        edge = (b[0] - a[0], b[1] - a[1])
+        inputs = output
+        output = []
+        # signed area of (edge, a->p); >= 0 keeps points on the inner side
+        values = [edge[0] * (p[1] - a[1]) - edge[1] * (p[0] - a[0]) for p in inputs]
+        for i, p in enumerate(inputs):
+            q = inputs[(i + 1) % len(inputs)]
+            vp, vq = values[i], values[(i + 1) % len(inputs)]
+            if vp >= 0:
+                output.append(p)
+            if vp * vq < 0:  # strict sign change: insert the crossing point
+                t = vp / (vp - vq)
+                output.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return np.array(output) if len(output) >= 3 else np.zeros((0, 2))
+
+
+def intersection_area(subject, clip) -> float:
+    """Area of the one-pair clip; 0.0 when it leaves fewer than 3 vertices."""
+    poly = clip_polygon(subject, clip)
+    return polygon_area(poly) if len(poly) else 0.0
+
+
 def axis_aligned_bev_iou(box_a, box_b):
     """Closed-form IoU for yaw-0 boxes: (cx, cz, w, l)."""
 

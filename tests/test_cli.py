@@ -426,6 +426,21 @@ def test_overflowing_checkpoint_exits_1_naming_frame_and_detection(
     assert not (out / f"{frame}.txt").exists()
 
 
+def test_checkpoint_weight_past_the_bound_exits_1_at_load(mini_dataset, trained, tmp_path, capsys):
+    # once two overflow RuntimeWarnings, from the network and from assemble_box,
+    # came before the error naming the frame
+    params = regressor.load_checkpoint(trained[0] / "default.ckpt")
+    params.w2[2, :] = 1e307
+    params.b1[:] = 1.0
+    ckpt = tmp_path / "huge.ckpt"
+    regressor.save_checkpoint(params, ckpt)
+    code = run_cli("run", f"data_root={mini_dataset.root}", f"checkpoint={ckpt}",
+                   "--out", tmp_path / "out")
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith(f"error: checkpoint {ckpt}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
+
+
 def test_unencodable_class_name_exits_1_before_training(mini_dataset, tmp_path, capsys):
     ckpt = tmp_path / "reg.ckpt"
     code = run_cli("train", f"data_root={mini_dataset.root}", "classes=car,\udcff",
@@ -565,6 +580,10 @@ BAD_FILES = {
     "velodyne signaling NaN": ("run", "velodyne/000000.bin",
                                struct.pack("<I3f", 0x7F800001, 2, 3, 1)),
     "detections": ("run", "detections_2d/000000.txt", b"000000 car 0.9 1 2\n"),
+    # an edge this far off once made a frustum turned away from its points
+    "detection edge far off": ("run", "detections_2d/000000.txt",
+                               b"000000 car 0.9 100 100 1.7e308 200\n"),
+    "detection edge inf": ("run", "detections_2d/000000.txt", b"000000 car 0.9 100 100 inf 200\n"),
     "missing mask": ("run", "detections_2d/000000.txt", b"000000 car 0.9 1 2 3 4 no.pgm\n"),
     "mask of another size": ("run", "detections_2d/masks/000000_0.pgm",
                              b"P5\n4 2\n255\n" + bytes(8)),

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from farfrustum import evaluation
@@ -25,6 +25,7 @@ from farfrustum.kitti_io import (
     Frame,
     LabelRecord,
     PointCloud,
+    bev_footprints,
 )
 from farfrustum.synth import camera_to_lidar_points
 
@@ -129,10 +130,10 @@ class TestBevIou:
            preds=st.lists(_BOUNDED_BOX, min_size=1, max_size=4))
     def test_boxes_within_the_bounds_have_area_and_finite_tables(self, gt, preds):
         # the footprint area and both tables never need a guard of their own
-        _, areas, _, _ = evaluation._footprints(gt + preds)
+        areas = [oracles.polygon_area(b.bev_corners()) for b in gt + preds]
         for b, area in zip(gt + preds, areas):
             assert area > 0.99 * b.size[0] * b.size[1]
-        for table in evaluation._iou_tables(gt, preds):
+        for table in evaluation._iou_tables([(gt, preds)])[0]:
             assert ((table >= 0.0) & (table <= 1.0)).all()
 
 
@@ -173,10 +174,9 @@ class TestIou3d:
 def unpruned_ious(g, p):
     """BEV and 3D IoU of one pair, clipped unconditionally, same float steps."""
     poly_g, poly_p = g.bev_corners(), p.bev_corners()
-    area_g = float(evaluation._polygon_area(poly_g))
-    area_p = float(evaluation._polygon_area(poly_p))
-    inter_poly = evaluation._clip_polygon(poly_g, poly_p)
-    inter = float(evaluation._polygon_area(inter_poly)) if len(inter_poly) else 0.0
+    area_g = oracles.polygon_area(poly_g)
+    area_p = oracles.polygon_area(poly_p)
+    inter = oracles.intersection_area(poly_g, poly_p)
     bev = min(max(inter / (area_g + area_p - inter), 0.0), 1.0)
     top_g, bottom_g = g.center[1] - g.size[2], g.center[1]
     top_p, bottom_p = p.center[1] - p.size[2], p.center[1]
@@ -189,24 +189,43 @@ def same_bits(a, b) -> bool:
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
+def count_clip_passes(monkeypatch):
+    """Record the (subject, clip) bytes of each pair of each call to the clip pass."""
+    passes = []
+    real = evaluation._intersection_areas
+
+    def counting(subject, clip):
+        passes.append([(a.tobytes(), b.tobytes()) for a, b in zip(subject, clip)])
+        return real(subject, clip)
+
+    monkeypatch.setattr(evaluation, "_intersection_areas", counting)
+    return passes
+
+
 def moved(b, dx=0.0, dz=0.0, cls=None):
     return Box3D(center=(b.center[0] + dx, b.center[1], b.center[2] + dz), yaw=b.yaw,
                  size=b.size, class_name=cls or b.class_name, score=b.score)
 
 
+def padded_x_bounds(b):
+    """The footprint's x range, widened by the prune margin as the table builder does."""
+    poly = b.bev_corners()
+    pad = evaluation._PRUNE_MARGIN * np.abs(poly).max()
+    return poly[:, 0].min() - pad, poly[:, 0].max() + pad
+
+
 def to_prune_bound(g, p, delta):
     """``p`` shifted along x so its padded bounds start ``delta`` past ``g``'s."""
-    _, _, _, g_high = evaluation._footprints([g])
-    _, _, p_low, _ = evaluation._footprints([p])
-    return moved(p, dx=float(g_high[0, 0] - p_low[0, 0]) + delta)
+    return moved(p, dx=float(padded_x_bounds(g)[1] - padded_x_bounds(p)[0]) + delta)
 
 
-# yaw 0 boxes with dyadic sizes; edge and corner contacts are then exact
+# yaw 0 boxes with dyadic sizes; edge and corner contacts are then exact, and a
+# box ending at y = -0.0 touches one starting at +0.0 with an overlap of -0.0
 _aligned = st.builds(
     box,
     cx=st.integers(-8, 8).map(lambda k: k / 4), cz=st.integers(236, 244).map(lambda k: k / 4),
     w=st.integers(2, 10).map(lambda k: k / 4), l=st.integers(2, 20).map(lambda k: k / 4),
-    cy=st.sampled_from([1.0, 1.5]), h=st.sampled_from([1.0, 1.75]),
+    cy=st.sampled_from([1.0, 1.5, -0.0]), h=st.sampled_from([1.0, 1.75]),
     cls=st.sampled_from(["car", "pedestrian"]),
 )
 _rotated = st.builds(
@@ -219,16 +238,66 @@ _rotated = st.builds(
 
 
 @st.composite
+def turned_or_beside(draw, g, how):
+    """``g`` turned by about 45 degrees about its center, which clips to up to 8
+    vertices; an equal box put corner to corner beside it, near the contact
+    distance, whose bounds overlap though the clip may drop below 3 vertices;
+    or a box of the same yaw whose long side lies along ``g``'s, which clips
+    to 2 vertices on the shared line and must stop there."""
+    if how == "octagon":
+        return Box3D(g.center, g.yaw + math.pi / 4 + draw(st.floats(-0.05, 0.05)),
+                     (g.size[0], g.size[0] * draw(st.floats(0.9, 1.1)), g.size[2]),
+                     g.class_name)
+    if how == "alongside":
+        w = draw(st.floats(0.5, 3.0))
+        across, along = (g.size[0] + w) / 2, draw(st.floats(-2.0, 2.0))
+        c, s = math.cos(g.yaw), math.sin(g.yaw)
+        return Box3D((g.center[0] + along * c + across * s, g.center[1],
+                      g.center[2] - along * s + across * c), g.yaw,
+                     (w, draw(st.floats(0.5, 5.0)), g.size[2]), g.class_name)
+    return beside(g, draw(st.floats(0.999, 1.5)))
+
+
+def beside(g, factor):
+    """``g`` moved along the diagonal through its corner 3 by ``factor`` times the
+    distance at which the two boxes touch corner to corner."""
+    reach = math.hypot(g.size[0], g.size[1]) * factor
+    turn = g.yaw + math.atan2(g.size[0], g.size[1])
+    return moved(g, dx=reach * math.cos(turn), dz=-reach * math.sin(turn))
+
+
+# pairs of 2 to 4 cm boxes near 10 km whose intersection rounds to an area of
+# 0 or below with 3 vertices; the second's 3D IoU is -0.0, as its spans only touch
+SLIVERS = [
+    (Box3D((9999.0, 1.0, 9999.0), -2.2887862262462013,
+           (0.035508640310311264, 0.02982051662999661, 1.0), "car"),
+     Box3D((9998.973021440508, 1.0, 9998.976433748407), -1.9887862262462015,
+           (0.02866577065874272, 0.02982051662999661, 1.0), "car")),
+    (Box3D((9999.0, 1.0, 9999.0), -2.2887862262462013,
+           (0.035508640310311264, 0.02982051662999661, 1.0), "car"),
+     Box3D((9998.973021440508, 2.0, 9998.976433748407), -1.9887862262462015,
+           (0.02866577065874272, 0.02982051662999661, 1.0), "car")),
+    (Box3D((-9999.0, 1.0, 7000.0), -0.7412093123639565,
+           (0.03644437866579927, 0.013224666646692276, 1.0), "car"),
+     Box3D((-9999.024055364971, 1.0, 7000.026281125555), -0.44120931236395666,
+           (0.03242747600442025, 0.013224666646692276, 1.0), "car")),
+]
+
+
+@st.composite
 def table_cases(draw):
     gt = draw(st.lists(_aligned | _rotated, max_size=5))
     preds = draw(st.lists(_aligned | _rotated, max_size=4))
     for g in gt:
         p = draw(_aligned | _rotated)
         how = draw(st.sampled_from(
-            ["identical", "edge", "corner", "inside bound", "outside bound", "other class"]
+            ["identical", "edge", "corner", "inside bound", "outside bound", "other class",
+             "octagon", "diamond", "alongside"]
         ))
         if how == "identical":
             preds.append(g)
+        elif how in ("octagon", "diamond", "alongside"):
+            preds.append(draw(turned_or_beside(g, how)))
         elif how in ("edge", "corner") and g.yaw == 0.0 and p.yaw == 0.0:
             dx = (g.size[1] + p.size[1]) / 2
             dz = (g.size[0] + p.size[0]) / 2 if how == "corner" else 0.0
@@ -249,7 +318,7 @@ class TestIouTable:
     @settings(max_examples=200, deadline=None)
     def test_entries_equal_pairwise_functions_bit_for_bit(self, case):
         gt, preds = case
-        bev, vol = evaluation._iou_tables(gt, preds)
+        [(bev, vol)] = evaluation._iou_tables([(gt, preds)])
         assert bev.shape == vol.shape == (len(gt), len(preds))
         for gi, g in enumerate(gt):
             for pi, p in enumerate(preds):
@@ -260,17 +329,14 @@ class TestIouTable:
                 assert same_bits(vol[gi, pi], iou_3d(g, p))
 
     def test_prune_bound_decides_the_clip(self, monkeypatch):
-        clipped = []
-        real = evaluation._clip_polygon
-        monkeypatch.setattr(evaluation, "_clip_polygon",
-                            lambda a, b: clipped.append(1) or real(a, b))
+        passes = count_clip_passes(monkeypatch)
         g = box(yaw=0.3)
         inside = to_prune_bound(g, box(yaw=-0.7), -1e-9)
         outside = to_prune_bound(g, box(yaw=-0.7), 1e-9)
-        bev, _ = evaluation._iou_tables([g], [inside])
-        assert len(clipped) == 1 and bev[0, 0] == 0.0
-        bev, _ = evaluation._iou_tables([g], [outside])
-        assert len(clipped) == 1 and bev[0, 0] == 0.0
+        [(bev, _)] = evaluation._iou_tables([([g], [inside])])
+        assert [len(pairs) for pairs in passes] == [1] and bev[0, 0] == 0.0
+        [(bev, _)] = evaluation._iou_tables([([g], [outside])])
+        assert [len(pairs) for pairs in passes] == [1, 0] and bev[0, 0] == 0.0
 
     def test_touching_rectangles(self):
         g = box(w=2.0, l=4.0)
@@ -280,8 +346,82 @@ class TestIouTable:
 
     def test_empty_lists(self):
         for gt, preds in (([], []), ([box()], []), ([], [box()])):
-            bev, vol = evaluation._iou_tables(gt, preds)
+            [(bev, vol)] = evaluation._iou_tables([(gt, preds)])
             assert bev.shape == vol.shape == (len(gt), len(preds))
+        assert evaluation._iou_tables([]) == []
+
+    def test_clip_shapes_are_covered(self):
+        # what the drawn cases below rely on, pinned on one example each
+        g = box(w=2.0, l=2.0, yaw=0.2)
+        shapes = {
+            "octagon": Box3D(g.center, g.yaw + math.pi / 4, g.size, "car"),
+            "identical": g,
+            "edge": moved(box(), dx=4.0),
+            "diamond apart": beside(g, 1.005),
+        }
+        counts = {name: len(oracles.clip_polygon(
+            (g if name != "edge" else box()).bev_corners(), p.bev_corners()))
+            for name, p in shapes.items()}
+        assert counts == {"octagon": 8, "identical": 4, "edge": 0, "diamond apart": 0}
+        far = shapes["diamond apart"]
+        assert padded_x_bounds(far)[0] < padded_x_bounds(g)[1]  # sent to the clip
+        areas = [oracles.intersection_area(a.bev_corners(), b.bev_corners())
+                 for a, b in SLIVERS]
+        assert areas[0] < 0.0 and areas[2] == 0.0
+        assert all(len(oracles.clip_polygon(a.bev_corners(), b.bev_corners())) == 3
+                   for a, b in SLIVERS)
+
+    def test_slivers_equal_the_reference_signed_zeros_included(self):
+        tables = evaluation._iou_tables([([a], [b]) for a, b in SLIVERS])
+        for (a, b), (bev, vol) in zip(SLIVERS, tables):
+            want_bev, want_3d = unpruned_ious(a, b)
+            assert same_bits(bev[0, 0], want_bev) and same_bits(vol[0, 0], want_3d)
+        assert same_bits(tables[1][1][0, 0], -0.0)
+
+    @given(st.lists(table_cases(), min_size=2, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_tables_built_together_equal_the_reference_bit_for_bit(self, cases):
+        # as evaluate_boxes builds them: every table of the call in one clip pass
+        for (gt, preds), (bev, vol) in zip(cases, evaluation._iou_tables(cases)):
+            assert bev.shape == vol.shape == (len(gt), len(preds))
+            for gi, g in enumerate(gt):
+                for pi, p in enumerate(preds):
+                    want_bev, want_3d = unpruned_ious(g, p)
+                    assert same_bits(bev[gi, pi], want_bev) and same_bits(vol[gi, pi], want_3d)
+
+    @given(st.lists(st.tuples(_aligned | _rotated, st.sampled_from(
+        ["octagon", "diamond", "alongside", "identical", "near"]), st.data()),
+        min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_one_pass_equals_the_one_pair_clip_bit_for_bit(self, drawn):
+        # every pair in one call, so polygons of every vertex count share the arrays
+        pairs = []
+        for g, how, data in drawn:
+            if how == "identical":
+                p = g
+            elif how == "near":
+                p = moved(g, dx=data.draw(st.floats(-3.0, 3.0)), dz=data.draw(st.floats(-3.0, 3.0)))
+            else:
+                p = data.draw(turned_or_beside(g, how))
+            pairs.append((g, p))
+        pairs += SLIVERS
+        subject = bev_footprints([g for g, _ in pairs])
+        clip = bev_footprints([p for _, p in pairs])
+        got = evaluation._intersection_areas(subject, clip)
+        want = [oracles.intersection_area(a, b) for a, b in zip(subject, clip)]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    @given(st.lists(st.lists(st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0]),
+                             min_size=1, max_size=24), min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    @example([[-0.0] * 8, [-0.0] * 9, [-0.0] * 17, [-0.0] * 3])
+    def test_sums_round_as_numpy_sums_each_row(self, rows):
+        count = np.array([len(r) for r in rows])
+        terms = np.zeros((len(rows), count.max()))
+        for k, r in enumerate(rows):
+            terms[k, :len(r)] = r
+        want = np.array([np.sum(np.array(r)) for r in rows])
+        assert evaluation._sum_as_numpy(terms, count).tobytes() == want.tobytes()
 
 
 def average_iou(gt, preds, faraway=None):
@@ -421,14 +561,7 @@ class TestEvaluateBoxes:
         assert ev.ap_bev == pytest.approx(100.0)
 
     def test_each_same_class_pair_clipped_at_most_once(self, monkeypatch):
-        clipped = []
-        real = evaluation._clip_polygon
-
-        def counting(subject, clip):
-            clipped.append((subject.tobytes(), clip.tobytes()))
-            return real(subject, clip)
-
-        monkeypatch.setattr(evaluation, "_clip_polygon", counting)
+        passes = count_clip_passes(monkeypatch)
         rng = np.random.default_rng(11)
         gt, preds = {}, {}
         for f in ("f0", "f1"):
@@ -440,7 +573,8 @@ class TestEvaluateBoxes:
             preds[f] += [moved(gt[f][0], dx=0.2, cls="pedestrian"),
                          box(cx=200.0, cz=80.0)]
         report = evaluate_boxes(gt, preds, iou_threshold=0.1)
-        assert len(clipped) == len(set(clipped)) == 12
+        assert len(passes) == 1  # every table of the call in one clip pass
+        assert len(passes[0]) == len(set(passes[0])) == 12
         assert [m[3] for m in report.matches] == [0, 1, 2] * 4
 
     def test_report_formats(self):

@@ -20,12 +20,15 @@ from farfrustum.errors import (
     MalformedMask,
     MaskDimMismatch,
     MissingCalibKey,
+    NonFiniteBox,
     NonFinitePoint,
     PointOutOfRange,
     ShapeError,
     TruncatedPointcloud,
+    ZeroAreaBox,
 )
 from farfrustum.kitti_io import (
+    MAX_BBOX_PIXEL,
     MAX_POINT_RANGE_M,
     Box3D,
     CalibrationSet,
@@ -241,6 +244,20 @@ class TestParseDetections:
         with pytest.raises(BadScore):
             parse_detections("000001 car 1.5 100 50 120 110", self.DIMS)
 
+    @pytest.mark.parametrize("edge", ["1.7e308", "inf", "nan", "100001", "-1e6"])
+    @pytest.mark.parametrize("column", [3, 4, 5, 6])
+    def test_bbox_edge_far_off_any_image_is_refused(self, edge, column):
+        # checked before the order of the edges
+        tokens = "000001 car 0.9 -100 -100 120 110".split()
+        tokens[column] = edge
+        with pytest.raises(BadBBox, match="beyond"):
+            parse_detections(" ".join(tokens), self.DIMS)
+
+    def test_bbox_edges_at_the_pixel_bound_are_kept(self):
+        b = MAX_BBOX_PIXEL
+        (det,) = parse_detections(f"000001 car 0.9 {-b} {-b} {b} {b}", self.DIMS)
+        assert det.bbox == (-b, -b, b, b)
+
     def test_wrong_field_count(self):
         with pytest.raises(MalformedDetectionLine):
             parse_detections("000001 car 0.9 100 50 120", self.DIMS)
@@ -344,6 +361,46 @@ class TestParseLabels:
         )
         recs = parse_labels(lines)
         assert [r.box.center[0] for r in recs] == [0.0, 1.0, 2.0, 3.0]
+
+
+_R = MAX_POINT_RANGE_M
+# any float, or a value at or just past a bound
+_EDGY = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-_R, _R, math.nextafter(_R, math.inf), -0.0, 0.0, 0.01,
+                     math.nextafter(0.01, 0.0), 1.0, math.nextafter(1.0, 2.0), 1e300]),
+)
+
+
+def _mostly(valid):
+    return st.one_of(valid, valid, valid, _EDGY)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.tuples(*[_mostly(st.floats(0.01, _R))] * 3, *[_mostly(st.floats(-_R, _R))] * 3,
+                 _mostly(st.floats(-10.0, 10.0)), _mostly(st.floats(0.0, 1.0))),
+       st.booleans(), st.sampled_from(["Car", "Pedestrian", "cyclist"]))
+def test_label_boxes_are_the_boxes_box3d_builds(numbers, scored, name):
+    # h w l x y z rotation_y score, as repr'd floats in a label line
+    h, w, l, x, y, z, yaw, score = numbers
+    line = f"{name} 0 0 0 1 2 3 4 {h!r} {w!r} {l!r} {x!r} {y!r} {z!r} {yaw!r}"
+    if scored:
+        line += f" {score!r}"
+    else:
+        score = 1.0
+    try:
+        want = Box3D((x, y, z), yaw, (w, l, h), name.lower(), score)
+    except (NonFiniteBox, ZeroAreaBox, BadScore) as exc:
+        with pytest.raises(MalformedLabelLine) as refused:
+            parse_labels(line)
+        assert str(refused.value) == f"{exc}: {line!r}"
+        return
+    (rec,) = parse_labels(line)
+    got = rec.box
+    for field in ("center", "yaw", "size", "score"):
+        assert np.array(getattr(got, field)).tobytes() == np.array(getattr(want, field)).tobytes()
+        assert type(getattr(got, field)) is type(getattr(want, field))
+    assert got == want and got.class_name == want.class_name
 
 
 LABEL_LINE = ("Car 0.0 {occlusion} -1.58 587.0 173.3 614.1 200.1 "

@@ -477,6 +477,31 @@ class TestCheckpoint:
         with pytest.raises(ShapeError, match=re.escape(str(path)) + ".*bad header"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("where", ["w2", "prior"])
+    def test_weight_beyond_the_magnitude_bound_refused(self, tmp_path, where):
+        params = zero_params(4, CLASSES, hidden=3, priors=PRIORS)
+        params.b1[:] = 1.0
+        if where == "w2":
+            params.w2[2, :] = 1e307  # the product with tanh(1) would overflow
+        else:
+            params.priors[1, 0] = math.nextafter(regressor.MAX_WEIGHT_MAGNITUDE, math.inf)
+        path = tmp_path / "reg.ckpt"
+        save_checkpoint(params, path)
+        with pytest.raises(ShapeError, match=re.escape(str(path)) + ".*beyond 1e\\+100"):
+            load_checkpoint(path)
+
+    def test_weights_at_the_magnitude_bound_forward_finitely(self, tmp_path):
+        bound = regressor.MAX_WEIGHT_MAGNITUDE
+        params = zero_params(4, CLASSES, hidden=3, priors=PRIORS)
+        for array in (params.w1, params.b1, params.w2, params.b2):
+            array[...] = bound
+        path = tmp_path / "reg.ckpt"
+        save_checkpoint(params, path)
+        raster = rasterize_bev(np.zeros((50, 2)), "car", 4, 4.0, CLASSES)
+        with np.errstate(all="raise"):  # forward lets only its size exp overflow
+            reg = forward(load_checkpoint(path), raster)
+        assert np.isfinite(reg.shift).all() and math.isfinite(reg.yaw)
+
     def test_undecodable_names_refused(self, tmp_path):
         path = tmp_path / "reg.ckpt"
         save_checkpoint(zero_params(4, CLASSES, hidden=3, priors=PRIORS), path)
