@@ -25,6 +25,11 @@ class AxisHistogram(NamedTuple):
     counts: np.ndarray  # (n_bins,) int64
 
 
+def too_many_bins(spread: float, bin_width: float) -> str:
+    """Why a spread of values cannot be histogrammed: more than MAX_BINS bins."""
+    return f"bin_width {bin_width:g} splits a {spread:g} m spread into more than {MAX_BINS} bins"
+
+
 def axis_histogram(values: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH) -> AxisHistogram:
     """Bin values into contiguous fixed-width bins covering [min, max].
 
@@ -41,10 +46,7 @@ def axis_histogram(values: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH) -> 
     vmax = float(vals.max())
     span = np.ceil((vmax - vmin) / bin_width)
     if not span <= MAX_BINS:
-        raise ConfigError(
-            f"bin_width {bin_width:g} splits a {vmax - vmin:g} m spread into "
-            f"more than {MAX_BINS} bins"
-        )
+        raise ConfigError(too_many_bins(vmax - vmin, bin_width))
     n_bins = max(1, int(span))
     edge_vals = vmin + np.arange(n_bins + 1, dtype=np.float64) * bin_width
     # Last left edge <= v guarantees idx in [0, n_bins - 1] for v in [min, max].
@@ -58,6 +60,42 @@ def modal_midpoint(values: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH) -> 
     edges, counts = axis_histogram(values, bin_width)
     i = int(np.argmax(counts))
     return 0.5 * (float(edges[i]) + float(edges[i + 1]))
+
+
+def modal_midpoints(
+    values: np.ndarray, bounds: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH
+) -> np.ndarray:
+    """modal_midpoint of every segment values[bounds[k]:bounds[k + 1]], bit for bit.
+
+    Every segment must hold a value; one that modal_midpoint refuses (more
+    than MAX_BINS bins) gets NaN. A value's bin is estimated by a floor,
+    then corrected against the edges vmin + j * bin_width, computed as
+    axis_histogram computes them. The bins are counted by sorting their
+    keys, so memory grows with the values, not with the spans.
+    """
+    bounds = np.asarray(bounds)
+    sizes = np.diff(bounds)
+    vmin = np.minimum.reduceat(values, bounds[:-1])
+    vmax = np.maximum.reduceat(values, bounds[:-1])
+    span = np.ceil((vmax - vmin) / bin_width)
+    wide = ~(span <= MAX_BINS)
+    n_bins = np.maximum(np.where(wide, 1.0, span), 1.0).astype(np.int64)
+    low, top = np.repeat(vmin, sizes), np.repeat(n_bins - 1, sizes)
+    j = np.minimum(np.floor((values - low) / bin_width), top).astype(np.int64)  # values >= low
+    while (high := low + j * bin_width > values).any():
+        j -= high
+    while (short := (j < top) & (low + (j + 1) * bin_width <= values)).any():
+        j += short
+    # keys sort by segment, then bin: each segment's first fullest key is its lowest modal bin
+    offsets = np.cumsum(n_bins) - n_bins
+    keys, counts = np.unique(np.repeat(offsets, sizes) + j, return_counts=True)
+    first = np.searchsorted(keys, offsets)
+    fullest = np.repeat(np.maximum.reduceat(counts, first), np.diff(first, append=len(keys)))
+    modal = np.flatnonzero(counts == fullest)
+    i = (keys[modal[np.searchsorted(modal, first)]] - offsets).astype(np.float64)
+    mid = 0.5 * ((vmin + i * bin_width) + (vmin + (i + 1) * bin_width))
+    mid[wide] = np.nan
+    return mid
 
 
 def estimate_centroid(

@@ -14,18 +14,20 @@ are certainly behind the camera or off the image, by one product with a
 6x3 matrix built once per frame; its margin, 2^-40 of the magnitude each
 tested value reaches on points within MAX_POINT_RANGE_M, dwarfs the
 rounding of either path, so the chain alone decides which of the other
-points are kept. The cloud is projected in blocks of ``BLOCK_ROWS`` rows, so
-each temporary has a block's size, not the cloud's, and the heap reuses it
-from block to block; only candidate and kept rows are gathered. Each 3x4
-transform is applied as an affine map (``kitti_io.apply_affine``). From two
-rows on it rounds as the homogeneous product, but numpy hands a one-row
-product to BLAS gemv, which rounds otherwise, so a lone tail row joins the
-block before it and a lone candidate takes a neighbour along.
+points are kept. The pre-test runs over blocks of ``BLOCK_ROWS`` rows of
+the cloud, and the candidate rows it gathers go through the chain in blocks
+of ``BLOCK_ROWS`` candidates, so each temporary has a block's size, not the
+cloud's, and the heap reuses it from block to block. Each 3x4 transform is
+applied as an affine map (``kitti_io.apply_affine``). From two rows on it
+rounds as the homogeneous product, but numpy hands a one-row product to
+BLAS gemv, which rounds otherwise, so a lone tail row joins the block
+before it and a lone candidate takes a neighbour along.
 ``points_in_box_frustum`` and ``points_in_mask_frustum`` cut each
 detection's frustum from that projection and refuse a detection whose
-image size differs from the crop. All operations preserve point order, and
-a projection is never modified after it is built, so per-detection frustum
-extraction is safe to run in parallel.
+image size differs from the crop; ``frustum_rotations`` then rotates all of
+a frame's frustums, held as segments of one array, in one call. All
+operations preserve point order, and a projection is never modified after
+it is built.
 
 Clouds and calibrations are bounded where they enter (``kitti_io``), so no
 product here overflows, and ``frustum_rotation`` can back-project through
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -156,9 +159,13 @@ def _screen(
 
 
 def _candidates(points: np.ndarray, matrix: np.ndarray, limits: np.ndarray) -> np.ndarray:
-    """Rows of a block not certainly behind the camera or off the image; never just one."""
-    passed = matrix @ points.T >= limits
-    rows = np.flatnonzero(passed[0] & (~passed[1] | passed[2:].all(axis=0)))
+    """Rows not certainly behind the camera or off the image, tested block by block;
+    never just one of several."""
+    rows = []
+    for start, stop in _blocks(len(points)):
+        passed = matrix @ points[start:stop].T >= limits
+        rows.append(start + np.flatnonzero(passed[0] & (~passed[1] | passed[2:].all(axis=0))))
+    rows = np.concatenate(rows)
     if len(rows) == 1 < len(points):
         rows = np.arange(2) + max(rows[0] - 1, 0)
     return rows
@@ -169,16 +176,15 @@ def project_cloud(
 ) -> CloudProjection:
     """Project a lidar cloud once, keeping the rows that can be frustum members.
 
-    Each block's candidate rows (every row without `image_size`) go through
-    ``lidar_to_camera`` and ``project_to_image``; with `image_size` (W, H)
-    only the points inside the image are kept.
+    The candidate rows (every row without `image_size`) go through
+    ``lidar_to_camera`` and ``project_to_image`` in blocks of BLOCK_ROWS;
+    with `image_size` (W, H) only the points inside the image are kept.
     """
-    screen = _screen(calib, image_size) if image_size is not None else None
+    rows = None if image_size is None else _candidates(cloud.points, *_screen(calib, image_size))
     kept = []  # (camera points, u, v) of each block
-    for start, stop in _blocks(len(cloud)):
-        block = slice(start, stop)
-        rows = block if screen is None else start + _candidates(cloud.points[block], *screen)
-        camera = lidar_to_camera(cloud.select(rows), calib)
+    for start, stop in _blocks(len(cloud) if rows is None else len(rows)):
+        block = slice(start, stop) if rows is None else rows[start:stop]
+        camera = lidar_to_camera(cloud.select(block), calib)
         uv, keep = project_to_image(camera, calib)
         u, v = uv[:, 0], uv[:, 1]
         if image_size is not None:
@@ -226,6 +232,27 @@ def points_in_mask_frustum(projection: CloudProjection, det: Detection2D) -> Poi
     return projection.camera.select(idx[hit])
 
 
+def frustum_rotations(
+    points: np.ndarray,
+    bounds: np.ndarray,
+    detections: Sequence[Detection2D],
+    calib: CalibrationSet,
+) -> tuple[np.ndarray, np.ndarray]:
+    """frustum_rotation of each segment points[bounds[k]:bounds[k + 1]] by detections[k].
+
+    Returns (rotated points, (K,) theta). All center rays are solved in one
+    stacked call, the same LAPACK solve per ray as a one-ray call; each
+    segment is rotated by its own product, written in place.
+    """
+    rhs = np.array([[*det.bbox_center, 1.0] for det in detections]).reshape(-1, 3, 1)
+    rays = np.linalg.solve(np.broadcast_to(calib.P2[:, :3], (len(rhs), 3, 3)), rhs)
+    theta = np.array([math.atan2(x, z) for x, _, z in rays[:, :, 0]])
+    rotated = np.empty_like(points)
+    for angle, start, stop in zip(theta, bounds[:-1], bounds[1:]):
+        np.matmul(points[start:stop], rot_y(-angle).T, out=rotated[start:stop])
+    return rotated, theta
+
+
 def frustum_rotation(
     cloud: PointCloud, det: Detection2D, calib: CalibrationSet
 ) -> tuple[PointCloud, float]:
@@ -236,9 +263,5 @@ def frustum_rotation(
     rotated by -theta about the camera vertical axis (norm-preserving).
     """
     _require_frame(cloud, Frame.CAMERA)
-    u, v = det.bbox_center
-    ray = np.linalg.solve(calib.P2[:, :3], np.array([u, v, 1.0]))
-    theta = math.atan2(ray[0], ray[2])
-    rotated = cloud.points @ rot_y(-theta).T
-    return PointCloud._wrap(rotated, Frame.FRUSTUM), theta
-
+    rotated, theta = frustum_rotations(cloud.points, [0, len(cloud)], [det], calib)
+    return PointCloud._wrap(rotated, Frame.FRUSTUM), float(theta[0])

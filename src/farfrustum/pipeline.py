@@ -2,16 +2,17 @@
 
 For every 2D detection: extract its frustum points, rotate to the frustum
 frame, estimate the centroid by histogram clustering, and route by the
-per-class faraway depth threshold. Faraway objects get a regressed 3D box
-anchored at the clustered centroid; near-range objects are left to an
-external detector whose result files are merged in as fallback boxes.
+per-class faraway depth threshold; after the frustums, each step runs as one
+array pass over all of a frame's detections (regressor.frustum_chain).
+Faraway objects get a regressed 3D box anchored at the clustered centroid;
+near-range objects are left to an external detector whose result files are
+merged in as fallback boxes.
 """
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -21,12 +22,10 @@ from . import regressor
 from .clustering import DEFAULT_BIN_WIDTH
 from .errors import (
     ConfigError,
-    EmptyCluster,
     FarFrustumError,
     MalformedDetectionLine,
     MissingFrameData,
     NonFiniteBox,
-    UnknownClass,
     ZeroAreaBox,
 )
 from .evaluation import faraway_filter
@@ -44,7 +43,14 @@ from .kitti_io import (
     wrap_angle,
     write_results,
 )
-from .regressor import BoxRegression, RegressorParams, frustum_raster
+from .regressor import (  # is_faraway: the routing rule, for pipeline's callers
+    BoxRegression,
+    RegressorParams,
+    Route,
+    frustum_chain,
+    frustum_points,
+    is_faraway,
+)
 
 DEFAULT_THRESHOLDS: dict[str, float] = {"pedestrian": 60.0, "car": 75.0}
 DEFAULT_IMAGE_SIZE: tuple[int, int] = (1242, 375)
@@ -171,13 +177,6 @@ def config_mapping(
     return {**mapping, **(overrides or {})}
 
 
-def is_faraway(depth: float, class_name: str, thresholds: Mapping[str, float]) -> bool:
-    """True iff depth >= the class threshold (inclusive boundary)."""
-    if class_name not in thresholds:
-        raise UnknownClass(f"no faraway threshold for class {class_name!r}")
-    return depth >= thresholds[class_name]
-
-
 def assemble_box(
     centroid: tuple[float, float, float],
     reg: BoxRegression,
@@ -215,6 +214,14 @@ class RunSummary:
     fallback_seen: int = 0
     fallback_kept: int = 0
 
+    def count(self, routes: Sequence[Route]) -> None:
+        """Add each detection's route to the counters."""
+        self.detections += len(routes)
+        self.faraway += routes.count(Route.FARAWAY)
+        self.routed_near += routes.count(Route.NEAR)
+        self.skipped_empty_frustum += routes.count(Route.EMPTY)
+        self.skipped_unknown_class += routes.count(Route.UNKNOWN)
+
     def lines(self) -> list[str]:
         return [
             f"frames processed:        {self.frames}",
@@ -240,13 +247,16 @@ def process_frame(
 
     The cloud is projected once for the frame, cropped to config.image_size,
     and each detection's frustum is cut from that projection (CropMismatch
-    for a detection of another image size); params default to zero weights. Detections
-    whose frustum holds fewer than min_frustum_points points, or whose class
-    is not listed or has no threshold, are skipped; near-range ones are
-    routed to the fallback detector (all three are counted, never fatal).
-    A regressed box that Box3D refuses (a size that overflows past 10 km or
-    underflows below 1 cm, or a center beyond 10 km) raises, naming the
-    checkpoint, the frame and the detection.
+    for a detection of another image size). regressor.frustum_chain then
+    routes all of them at once, and the faraway ones' rasters go through
+    the network in one stacked pass; params default to zero weights.
+    Detections whose frustum holds fewer than min_frustum_points points, or
+    whose class is not listed or has no threshold, are skipped; near-range
+    ones are routed to the fallback detector (all three are counted, never
+    fatal). Errors raise in detection order: a regressed box that Box3D
+    refuses (a size that overflows past 10 km or underflows below 1 cm, or a
+    center beyond 10 km) raises naming the checkpoint, the frame and the
+    detection, after any error of an earlier detection.
     Fallback boxes survive only when their own center depth is below their
     class threshold; classes without a threshold are kept unconditionally.
     The merged list is sorted by descending score, stable on input order
@@ -258,29 +268,13 @@ def process_frame(
             config.raster_grid, config.classes, priors=config.size_priors,
             extent=config.raster_extent,
         )
-    faraway = partial(is_faraway, thresholds=config.thresholds)
-    ours: list[Box3D] = []
     projection = project_cloud(cloud, calib, config.image_size) if detections else None
-    for index, det in enumerate(detections):
-        stats.detections += 1
-        try:
-            sample = frustum_raster(projection, det, calib, config, keep=faraway)
-            if sample is None:
-                stats.routed_near += 1  # the fallback detector owns it
-                continue
-            theta, centroid, raster = sample
-            reg = regressor.forward(params, raster)
-            ours.append(assemble_box(centroid, reg, theta, det.class_name, det.score))
-            stats.faraway += 1
-        except UnknownClass:
-            stats.skipped_unknown_class += 1
-        except EmptyCluster:
-            stats.skipped_empty_frustum += 1
-        except (NonFiniteBox, ZeroAreaBox) as exc:  # weights that overflow exp()
-            raise type(exc)(
-                f"checkpoint {config.checkpoint}, frame {det.frame_id}, detection "
-                f"{index} ({det.class_name}): {exc}"
-            ) from exc
+    frustums: list[PointCloud] = []
+    try:
+        for det in detections:
+            frustums.append(frustum_points(projection, det, config))
+    finally:  # a frustum that fails raises after the detections before it
+        ours = _faraway_boxes(frustums, detections, calib, config, params, stats)
 
     faraway_box = faraway_filter(config.thresholds)
     kept = [box for box in fallback_boxes if not faraway_box(box)]
@@ -290,6 +284,34 @@ def process_frame(
     merged = kept + ours
     order = sorted(range(len(merged)), key=lambda i: (-merged[i].score, i))
     return [merged[i] for i in order]
+
+
+def _faraway_boxes(
+    frustums: Sequence[PointCloud],
+    detections: Sequence[Detection2D],
+    calib: CalibrationSet,
+    config: PipelineConfig,
+    params: RegressorParams,
+    stats: RunSummary,
+) -> list[Box3D]:
+    """The boxes of the first len(frustums) detections, counting every route."""
+    batch = frustum_chain(frustums, detections[:len(frustums)], calib, config, config.thresholds)
+    stats.count(batch.routes)
+    far = [k for k, route in enumerate(batch.routes) if route is Route.FARAWAY]
+    regs = regressor.forward_rasters(params, batch.rasters)
+    boxes = []
+    for k, theta, centroid, reg in zip(far, batch.theta, batch.centroids, regs):
+        det = detections[k]
+        try:
+            boxes.append(assemble_box(tuple(centroid), reg, float(theta), det.class_name, det.score))
+        except (NonFiniteBox, ZeroAreaBox) as exc:  # weights that overflow exp()
+            raise type(exc)(
+                f"checkpoint {config.checkpoint}, frame {det.frame_id}, detection "
+                f"{k} ({det.class_name}): {exc}"
+            ) from exc
+    if batch.error is not None:
+        raise ConfigError(batch.error)
+    return boxes
 
 
 # --- dataset layout -----------------------------------------------------------

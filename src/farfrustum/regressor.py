@@ -15,16 +15,17 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .clustering import modal_midpoint
-from .errors import EmptyCluster, EmptyDataset, ShapeError, UnknownClass
+from .clustering import modal_midpoints, too_many_bins
+from .errors import ConfigError, EmptyCluster, EmptyDataset, ShapeError, UnknownClass
 from .geometry import (
     CloudProjection,
-    frustum_rotation,
+    frustum_rotations,
     points_in_box_frustum,
     points_in_mask_frustum,
     project_cloud,
@@ -104,14 +105,22 @@ def rasterize_bev(
     the class; PipelineConfig and load_checkpoint keep G >= 1.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    cell = 2.0 * extent / grid_size
-    grid = np.zeros((grid_size, grid_size), dtype=np.int64)
-    if pts.size:
-        i = np.floor((pts[:, 0] + extent) / cell).astype(np.int64)
-        j = np.floor((pts[:, 1] + extent) / cell).astype(np.int64)
-        keep = (i >= 0) & (i < grid_size) & (j >= 0) & (j < grid_size)
-        np.add.at(grid, (i[keep], j[keep]), 1)
+    grid = bev_grids(pts, [0, len(pts)], grid_size, extent)[0]
     return BevRaster(grid=grid, extent=extent, class_name=class_name, classes=classes)
+
+
+def bev_grids(
+    points: np.ndarray, bounds: Sequence[int], grid_size: int, extent: float
+) -> np.ndarray:
+    """rasterize_bev's grid of each segment points[bounds[k]:bounds[k + 1]]: (K, G, G)."""
+    cell = 2.0 * extent / grid_size
+    i = np.floor((points[:, 0] + extent) / cell).astype(np.int64)
+    j = np.floor((points[:, 1] + extent) / cell).astype(np.int64)
+    segment = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    keep = (i >= 0) & (i < grid_size) & (j >= 0) & (j < grid_size)
+    cells = (segment[keep] * grid_size + i[keep]) * grid_size + j[keep]
+    counts = np.bincount(cells, minlength=(len(bounds) - 1) * grid_size * grid_size)
+    return counts.reshape(len(bounds) - 1, grid_size, grid_size)
 
 
 @dataclass(frozen=True)
@@ -221,17 +230,32 @@ def _check_layout(params: RegressorParams, raster: BevRaster) -> None:
 
 def forward(params: RegressorParams, raster: BevRaster) -> BoxRegression:
     """Deterministic forward pass; sizes are prior * exp(raw)."""
-    _check_layout(params, raster)
-    _, raw = _forward_batch(params, raster.feature_vector()[None, :])
-    y = raw[0]
-    prior = params.priors[params.classes.index(raster.class_name)]
+    return forward_rasters(params, [raster])[0]
+
+
+def forward_rasters(
+    params: RegressorParams, rasters: Sequence[BevRaster]
+) -> list[BoxRegression]:
+    """forward of every raster in one stacked (K, 1, D) product.
+
+    Each raster's row is its own product, as in a one-raster call, so every
+    output is bit-identical to it; one (K, D) product rounds otherwise.
+    """
+    for raster in rasters:
+        _check_layout(params, raster)
+    if not rasters:
+        return []
+    x = np.array([raster.feature_vector() for raster in rasters])
+    _, raw = _forward_batch(params, x[:, None, :])
+    raw = raw[:, 0]
+    prior = params.priors[[params.classes.index(raster.class_name) for raster in rasters]]
     with np.errstate(over="ignore"):  # Box3D refuses the inf
-        size = prior * np.exp(y[3:6])
-    return BoxRegression(
-        shift=(y[0], y[1], y[2]),
-        size=(size[0], size[1], size[2]),
-        yaw=wrap_angle(float(y[6])),
-    )
+        size = prior * np.exp(raw[:, 3:6])
+    return [
+        BoxRegression(shift=(y[0], y[1], y[2]), size=(s[0], s[1], s[2]),
+                      yaw=wrap_angle(float(y[6])))
+        for y, s in zip(raw, size)
+    ]
 
 
 class TrainingBatch(NamedTuple):
@@ -509,42 +533,149 @@ def bbox_iou_2d(
     return inter / (area_a + area_b - inter)
 
 
+class Route(Enum):
+    """What the frustum chain makes of one 2D detection."""
+
+    FARAWAY = "faraway"          # centroid and raster; in `run`, a regressed box
+    NEAR = "routed near"         # depth below its class threshold: the fallback's
+    EMPTY = "skipped empty"      # fewer than min_frustum_points frustum points
+    UNKNOWN = "skipped unknown"  # no threshold for its class, or not in config.classes
+
+
+class FrustumBatch(NamedTuple):
+    """The chain's outcome for one frame's detections, in input order."""
+
+    routes: list[Route]        # one per detection, up to the one `error` stops at
+    theta: np.ndarray          # (F,) frustum angle of each FARAWAY detection
+    centroids: np.ndarray      # (F, 3) their frustum-frame centroids (x, y, depth)
+    rasters: list[BevRaster]   # their centroid-frame BEV rasters
+    error: str | None          # why detection len(routes) stops the chain, if one does
+
+
+def is_faraway(depth: float, class_name: str, thresholds: Mapping[str, float]) -> bool:
+    """True iff depth >= the class threshold (inclusive boundary)."""
+    if class_name not in thresholds:
+        raise UnknownClass(f"no faraway threshold for class {class_name!r}")
+    return depth >= thresholds[class_name]
+
+
+def frustum_points(
+    projection: CloudProjection, det: Detection2D, config: "PipelineConfig"
+) -> PointCloud:
+    """The detection's frustum: by its mask in mask mode when it has one, else by its box."""
+    if config.frustum_mode == "mask" and det.mask is not None:
+        return points_in_mask_frustum(projection, det)
+    return points_in_box_frustum(projection, det)
+
+
+def _segments(rows: np.ndarray, bounds: np.ndarray, chosen: Sequence[int]):
+    """The rows of the chosen segments, in order, and their bounds."""
+    sizes = np.diff(bounds)
+    picked = np.zeros(len(sizes), dtype=bool)
+    picked[chosen] = True
+    return rows[np.repeat(picked, sizes)], np.concatenate([[0], np.cumsum(sizes[chosen])])
+
+
+def frustum_chain(
+    frustums: Sequence[PointCloud],
+    detections: Sequence[Detection2D],
+    calib: CalibrationSet,
+    config: "PipelineConfig",
+    thresholds: Mapping[str, float] | None = None,
+) -> FrustumBatch:
+    """Every detection's chain, as array passes over all of a frame's frustums.
+
+    frustums[k] is detections[k]'s frustum (frustum_points). Each frustum of
+    at least config.min_frustum_points points is rotated (frustum_rotations)
+    and its depth histogrammed (modal_midpoints). Given `thresholds`, a
+    detection whose class has none is UNKNOWN and one whose depth is below
+    it NEAR; the others get their x and y histograms, and those whose class
+    is in config.classes a raster of their (x, z) relative to the centroid:
+    they are FARAWAY. A histogram past MAX_BINS stops the chain at its
+    detection, so that an error raises in input order: the batch then holds
+    the detections before it and the ConfigError message in `error`.
+    """
+    sizes = np.array([len(frustum) for frustum in frustums], dtype=np.int64)
+    live = np.flatnonzero(sizes >= config.min_frustum_points)  # segment s is detection live[s]
+    bounds = np.concatenate([[0], np.cumsum(sizes[live])])
+    points = np.concatenate([frustums[k].points for k in live] or [np.empty((0, 3))])
+    rotated, theta = frustum_rotations(points, bounds, [detections[k] for k in live], calib)
+    centroids = np.full((len(live), 3), np.nan)
+    centroids[:, 2] = modal_midpoints(rotated[:, 2], bounds, config.bin_width)
+
+    def refusal(s: int, axis: int) -> str:
+        spread = np.ptp(rotated[bounds[s]:bounds[s + 1], axis])
+        return too_many_bins(spread, config.bin_width)
+
+    routes = [Route.EMPTY] * len(frustums)
+    stop, error = len(frustums), None
+    rest = []  # the segments that go on to x and y
+    for s, k in enumerate(live):
+        name, depth = detections[k].class_name, centroids[s, 2]
+        if math.isnan(depth):
+            stop, error = k, refusal(s, 2)
+            break
+        if thresholds is not None and name not in thresholds:
+            routes[k] = Route.UNKNOWN
+        elif thresholds is not None and not is_faraway(depth, name, thresholds):
+            routes[k] = Route.NEAR
+        else:
+            rest.append(s)
+
+    rows, rest_bounds = _segments(rotated, bounds, rest)
+    xy = modal_midpoints(np.concatenate([rows[:, 0], rows[:, 1]]),
+                         np.concatenate([rest_bounds, rest_bounds[1:] + len(rows)]),
+                         config.bin_width)
+    centroids[rest, 0], centroids[rest, 1] = xy[:len(rest)], xy[len(rest):]
+    far = []  # the FARAWAY segments
+    for s in rest:
+        k, refused = live[s], np.isnan(centroids[s, :2])
+        if refused.any():
+            stop, error = k, refusal(s, int(np.argmax(refused)))
+            break
+        if detections[k].class_name in config.classes:
+            routes[k] = Route.FARAWAY
+            far.append(s)
+        else:
+            routes[k] = Route.UNKNOWN
+
+    rows, far_bounds = _segments(rotated, bounds, far)
+    centroids = centroids[far]
+    bev = rows[:, [0, 2]] - np.repeat(centroids[:, [0, 2]], np.diff(far_bounds), axis=0)
+    grids = bev_grids(bev, far_bounds, config.raster_grid, config.raster_extent)
+    rasters = [
+        BevRaster(grid=grid, extent=config.raster_extent,
+                  class_name=detections[live[s]].class_name, classes=config.classes)
+        for s, grid in zip(far, grids)
+    ]
+    return FrustumBatch(routes[:stop], theta[far], centroids, rasters, error)
+
+
 def frustum_raster(
     projection: CloudProjection,
     det: Detection2D,
     calib: CalibrationSet,
     config: "PipelineConfig",
-    keep: Callable[[float, str], bool] | None = None,
-) -> tuple[float, tuple[float, float, float], BevRaster] | None:
-    """One detection's chain: frustum, rotation, centroid, centroid-frame raster.
+) -> tuple[float, tuple[float, float, float], BevRaster]:
+    """One detection's chain, whatever its depth: (theta, centroid, raster).
 
-    The frustum is cut from the frame's projection by the detection's mask
-    in mask mode (when it has one), by its box otherwise. Returns (theta,
-    centroid, raster), or None when `keep(centroid depth, class name)`
-    rejects the detection, before x and y are histogrammed. Raises
-    EmptyCluster when the frustum holds fewer than config.min_frustum_points.
+    frustum_chain of the one detection without thresholds. Raises
+    EmptyCluster when the frustum holds fewer than config.min_frustum_points,
+    UnknownClass for a class not in config.classes, and ConfigError for a
+    histogram past MAX_BINS.
     """
-    if config.frustum_mode == "mask" and det.mask is not None:
-        frustum = points_in_mask_frustum(projection, det)
-    else:
-        frustum = points_in_box_frustum(projection, det)
-    if len(frustum) < config.min_frustum_points:
+    frustum = frustum_points(projection, det, config)
+    batch = frustum_chain([frustum], [det], calib, config)
+    if batch.error is not None:
+        raise ConfigError(batch.error)
+    if batch.routes[0] is Route.EMPTY:
         raise EmptyCluster(
             f"frustum holds {len(frustum)} points, fewer than "
             f"min_frustum_points={config.min_frustum_points}"
         )
-    rotated, theta = frustum_rotation(frustum, det, calib)
-    depth = modal_midpoint(rotated.points[:, 2], config.bin_width)
-    if keep is not None and not keep(depth, det.class_name):
-        return None
-    x, y = (modal_midpoint(rotated.points[:, col], config.bin_width) for col in (0, 1))
-    centroid = (x, y, depth)
-    bev = rotated.points[:, [0, 2]] - (x, depth)
-    raster = rasterize_bev(
-        bev, det.class_name, config.raster_grid, config.raster_extent,
-        classes=config.classes,
-    )
-    return theta, centroid, raster
+    if batch.routes[0] is Route.UNKNOWN:
+        raise UnknownClass(f"{det.class_name!r} not in {config.classes}")
+    return float(batch.theta[0]), tuple(batch.centroids[0].tolist()), batch.rasters[0]
 
 
 def build_training_set(
@@ -557,11 +688,13 @@ def build_training_set(
     """Pair each matched ground-truth object with its raster and targets.
 
     Detections are matched to same-class ground truth greedily by score at
-    2D IoU >= 0.5. Each match runs frustum_raster on its frame's projection
-    (one per frame, cropped to config.image_size); targets are the ground-truth center minus the
-    estimated centroid (expressed in the frustum frame), the ground-truth
-    size, and the ground-truth yaw minus the frustum rotation. Returns
-    (samples, number of ground-truth objects skipped).
+    2D IoU >= 0.5. A frame's matched detections run frustum_chain, without
+    thresholds, on its projection (one per frame, cropped to
+    config.image_size); a match whose frustum is empty is skipped. Targets
+    are the ground-truth center minus the estimated centroid (expressed in
+    the frustum frame), the ground-truth size, and the ground-truth yaw
+    minus the frustum rotation. Returns (samples, number of ground-truth
+    objects skipped).
     """
     samples: list[tuple[BevRaster, BoxRegression]] = []
     skipped = 0
@@ -592,20 +725,22 @@ def build_training_set(
             continue
 
         projection = project_cloud(clouds[frame_id], calib, config.image_size)
-        for gi, det in pairs:
-            rec = gt[gi]
-            try:
-                theta, centroid, raster = frustum_raster(projection, det, calib, config)
-            except EmptyCluster:
-                skipped += 1
-                continue
+        dets = [det for _, det in pairs]
+        frustums = [frustum_points(projection, det, config) for det in dets]
+        batch = frustum_chain(frustums, dets, calib, config)
+        if batch.error is not None:
+            raise ConfigError(batch.error)
+        kept = [gi for (gi, _), route in zip(pairs, batch.routes) if route is Route.FARAWAY]
+        skipped += len(pairs) - len(kept)
+        for gi, angle, centroid, raster in zip(kept, batch.theta, batch.centroids, batch.rasters):
+            rec, theta = gt[gi], float(angle)
             gt_center_frustum = rot_y(-theta) @ np.asarray(rec.box.center)
-            shift = gt_center_frustum - np.asarray(centroid)
+            shift = gt_center_frustum - centroid
             target = BoxRegression(
                 shift=(shift[0], shift[1], shift[2]),
                 size=rec.box.size,
                 yaw=wrap_angle(rec.box.yaw - theta),
             )
             samples.append((raster, target))
-        del projection  # so the next frame's is built without this one alive
+        del projection, frustums  # so the next frame's are built without these alive
     return samples, skipped

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from farfrustum.clustering import axis_histogram, estimate_centroid
+from farfrustum.clustering import axis_histogram, estimate_centroid, modal_midpoint, modal_midpoints
 from farfrustum.errors import ConfigError, EmptyCluster
 from farfrustum.kitti_io import Frame, PointCloud
 
@@ -136,3 +136,58 @@ class TestEstimateCentroid:
         pts = [[0.01, 0.0, 0.0], [0.05, 0.0, 0.0], [0.21, 0.0, 0.0], [0.25, 0.0, 0.0]]
         centroid = estimate_centroid(_cloud(pts), 0.1)
         assert centroid[0] == pytest.approx(0.01 + 0.05)
+
+
+def _same_midpoints(values_by_segment, width):
+    """modal_midpoints over all segments against modal_midpoint of each, bit for bit."""
+    values = np.concatenate([np.asarray(v, dtype=np.float64) for v in values_by_segment])
+    bounds = np.cumsum([0] + [len(v) for v in values_by_segment])
+    got = modal_midpoints(values, bounds, width)
+    assert got.shape == (len(values_by_segment),)
+    for mid, segment in zip(got, values_by_segment):
+        try:
+            want = modal_midpoint(np.asarray(segment, dtype=np.float64), width)
+        except ConfigError:  # past MAX_BINS
+            assert np.isnan(mid)
+        else:
+            assert np.float64(mid).tobytes() == np.float64(want).tobytes()
+
+
+def test_modal_midpoints_hand_cases():
+    _same_midpoints([
+        [0.01, 0.05, 0.21, 0.25],   # a tie, broken by the lowest bin
+        [5.0],                       # a single point
+        [2.0, 2.05],                 # one bin
+        [-3.3, -3.25, -1.0],         # negative values
+        [0.0, 0.1, 0.2, 0.2, 0.3],   # values on bin edges
+        [7.0, 7.0],
+    ], 0.1)
+    _same_midpoints([[0.0, 1.0], [0.0, 0.05], [1.0]], 1e-7)  # 10 million bins: refused
+    assert modal_midpoints(np.empty(0), [0], 0.1).shape == (0,)
+
+
+@st.composite
+def _segment_sets(draw):
+    """Segments of values near bin edges: ties, singletons, one-bin spans,
+    negative values and, at the finest width, spans past MAX_BINS."""
+    width = draw(st.sampled_from([0.1, 0.125, 1 / 3, 0.017, 7.0, 1e-6]))
+    steps = st.one_of(st.integers(-3, 3), st.integers(-(2**21), 2**21))
+    segments = []
+    for _ in range(draw(st.integers(1, 8))):
+        origin = draw(st.floats(-1e3, 1e3, allow_nan=False))
+        jitter = draw(st.sampled_from([0.0, 0.5, 1e-9, -1e-9]))
+        if draw(st.booleans()):
+            values = [origin + (k + jitter) * width
+                      for k in draw(st.lists(steps, min_size=1, max_size=30))]
+        else:
+            values = draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1,
+                                   max_size=30))
+        segments.append(values)
+    return width, segments
+
+
+@given(_segment_sets())
+@settings(max_examples=300, deadline=None)
+def test_modal_midpoints_equal_modal_midpoint_per_segment(case):
+    width, segments = case
+    _same_midpoints(segments, width)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from farfrustum import geometry
 from farfrustum.errors import BadCalibration, CropMismatch, FrameMismatch
 from farfrustum.geometry import (
     BLOCK_ROWS,
@@ -455,6 +456,30 @@ def test_projection_keeps_a_pixel_that_rounds_to_minus_zero():
     pts = np.column_stack([np.zeros(40), np.full(40, 100.0), np.arange(1.0, 41.0)])
     _check_crops(pts, calib, np.random.default_rng(0), exact=True)
     assert len(project_cloud(PointCloud(pts, Frame.LIDAR), calib, (1242, 375)).u) == 39
+
+
+@pytest.mark.parametrize("n_view, sizes", [
+    (1, [2]),  # a lone candidate takes a neighbour along
+    (BLOCK_ROWS + 1, [BLOCK_ROWS + 1]),  # a lone tail row joins the block before it
+    (2 * BLOCK_ROWS + 5, [BLOCK_ROWS, BLOCK_ROWS, 5]),
+])
+def test_project_cloud_chains_the_candidates_in_blocks(monkeypatch, n_view, sizes):
+    # candidates spread over every source block go through the chain in
+    # blocks of BLOCK_ROWS candidates, never in a block of one row
+    rng = np.random.default_rng(n_view)
+    n = 3 * BLOCK_ROWS + 3
+    pts = np.column_stack([rng.uniform(0, 1000, n), rng.uniform(0, 300, n), np.full(n, -10.0)])
+    pts[rng.choice(n, n_view, replace=False), 2] = 1.0  # in view, the rest behind
+    blocks = []
+
+    def recorded(block, calib, _fn=geometry.lidar_to_camera):
+        blocks.append(len(block))
+        return _fn(block, calib)
+
+    monkeypatch.setattr(geometry, "lidar_to_camera", recorded)
+    projection = project_cloud(PointCloud(pts, Frame.LIDAR), UNIT_CALIB, (1242, 375))
+    assert blocks == sizes
+    assert len(projection.u) == n_view
 
 
 def _lidar_sweep(n, seed=0):

@@ -1,3 +1,4 @@
+import gc
 import math
 import re
 import shutil
@@ -8,17 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from farfrustum import clustering, geometry
+from farfrustum import geometry, regressor
 from farfrustum.errors import (
     ConfigError,
     CropMismatch,
+    FarFrustumError,
     MalformedDetectionLine,
+    MaskDimMismatch,
     MissingFrameData,
     NonFiniteBox,
     UnknownClass,
 )
 from farfrustum.geometry import rot_y
-from farfrustum.kitti_io import Box3D, Detection2D, Frame, PointCloud
+from farfrustum.kitti_io import Box3D, Detection2D, Frame, MaskRef, PointCloud, write_pgm
 from farfrustum.pipeline import (
     DEFAULT_THRESHOLDS,
     PipelineConfig,
@@ -226,32 +229,110 @@ def test_mixed_range_frame_counters_reconcile(simple_calib):
 def test_process_frame_histograms_x_and_y_only_for_faraway_detections(
     simple_calib, monkeypatch
 ):
-    scenes = [
-        _planted_scene(simple_calib, depth=65.0, x=2.0),                  # faraway
-        _planted_scene(simple_calib, depth=30.0, x=-4.0),                 # near
-        _planted_scene(simple_calib, depth=70.0, x=-8.0, cls="cyclist"),  # unknown
+    scenes = [  # sizes tell the frustums apart
+        _planted_scene(simple_calib, depth=65.0, x=2.0, n=10),                  # faraway
+        _planted_scene(simple_calib, depth=30.0, x=-4.0, n=12),                 # near
+        _planted_scene(simple_calib, depth=70.0, x=-8.0, n=14, cls="cyclist"),  # unknown
     ]
     cloud = PointCloud(np.vstack([c.points for c, _, _ in scenes]), Frame.LIDAR)
     dets = [det for _, det, _ in scenes] + [
         Detection2D("f", cls, 0.5, (10, 10, 20, 20), image_size=(1242, 375))
         for cls in ("car", "cyclist")  # empty frustums, one of an unknown class
     ]
-    calls = []
+    passes = []
 
-    def counted(values, bin_width, _fn=clustering.axis_histogram):
-        calls.append(len(values))
-        return _fn(values, bin_width)
+    def recorded(values, bounds, bin_width, _fn=regressor.modal_midpoints):
+        passes.append(np.diff(bounds).tolist())
+        return _fn(values, bounds, bin_width)
 
-    monkeypatch.setattr(clustering, "axis_histogram", counted)
+    monkeypatch.setattr(regressor, "modal_midpoints", recorded)
     stats = RunSummary()
     process_frame(cloud, dets, [], simple_calib, PipelineConfig(frustum_mode="box"),
                   stats=stats)
-    # depth, then x and y, for the faraway one; depth alone for the near and
-    # the unknown-class ones; nothing for an empty frustum
-    assert len(calls) == 3 + 1 + 1
+    # the depth pass sees the three non-empty frustums; the x and y pass sees
+    # the faraway one's points, once per axis
+    assert passes == [[10, 12, 14], [10, 10]]
     assert (stats.faraway, stats.routed_near, stats.skipped_unknown_class,
             stats.skipped_empty_frustum) == (1, 1, 1, 2)
     assert _reconciles(stats)
+
+
+def _mixed_frame(calib):
+    """A faraway, a near and an unknown-class detection, and two empty frustums."""
+    scenes = [
+        _planted_scene(calib, depth=65.0, x=2.0),                  # faraway
+        _planted_scene(calib, depth=30.0, x=-4.0),                 # near
+        _planted_scene(calib, depth=70.0, x=-8.0, cls="cyclist"),  # unknown
+    ]
+    cloud = PointCloud(np.vstack([c.points for c, _, _ in scenes]), Frame.LIDAR)
+    dets = [det for _, det, _ in scenes] + [
+        Detection2D("f", cls, 0.5, (10, 10, 20, 20), image_size=(1242, 375))
+        for cls in ("car", "cyclist")
+    ]
+    return cloud, dets
+
+
+def test_process_frame_and_build_training_set_leave_no_reference_cycles(
+    simple_calib, mini_dataset
+):
+    # an outcome kept as a caught exception would hold its traceback, and
+    # with it the frame's arrays, in a cycle only the collector frees
+    cloud, dets = _mixed_frame(simple_calib)
+    config = PipelineConfig(data_root=mini_dataset.root)
+    frames = {f: load_frame_inputs(mini_dataset.root, f, config)
+              for f in mini_dataset.frame_ids}
+    gc.collect()
+    gc.disable()
+    try:
+        for mode in ("mask", "box"):
+            config = PipelineConfig(data_root=mini_dataset.root, frustum_mode=mode)
+            process_frame(cloud, dets, [], simple_calib, config)
+            for inputs in frames.values():
+                process_frame(inputs.cloud, inputs.detections, inputs.fallback_boxes,
+                              inputs.calib, config)
+            build_training_set(
+                {f: i.cloud for f, i in frames.items()},
+                {f: i.detections for f, i in frames.items()},
+                {f: i.labels for f, i in frames.items()},
+                {f: i.calib for f, i in frames.items()},
+                config,
+            )
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _exploding_params():
+    """Weights whose size output overflows exp(): every faraway box is refused."""
+    params = regressor.zero_params(32)
+    params.b2[3] = 800.0
+    return params
+
+
+def test_process_frame_raises_the_first_failing_detection(simple_calib, tmp_path):
+    # detection 0 regresses a box Box3D refuses; detection 1's depth spreads
+    # past MAX_BINS at this bin width, and detection 2's mask fails to load
+    cloud, far, _ = _planted_scene(simple_calib, depth=65.0, x=2.0)
+    wide_cloud, wide, center = _planted_scene(simple_calib, depth=66.0, x=-6.0)
+    behind = camera_to_lidar_points(center[None, :] * 2.0, simple_calib)  # same pixel
+    write_pgm(tmp_path / "m.pgm", np.zeros((10, 10), dtype=np.uint8))
+    bad_mask = Detection2D("f", "car", 0.5, far.bbox, image_size=(1242, 375),
+                           mask=MaskRef(tmp_path / "m.pgm", (1242, 375)))
+    cloud = PointCloud(np.vstack([cloud.points, wide_cloud.points, behind]), Frame.LIDAR)
+    config = PipelineConfig(bin_width=1e-5, checkpoint="w.ckpt")
+
+    def first_error(dets):
+        with pytest.raises(FarFrustumError) as info:
+            process_frame(cloud, dets, [], simple_calib, config, params=_exploding_params())
+        return info.value
+
+    error = first_error([far, wide, bad_mask])
+    assert isinstance(error, NonFiniteBox)
+    assert "checkpoint w.ckpt, frame f, detection 0 (pedestrian)" in str(error)
+    error = first_error([wide, far, bad_mask])
+    assert isinstance(error, ConfigError) and "bins" in str(error)
+    assert isinstance(first_error([bad_mask, far, wide]), MaskDimMismatch)
+    assert isinstance(first_error([far, bad_mask, wide]), NonFiniteBox)
 
 
 def test_process_frame_takes_no_determinant_per_detection(simple_calib, monkeypatch):
@@ -312,7 +393,7 @@ def test_process_frame_passes_every_candidate_row_through_lidar_to_camera_once(
 
     monkeypatch.setattr(geometry, "lidar_to_camera", recorded)
     process_frame(cloud, [det], [], simple_calib, PipelineConfig(frustum_mode="box"))
-    assert len(blocks) == 4
+    assert len(blocks) == 1  # fewer candidates than BLOCK_ROWS share one block
     row_of = {p.tobytes(): k for k, p in enumerate(cloud.points)}
     sent = np.array([row_of[p.tobytes()] for p in np.vstack(blocks)])
     assert (np.diff(sent) > 0).all()  # each candidate once, in cloud order

@@ -21,6 +21,7 @@ from farfrustum.regressor import (
     compute_size_priors,
     flatten_params,
     forward,
+    forward_rasters,
     frustum_raster,
     init_params,
     load_checkpoint,
@@ -156,6 +157,38 @@ class TestForward:
         for _ in range(20):
             reg = forward(params, random_raster(rng))
             assert all(s > 0 for s in reg.size)
+
+
+def _forward_one_row(params, raster):
+    """The per-raster reference: one (1, D) product, shift, size and yaw."""
+    x = raster.feature_vector()[None, :]
+    raw = (np.tanh(x @ params.w1.T + params.b1) @ params.w2.T + params.b2)[0]
+    prior = params.priors[params.classes.index(raster.class_name)]
+    with np.errstate(over="ignore"):
+        size = prior * np.exp(raw[3:6])
+    return raw[:3], size, wrap_angle(float(raw[6]))
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+       hidden=st.sampled_from([1, 7, 64]), scale=st.sampled_from([0.01, 1.0, 40.0]))
+@settings(max_examples=40, deadline=None)
+def test_forward_rasters_equal_per_row_forward_bit_for_bit(seed, n, hidden, scale):
+    rng = np.random.default_rng(seed)
+    params = init_params(32, CLASSES, hidden=hidden, priors=PRIORS, seed=seed % 997)
+    params.w1 *= scale
+    params.b1 = rng.normal(0.0, scale, hidden)
+    params.w2 = rng.normal(0.0, scale, params.w2.shape)
+    params.b2 = rng.normal(0.0, scale, 7)
+    rasters = [random_raster(rng, grid_size=32, cls=str(rng.choice(CLASSES)))
+               for _ in range(n)]
+    batched = forward_rasters(params, rasters)
+    assert len(batched) == n
+    for raster, reg in zip(rasters, batched):
+        shift, size, yaw = _forward_one_row(params, raster)
+        assert np.array(reg.shift).tobytes() == shift.tobytes()
+        assert np.array(reg.size).tobytes() == size.tobytes()
+        assert reg.yaw == yaw
+        assert forward(params, raster) == reg
 
 
 class TestTranslationConsistency:
