@@ -16,6 +16,7 @@ from .kitti_io import PointCloud
 
 DEFAULT_BIN_WIDTH = 0.1  # meters, finer than any target object's surface spread
 MAX_BINS = 1 << 20  # 8 MB each of edges and counts
+MIN_BIN_WIDTH = 0.05  # a rigid mount keeps 10 km points within 17.6 km: 35.2 km / 0.05 < MAX_BINS
 
 
 class AxisHistogram(NamedTuple):
@@ -23,11 +24,6 @@ class AxisHistogram(NamedTuple):
 
     edges: np.ndarray   # (n_bins + 1,) float64 contiguous bin edges
     counts: np.ndarray  # (n_bins,) int64
-
-
-def too_many_bins(spread: float, bin_width: float) -> str:
-    """Why a spread of values cannot be histogrammed: more than MAX_BINS bins."""
-    return f"bin_width {bin_width:g} splits a {spread:g} m spread into more than {MAX_BINS} bins"
 
 
 def axis_histogram(values: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH) -> AxisHistogram:
@@ -46,7 +42,8 @@ def axis_histogram(values: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH) -> 
     vmax = float(vals.max())
     span = np.ceil((vmax - vmin) / bin_width)
     if not span <= MAX_BINS:
-        raise ConfigError(too_many_bins(vmax - vmin, bin_width))
+        raise ConfigError(f"bin_width {bin_width:g} splits a {vmax - vmin:g} m spread "
+                          f"into more than {MAX_BINS} bins")
     n_bins = max(1, int(span))
     edge_vals = vmin + np.arange(n_bins + 1, dtype=np.float64) * bin_width
     # Last left edge <= v guarantees idx in [0, n_bins - 1] for v in [min, max].
@@ -67,19 +64,18 @@ def modal_midpoints(
 ) -> np.ndarray:
     """modal_midpoint of every segment values[bounds[k]:bounds[k + 1]], bit for bit.
 
-    Every segment must hold a value; one that modal_midpoint refuses (more
-    than MAX_BINS bins) gets NaN. A value's bin is estimated by a floor,
-    then corrected against the edges vmin + j * bin_width, computed as
-    axis_histogram computes them. The bins are counted by sorting their
-    keys, so memory grows with the values, not with the spans.
+    Every segment must hold a value and span at most MAX_BINS bins, as every
+    frustum of a checked calibration does at a bin_width of at least
+    MIN_BIN_WIDTH. A value's bin is estimated by a floor, then corrected
+    against the edges vmin + j * bin_width, computed as axis_histogram
+    computes them. The bins are counted by sorting their keys, so memory
+    grows with the values, not with the spans.
     """
     bounds = np.asarray(bounds)
     sizes = np.diff(bounds)
     vmin = np.minimum.reduceat(values, bounds[:-1])
     vmax = np.maximum.reduceat(values, bounds[:-1])
-    span = np.ceil((vmax - vmin) / bin_width)
-    wide = ~(span <= MAX_BINS)
-    n_bins = np.maximum(np.where(wide, 1.0, span), 1.0).astype(np.int64)
+    n_bins = np.maximum(np.ceil((vmax - vmin) / bin_width), 1.0).astype(np.int64)
     low, top = np.repeat(vmin, sizes), np.repeat(n_bins - 1, sizes)
     j = np.minimum(np.floor((values - low) / bin_width), top).astype(np.int64)  # values >= low
     while (high := low + j * bin_width > values).any():
@@ -93,9 +89,7 @@ def modal_midpoints(
     fullest = np.repeat(np.maximum.reduceat(counts, first), np.diff(first, append=len(keys)))
     modal = np.flatnonzero(counts == fullest)
     i = (keys[modal[np.searchsorted(modal, first)]] - offsets).astype(np.float64)
-    mid = 0.5 * ((vmin + i * bin_width) + (vmin + (i + 1) * bin_width))
-    mid[wide] = np.nan
-    return mid
+    return 0.5 * ((vmin + i * bin_width) + (vmin + (i + 1) * bin_width))
 
 
 def estimate_centroid(

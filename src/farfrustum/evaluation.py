@@ -255,12 +255,17 @@ def match_greedy(
     return _greedy(_same_class_tables([(gt, preds)])[0])
 
 
-def _interp_ap(points: list[tuple[float, float]]) -> float:
-    """11-point interpolated AP in percent from (recall, precision) points."""
+def _interp_ap(recall: np.ndarray, precision: np.ndarray) -> float:
+    """11-point interpolated AP in percent from (recall, precision) points.
+
+    Recall never decreases, so the points at or above a level are a suffix:
+    its best precision is a running maximum taken from the end.
+    """
+    best = np.maximum.accumulate(precision[::-1])[::-1]
     total = 0.0
     for level in np.linspace(0.0, 1.0, 11):
-        candidates = [p for r, p in points if r >= level - 1e-12]
-        total += max(candidates) if candidates else 0.0
+        first = np.searchsorted(recall, level - 1e-12)
+        total += best[first] if first < len(best) else 0.0
     return 100.0 * total / 11.0
 
 
@@ -290,14 +295,10 @@ def _ap_from_tables(
         if best_gi is not None:
             matched[frame].add(best_gi)
             tp[rank] = 1.0
-    cum_tp = np.cumsum(tp)
-    ranks = np.arange(1, len(pool) + 1)
-    points = [
-        (cum_tp[i] / n_gt, cum_tp[i] / ranks[i]) for i in range(len(pool))
-    ]
-    if not points:
+    if not pool:
         return 0.0
-    return _interp_ap(points)
+    cum_tp = np.cumsum(tp)
+    return _interp_ap(cum_tp / n_gt, cum_tp / np.arange(1, len(pool) + 1))
 
 
 def ap_11point(

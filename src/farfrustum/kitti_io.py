@@ -16,8 +16,9 @@ different frames can be parsed in parallel.
 Point arrays are checked where they enter: by ``load_pointcloud`` and by
 the ``PointCloud`` constructor. Derived clouds wrap fresh arrays uncopied.
 A calibration is bounded when it is built, so no product of a checked
-cloud and its matrices overflows, and ``parse_calibration`` refuses a P2
-whose left 3x3 is singular. Every ``Box3D`` has its center within
+cloud and its matrices overflows, and ``parse_calibration`` refuses a
+mount that is not rigid (a rotation and an offset within MAX_MOUNT_OFFSET_M)
+and a P2 whose left 3x3 is singular. Every ``Box3D`` has its center within
 MAX_POINT_RANGE_M and its sizes in [MIN_BOX_SIZE_M, MAX_POINT_RANGE_M], so
 its footprint area and volume are positive and finite; ``parse_labels``
 runs each box through that one check on the floats it has just read. Every
@@ -56,6 +57,7 @@ MAX_POINT_RANGE_M = 1e4  # no lidar reaches 10 km: a farther point is a corrupt 
 MIN_BOX_SIZE_M = 0.01  # the resolution of KITTI label sizes
 # A 3x3 determinant or a pixel times an image size stays finite below this.
 MAX_CALIBRATION_MAGNITUDE = 1e100
+MAX_MOUNT_OFFSET_M = 100.0  # a lidar this far from its camera is not on the same vehicle
 MAX_BBOX_PIXEL = 1e5  # a 2D box edge this far off any image is a corrupt record
 
 
@@ -124,7 +126,9 @@ class PointCloud:
 @dataclass(frozen=True)
 class CalibrationSet:
     """Projection and mounting matrices for one frame; BadCalibration past
-    MAX_CALIBRATION_MAGNITUDE on an entry or on ``reach()``."""
+    MAX_CALIBRATION_MAGNITUDE on an entry or on ``reach()``. ``validate``,
+    which ``parse_calibration`` runs, also requires a rigid mount, so every
+    point within MAX_POINT_RANGE_M lies within about 17.6 km of the camera."""
 
     P2: np.ndarray               # 3x4 camera projection, pixels
     R0_rect: np.ndarray          # 3x3 rectification rotation
@@ -150,14 +154,21 @@ class CalibrationSet:
         return camera, np.abs(self.P2) @ np.append(camera, 1.0)
 
     def validate(self, tol: float = 1e-3) -> None:
-        """Check rectification orthonormality, mounting-rotation handedness, and
-        that the left 3x3 of P2 can back-project a pixel."""
+        """Check that R0_rect is orthonormal, that Tr_velo_to_cam is a rigid
+        mount (a rotation, each offset within MAX_MOUNT_OFFSET_M), and that
+        the left 3x3 of P2 can back-project a pixel."""
         r = self.R0_rect
         err = np.abs(r @ r.T - np.eye(3)).max()
         if not err < tol:
             raise BadCalibration(f"R0_rect not orthonormal (|R R^T - I| = {err:g})")
-        if np.linalg.det(self.Tr_velo_to_cam[:, :3]) <= 0:
-            raise BadCalibration("Tr_velo_to_cam rotation block has det <= 0")
+        r, offset = self.Tr_velo_to_cam[:, :3], self.Tr_velo_to_cam[:, 3]
+        err, det = np.abs(r @ r.T - np.eye(3)).max(), np.linalg.det(r)
+        if not (err < tol and det > 0):
+            raise BadCalibration(f"Tr_velo_to_cam is not a rotation "
+                                 f"(|R R^T - I| = {err:g}, det = {det:g})")
+        if not np.abs(offset).max() <= MAX_MOUNT_OFFSET_M:
+            raise BadCalibration(f"Tr_velo_to_cam offsets the lidar beyond "
+                                 f"{MAX_MOUNT_OFFSET_M:g} m")
         if abs(np.linalg.det(self.P2[:, :3])) < 1e-12:
             raise BadCalibration("left 3x3 of P2 is not invertible")
 

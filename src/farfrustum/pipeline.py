@@ -19,7 +19,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from . import regressor
-from .clustering import DEFAULT_BIN_WIDTH
+from .clustering import DEFAULT_BIN_WIDTH, MIN_BIN_WIDTH
 from .errors import (
     ConfigError,
     FarFrustumError,
@@ -87,9 +87,11 @@ class PipelineConfig:
             raise ConfigError("faraway thresholds must be positive")
         if self.min_frustum_points < 1:
             raise ConfigError("min_frustum_points must be >= 1")
-        if not (self.raster_grid >= 1 and 0 < self.raster_extent < math.inf
-                and 0 < self.bin_width < math.inf):
-            raise ConfigError("raster_grid, raster_extent, bin_width must be positive, finite")
+        if not (self.raster_grid >= 1 and 0 < self.raster_extent < math.inf):
+            raise ConfigError("raster_grid, raster_extent must be positive, finite")
+        if not MIN_BIN_WIDTH <= self.bin_width < math.inf:
+            raise ConfigError(f"bin_width must be finite and at least {MIN_BIN_WIDTH:g} m, "
+                              f"got {self.bin_width}")
         if not all(0 < v < math.inf for prior in self.size_priors.values() for v in prior):
             raise ConfigError("size priors must be positive and finite")
 
@@ -255,16 +257,18 @@ def process_frame(
     ones are routed to the fallback detector (all three are counted, never
     fatal). Errors raise in detection order: a regressed box that Box3D
     refuses (a size that overflows past 10 km or underflows below 1 cm, or a
-    center beyond 10 km) raises naming the checkpoint, the frame and the
-    detection, after any error of an earlier detection.
+    center beyond 10 km) raises naming the checkpoint (or the size-prior
+    baseline), the frame and the detection, after the mask or crop error of
+    any earlier detection.
     Fallback boxes survive only when their own center depth is below their
     class threshold; classes without a threshold are kept unconditionally.
     The merged list is sorted by descending score, stable on input order
     (fallback first, then faraway boxes in detection order).
     """
     stats = stats if stats is not None else RunSummary()
-    if params is None:  # the size-prior baseline; UnknownClass if a prior is missing
-        params = regressor.zero_params(
+    source = f"checkpoint {config.checkpoint}"  # of the weights, for a refused box
+    if params is None:  # UnknownClass if a prior is missing
+        source, params = "size-prior baseline", regressor.zero_params(
             config.raster_grid, config.classes, priors=config.size_priors,
             extent=config.raster_extent,
         )
@@ -274,7 +278,7 @@ def process_frame(
         for det in detections:
             frustums.append(frustum_points(projection, det, config))
     finally:  # a frustum that fails raises after the detections before it
-        ours = _faraway_boxes(frustums, detections, calib, config, params, stats)
+        ours = _faraway_boxes(frustums, detections, calib, config, params, source, stats)
 
     faraway_box = faraway_filter(config.thresholds)
     kept = [box for box in fallback_boxes if not faraway_box(box)]
@@ -292,9 +296,11 @@ def _faraway_boxes(
     calib: CalibrationSet,
     config: PipelineConfig,
     params: RegressorParams,
+    source: str,
     stats: RunSummary,
 ) -> list[Box3D]:
-    """The boxes of the first len(frustums) detections, counting every route."""
+    """The boxes of the first len(frustums) detections, counting every route;
+    a refused box names the weights' `source`, the frame and the detection."""
     batch = frustum_chain(frustums, detections[:len(frustums)], calib, config, config.thresholds)
     stats.count(batch.routes)
     far = [k for k, route in enumerate(batch.routes) if route is Route.FARAWAY]
@@ -306,11 +312,8 @@ def _faraway_boxes(
             boxes.append(assemble_box(tuple(centroid), reg, float(theta), det.class_name, det.score))
         except (NonFiniteBox, ZeroAreaBox) as exc:  # weights that overflow exp()
             raise type(exc)(
-                f"checkpoint {config.checkpoint}, frame {det.frame_id}, detection "
-                f"{k} ({det.class_name}): {exc}"
+                f"{source}, frame {det.frame_id}, detection {k} ({det.class_name}): {exc}"
             ) from exc
-    if batch.error is not None:
-        raise ConfigError(batch.error)
     return boxes
 
 

@@ -21,8 +21,8 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .clustering import modal_midpoints, too_many_bins
-from .errors import ConfigError, EmptyCluster, EmptyDataset, ShapeError, UnknownClass
+from .clustering import modal_midpoints
+from .errors import EmptyDataset, ShapeError, UnknownClass
 from .geometry import (
     CloudProjection,
     frustum_rotations,
@@ -545,11 +545,10 @@ class Route(Enum):
 class FrustumBatch(NamedTuple):
     """The chain's outcome for one frame's detections, in input order."""
 
-    routes: list[Route]        # one per detection, up to the one `error` stops at
+    routes: list[Route]        # one per detection
     theta: np.ndarray          # (F,) frustum angle of each FARAWAY detection
     centroids: np.ndarray      # (F, 3) their frustum-frame centroids (x, y, depth)
     rasters: list[BevRaster]   # their centroid-frame BEV rasters
-    error: str | None          # why detection len(routes) stops the chain, if one does
 
 
 def is_faraway(depth: float, class_name: str, thresholds: Mapping[str, float]) -> bool:
@@ -589,58 +588,38 @@ def frustum_chain(
     at least config.min_frustum_points points is rotated (frustum_rotations)
     and its depth histogrammed (modal_midpoints). Given `thresholds`, a
     detection whose class has none is UNKNOWN and one whose depth is below
-    it NEAR; the others get their x and y histograms, and those whose class
-    is in config.classes a raster of their (x, z) relative to the centroid:
-    they are FARAWAY. A histogram past MAX_BINS stops the chain at its
-    detection, so that an error raises in input order: the batch then holds
-    the detections before it and the ConfigError message in `error`.
+    it NEAR; the others whose class is in config.classes get their x and y
+    histograms and a raster of their (x, z) relative to the centroid: they
+    are FARAWAY. No histogram passes MAX_BINS bins: the frustums come from a
+    rigid mount (CalibrationSet.validate) or from checked clouds, and
+    PipelineConfig keeps bin_width at MIN_BIN_WIDTH or above.
     """
     sizes = np.array([len(frustum) for frustum in frustums], dtype=np.int64)
     live = np.flatnonzero(sizes >= config.min_frustum_points)  # segment s is detection live[s]
     bounds = np.concatenate([[0], np.cumsum(sizes[live])])
     points = np.concatenate([frustums[k].points for k in live] or [np.empty((0, 3))])
     rotated, theta = frustum_rotations(points, bounds, [detections[k] for k in live], calib)
-    centroids = np.full((len(live), 3), np.nan)
-    centroids[:, 2] = modal_midpoints(rotated[:, 2], bounds, config.bin_width)
-
-    def refusal(s: int, axis: int) -> str:
-        spread = np.ptp(rotated[bounds[s]:bounds[s + 1], axis])
-        return too_many_bins(spread, config.bin_width)
+    depth = modal_midpoints(rotated[:, 2], bounds, config.bin_width)
 
     routes = [Route.EMPTY] * len(frustums)
-    stop, error = len(frustums), None
-    rest = []  # the segments that go on to x and y
+    far = []  # the FARAWAY segments
     for s, k in enumerate(live):
-        name, depth = detections[k].class_name, centroids[s, 2]
-        if math.isnan(depth):
-            stop, error = k, refusal(s, 2)
-            break
+        name = detections[k].class_name
         if thresholds is not None and name not in thresholds:
             routes[k] = Route.UNKNOWN
-        elif thresholds is not None and not is_faraway(depth, name, thresholds):
+        elif thresholds is not None and not is_faraway(depth[s], name, thresholds):
             routes[k] = Route.NEAR
-        else:
-            rest.append(s)
-
-    rows, rest_bounds = _segments(rotated, bounds, rest)
-    xy = modal_midpoints(np.concatenate([rows[:, 0], rows[:, 1]]),
-                         np.concatenate([rest_bounds, rest_bounds[1:] + len(rows)]),
-                         config.bin_width)
-    centroids[rest, 0], centroids[rest, 1] = xy[:len(rest)], xy[len(rest):]
-    far = []  # the FARAWAY segments
-    for s in rest:
-        k, refused = live[s], np.isnan(centroids[s, :2])
-        if refused.any():
-            stop, error = k, refusal(s, int(np.argmax(refused)))
-            break
-        if detections[k].class_name in config.classes:
+        elif name in config.classes:
             routes[k] = Route.FARAWAY
             far.append(s)
         else:
             routes[k] = Route.UNKNOWN
 
     rows, far_bounds = _segments(rotated, bounds, far)
-    centroids = centroids[far]
+    xy = modal_midpoints(np.concatenate([rows[:, 0], rows[:, 1]]),
+                         np.concatenate([far_bounds, far_bounds[1:] + len(rows)]),
+                         config.bin_width)
+    centroids = np.column_stack([xy[:len(far)], xy[len(far):], depth[far]])
     bev = rows[:, [0, 2]] - np.repeat(centroids[:, [0, 2]], np.diff(far_bounds), axis=0)
     grids = bev_grids(bev, far_bounds, config.raster_grid, config.raster_extent)
     rasters = [
@@ -648,34 +627,7 @@ def frustum_chain(
                   class_name=detections[live[s]].class_name, classes=config.classes)
         for s, grid in zip(far, grids)
     ]
-    return FrustumBatch(routes[:stop], theta[far], centroids, rasters, error)
-
-
-def frustum_raster(
-    projection: CloudProjection,
-    det: Detection2D,
-    calib: CalibrationSet,
-    config: "PipelineConfig",
-) -> tuple[float, tuple[float, float, float], BevRaster]:
-    """One detection's chain, whatever its depth: (theta, centroid, raster).
-
-    frustum_chain of the one detection without thresholds. Raises
-    EmptyCluster when the frustum holds fewer than config.min_frustum_points,
-    UnknownClass for a class not in config.classes, and ConfigError for a
-    histogram past MAX_BINS.
-    """
-    frustum = frustum_points(projection, det, config)
-    batch = frustum_chain([frustum], [det], calib, config)
-    if batch.error is not None:
-        raise ConfigError(batch.error)
-    if batch.routes[0] is Route.EMPTY:
-        raise EmptyCluster(
-            f"frustum holds {len(frustum)} points, fewer than "
-            f"min_frustum_points={config.min_frustum_points}"
-        )
-    if batch.routes[0] is Route.UNKNOWN:
-        raise UnknownClass(f"{det.class_name!r} not in {config.classes}")
-    return float(batch.theta[0]), tuple(batch.centroids[0].tolist()), batch.rasters[0]
+    return FrustumBatch(routes, theta[far], centroids, rasters)
 
 
 def build_training_set(
@@ -728,8 +680,6 @@ def build_training_set(
         dets = [det for _, det in pairs]
         frustums = [frustum_points(projection, det, config) for det in dets]
         batch = frustum_chain(frustums, dets, calib, config)
-        if batch.error is not None:
-            raise ConfigError(batch.error)
         kept = [gi for (gi, _), route in zip(pairs, batch.routes) if route is Route.FARAWAY]
         skipped += len(pairs) - len(kept)
         for gi, angle, centroid, raster in zip(kept, batch.theta, batch.centroids, batch.rasters):

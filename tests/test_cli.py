@@ -496,6 +496,17 @@ def test_version_1_checkpoint_exits_1_naming_the_path(mini_dataset, tmp_path, ca
 OVERFLOWED = {"Tr_velo_to_cam": ((0, 1, 2, 4, 5, 6, 8, 9, 10), 1e308), "P2": ((0, 5), 1e305)}
 
 
+def _scale_calibration(path, key, entries, scale):
+    """Multiply the given entries of one matrix of a calibration file by `scale`."""
+    lines = path.read_text().splitlines()
+    k = next(k for k, line in enumerate(lines) if line.startswith(f"{key}:"))
+    values = [float(t) for t in lines[k].split(":")[1].split()]
+    for i in entries:
+        values[i] *= scale
+    lines[k] = f"{key}: " + " ".join(map(repr, values))
+    path.write_text("\n".join(lines) + "\n")
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("verb, key", [
     ("run", "Tr_velo_to_cam"), ("train", "Tr_velo_to_cam"), ("stats", "Tr_velo_to_cam"),
@@ -508,15 +519,7 @@ def test_overflowing_calibration_exits_1_naming_the_file(
     root = tmp_path / "data"
     shutil.copytree(mini_dataset.root, root)
     path = root / "calib" / "000000.txt"
-    lines = path.read_text().splitlines()
-    entries, scale = OVERFLOWED[key]
-    for k, line in enumerate(lines):
-        if line.startswith(f"{key}:"):
-            values = [float(t) for t in line.split(":")[1].split()]
-            for i in entries:
-                values[i] *= scale
-            lines[k] = f"{key}: " + " ".join(map(repr, values))
-    path.write_text("\n".join(lines) + "\n")
+    _scale_calibration(path, key, *OVERFLOWED[key])
     extra = {"run": ["--out", tmp_path / "out"], "stats": [],
              "train": ["--out", tmp_path / "reg.ckpt", "--epochs", "2"],
              "plot": ["--frame", "000000", "--out", tmp_path / "bev.svg"]}[verb]
@@ -534,19 +537,32 @@ def test_overflowing_p2_exits_1_on_a_frame_without_detections(mini_dataset, tmp_
     shutil.copytree(mini_dataset.root, root)
     (root / "detections_2d" / "000000.txt").write_text("")
     path = root / "calib" / "000000.txt"
-    entries, scale = OVERFLOWED["P2"]
-    lines = path.read_text().splitlines()
-    k = next(k for k, line in enumerate(lines) if line.startswith("P2:"))
-    values = [float(t) for t in lines[k].split(":")[1].split()]
-    for i in entries:
-        values[i] *= scale
-    lines[k] = "P2: " + " ".join(map(repr, values))
-    path.write_text("\n".join(lines) + "\n")
+    _scale_calibration(path, "P2", *OVERFLOWED["P2"])
     code = run_cli("run", f"data_root={root}", "--out", tmp_path / "out")
     err = capsys.readouterr().err
     assert code == 1
     assert str(path) in err and "non-finite" in err
     assert "Traceback" not in err and "Warning" not in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("verb", ["run", "train"])
+@pytest.mark.parametrize("key, size, scale", [
+    ("Tr_velo_to_cam", 12, 3e3), ("Tr_velo_to_cam", 12, 3e6), ("R0_rect", 9, 3e3),
+])
+def test_non_rigid_mount_exits_1_naming_the_file(
+    mini_dataset, tmp_path, capsys, verb, key, size, scale
+):
+    # inside the magnitude bound, but a frustum could spread past MAX_BINS bins
+    # or its centroid past 10 km: refused where the calibration is read
+    root = tmp_path / "data"
+    shutil.copytree(mini_dataset.root, root)
+    path = root / "calib" / "000000.txt"
+    _scale_calibration(path, key, range(size), scale)
+    extra = {"run": ["--out", tmp_path / "out"],
+             "train": ["--out", tmp_path / "reg.ckpt", "--epochs", "2"]}[verb]
+    code = run_cli(verb, f"data_root={root}", *extra)
+    _assert_refused(code, capsys.readouterr().err, path)
 
 
 @pytest.mark.parametrize("verb", ["run", "train", "stats", "plot"])

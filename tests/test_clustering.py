@@ -1,13 +1,31 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from farfrustum.clustering import axis_histogram, estimate_centroid, modal_midpoint, modal_midpoints
+from farfrustum.clustering import (
+    MAX_BINS,
+    MIN_BIN_WIDTH,
+    axis_histogram,
+    estimate_centroid,
+    modal_midpoint,
+    modal_midpoints,
+)
 from farfrustum.errors import ConfigError, EmptyCluster
-from farfrustum.kitti_io import Frame, PointCloud
+from farfrustum.geometry import lidar_to_camera, rot_y
+from farfrustum.kitti_io import (
+    MAX_MOUNT_OFFSET_M,
+    MAX_POINT_RANGE_M,
+    CalibrationSet,
+    Frame,
+    PointCloud,
+)
 
 import oracles
+from conftest import random_calibration
 
 
 class TestAxisHistogram:
@@ -145,12 +163,8 @@ def _same_midpoints(values_by_segment, width):
     got = modal_midpoints(values, bounds, width)
     assert got.shape == (len(values_by_segment),)
     for mid, segment in zip(got, values_by_segment):
-        try:
-            want = modal_midpoint(np.asarray(segment, dtype=np.float64), width)
-        except ConfigError:  # past MAX_BINS
-            assert np.isnan(mid)
-        else:
-            assert np.float64(mid).tobytes() == np.float64(want).tobytes()
+        want = modal_midpoint(np.asarray(segment, dtype=np.float64), width)
+        assert np.float64(mid).tobytes() == np.float64(want).tobytes()
 
 
 def test_modal_midpoints_hand_cases():
@@ -162,16 +176,16 @@ def test_modal_midpoints_hand_cases():
         [0.0, 0.1, 0.2, 0.2, 0.3],   # values on bin edges
         [7.0, 7.0],
     ], 0.1)
-    _same_midpoints([[0.0, 1.0], [0.0, 0.05], [1.0]], 1e-7)  # 10 million bins: refused
+    _same_midpoints([[0.0, 0.05], [1.0]], 1e-7)  # half a million bins, and one
     assert modal_midpoints(np.empty(0), [0], 0.1).shape == (0,)
 
 
 @st.composite
 def _segment_sets(draw):
     """Segments of values near bin edges: ties, singletons, one-bin spans,
-    negative values and, at the finest width, spans past MAX_BINS."""
-    width = draw(st.sampled_from([0.1, 0.125, 1 / 3, 0.017, 7.0, 1e-6]))
-    steps = st.one_of(st.integers(-3, 3), st.integers(-(2**21), 2**21))
+    negative values and spans of up to MAX_BINS bins."""
+    width = draw(st.sampled_from([0.1, 0.125, 1 / 3, 0.017, 7.0, MIN_BIN_WIDTH]))
+    steps = st.one_of(st.integers(-3, 3), st.integers(-(MAX_BINS // 2) + 1, MAX_BINS // 2 - 1))
     segments = []
     for _ in range(draw(st.integers(1, 8))):
         origin = draw(st.floats(-1e3, 1e3, allow_nan=False))
@@ -191,3 +205,26 @@ def _segment_sets(draw):
 def test_modal_midpoints_equal_modal_midpoint_per_segment(case):
     width, segments = case
     _same_midpoints(segments, width)
+
+
+def test_min_bin_width_fits_every_frustum_of_a_rigid_mount():
+    # the corners of the 10 km cube through a mount at the largest accepted
+    # offset and near the orthonormality tolerance, then turned about y as a
+    # frustum is: no axis spreads past MAX_BINS bins of MIN_BIN_WIDTH
+    r = MAX_POINT_RANGE_M
+    corners = PointCloud(list(itertools.product([-r, r], repeat=3)), Frame.LIDAR)
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        base = random_calibration(rng)
+        stretch = 1.0 + 4.9e-4  # |R R^T - I| just under the 1e-3 tolerance
+        offset = rng.choice([-MAX_MOUNT_OFFSET_M, MAX_MOUNT_OFFSET_M], size=(3, 1))
+        calib = CalibrationSet(P2=base.P2, R0_rect=base.R0_rect * stretch,
+                               Tr_velo_to_cam=np.hstack([base.Tr_velo_to_cam[:, :3] * stretch,
+                                                         offset]))
+        calib.validate()
+        camera = lidar_to_camera(corners, calib).points
+        turned = camera @ rot_y(rng.uniform(-math.pi, math.pi)).T
+        for axis in range(3):
+            spread = np.ptp(turned[:, axis])
+            assert spread < 35.2e3
+            assert len(axis_histogram(turned[:, axis], MIN_BIN_WIDTH).counts) < MAX_BINS

@@ -629,3 +629,19 @@ class TestPointsPerObjectStats:
         stats = points_per_object_stats({"f": [rec]}, {"f": cloud}, {"f": simple_calib})
         assert stats == []
 
+
+
+@given(st.lists(st.booleans(), min_size=1, max_size=60), st.integers(0, 20))
+@settings(max_examples=200, deadline=None)
+def test_interp_ap_equals_the_rescan_of_every_level(hits, missed):
+    # the suffix maximum gives the bits of rescanning every point per level
+    cum_tp = np.cumsum(np.array(hits, dtype=np.float64))
+    n_gt = int(cum_tp[-1]) + missed or 1
+    recall, precision = cum_tp / n_gt, cum_tp / np.arange(1, len(hits) + 1)
+    total = 0.0
+    for level in np.linspace(0.0, 1.0, 11):
+        candidates = [p for r, p in zip(recall, precision) if r >= level - 1e-12]
+        total += max(candidates) if candidates else 0.0
+    want = 100.0 * total / 11.0
+    got = evaluation._interp_ap(recall, precision)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()

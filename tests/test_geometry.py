@@ -28,7 +28,7 @@ from farfrustum.kitti_io import (
     write_pgm,
 )
 from farfrustum.pipeline import PipelineConfig
-from farfrustum.regressor import frustum_raster, rasterize_bev
+from farfrustum.regressor import Route, frustum_chain, frustum_points, rasterize_bev
 from farfrustum.synth import calibration_text, camera_to_lidar_points
 
 import oracles
@@ -577,7 +577,7 @@ class TestFrustumRotation:
 
 
 class TestCentroidFrameAndBev:
-    """frustum_raster's last step: (x, z) relative to the centroid, then a raster."""
+    """frustum_chain's last step: (x, z) relative to the centroid, then a raster."""
 
     # a box centered on the principal point rotates by exactly theta = 0
     DET = make_det((0.0, 0.0, 1200.0, 360.0))
@@ -586,9 +586,10 @@ class TestCentroidFrameAndBev:
         config = PipelineConfig(frustum_mode="box", raster_grid=grid,
                                 raster_extent=extent, bin_width=bin_width)
         projection = project_cloud(PointCloud(pts, Frame.LIDAR), IDENTITY_CALIB)
-        theta, centroid, raster = frustum_raster(projection, self.DET, IDENTITY_CALIB, config)
-        assert theta == 0.0
-        return centroid, raster
+        frustum = frustum_points(projection, self.DET, config)
+        batch = frustum_chain([frustum], [self.DET], IDENTITY_CALIB, config)
+        assert batch.routes == [Route.FARAWAY] and batch.theta[0] == 0.0
+        return tuple(batch.centroids[0].tolist()), batch.rasters[0]
 
     def test_point_equal_to_centroid_maps_to_origin(self):
         # one modal bin per axis: its midpoint is the middle point, exactly

@@ -94,6 +94,22 @@ class TestParseCalibration:
         with pytest.raises(BadCalibration):
             parse_calibration(text)
 
+    @pytest.mark.parametrize("tr, message", [
+        ("0 -2 0 0 0 0 -2 0 2 0 0 0", "not a rotation"),        # scaled
+        ("0 1 0 0 0 0 -1 0 1 0 0 0", "not a rotation"),         # a reflection
+        ("0 -1 0 100.5 0 0 -1 0 1 0 0 0", "beyond 100 m"),      # lidar off the vehicle
+    ])
+    def test_non_rigid_mount_rejected(self, tr, message):
+        text = CALIB_TEXT.replace("Tr_velo_to_cam: 0 -1 0 0 0 0 -1 0 1 0 0 0",
+                                  f"Tr_velo_to_cam: {tr}")
+        with pytest.raises(BadCalibration, match=message):
+            parse_calibration(text)
+
+    def test_mount_offset_of_100_m_accepted(self):
+        calib = parse_calibration(CALIB_TEXT.replace("0 -1 0 0 0 0 -1 0 1 0 0 0",
+                                                     "0 -1 0 -100 0 0 -1 100 1 0 0 100"))
+        assert calib.Tr_velo_to_cam[:, 3].tolist() == [-100.0, 100.0, 100.0]
+
     def test_repeated_whitespace_and_blank_lines(self):
         text = CALIB_TEXT.replace(" ", "   ") + "\n\n"
         calib = parse_calibration(text)

@@ -87,3 +87,19 @@ def test_every_raise_names_a_package_error():
                     continue
                 bad.append(f"{path.name}:{node.lineno} raises {cls.__name__}")
     assert not bad, bad
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_every_function_a_benchmark_metric_traces_exists(monkeypatch):
+    # the benchmark traces these by name; a missing one would read null in a
+    # run that still ends correct, so each stays until the benchmark drops it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    harness = importlib.import_module("harness")
+    needs = sorted({name for _, _, names, _ in harness.LAYER_METRICS for name in names})
+    assert len(needs) == 26
+    for name in needs:
+        module, function = name.split(".")
+        module = importlib.import_module(f"farfrustum.{module}")
+        assert callable(getattr(module, function, None)), name

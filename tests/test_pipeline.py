@@ -310,29 +310,27 @@ def _exploding_params():
 
 
 def test_process_frame_raises_the_first_failing_detection(simple_calib, tmp_path):
-    # detection 0 regresses a box Box3D refuses; detection 1's depth spreads
-    # past MAX_BINS at this bin width, and detection 2's mask fails to load
+    # `far` regresses a box Box3D refuses, and `bad_mask`'s mask fails to load
     cloud, far, _ = _planted_scene(simple_calib, depth=65.0, x=2.0)
-    wide_cloud, wide, center = _planted_scene(simple_calib, depth=66.0, x=-6.0)
-    behind = camera_to_lidar_points(center[None, :] * 2.0, simple_calib)  # same pixel
     write_pgm(tmp_path / "m.pgm", np.zeros((10, 10), dtype=np.uint8))
     bad_mask = Detection2D("f", "car", 0.5, far.bbox, image_size=(1242, 375),
                            mask=MaskRef(tmp_path / "m.pgm", (1242, 375)))
-    cloud = PointCloud(np.vstack([cloud.points, wide_cloud.points, behind]), Frame.LIDAR)
-    config = PipelineConfig(bin_width=1e-5, checkpoint="w.ckpt")
 
-    def first_error(dets):
+    def first_error(dets, config=PipelineConfig(checkpoint="w.ckpt"),
+                    params=_exploding_params()):
         with pytest.raises(FarFrustumError) as info:
-            process_frame(cloud, dets, [], simple_calib, config, params=_exploding_params())
+            process_frame(cloud, dets, [], simple_calib, config, params=params)
         return info.value
 
-    error = first_error([far, wide, bad_mask])
+    error = first_error([far, bad_mask])
     assert isinstance(error, NonFiniteBox)
     assert "checkpoint w.ckpt, frame f, detection 0 (pedestrian)" in str(error)
-    error = first_error([wide, far, bad_mask])
-    assert isinstance(error, ConfigError) and "bins" in str(error)
-    assert isinstance(first_error([bad_mask, far, wide]), MaskDimMismatch)
-    assert isinstance(first_error([far, bad_mask, wide]), NonFiniteBox)
+    assert isinstance(first_error([bad_mask, far]), MaskDimMismatch)
+    # with no checkpoint, a prior past 10 km is the size-prior baseline's fault
+    huge = PipelineConfig(size_priors={"pedestrian": (2e4, 1.0, 1.0), "car": (1.0, 1.0, 1.0)})
+    error = first_error([far, bad_mask], huge, None)
+    assert isinstance(error, NonFiniteBox) and "checkpoint" not in str(error)
+    assert "size-prior baseline, frame f, detection 0 (pedestrian)" in str(error)
 
 
 def test_process_frame_takes_no_determinant_per_detection(simple_calib, monkeypatch):
@@ -471,6 +469,13 @@ class TestConfig:
     def test_non_positive_or_non_finite_raster_setting_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
             PipelineConfig.from_mapping({key: value})
+
+    @pytest.mark.parametrize("value", ["0.01", "1e-5", "0.0499"])
+    def test_bin_width_below_the_floor_rejected(self, value):
+        # a finer width could split a frustum of a rigid mount past MAX_BINS bins
+        with pytest.raises(ConfigError, match="bin_width"):
+            PipelineConfig.from_mapping({"bin_width": value})
+        assert PipelineConfig.from_mapping({"bin_width": "0.05"}).bin_width == 0.05
 
     @pytest.mark.parametrize("prior", ["0,1,1", "1,-1,1", "1,1,inf", "nan,1,1"])
     def test_non_positive_or_non_finite_prior_rejected(self, prior):

@@ -22,7 +22,8 @@ from farfrustum.regressor import (
     flatten_params,
     forward,
     forward_rasters,
-    frustum_raster,
+    frustum_chain,
+    frustum_points,
     init_params,
     load_checkpoint,
     loss_and_gradients,
@@ -193,7 +194,7 @@ def test_forward_rasters_equal_per_row_forward_bit_for_bit(seed, n, hidden, scal
 
 class TestTranslationConsistency:
     def test_shifted_frustum_cloud_gives_identical_raster_and_output(self):
-        # absolute position never reaches the network: frustum_raster rasters
+        # absolute position never reaches the network: frustum_chain rasters
         # the points relative to their centroid, so shifting the whole cloud
         # leaves the grid (and hence the output) bit-identical
         from farfrustum.geometry import project_cloud
@@ -217,8 +218,11 @@ class TestTranslationConsistency:
 
             def raster_of(points):
                 projection = project_cloud(PointCloud(points, Frame.LIDAR), calib)
-                theta, _, raster = frustum_raster(projection, det, calib, config)
-                assert theta == 0.0 and raster.grid.sum() == len(points)
+                frustum = frustum_points(projection, det, config)
+                batch = frustum_chain([frustum], [det], calib, config)
+                assert batch.routes == [regressor.Route.FARAWAY]
+                raster = batch.rasters[0]
+                assert batch.theta[0] == 0.0 and raster.grid.sum() == len(points)
                 return raster
 
             base = raster_of(pts)
