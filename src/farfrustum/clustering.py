@@ -65,7 +65,7 @@ def modal_midpoints(
     """modal_midpoint of every segment values[bounds[k]:bounds[k + 1]], bit for bit.
 
     Every segment must hold a value and span at most MAX_BINS bins, as every
-    frustum of a checked calibration does at a bin_width of at least
+    frustum of a CalibrationSet does at a bin_width of at least
     MIN_BIN_WIDTH. A value's bin is estimated by a floor, then corrected
     against the edges vmin + j * bin_width, computed as axis_histogram
     computes them. The bins are counted by sorting their keys, so memory

@@ -29,9 +29,9 @@ a frame's frustums, held as segments of one array, in one call. All
 operations preserve point order, and a projection is never modified after
 it is built.
 
-Clouds and calibrations are bounded where they enter (``kitti_io``), so no
-product here overflows, and ``frustum_rotation`` can back-project through
-P2 because ``parse_calibration`` refuses a singular left 3x3.
+Clouds and calibrations are checked where they are built (``kitti_io``), so
+no product here overflows, and ``frustum_rotation`` can back-project through
+P2 because ``CalibrationSet`` refuses a singular left 3x3.
 """
 from __future__ import annotations
 

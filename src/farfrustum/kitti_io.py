@@ -15,10 +15,10 @@ different frames can be parsed in parallel.
 
 Point arrays are checked where they enter: by ``load_pointcloud`` and by
 the ``PointCloud`` constructor. Derived clouds wrap fresh arrays uncopied.
-A calibration is bounded when it is built, so no product of a checked
-cloud and its matrices overflows, and ``parse_calibration`` refuses a
-mount that is not rigid (a rotation and an offset within MAX_MOUNT_OFFSET_M)
-and a P2 whose left 3x3 is singular. Every ``Box3D`` has its center within
+A calibration is checked when it is built: it is bounded, so no product of
+a checked cloud and its matrices overflows, and it refuses a mount that is
+not rigid (a rotation and an offset within MAX_MOUNT_OFFSET_M) and a P2
+whose left 3x3 is singular. Every ``Box3D`` has its center within
 MAX_POINT_RANGE_M and its sizes in [MIN_BOX_SIZE_M, MAX_POINT_RANGE_M], so
 its footprint area and volume are positive and finite; ``parse_labels``
 runs each box through that one check on the floats it has just read. Every
@@ -58,6 +58,7 @@ MIN_BOX_SIZE_M = 0.01  # the resolution of KITTI label sizes
 # A 3x3 determinant or a pixel times an image size stays finite below this.
 MAX_CALIBRATION_MAGNITUDE = 1e100
 MAX_MOUNT_OFFSET_M = 100.0  # a lidar this far from its camera is not on the same vehicle
+ROTATION_TOLERANCE = 1e-3  # largest |R R^T - I| of a calibration rotation
 MAX_BBOX_PIXEL = 1e5  # a 2D box edge this far off any image is a corrupt record
 
 
@@ -126,9 +127,11 @@ class PointCloud:
 @dataclass(frozen=True)
 class CalibrationSet:
     """Projection and mounting matrices for one frame; BadCalibration past
-    MAX_CALIBRATION_MAGNITUDE on an entry or on ``reach()``. ``validate``,
-    which ``parse_calibration`` runs, also requires a rigid mount, so every
-    point within MAX_POINT_RANGE_M lies within about 17.6 km of the camera."""
+    MAX_CALIBRATION_MAGNITUDE on an entry or on ``reach()``, for an R0_rect
+    that is not orthonormal, for a mount that is not rigid (a rotation, each
+    offset within MAX_MOUNT_OFFSET_M) and for a P2 whose left 3x3 cannot
+    back-project a pixel. So every point within MAX_POINT_RANGE_M lies
+    within about 17.6 km of the camera."""
 
     P2: np.ndarray               # 3x4 camera projection, pixels
     R0_rect: np.ndarray          # 3x3 rectification rotation
@@ -146,24 +149,13 @@ class CalibrationSet:
         if not biggest <= MAX_CALIBRATION_MAGNITUDE:
             raise BadCalibration(f"an entry or a mapped {MAX_POINT_RANGE_M:g} m point exceeds "
                                  f"{MAX_CALIBRATION_MAGNITUDE:g}: products could turn non-finite")
-
-    def reach(self) -> tuple[np.ndarray, np.ndarray]:
-        """Bounds on |camera (x, y, z)| and |(u*w, v*w, w)| of a point within MAX_POINT_RANGE_M."""
-        r = MAX_POINT_RANGE_M
-        camera = np.abs(self.R0_rect) @ (np.abs(self.Tr_velo_to_cam) @ [r, r, r, 1.0])
-        return camera, np.abs(self.P2) @ np.append(camera, 1.0)
-
-    def validate(self, tol: float = 1e-3) -> None:
-        """Check that R0_rect is orthonormal, that Tr_velo_to_cam is a rigid
-        mount (a rotation, each offset within MAX_MOUNT_OFFSET_M), and that
-        the left 3x3 of P2 can back-project a pixel."""
         r = self.R0_rect
         err = np.abs(r @ r.T - np.eye(3)).max()
-        if not err < tol:
+        if not err < ROTATION_TOLERANCE:
             raise BadCalibration(f"R0_rect not orthonormal (|R R^T - I| = {err:g})")
         r, offset = self.Tr_velo_to_cam[:, :3], self.Tr_velo_to_cam[:, 3]
         err, det = np.abs(r @ r.T - np.eye(3)).max(), np.linalg.det(r)
-        if not (err < tol and det > 0):
+        if not (err < ROTATION_TOLERANCE and det > 0):
             raise BadCalibration(f"Tr_velo_to_cam is not a rotation "
                                  f"(|R R^T - I| = {err:g}, det = {det:g})")
         if not np.abs(offset).max() <= MAX_MOUNT_OFFSET_M:
@@ -171,6 +163,12 @@ class CalibrationSet:
                                  f"{MAX_MOUNT_OFFSET_M:g} m")
         if abs(np.linalg.det(self.P2[:, :3])) < 1e-12:
             raise BadCalibration("left 3x3 of P2 is not invertible")
+
+    def reach(self) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds on |camera (x, y, z)| and |(u*w, v*w, w)| of a point within MAX_POINT_RANGE_M."""
+        r = MAX_POINT_RANGE_M
+        camera = np.abs(self.R0_rect) @ (np.abs(self.Tr_velo_to_cam) @ [r, r, r, 1.0])
+        return camera, np.abs(self.P2) @ np.append(camera, 1.0)
 
 
 def apply_affine(points: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -190,7 +188,7 @@ def parse_calibration(text: str) -> CalibrationSet:
     Only P2 (the left color camera's projection), R0_rect, and
     Tr_velo_to_cam are consumed; other keys are ignored. Raises
     MissingCalibKey / MalformedCalibLine on bad input and BadCalibration on
-    matrices that fail ``validate``.
+    matrices that CalibrationSet refuses.
     """
     wanted = {"P2": 12, "R0_rect": 9, "Tr_velo_to_cam": 12}
     found: dict[str, np.ndarray] = {}
@@ -216,13 +214,11 @@ def parse_calibration(text: str) -> CalibrationSet:
     for key in wanted:
         if key not in found:
             raise MissingCalibKey(f"calibration is missing required key {key}")
-    calib = CalibrationSet(
+    return CalibrationSet(
         P2=found["P2"].reshape(3, 4),
         R0_rect=found["R0_rect"].reshape(3, 3),
         Tr_velo_to_cam=found["Tr_velo_to_cam"].reshape(3, 4),
     )
-    calib.validate()
-    return calib
 
 
 def load_pointcloud(data: bytes) -> PointCloud:

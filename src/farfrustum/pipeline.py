@@ -31,6 +31,7 @@ from .errors import (
 from .evaluation import faraway_filter
 from .geometry import project_cloud, rot_y
 from .kitti_io import (
+    MAX_BBOX_PIXEL,
     Box3D,
     CalibrationSet,
     Detection2D,
@@ -87,8 +88,14 @@ class PipelineConfig:
             raise ConfigError("faraway thresholds must be positive")
         if self.min_frustum_points < 1:
             raise ConfigError("min_frustum_points must be >= 1")
-        if not (self.raster_grid >= 1 and 0 < self.raster_extent < math.inf):
-            raise ConfigError("raster_grid, raster_extent must be positive, finite")
+        if not (1 <= self.raster_grid <= regressor.MAX_RASTER_GRID
+                and 0 < self.raster_extent < math.inf):
+            raise ConfigError(f"raster_grid must be in [1, {regressor.MAX_RASTER_GRID}] and "
+                              f"raster_extent positive and finite, got {self.raster_grid}, "
+                              f"{self.raster_extent}")
+        if not all(1 <= n <= MAX_BBOX_PIXEL for n in self.image_size):
+            raise ConfigError(f"image_width, image_height must be in [1, {MAX_BBOX_PIXEL:g}], "
+                              f"got {self.image_size}")
         if not MIN_BIN_WIDTH <= self.bin_width < math.inf:
             raise ConfigError(f"bin_width must be finite and at least {MIN_BIN_WIDTH:g} m, "
                               f"got {self.bin_width}")
@@ -257,16 +264,17 @@ def process_frame(
     ones are routed to the fallback detector (all three are counted, never
     fatal). Errors raise in detection order: a regressed box that Box3D
     refuses (a size that overflows past 10 km or underflows below 1 cm, or a
-    center beyond 10 km) raises naming the checkpoint (or the size-prior
-    baseline), the frame and the detection, after the mask or crop error of
-    any earlier detection.
+    center beyond 10 km) raises naming the checkpoint (or the given weights,
+    or the size-prior baseline), the frame and the detection, after the mask
+    or crop error of any earlier detection.
     Fallback boxes survive only when their own center depth is below their
     class threshold; classes without a threshold are kept unconditionally.
     The merged list is sorted by descending score, stable on input order
     (fallback first, then faraway boxes in detection order).
     """
     stats = stats if stats is not None else RunSummary()
-    source = f"checkpoint {config.checkpoint}"  # of the weights, for a refused box
+    # the weights, named for a refused box
+    source = "given weights" if config.checkpoint is None else f"checkpoint {config.checkpoint}"
     if params is None:  # UnknownClass if a prior is missing
         source, params = "size-prior baseline", regressor.zero_params(
             config.raster_grid, config.classes, priors=config.size_priors,

@@ -49,6 +49,7 @@ DEFAULT_SIZE_PRIORS: dict[str, tuple[float, float, float]] = {
 
 CHECKPOINT_VERSION = 2
 _OUTPUT_DIM = 7
+MAX_RASTER_GRID = 256  # zero_params(256) holds 34 MB of weights; the layouts in use take 32
 # tanh bounds the hidden layer, so under this bound on every weight and prior
 # no product of a loaded checkpoint overflows
 MAX_WEIGHT_MAGNITUDE = 1e100
@@ -470,7 +471,7 @@ def load_checkpoint(
     if version != CHECKPOINT_VERSION:
         raise ShapeError(f"checkpoint {path}: unsupported version {version}")
     if out_dim != _OUTPUT_DIM or min(grid_size, hidden, name_bytes + 1) < 1 \
-            or not 0 < extent < math.inf:
+            or grid_size > MAX_RASTER_GRID or not 0 < extent < math.inf:
         raise ShapeError(f"checkpoint {path}: bad header {header.tolist()}, extent {extent}")
     names_end = _HEADER_BYTES + name_bytes
     try:
@@ -590,9 +591,9 @@ def frustum_chain(
     detection whose class has none is UNKNOWN and one whose depth is below
     it NEAR; the others whose class is in config.classes get their x and y
     histograms and a raster of their (x, z) relative to the centroid: they
-    are FARAWAY. No histogram passes MAX_BINS bins: the frustums come from a
-    rigid mount (CalibrationSet.validate) or from checked clouds, and
-    PipelineConfig keeps bin_width at MIN_BIN_WIDTH or above.
+    are FARAWAY. No histogram passes MAX_BINS bins: every CalibrationSet is
+    a rigid mount, and PipelineConfig keeps bin_width at MIN_BIN_WIDTH or
+    above.
     """
     sizes = np.array([len(frustum) for frustum in frustums], dtype=np.int64)
     live = np.flatnonzero(sizes >= config.min_frustum_points)  # segment s is detection live[s]

@@ -71,6 +71,17 @@ class TestRun:
         assert "threshold" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("image_width", "0"), ("image_width", "-5"), ("image_height", "0"),
+        ("image_height", "100001"), ("raster_grid", "257"), ("raster_grid", "100000"),
+    ])
+    def test_image_size_or_raster_grid_out_of_range_is_runtime_error(
+            self, dataset_args, capsys, key, value):
+        _, args, out = dataset_args
+        assert run_cli("run", "frustum_mode=box", *args, f"{key}={value}") == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flag_overrides_config_file(self, mini_dataset, tmp_path, capsys):
         config_path = tmp_path / "config.txt"
         config_path.write_text(

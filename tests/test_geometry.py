@@ -29,7 +29,7 @@ from farfrustum.kitti_io import (
 )
 from farfrustum.pipeline import PipelineConfig
 from farfrustum.regressor import Route, frustum_chain, frustum_points, rasterize_bev
-from farfrustum.synth import calibration_text, camera_to_lidar_points
+from farfrustum.synth import camera_to_lidar_points
 
 import oracles
 from conftest import random_calibration
@@ -449,9 +449,9 @@ def test_projection_is_byte_identical_at_kitti_scale():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_projection_keeps_a_pixel_that_rounds_to_minus_zero():
-    # u*w = -5e-324 whatever the point: u = u*w / w rounds to -0.0 >= 0
-    # from w = 2 on, so the pre-test must not drop these points
-    calib = CalibrationSet(P2=[[0, 0, 0, -5e-324], [0, 1, 0, 0], [0, 0, 1, 0]],
+    # u*w = -5e-324 at x = 0: u = u*w / w rounds to -0.0 >= 0 from w = 2
+    # on, so the pre-test must not drop these points
+    calib = CalibrationSet(P2=[[1, 0, 0, -5e-324], [0, 1, 0, 0], [0, 0, 1, 0]],
                            R0_rect=np.eye(3), Tr_velo_to_cam=UNIT_CALIB.Tr_velo_to_cam)
     pts = np.column_stack([np.zeros(40), np.full(40, 100.0), np.arange(1.0, 41.0)])
     _check_crops(pts, calib, np.random.default_rng(0), exact=True)
@@ -567,13 +567,11 @@ class TestFrustumRotation:
     def test_degenerate_projection_matrix(self):
         # frustum_rotation back-projects through P2's left 3x3, so no parsed
         # calibration may carry a singular one
-        calib = CalibrationSet(
-            P2=np.array([[1.0, 0, 0, 0], [2.0, 0, 0, 0], [0, 0, 1, 0]]),
-            R0_rect=np.eye(3),
-            Tr_velo_to_cam=np.hstack([np.eye(3), np.zeros((3, 1))]),
-        )
+        text = ("P2: 1 0 0 0 2 0 0 0 0 0 1 0\n"
+                "R0_rect: 1 0 0 0 1 0 0 0 1\n"
+                "Tr_velo_to_cam: 1 0 0 0 0 1 0 0 0 0 1 0\n")
         with pytest.raises(BadCalibration, match="left 3x3 of P2 is not invertible"):
-            parse_calibration(calibration_text(calib))
+            parse_calibration(text)
 
 
 class TestCentroidFrameAndBev:

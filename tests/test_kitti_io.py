@@ -56,6 +56,13 @@ Tr_velo_to_cam: 0 -1 0 0 0 0 -1 0 1 0 0 0
 """
 
 
+def _built(**matrices):
+    """CALIB_TEXT's calibration built in code, with the given matrices replaced."""
+    fields = {"P2": "700 0 600 0 0 700 180 0 0 0 1 0", "R0_rect": "1 0 0 0 1 0 0 0 1",
+              "Tr_velo_to_cam": "0 -1 0 0 0 0 -1 0 1 0 0 0", **matrices}
+    return CalibrationSet(**{k: np.array(v.split(), dtype=float) for k, v in fields.items()})
+
+
 class TestParseCalibration:
     def test_identity_rectification(self):
         calib = parse_calibration(CALIB_TEXT)
@@ -98,12 +105,25 @@ class TestParseCalibration:
         ("0 -2 0 0 0 0 -2 0 2 0 0 0", "not a rotation"),        # scaled
         ("0 1 0 0 0 0 -1 0 1 0 0 0", "not a rotation"),         # a reflection
         ("0 -1 0 100.5 0 0 -1 0 1 0 0 0", "beyond 100 m"),      # lidar off the vehicle
+        ("0 -3e3 0 0 0 0 -3e3 0 3e3 0 0 0", "not a rotation"),  # the mount scaled
+        ("0 -3e6 0 0 0 0 -3e6 0 3e6 0 0 0", "not a rotation"),
+        ("0 -1e20 0 0 0 0 -1e20 0 1e20 0 0 0", "not a rotation"),
     ])
     def test_non_rigid_mount_rejected(self, tr, message):
         text = CALIB_TEXT.replace("Tr_velo_to_cam: 0 -1 0 0 0 0 -1 0 1 0 0 0",
                                   f"Tr_velo_to_cam: {tr}")
         with pytest.raises(BadCalibration, match=message):
             parse_calibration(text)
+        with pytest.raises(BadCalibration, match=message):
+            _built(Tr_velo_to_cam=tr)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("R0_rect", "1 0 0 0 1 0 0 0 2", "R0_rect not orthonormal"),
+        ("P2", "1 0 0 0 2 0 0 0 0 0 1 0", "left 3x3 of P2 is not invertible"),
+    ])
+    def test_calibration_built_in_code_is_checked(self, key, value, message):
+        with pytest.raises(BadCalibration, match=message):
+            _built(**{key: value})
 
     def test_mount_offset_of_100_m_accepted(self):
         calib = parse_calibration(CALIB_TEXT.replace("0 -1 0 0 0 0 -1 0 1 0 0 0",
@@ -122,6 +142,8 @@ class TestParseCalibration:
         text = CALIB_TEXT.replace("700 0 600 0 0 700", f"{focal!r} 0 600 0 0 {focal!r}")
         with pytest.raises(BadCalibration, match="non-finite"):
             parse_calibration(text)
+        with pytest.raises(BadCalibration, match="non-finite"):
+            _built(P2=f"{focal!r} 0 600 0 0 {focal!r} 180 0 0 0 1 0")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_largest_accepted_calibration_projects_finitely(self):
@@ -617,4 +639,6 @@ def test_written_2d_boxes_match_the_per_box_projection(seed, n):
 
 
 def test_default_calibration_is_valid():
-    default_calibration().validate(tol=1e-9)
+    calib = default_calibration()  # the constructor runs every check
+    for r in (calib.R0_rect, calib.Tr_velo_to_cam[:, :3]):
+        assert np.abs(r @ r.T - np.eye(3)).max() < 1e-9

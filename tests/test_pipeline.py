@@ -333,6 +333,14 @@ def test_process_frame_raises_the_first_failing_detection(simple_calib, tmp_path
     assert "size-prior baseline, frame f, detection 0 (pedestrian)" in str(error)
 
 
+def test_refused_box_of_weights_given_without_a_checkpoint_names_them(simple_calib):
+    cloud, far, _ = _planted_scene(simple_calib, depth=65.0, x=2.0)
+    with pytest.raises(NonFiniteBox) as info:
+        process_frame(cloud, [far], [], simple_calib, PipelineConfig(),
+                      params=_exploding_params())
+    assert str(info.value).startswith("given weights, frame f, detection 0 (pedestrian): ")
+
+
 def test_process_frame_takes_no_determinant_per_detection(simple_calib, monkeypatch):
     cloud, det, _ = _planted_scene(simple_calib)
     calls = []

@@ -14,6 +14,7 @@ from farfrustum import regressor
 from farfrustum.kitti_io import parse_labels, wrap_angle, wrap_angles
 from farfrustum.pipeline import PipelineConfig
 from farfrustum.regressor import (
+    MAX_RASTER_GRID,
     BoxRegression,
     TrainConfig,
     build_training_set,
@@ -511,6 +512,14 @@ class TestCheckpoint:
         data = bytearray(path.read_bytes())
         data[8 * slot : 8 * slot + 8] = np.array([value], "<i8").tobytes()
         path.write_bytes(bytes(data))
+        with pytest.raises(ShapeError, match=re.escape(str(path)) + ".*bad header"):
+            load_checkpoint(path)
+
+    def test_raster_grid_past_the_bound_refused(self, tmp_path):
+        path = tmp_path / "reg.ckpt"
+        save_checkpoint(zero_params(MAX_RASTER_GRID, CLASSES, hidden=1, priors=PRIORS), path)
+        assert load_checkpoint(path).grid_size == MAX_RASTER_GRID
+        save_checkpoint(zero_params(MAX_RASTER_GRID + 1, CLASSES, hidden=1, priors=PRIORS), path)
         with pytest.raises(ShapeError, match=re.escape(str(path)) + ".*bad header"):
             load_checkpoint(path)
 
