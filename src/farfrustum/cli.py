@@ -173,6 +173,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    hyper = TrainConfig(hidden=args.hidden, learning_rate=args.lr, epochs=args.epochs,
+                        patience=args.patience, seed=args.seed)
     config = _build_config(args)
     inputs = _labeled_inputs(args, config)
     priors = regressor.compute_size_priors(
@@ -189,13 +191,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     if not samples:
         raise FarFrustumError("no training samples could be built from the dataset")
-    hyper = TrainConfig(
-        hidden=args.hidden,
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        patience=args.patience,
-        seed=args.seed,
-    )
     params = regressor.train(samples, hyper, priors=priors)
     out = Path(args.out) if args.out else (
         config.checkpoint if config.checkpoint else config.data_root / "regressor.ckpt"
@@ -233,11 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_train)
     p_train.add_argument("--frustum-mode", choices=("mask", "box"))
     p_train.add_argument("--out", help="checkpoint output path")
-    p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--hidden", type=int, default=64)
-    p_train.add_argument("--lr", type=float, default=0.01)
-    p_train.add_argument("--epochs", type=int, default=500)
-    p_train.add_argument("--patience", type=int, default=10)
+    p_train.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p_train.add_argument("--hidden", type=int, default=TrainConfig.hidden)
+    p_train.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p_train.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p_train.add_argument("--patience", type=int, default=TrainConfig.patience)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="score result files against labels")

@@ -70,7 +70,6 @@ class PipelineConfig:
     bin_width: float = DEFAULT_BIN_WIDTH
     raster_grid: int = 32
     raster_extent: float = 4.0
-    min_frustum_points: int = 1
     checkpoint: Path | None = None
     classes: tuple[str, ...] = regressor.DEFAULT_CLASSES
     image_size: tuple[int, int] = DEFAULT_IMAGE_SIZE
@@ -86,8 +85,6 @@ class PipelineConfig:
             raise ConfigError(f"frustum_mode must be mask or box, got {self.frustum_mode!r}")
         if not all(t > 0 for t in self.thresholds.values()):
             raise ConfigError("faraway thresholds must be positive")
-        if self.min_frustum_points < 1:
-            raise ConfigError("min_frustum_points must be >= 1")
         if not (1 <= self.raster_grid <= regressor.MAX_RASTER_GRID
                 and 0 < self.raster_extent < math.inf):
             raise ConfigError(f"raster_grid must be in [1, {regressor.MAX_RASTER_GRID}] and "
@@ -111,9 +108,8 @@ class PipelineConfig:
         """Build a config from flat key=value pairs (file or CLI overrides).
 
         Recognized keys: data_root, out, frustum_mode, bin_width, raster_grid,
-        raster_extent, min_frustum_points, checkpoint, image_width,
-        image_height, classes (comma list), threshold.<class>, prior.<class>
-        (three comma-separated meters).
+        raster_extent, checkpoint, image_width, image_height, classes (comma
+        list), threshold.<class>, prior.<class> (three comma-separated meters).
         """
         cfg = cls()
         for key, value in mapping.items():
@@ -130,8 +126,6 @@ class PipelineConfig:
                     cfg.raster_grid = int(value)
                 elif key == "raster_extent":
                     cfg.raster_extent = float(value)
-                elif key == "min_frustum_points":
-                    cfg.min_frustum_points = int(value)
                 elif key == "checkpoint":
                     cfg.checkpoint = Path(value)
                 elif key == "image_width":
@@ -259,14 +253,14 @@ def process_frame(
     for a detection of another image size). regressor.frustum_chain then
     routes all of them at once, and the faraway ones' rasters go through
     the network in one stacked pass; params default to zero weights.
-    Detections whose frustum holds fewer than min_frustum_points points, or
-    whose class is not listed or has no threshold, are skipped; near-range
-    ones are routed to the fallback detector (all three are counted, never
-    fatal). Errors raise in detection order: a regressed box that Box3D
-    refuses (a size that overflows past 10 km or underflows below 1 cm, or a
-    center beyond 10 km) raises naming the checkpoint (or the given weights,
-    or the size-prior baseline), the frame and the detection, after the mask
-    or crop error of any earlier detection.
+    Detections whose frustum holds no points, or whose class is not listed
+    or has no threshold, are skipped; near-range ones are routed to the
+    fallback detector (all three are counted, never fatal). Errors raise in
+    detection order: a regressed box that Box3D refuses (a size that
+    overflows past 10 km or underflows below 1 cm, or a center beyond 10 km)
+    raises naming the checkpoint (or the given weights, or the size-prior
+    baseline), the frame and the detection, after the mask or crop error of
+    any earlier detection.
     Fallback boxes survive only when their own center depth is below their
     class threshold; classes without a threshold are kept unconditionally.
     The merged list is sorted by descending score, stable on input order

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .clustering import modal_midpoints
-from .errors import EmptyDataset, ShapeError, UnknownClass
+from .errors import ConfigError, EmptyDataset, ShapeError, UnknownClass
 from .geometry import (
     CloudProjection,
     frustum_rotations,
@@ -50,6 +50,7 @@ DEFAULT_SIZE_PRIORS: dict[str, tuple[float, float, float]] = {
 CHECKPOINT_VERSION = 2
 _OUTPUT_DIM = 7
 MAX_RASTER_GRID = 256  # zero_params(256) holds 34 MB of weights; the layouts in use take 32
+MAX_HIDDEN = 1024  # 16x the default width; its first layer on a 32 grid holds 8.4 MB
 # tanh bounds the hidden layer, so under this bound on every weight and prior
 # no product of a loaded checkpoint overflows
 MAX_WEIGHT_MAGNITUDE = 1e100
@@ -365,6 +366,16 @@ class TrainConfig:
     patience: int = 10
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if not 1 <= self.hidden <= MAX_HIDDEN:
+            raise ConfigError(f"hidden must be in [1, {MAX_HIDDEN}], got {self.hidden}")
+        if not 0 <= self.learning_rate < math.inf:  # 0 keeps the initial weights
+            raise ConfigError(f"learning_rate must be finite and not negative, "
+                              f"got {self.learning_rate}")
+        for name, low in (("epochs", 1), ("patience", 0), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be at least {low}, got {getattr(self, name)}")
+
 
 def train(
     dataset: Samples,
@@ -539,7 +550,7 @@ class Route(Enum):
 
     FARAWAY = "faraway"          # centroid and raster; in `run`, a regressed box
     NEAR = "routed near"         # depth below its class threshold: the fallback's
-    EMPTY = "skipped empty"      # fewer than min_frustum_points frustum points
+    EMPTY = "skipped empty"      # no frustum points
     UNKNOWN = "skipped unknown"  # no threshold for its class, or not in config.classes
 
 
@@ -585,18 +596,17 @@ def frustum_chain(
 ) -> FrustumBatch:
     """Every detection's chain, as array passes over all of a frame's frustums.
 
-    frustums[k] is detections[k]'s frustum (frustum_points). Each frustum of
-    at least config.min_frustum_points points is rotated (frustum_rotations)
-    and its depth histogrammed (modal_midpoints). Given `thresholds`, a
-    detection whose class has none is UNKNOWN and one whose depth is below
-    it NEAR; the others whose class is in config.classes get their x and y
-    histograms and a raster of their (x, z) relative to the centroid: they
-    are FARAWAY. No histogram passes MAX_BINS bins: every CalibrationSet is
-    a rigid mount, and PipelineConfig keeps bin_width at MIN_BIN_WIDTH or
-    above.
+    frustums[k] is detections[k]'s frustum (frustum_points). Each non-empty
+    frustum is rotated (frustum_rotations) and its depth histogrammed
+    (modal_midpoints). Given `thresholds`, a detection whose class has none
+    is UNKNOWN and one whose depth is below it NEAR; the others whose class
+    is in config.classes get their x and y histograms and a raster of their
+    (x, z) relative to the centroid: they are FARAWAY. No histogram passes
+    MAX_BINS bins: every CalibrationSet is a rigid mount, and PipelineConfig
+    keeps bin_width at MIN_BIN_WIDTH or above.
     """
     sizes = np.array([len(frustum) for frustum in frustums], dtype=np.int64)
-    live = np.flatnonzero(sizes >= config.min_frustum_points)  # segment s is detection live[s]
+    live = np.flatnonzero(sizes > 0)  # segment s is detection live[s]
     bounds = np.concatenate([[0], np.cumsum(sizes[live])])
     points = np.concatenate([frustums[k].points for k in live] or [np.empty((0, 3))])
     rotated, theta = frustum_rotations(points, bounds, [detections[k] for k in live], calib)

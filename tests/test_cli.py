@@ -326,6 +326,28 @@ class TestTrainCommand:
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
 
+    @pytest.mark.parametrize("option, value, field", [
+        ("--hidden", "0", "hidden"),
+        ("--hidden", "-3", "hidden"),
+        ("--hidden", str(regressor.MAX_HIDDEN + 1), "hidden"),  # refused before any weight exists
+        ("--lr", "nan", "learning_rate"),
+        ("--lr", "inf", "learning_rate"),
+        ("--lr", "-1", "learning_rate"),
+        ("--epochs", "0", "epochs"),
+        ("--epochs", "-1", "epochs"),
+        ("--patience", "-1", "patience"),
+        ("--seed", "-1", "seed"),
+    ])
+    def test_malformed_training_option_exits_1_naming_it(
+        self, mini_dataset, tmp_path, capsys, option, value, field
+    ):
+        ckpt = tmp_path / "reg.ckpt"
+        code = run_cli("train", f"data_root={mini_dataset.root}", "--out", ckpt, option, value)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {field} must" in err and "Traceback" not in err
+        assert not ckpt.exists()
+
 
 @pytest.mark.parametrize("verb", ["train", "run"])
 @pytest.mark.parametrize("case", sorted(BAD_PGMS))

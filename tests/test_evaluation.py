@@ -313,6 +313,15 @@ def table_cases(draw):
     return gt, [preds[i] for i in order]
 
 
+_SIGNED_COORD = st.floats(-1e4, 1e4) | st.sampled_from([0.0, -0.0])
+
+
+def signed_zero_polygon(n):
+    """``n`` vertices at signed zeros; for n a multiple of 4 every shoelace term is -0.0."""
+    sign = [0.0, 0.0, -0.0, -0.0]
+    return [(sign[i % 4], sign[(i + 1) % 4]) for i in range(n)]
+
+
 class TestIouTable:
     @given(table_cases())
     @settings(max_examples=200, deadline=None)
@@ -411,17 +420,29 @@ class TestIouTable:
         want = [oracles.intersection_area(a, b) for a, b in zip(subject, clip)]
         assert got.tobytes() == np.array(want).tobytes()
 
-    @given(st.lists(st.lists(st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0]),
-                             min_size=1, max_size=24), min_size=1, max_size=6))
+    @given(st.lists(st.lists(st.tuples(_SIGNED_COORD, _SIGNED_COORD), min_size=1, max_size=24),
+                    min_size=1, max_size=6))
     @settings(max_examples=300, deadline=None)
-    @example([[-0.0] * 8, [-0.0] * 9, [-0.0] * 17, [-0.0] * 3])
-    def test_sums_round_as_numpy_sums_each_row(self, rows):
-        count = np.array([len(r) for r in rows])
-        terms = np.zeros((len(rows), count.max()))
-        for k, r in enumerate(rows):
-            terms[k, :len(r)] = r
-        want = np.array([np.sum(np.array(r)) for r in rows])
-        assert evaluation._sum_as_numpy(terms, count).tobytes() == want.tobytes()
+    @example([signed_zero_polygon(n) for n in (8, 9, 17, 3)])
+    def test_shoelace_areas_round_as_numpy_sums_each_polygon(self, polygons):
+        count = np.array([len(p) for p in polygons])
+        x, z = np.zeros((2, len(polygons), count.max()))
+        for k, p in enumerate(polygons):
+            x[k, :len(p)], z[k, :len(p)] = np.array(p).T
+        want = [0.5 * np.sum(np.array([xa * zb - xb * za for (xa, za), (xb, zb)
+                                       in zip(p, p[1:] + p[:1])])) for p in polygons]
+        assert evaluation._shoelace_areas(x, z, count).tobytes() == np.array(want).tobytes()
+
+    @given(st.lists(table_cases(), min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_same_class_tables_hold_bev_iou_and_zero_across_classes(self, frames):
+        # the tables match_greedy and ap_11point score, built class-blind in one call
+        for (gt, preds), table in zip(frames, evaluation._same_class_tables(frames)):
+            assert table.shape == (len(gt), len(preds))
+            for gi, g in enumerate(gt):
+                for pi, p in enumerate(preds):
+                    want = bev_iou(g, p) if g.class_name == p.class_name else 0.0
+                    assert same_bits(table[gi, pi], want)
 
 
 def average_iou(gt, preds, faraway=None):

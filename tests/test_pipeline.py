@@ -172,14 +172,6 @@ class TestProcessFrame:
         out = process_frame(cloud, [], [cyclist], simple_calib, PipelineConfig())
         assert out == [cyclist]
 
-    def test_min_frustum_points_gate(self, simple_calib):
-        cloud, det, _ = _planted_scene(simple_calib, n=3)
-        config = PipelineConfig(frustum_mode="box", min_frustum_points=5)
-        stats = RunSummary()
-        out = process_frame(cloud, [det], [], simple_calib, config, stats=stats)
-        assert out == []
-        assert stats.skipped_empty_frustum == 1
-
     def test_permutation_invariance_as_multiset(self, simple_calib):
         rng = np.random.default_rng(9)
         clouds, dets = [], []
@@ -457,8 +449,6 @@ class TestConfig:
             PipelineConfig.from_mapping({"no_such_key": "1"})
 
     def test_bad_values_rejected(self):
-        with pytest.raises(ConfigError):
-            PipelineConfig.from_mapping({"min_frustum_points": "0"})
         with pytest.raises(ConfigError):
             PipelineConfig.from_mapping({"frustum_mode": "sphere"})
 

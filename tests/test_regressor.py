@@ -14,6 +14,7 @@ from farfrustum import regressor
 from farfrustum.kitti_io import parse_labels, wrap_angle, wrap_angles
 from farfrustum.pipeline import PipelineConfig
 from farfrustum.regressor import (
+    MAX_HIDDEN,
     MAX_RASTER_GRID,
     BoxRegression,
     TrainConfig,
@@ -328,6 +329,12 @@ class TestTrain:
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
             train([], TrainConfig())
+
+    def test_bounds_are_inclusive(self):
+        # a config holds no weights, so the widest layer costs nothing to build
+        TrainConfig(hidden=MAX_HIDDEN, learning_rate=0.0, epochs=1, patience=0, seed=0)
+        TrainConfig(hidden=1)
+        TrainConfig(epochs=150, patience=150, seed=0)  # the benchmark's train_mask job
 
     def test_params_take_the_rasters_layout(self):
         rng = np.random.default_rng(41)
