@@ -17,7 +17,9 @@ rounding of either path, so the chain alone decides which of the other
 points are kept. The pre-test runs over blocks of ``BLOCK_ROWS`` rows of
 the cloud, and the candidate rows it gathers go through the chain in blocks
 of ``BLOCK_ROWS`` candidates, so each temporary has a block's size, not the
-cloud's, and the heap reuses it from block to block. Each 3x4 transform is
+cloud's, and the heap reuses it from block to block. A block's points, u and
+v are gathered again only when its crop drops a row, and the blocks are
+concatenated only when there are several. Each 3x4 transform is
 applied as an affine map (``kitti_io.apply_affine``). From two rows on it
 rounds as the homogeneous product, but numpy hands a one-row product to
 BLAS gemv, which rounds otherwise, so a lone tail row joins the block
@@ -102,8 +104,8 @@ class CloudProjection:
     """
 
     camera: PointCloud   # camera-frame points
-    u: np.ndarray        # (N,) pixel columns, contiguous
-    v: np.ndarray        # (N,) pixel rows, contiguous
+    u: np.ndarray        # (N,) pixel columns, contiguous, read-only
+    v: np.ndarray        # (N,) pixel rows, contiguous, read-only
     image_size: tuple[int, int] | None  # the crop (W, H), or None
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -190,9 +192,14 @@ def project_cloud(
         if image_size is not None:
             w, h = image_size
             keep &= (u >= 0) & (u < w) & (v >= 0) & (v < h)
-        idx = np.flatnonzero(keep)
-        kept.append((camera.points[idx], u[idx], v[idx]))
-    points, u, v = (np.concatenate(part) for part in zip(*kept))
+        if keep.all():
+            kept.append((camera.points, u, v))
+        else:
+            idx = np.flatnonzero(keep)
+            kept.append((camera.points[idx], u[idx], v[idx]))
+    points, u, v = kept[0] if len(kept) == 1 else (np.concatenate(part) for part in zip(*kept))
+    u.setflags(write=False)
+    v.setflags(write=False)
     return CloudProjection(PointCloud._wrap(points, Frame.CAMERA), u, v, image_size)
 
 

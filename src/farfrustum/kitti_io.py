@@ -14,7 +14,11 @@ numeric field. All returned objects are immutable after construction, so
 different frames can be parsed in parallel.
 
 Point arrays are checked where they enter: by ``load_pointcloud`` and by
-the ``PointCloud`` constructor. Derived clouds wrap fresh arrays uncopied.
+the ``PointCloud`` constructor. ``load_pointcloud`` accepts a scan whose
+float32 minimum and maximum lie within MAX_POINT_RANGE_M on those two
+passes alone and casts its coordinates without a second check; only a scan
+that fails them goes through the per-check path. Derived clouds wrap fresh
+arrays uncopied.
 A calibration is checked when it is built: it is bounded, so no product of
 a checked cloud and its matrices overflows, and it refuses a mount that is
 not rigid (a rotation and an offset within MAX_MOUNT_OFFSET_M) and a P2
@@ -226,12 +230,23 @@ def load_pointcloud(data: bytes) -> PointCloud:
 
     Every value must be finite and every coordinate within
     MAX_POINT_RANGE_M of the sensor; the intensity is checked, then dropped.
+    A scan whose float32 minimum and maximum both lie within
+    MAX_POINT_RANGE_M passes every check at once (a NaN fails the
+    comparison), and its coordinates are cast column by column into a fresh
+    C-contiguous array; any other scan goes through the checks one by one
+    (intensity, then coordinate finiteness, then range) and raises the first
+    that fails.
     """
     if len(data) % POINT_RECORD_BYTES != 0:
         raise TruncatedPointcloud(
             f"byte length {len(data)} is not a multiple of {POINT_RECORD_BYTES}"
         )
     raw = np.frombuffer(data, dtype="<f4").reshape(-1, 4)
+    if len(raw) and -MAX_POINT_RANGE_M <= raw.min() and raw.max() <= MAX_POINT_RANGE_M:
+        points = np.empty((len(raw), 3))
+        for k in range(3):  # a long strided cast per column: an (N, 3) cast runs row by row
+            points[:, k] = raw[:, k]
+        return PointCloud._wrap(points, Frame.LIDAR)
     if not np.isfinite(raw[:, 3]).all():
         raise NonFinitePoint("pointcloud contains non-finite intensities")
     return PointCloud(raw[:, :3], Frame.LIDAR)

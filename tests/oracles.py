@@ -305,3 +305,22 @@ def rasterize_by_scan(points_xz, grid_size, extent):
             if placed:
                 break
     return np.array(grid, dtype=np.int64)
+
+
+# --- velodyne decode ------------------------------------------------------------------
+
+def decode_velodyne(data: bytes):
+    """The check-by-check velodyne decode that ``load_pointcloud`` must match.
+
+    The one oracle built on the package: the intensity check, then the
+    ``PointCloud`` constructor's copy and its finiteness and range checks, in
+    that order, so its errors are the ones a scan must raise. ``data`` is
+    a whole number of 16-byte records.
+    """
+    from farfrustum.errors import NonFinitePoint
+    from farfrustum.kitti_io import Frame, PointCloud
+
+    raw = np.frombuffer(data, dtype="<f4").reshape(-1, 4)
+    if not np.isfinite(raw[:, 3]).all():
+        raise NonFinitePoint("pointcloud contains non-finite intensities")
+    return PointCloud(raw[:, :3], Frame.LIDAR)

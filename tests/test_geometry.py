@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -24,6 +25,7 @@ from farfrustum.kitti_io import (
     Frame,
     MaskRef,
     PointCloud,
+    load_pointcloud,
     parse_calibration,
     write_pgm,
 )
@@ -622,16 +624,33 @@ class TestCentroidFrameAndBev:
 def test_derived_clouds_are_read_only():
     cloud = PointCloud([[1.0, 0.0, 10.0], [0.0, 1.0, 20.0]], Frame.LIDAR)
     camera = lidar_to_camera(cloud, IDENTITY_CALIB)
+    records = np.array([[1.0, 0.0, 10.0, 0.5], [0.0, 1.0, 20.0, 0.5]], dtype="<f4")
+    screened = load_pointcloud(records.tobytes())  # min and max within range
+    records[0, 3] = 3e38  # a huge finite intensity takes the per-check path
+    checked = load_pointcloud(records.tobytes())
     derived = [
         cloud.select(np.array([True, False])),
         cloud.select(np.array([1])),
         camera,
         frustum_rotation(camera, make_det((10, 10, 50, 50)), IDENTITY_CALIB)[0],
+        screened,
+        checked,
     ]
     for out in [cloud, *derived]:
         assert not out.points.flags.writeable
         with pytest.raises(ValueError):
             out.points[0, 0] = 5.0
+    # every row kept (blocks as the chain built them), then one row in two cropped;
+    # one block, then several joined
+    blocks = PointCloud(np.tile(cloud.points, (BLOCK_ROWS + 1, 1)), Frame.LIDAR)
+    for source, image_size in itertools.product((cloud, blocks),
+                                                (None, (1242, 375), (620, 375))):
+        projection = project_cloud(source, IDENTITY_CALIB, image_size)
+        assert len(projection.u) == len(source) // (2 if image_size == (620, 375) else 1)
+        for arr in (projection.u, projection.v, projection.camera.points):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 5.0
 
 
 def test_rot_y_adds_azimuth():

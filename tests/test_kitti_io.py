@@ -47,6 +47,7 @@ from farfrustum.kitti_io import (
 from farfrustum.geometry import lidar_to_camera, project_to_image
 from farfrustum.synth import default_calibration
 
+import oracles
 from conftest import BAD_PGMS
 
 CALIB_TEXT = """\
@@ -182,6 +183,59 @@ def test_calibration_fuzz_raises_only_package_errors(lines, keep, noise):
         pass
 
 
+def _f32_bits(value: float) -> int:
+    return int(np.float32(value).view("<u4"))
+
+
+def _f32_neighbours(value: float) -> list[int]:
+    """The bits of a float32 value and of its neighbours on either side."""
+    v = np.float32(value)
+    return [_f32_bits(np.nextafter(v, np.float32(-np.inf))), _f32_bits(v),
+            _f32_bits(np.nextafter(v, np.float32(np.inf)))]
+
+
+# float32 bit patterns at every edge of the velodyne checks
+SPECIAL_F32_BITS = [
+    0x7FC00000, 0xFFC00000, 0x7F800001, 0xFFBFFFFF,  # quiet and signaling NaNs
+    0x7F800000, 0xFF800000,  # +-inf
+    0x00000000, 0x80000000,  # +-0.0
+    0x00000001, 0x80000001, 0x007FFFFF,  # subnormals
+    0x7F7FFFFF, 0xFF7FFFFF,  # +-FLT_MAX: a huge finite intensity is accepted
+    *_f32_neighbours(MAX_POINT_RANGE_M), *_f32_neighbours(-MAX_POINT_RANGE_M),
+]
+
+
+@st.composite
+def velodyne_scans(draw):
+    """Scans of in-range records with a few values replaced by edge or random bits;
+    the multi-block sizes get one replacement in their last 8192-record block."""
+    n = draw(st.one_of(st.integers(0, 40), st.sampled_from([8191, 8193, 16385])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.uniform(-100.0, 100.0, size=(n, 4)).astype("<f4")
+    if n == 0:
+        return raw.tobytes()
+    bits = raw.view("<u4")
+    last_block = (n - 1) // 8192 * 8192
+    rows = [draw(st.integers(last_block, n - 1))]
+    rows += draw(st.lists(st.integers(0, n - 1), max_size=3))
+    for row in rows:
+        value = draw(st.one_of(st.sampled_from(SPECIAL_F32_BITS),
+                               st.integers(0, 2**32 - 1), st.just(None)))
+        if value is not None:
+            bits[row, draw(st.integers(0, 3))] = value
+    return raw.tobytes()
+
+
+def _decoded(decode, data: bytes):
+    """(frame, shape, bytes) of a decoded scan, or (error type, message)."""
+    try:
+        cloud = decode(data)
+    except FarFrustumError as exc:
+        return type(exc), str(exc)
+    assert cloud.points.flags.c_contiguous and not cloud.points.flags.writeable
+    return cloud.frame, cloud.points.shape, cloud.points.tobytes()
+
+
 class TestLoadPointcloud:
     def test_two_point_decode(self):
         data = struct.pack("<8f", 1, 2, 3, 0.5, 4, 5, 6, 0.1)
@@ -252,6 +306,20 @@ class TestLoadPointcloud:
         values = [v for record in records for v in record]
         with pytest.raises(NonFinitePoint):
             load_pointcloud(struct.pack(f"<{len(values)}f", *values))
+
+    @given(velodyne_scans())
+    @settings(max_examples=300, deadline=None)
+    def test_decode_matches_the_check_by_check_oracle(self, data):
+        assert _decoded(load_pointcloud, data) == _decoded(oracles.decode_velodyne, data)
+
+    @pytest.mark.parametrize("n", [1, 8191, 8193, 16385])
+    @pytest.mark.parametrize("column", [0, 1, 2, 3])
+    def test_edge_value_in_the_last_record(self, n, column):
+        raw = np.random.default_rng(n).uniform(-100.0, 100.0, size=(n, 4)).astype("<f4")
+        for bits in SPECIAL_F32_BITS:
+            raw.view("<u4")[-1, column] = bits
+            data = raw.tobytes()
+            assert _decoded(load_pointcloud, data) == _decoded(oracles.decode_velodyne, data)
 
 
 class TestParseDetections:
