@@ -40,7 +40,7 @@ class MaskDimMismatch(FarFrustumError):
 
 
 class MalformedMask(FarFrustumError):
-    """A PGM mask file has a bad magic, a non-numeric header or a short raster."""
+    """A PGM file has a bad header or short raster, or an image to write a non-byte value."""
 
 
 class MalformedDetectionLine(FarFrustumError):

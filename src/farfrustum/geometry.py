@@ -164,7 +164,7 @@ def _candidates(points: np.ndarray, matrix: np.ndarray, limits: np.ndarray) -> n
     """Rows not certainly behind the camera or off the image, tested block by block;
     never just one of several."""
     rows = []
-    for start, stop in _blocks(len(points)):
+    for start, stop in _blocks(len(points)):  # matmul promotes a scan's float32 block
         passed = matrix @ points[start:stop].T >= limits
         rows.append(start + np.flatnonzero(passed[0] & (~passed[1] | passed[2:].all(axis=0))))
     rows = np.concatenate(rows)

@@ -13,12 +13,10 @@ produces text that round-trips through ``parse_labels`` to 1e-4 on every
 numeric field. All returned objects are immutable after construction, so
 different frames can be parsed in parallel.
 
-Point arrays are checked where they enter: by ``load_pointcloud`` and by
-the ``PointCloud`` constructor. ``load_pointcloud`` accepts a scan whose
-float32 minimum and maximum lie within MAX_POINT_RANGE_M on those two
-passes alone and casts its coordinates without a second check; only a scan
-that fails them goes through the per-check path. Derived clouds wrap fresh
-arrays uncopied.
+Point arrays are checked where they enter: ``load_pointcloud`` returns a
+read-only view of the file's float32 records, and its subsets stay float32;
+built and computed clouds hold float64. Arithmetic promotes points to float64
+first (a product with a float64 matrix does so itself), which is exact.
 A calibration is checked when it is built: it is bounded, so no product of
 a checked cloud and its matrices overflows, and it refuses a mount that is
 not rigid (a rotation and an offset within MAX_MOUNT_OFFSET_M) and a P2
@@ -97,9 +95,10 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Ordered set of finite 3D points, within MAX_POINT_RANGE_M when from outside."""
+    """Ordered set of finite 3D points, within MAX_POINT_RANGE_M when from outside;
+    float32 for a scan from ``load_pointcloud`` and its subsets, else float64."""
 
-    points: np.ndarray  # (N, 3) float64, read-only
+    points: np.ndarray  # (N, 3) read-only; promote to float64 before arithmetic
     frame: Frame
 
     def __post_init__(self) -> None:  # copy and check an outside array
@@ -113,7 +112,7 @@ class PointCloud:
 
     @classmethod
     def _wrap(cls, points: np.ndarray, frame: Frame) -> "PointCloud":
-        """A cloud around a fresh finite (N, 3) float64 array, not copied."""
+        """A cloud around a checked (N, 3) array, not copied: fresh, or a scan's records."""
         points.setflags(write=False)
         cloud = object.__new__(cls)
         object.__setattr__(cloud, "points", points)
@@ -178,7 +177,7 @@ class CalibrationSet:
 def apply_affine(points: np.ndarray, m: np.ndarray) -> np.ndarray:
     """[p;1] . m^T for each row p of (N, 3) points and a 3x4 matrix, as a fresh array.
 
-    No homogeneous (N, 4) copy: from two rows on this rounds as that product.
+    No (N, 4) copy, float32 promoted exactly: from two rows on this rounds as that product.
     """
     out = points @ m[:, :3].T
     for k in range(3):  # column by column: a broadcast (N, 3) add is 2x slower
@@ -228,28 +227,23 @@ def parse_calibration(text: str) -> CalibrationSet:
 def load_pointcloud(data: bytes) -> PointCloud:
     """Decode a velodyne binary: consecutive float32 LE (x, y, z, intensity).
 
-    Every value must be finite and every coordinate within
-    MAX_POINT_RANGE_M of the sensor; the intensity is checked, then dropped.
-    A scan whose float32 minimum and maximum both lie within
-    MAX_POINT_RANGE_M passes every check at once (a NaN fails the
-    comparison), and its coordinates are cast column by column into a fresh
-    C-contiguous array; any other scan goes through the checks one by one
-    (intensity, then coordinate finiteness, then range) and raises the first
-    that fails.
+    Every value must be finite and every coordinate within MAX_POINT_RANGE_M of
+    the sensor; the intensity is checked, then dropped. A scan whose float32
+    minimum and maximum both lie within MAX_POINT_RANGE_M passes every check at
+    once (a NaN fails the comparison); any other scan goes through the checks one
+    by one (intensity, coordinate finiteness, range) and raises the first that
+    fails. Either way the points are a read-only float32 view of the records.
     """
     if len(data) % POINT_RECORD_BYTES != 0:
         raise TruncatedPointcloud(
             f"byte length {len(data)} is not a multiple of {POINT_RECORD_BYTES}"
         )
-    raw = np.frombuffer(data, dtype="<f4").reshape(-1, 4)
-    if len(raw) and -MAX_POINT_RANGE_M <= raw.min() and raw.max() <= MAX_POINT_RANGE_M:
-        points = np.empty((len(raw), 3))
-        for k in range(3):  # a long strided cast per column: an (N, 3) cast runs row by row
-            points[:, k] = raw[:, k]
-        return PointCloud._wrap(points, Frame.LIDAR)
-    if not np.isfinite(raw[:, 3]).all():
-        raise NonFinitePoint("pointcloud contains non-finite intensities")
-    return PointCloud(raw[:, :3], Frame.LIDAR)
+    raw = np.frombuffer(bytes(data), dtype="<f4").reshape(-1, 4)  # a mutable buffer is copied
+    if not (len(raw) and -MAX_POINT_RANGE_M <= raw.min() and raw.max() <= MAX_POINT_RANGE_M):
+        if not np.isfinite(raw[:, 3]).all():
+            raise NonFinitePoint("pointcloud contains non-finite intensities")
+        PointCloud(raw[:, :3], Frame.LIDAR)  # the remaining checks, in order
+    return PointCloud._wrap(raw[:, :3], Frame.LIDAR)
 
 
 # --- P5 PGM masks ----------------------------------------------------------
@@ -300,12 +294,15 @@ def read_pgm(path: str | Path) -> np.ndarray:
 
 
 def write_pgm(path: str | Path, image: np.ndarray) -> None:
-    """Write a (H, W) uint8 array as a binary (P5) PGM file."""
-    img = np.asarray(image, dtype=np.uint8)
+    """Write a (H, W) array of integers in [0, 255] as a binary (P5) PGM file."""
+    img = np.asarray(image)
     if img.ndim != 2:
         raise ShapeError(f"PGM image must be 2-D, got shape {img.shape}")
+    if not (img.dtype == np.uint8 or img.dtype.kind in "biuf"  # refused, not wrapped
+            and np.all((np.floor(img) == img) & (img >= 0) & (img <= 255))):
+        raise MalformedMask(f"{path}: PGM values must be integers in [0, 255]")
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + img.tobytes())
+    Path(path).write_bytes(header + img.astype(np.uint8, copy=False).tobytes())
 
 
 class MaskRef:

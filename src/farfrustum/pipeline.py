@@ -11,6 +11,7 @@ merged in as fallback boxes.
 from __future__ import annotations
 
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -409,7 +410,12 @@ def run_dataset(
         inputs = load_frame_inputs(config.data_root, frame_id, config, labels=False)
         boxes = process_frame(inputs.cloud, inputs.detections, inputs.fallback_boxes,
                               inputs.calib, config, params=params, stats=summary)
-        text = write_results(boxes, inputs.calib, config.image_size)
-        (out_dir / f"{frame_id}.txt").write_text(text)
+        path, tmp = out_dir / f"{frame_id}.txt", out_dir / f".{frame_id}.{os.getpid()}.tmp"
+        try:  # whole or not at all: a temporary file beside it, renamed onto it
+            tmp.write_text(write_results(boxes, inputs.calib, config.image_size))
+            os.replace(tmp, path)
+        except OSError as exc:
+            tmp.unlink(missing_ok=True)
+            raise FarFrustumError(f"{path}: cannot write ({exc.strerror or exc})") from exc
         summary.frames += 1
     return summary

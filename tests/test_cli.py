@@ -2,6 +2,7 @@ import math
 import re
 import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +40,32 @@ class TestRun:
         assert "frames processed:        5" in captured
         files = sorted(out.glob("*.txt"))
         assert len(files) == 5
+
+    def test_unwritable_result_file_exits_1_naming_it(self, dataset_args, capsys):
+        mini_dataset, args, out = dataset_args
+        target = out / f"{mini_dataset.frame_ids[0]}.txt"
+        target.mkdir(parents=True)  # a directory cannot be replaced by the result file
+        assert run_cli("run", *args) == 1
+        assert str(target) in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == [target.name]
+
+    def test_unwritable_results_directory_exits_1_naming_the_file(
+        self, dataset_args, capsys, monkeypatch
+    ):
+        mini_dataset, args, out = dataset_args
+        real_write_text = Path.write_text
+
+        def denied(path, *a, **k):
+            if path.parent == out:
+                raise PermissionError(13, "Permission denied", str(path))
+            return real_write_text(path, *a, **k)
+
+        monkeypatch.setattr(Path, "write_text", denied)
+        assert run_cli("run", *args) == 1
+        err = capsys.readouterr().err
+        assert str(out / f"{mini_dataset.frame_ids[0]}.txt") in err
+        assert "Permission denied" in err
+        assert list(out.iterdir()) == []
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = run_cli("run", "--config", tmp_path / "nope.txt")

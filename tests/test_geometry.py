@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from farfrustum import geometry
-from farfrustum.errors import BadCalibration, CropMismatch, FrameMismatch
+from farfrustum.errors import BadCalibration, CropMismatch, FarFrustumError, FrameMismatch
 from farfrustum.geometry import (
     BLOCK_ROWS,
     frustum_rotation,
@@ -29,7 +29,7 @@ from farfrustum.kitti_io import (
     parse_calibration,
     write_pgm,
 )
-from farfrustum.pipeline import PipelineConfig
+from farfrustum.pipeline import PipelineConfig, RunSummary, process_frame
 from farfrustum.regressor import Route, frustum_chain, frustum_points, rasterize_bev
 from farfrustum.synth import camera_to_lidar_points
 
@@ -482,6 +482,52 @@ def test_project_cloud_chains_the_candidates_in_blocks(monkeypatch, n_view, size
     projection = project_cloud(PointCloud(pts, Frame.LIDAR), UNIT_CALIB, (1242, 375))
     assert blocks == sizes
     assert len(projection.u) == n_view
+
+
+def _frame_boxes(cloud, detections, calib):
+    """process_frame's boxes and counters in box mode, or its error."""
+    stats = RunSummary()
+    try:
+        boxes = process_frame(cloud, detections, [], calib,
+                              PipelineConfig(frustum_mode="box"), stats=stats)
+    except FarFrustumError as exc:  # compared: both clouds must raise alike
+        return type(exc), str(exc)
+    return boxes, stats
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([8191, 8193, 16385]))
+@settings(max_examples=12, deadline=None)
+def test_a_scan_projects_as_its_float64_copy(seed, n):
+    # load_pointcloud keeps a scan's float32 records; the float64 cloud the
+    # oracle decode builds from the same records must give the same bits
+    rng = np.random.default_rng(seed)
+    calib = _kitti_like_calibration(rng)
+    # pixels on every image edge at depths on either side of the image plane,
+    # exact in float32, so the pre-test meets its limits exactly
+    edges = np.concatenate([[-1.0, -0.0, 374.0, 375.0, 1241.0, 1242.0], np.arange(51.0)])
+    on_limits = np.column_stack([rng.choice(edges, size=(n, 2)),
+                                 rng.choice([1.0, 2.0, 0.0, -0.0, -1.0], size=n)])
+    # the same pixels a float32 rounding off them through the KITTI-like calibration
+    w = rng.uniform(0.5, 80, size=n) * rng.choice([1.0, 1.0, -1.0], size=n)
+    near_limits = _lidar_at_pixels(on_limits[:, :2], w, calib)
+    in_front = camera_to_lidar_points(np.column_stack([
+        rng.uniform(-40, 40, n), rng.uniform(-2, 2, n), rng.uniform(2, 120, n)]), calib)
+    for calibration, pts in ((UNIT_CALIB, on_limits), (calib, near_limits), (calib, in_front)):
+        raw = np.column_stack([pts, rng.uniform(0, 1, n)]).astype("<f4")
+        scan = load_pointcloud(raw.tobytes())
+        assert scan.points.dtype == np.float32
+        copy = PointCloud(raw[:, :3], Frame.LIDAR)
+        for size in (None, (1242, 375)):
+            got, want = (project_cloud(c, calibration, size) for c in (scan, copy))
+            _assert_same_bytes((got.camera.points, got.u, got.v),
+                               (want.camera.points, want.u, want.v))
+    # box frustums around projected points, some of them faraway
+    uv, valid = project_to_image(lidar_to_camera(copy, calib), calib)
+    centers = uv[valid][rng.choice(int(valid.sum()), size=8)]
+    detections = [make_det((u - 25, v - 15, u + 25, v + 15), cls=("car", "pedestrian")[k % 2])
+                  for k, (u, v) in enumerate(np.clip(centers, [30, 20], [1210, 355]))]
+    assert _frame_boxes(scan, detections, calib) == _frame_boxes(copy, detections, calib)
 
 
 def _lidar_sweep(n, seed=0):

@@ -226,14 +226,29 @@ def velodyne_scans(draw):
     return raw.tobytes()
 
 
+def _assert_scan_view(points: np.ndarray, data: bytes) -> None:
+    """A decoded scan's storage: a read-only (N, 3) float32 view of data's records."""
+    records = np.frombuffer(data, dtype="<f4").reshape(-1, 4)
+    assert points.dtype == np.float32 and points.shape == (len(records), 3)
+    assert points.strides == (16, 4) and not points.flags.writeable
+    assert len(records) == 0 or points.base is not None and np.shares_memory(points, records)
+
+
 def _decoded(decode, data: bytes):
-    """(frame, shape, bytes) of a decoded scan, or (error type, message)."""
+    """(frame, shape, float64 bytes) of a decoded scan, or (error type, message).
+
+    A scan that ``load_pointcloud`` accepts must also be stored as a view of
+    the records; the oracle's cloud holds float64.
+    """
     try:
         cloud = decode(data)
     except FarFrustumError as exc:
         return type(exc), str(exc)
-    assert cloud.points.flags.c_contiguous and not cloud.points.flags.writeable
-    return cloud.frame, cloud.points.shape, cloud.points.tobytes()
+    if decode is load_pointcloud:
+        _assert_scan_view(cloud.points, data)
+    else:
+        assert cloud.points.flags.c_contiguous and not cloud.points.flags.writeable
+    return cloud.frame, cloud.points.shape, np.asarray(cloud.points, np.float64).tobytes()
 
 
 class TestLoadPointcloud:
@@ -320,6 +335,15 @@ class TestLoadPointcloud:
             raw.view("<u4")[-1, column] = bits
             data = raw.tobytes()
             assert _decoded(load_pointcloud, data) == _decoded(oracles.decode_velodyne, data)
+
+    @pytest.mark.parametrize("as_memoryview", [False, True])
+    def test_decoded_cloud_does_not_alias_a_callers_buffer(self, as_memoryview):
+        records = np.array([[1.0, 2.0, 3.0, 0.5], [4.0, 5.0, 6.0, 0.5]], dtype="<f4")
+        buffer = bytearray(records.tobytes())
+        cloud = load_pointcloud(memoryview(buffer) if as_memoryview else buffer)
+        buffer[:] = np.full((2, 4), 7.0, dtype="<f4").tobytes()
+        assert cloud.points.tolist() == records[:, :3].tolist()
+        assert not cloud.points.flags.writeable
 
 
 class TestParseDetections:
@@ -411,6 +435,26 @@ def test_write_pgm_rejects_non_2d_image(tmp_path, shape):
     with pytest.raises(ShapeError):
         write_pgm(tmp_path / "x.pgm", np.zeros(shape, dtype=np.uint8))
     assert not (tmp_path / "x.pgm").exists()
+
+
+@pytest.mark.parametrize("image", [
+    [[300, -1], [1.7, 255]],  # each would wrap: 44, 255, 1
+    [[256, 0]], [[-1, 0]], [[0.5, 0]], [[math.nan, 0]], [[math.inf, 0]], [["a", "b"]],
+])
+def test_write_pgm_refuses_values_it_cannot_hold(tmp_path, image):
+    path = tmp_path / "x.pgm"
+    with pytest.raises(MalformedMask, match="x.pgm"):
+        write_pgm(path, image)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64, bool])
+def test_write_pgm_keeps_whole_values_of_any_dtype(tmp_path, dtype):
+    mask = np.zeros((3, 4), dtype=np.uint8)
+    mask[1:, 2:] = 1 if dtype is bool else 255
+    write_pgm(tmp_path / "a.pgm", mask)
+    write_pgm(tmp_path / "b.pgm", mask.astype(dtype))
+    assert (tmp_path / "a.pgm").read_bytes() == (tmp_path / "b.pgm").read_bytes()
 
 
 def test_pgm_header_comments(tmp_path):

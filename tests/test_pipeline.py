@@ -1,8 +1,10 @@
+import errno
 import gc
 import math
 import re
 import shutil
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -551,6 +553,40 @@ class TestRunDataset:
                 }
             )
         assert outs[0] == outs[1]
+
+    def test_a_write_cut_partway_leaves_no_partial_file_or_stale_line(
+        self, mini_dataset, mini_config, monkeypatch
+    ):
+        frames, out = mini_dataset.frame_ids, mini_config.results_dir
+        run_dataset(frames, mini_config)
+        whole = {p.name: p.read_bytes() for p in out.iterdir()}
+        name = max(whole, key=lambda n: len(whole[n]))  # the frame with the most lines
+        real_write_text = Path.write_text
+
+        def cut_write_text(path, text, *args, **kwargs):
+            if path.parent != out or Path(name).stem not in path.name.split("."):
+                return real_write_text(path, text, *args, **kwargs)
+            with open(path, "w") as f:  # half the text reaches the disk, then ENOSPC
+                f.write(text[: len(text) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        stale = "Car 0 0 0 0 0 1 1 1 1 1 1 1 1 1 0.5\n" * 40  # longer than the new file
+        for before in (None, stale):  # a new file, then one over a previous run's
+            shutil.rmtree(out)
+            if before is not None:
+                out.mkdir()
+                (out / name).write_text(before)
+            with monkeypatch.context() as m:
+                m.setattr(Path, "write_text", cut_write_text)
+                with pytest.raises(FarFrustumError, match=re.escape(str(out / name))):
+                    run_dataset(frames, mini_config)
+            assert not any(p.name.startswith(".") for p in out.iterdir())
+            if before is None:
+                assert not (out / name).exists()
+            else:
+                assert (out / name).read_text() == before
+            run_dataset(frames, mini_config)  # a rerun replaces it whole
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == whole
 
     def test_missing_velodyne_file(self, mini_dataset, tmp_path):
         config = PipelineConfig(data_root=mini_dataset.root, out_dir=tmp_path / "r")
