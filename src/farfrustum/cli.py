@@ -13,6 +13,7 @@ from pathlib import Path
 from . import evaluation, plots, regressor
 from .errors import ConfigError, FarFrustumError
 from .geometry import lidar_to_camera
+from .kitti_io import write_whole
 from .pipeline import PipelineConfig, config_mapping, load_frame_inputs, naming, read_boxes
 from .pipeline import run_dataset
 from .regressor import TrainConfig, build_training_set
@@ -145,7 +146,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     for s in stats:
         print(f"{s.frame_id:<10} {s.class_name:<12} {s.depth:>8.2f} {s.count:>7}")
     if args.out:
-        Path(args.out).write_text(plots.stats_scatter_svg(stats))
+        write_whole(args.out, plots.stats_scatter_svg(stats))
         print(f"scatter written to: {args.out}")
     return 0
 
@@ -164,10 +165,10 @@ def cmd_plot(args: argparse.Namespace) -> int:
     result_path = results_dir / f"{args.frame}.txt"
     pred_boxes = read_boxes(result_path) if result_path.is_file() else []
     out = Path(args.plot_out)
-    out.write_text(plots.bev_scene_svg(points_xz, gt_boxes, pred_boxes))
+    write_whole(out, plots.bev_scene_svg(points_xz, gt_boxes, pred_boxes))
     print(f"plot written to: {out}")
     if args.ppm:
-        Path(args.ppm).write_bytes(plots.bev_scene_ppm(points_xz, gt_boxes, pred_boxes))
+        write_whole(args.ppm, plots.bev_scene_ppm(points_xz, gt_boxes, pred_boxes))
         print(f"ppm written to: {args.ppm}")
     return 0
 
@@ -272,10 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except FarFrustumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FarFrustumError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .geometry import lidar_to_camera, rot_y
-from .kitti_io import Box3D, CalibrationSet, LabelRecord, PointCloud, bev_footprints
+from .kitti_io import Box3D, CalibrationSet, LabelRecord, PointCloud, bev_footprints, mul_rows
 
 # --- rotated IoU ------------------------------------------------------------
 
@@ -429,14 +429,10 @@ def machine_lines(report: EvalReport) -> list[str]:
 def points_in_box_mask(points_cam: np.ndarray, box: Box3D) -> np.ndarray:
     """Boolean mask of camera-frame points inside an upright box (closed faces)."""
     pts = np.asarray(points_cam, dtype=np.float64).reshape(-1, 3)
-    local = (pts - np.asarray(box.center)) @ rot_y(-box.yaw).T
+    local = mul_rows(pts - np.asarray(box.center), rot_y(-box.yaw).T)
     w, l, h = box.size
-    return (
-        (np.abs(local[:, 0]) <= l / 2)
-        & (np.abs(local[:, 2]) <= w / 2)
-        & (local[:, 1] <= 0.0)
-        & (local[:, 1] >= -h)
-    )
+    return ((np.abs(local[:, 0]) <= l / 2) & (np.abs(local[:, 2]) <= w / 2)
+            & (local[:, 1] <= 0.0) & (local[:, 1] >= -h))
 
 
 @dataclass(frozen=True)

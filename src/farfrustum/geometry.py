@@ -15,11 +15,10 @@ are certainly behind the camera or off the image, by one product with a
 tested value reaches on points within MAX_POINT_RANGE_M, dwarfs the
 rounding of either path, so the chain alone decides which of the other
 points are kept. The pre-test runs over blocks of ``BLOCK_ROWS`` rows of
-the cloud, and the candidate rows it gathers go through the chain in blocks
-of ``BLOCK_ROWS`` candidates, so each temporary has a block's size, not the
-cloud's, and the heap reuses it from block to block. A block's points, u and
-v are gathered again only when its crop drops a row, and the blocks are
-concatenated only when there are several. Each 3x4 transform is
+the cloud; a chain block of ``CHAIN_ROWS`` candidates is gathered as whole
+rows (one ``np.take``) and cast to float64 once, so each temporary has a
+block's size, not the cloud's, and each block's kept points, u and v go
+straight into arrays sized for every candidate. Each 3x4 transform is
 applied as an affine map (``kitti_io.apply_affine``). From two rows on it
 rounds as the homogeneous product, but numpy hands a one-row product to
 BLAS gemv, which rounds otherwise, so a lone tail row joins the block
@@ -44,9 +43,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CropMismatch, FrameMismatch
-from .kitti_io import CalibrationSet, Detection2D, Frame, PointCloud, apply_affine
+from .kitti_io import CalibrationSet, Detection2D, Frame, PointCloud, apply_affine, mul_rows
 
-BLOCK_ROWS = 8192  # a block's temporaries (192 kB each) stay in L2 cache
+BLOCK_ROWS = 8192  # a screen block's temporaries (384 kB at most) stay in L2 cache
+# Half-size chain blocks, never joined, keep a run_kitti frame's heap peak 0.6 MB
+# lower, so the allocator does not hand the heap top back and refault it each frame.
+CHAIN_ROWS = 4096
 _SLACK = 2.0**-40  # >100x the relative rounding either path to a pre-test row adds
 
 
@@ -68,7 +70,7 @@ def _require_frame(cloud: PointCloud, frame: Frame) -> None:
 def lidar_to_camera(cloud: PointCloud, calib: CalibrationSet) -> PointCloud:
     """Map lidar points into the rectified camera frame: R0 . (Tr . [p;1])."""
     _require_frame(cloud, Frame.LIDAR)
-    rect = apply_affine(cloud.points, calib.Tr_velo_to_cam) @ calib.R0_rect.T
+    rect = mul_rows(apply_affine(cloud.points, calib.Tr_velo_to_cam), calib.R0_rect.T)
     return PointCloud._wrap(rect, Frame.CAMERA)
 
 
@@ -87,8 +89,7 @@ def project_to_image(
     uvw = apply_affine(cloud.points, calib.P2)
     uv = np.empty((2, len(cloud)))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        np.divide(uvw[:, 0], uvw[:, 2], out=uv[0])
-        np.divide(uvw[:, 1], uvw[:, 2], out=uv[1])
+        np.divide(uvw[:, :2].T, uvw[:, 2], out=uv)
     finite = np.isfinite(uv)
     valid = (cloud.points[:, 2] > 0) & finite[0] & finite[1]
     return uv.T, valid
@@ -133,9 +134,9 @@ class CloudProjection:
         return self._cache[shape]
 
 
-def _blocks(n: int) -> list[tuple[int, int]]:
+def _blocks(n: int, size: int = BLOCK_ROWS) -> list[tuple[int, int]]:
     """(start, stop) rows of each block of n; a lone tail row joins the one before."""
-    starts = list(range(0, n, BLOCK_ROWS)) or [0]
+    starts = list(range(0, n, size)) or [0]
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     return list(zip(starts, starts[1:] + [n]))
@@ -178,26 +179,29 @@ def project_cloud(
 ) -> CloudProjection:
     """Project a lidar cloud once, keeping the rows that can be frustum members.
 
-    The candidate rows (every row without `image_size`) go through
-    ``lidar_to_camera`` and ``project_to_image`` in blocks of BLOCK_ROWS;
-    with `image_size` (W, H) only the points inside the image are kept.
+    The candidate rows (every row without `image_size`) go through ``lidar_to_camera``
+    and ``project_to_image`` in blocks of CHAIN_ROWS; with `image_size` (W, H) only the
+    points inside the image are kept, in arrays sized for every candidate.
     """
     rows = None if image_size is None else _candidates(cloud.points, *_screen(calib, image_size))
-    kept = []  # (camera points, u, v) of each block
-    for start, stop in _blocks(len(cloud) if rows is None else len(rows)):
-        block = slice(start, stop) if rows is None else rows[start:stop]
-        camera = lidar_to_camera(cloud.select(block), calib)
-        uv, keep = project_to_image(camera, calib)
-        u, v = uv[:, 0], uv[:, 1]
+    n = len(cloud) if rows is None else len(rows)
+    points, uv, kept = np.empty((n, 3)), np.empty((2, n)), 0
+    for start, stop in _blocks(n, CHAIN_ROWS):
+        records = cloud.select(slice(start, stop) if rows is None else rows[start:stop])._rows
+        records = records.astype(np.float64, copy=False)  # exact, one contiguous cast
+        camera = lidar_to_camera(PointCloud._wrap(records[:, :3], cloud.frame, records), calib)
+        del records  # freed before the projection's temporaries
+        block_uv, keep = project_to_image(camera, calib)
+        u, v = block_uv[:, 0], block_uv[:, 1]
         if image_size is not None:
             w, h = image_size
             keep &= (u >= 0) & (u < w) & (v >= 0) & (v < h)
-        if keep.all():
-            kept.append((camera.points, u, v))
-        else:
-            idx = np.flatnonzero(keep)
-            kept.append((camera.points[idx], u[idx], v[idx]))
-    points, u, v = kept[0] if len(kept) == 1 else (np.concatenate(part) for part in zip(*kept))
+        idx = np.flatnonzero(keep)
+        end = kept + len(idx)
+        for part, out in ((camera.points, points), (u, uv[0]), (v, uv[1])):
+            out[kept:end] = part if len(idx) == len(part) else np.take(part, idx, axis=0)
+        kept = end
+    points, (u, v) = points[:kept], uv[:, :kept]
     u.setflags(write=False)
     v.setflags(write=False)
     return CloudProjection(PointCloud._wrap(points, Frame.CAMERA), u, v, image_size)

@@ -16,7 +16,10 @@ different frames can be parsed in parallel.
 Point arrays are checked where they enter: ``load_pointcloud`` returns a
 read-only view of the file's float32 records, and its subsets stay float32;
 built and computed clouds hold float64. Arithmetic promotes points to float64
-first (a product with a float64 matrix does so itself), which is exact.
+first (a product with a float64 matrix does so itself), which is exact. A cloud
+keeps its C-contiguous row storage (a scan's (N, 4) records): a row gather is one
+``np.take`` of whole rows. A product of (N, 3) rows and a 3x3 matrix takes the
+matrix C-contiguous (``mul_rows``): BLAS is about 3x slower over a transposed view.
 A calibration is checked when it is built: it is bounded, so no product of
 a checked cloud and its matrices overflows, and it refuses a mount that is
 not rigid (a rotation and an offset within MAX_MOUNT_OFFSET_M) and a P2
@@ -29,6 +32,7 @@ runs each box through that one check on the floats it has just read. Every
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -40,6 +44,7 @@ from .errors import (
     BadBBox,
     BadCalibration,
     BadScore,
+    FarFrustumError,
     MalformedCalibLine,
     MalformedDetectionLine,
     MalformedLabelLine,
@@ -96,7 +101,8 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class PointCloud:
     """Ordered set of finite 3D points, within MAX_POINT_RANGE_M when from outside;
-    float32 for a scan from ``load_pointcloud`` and its subsets, else float64."""
+    float32 for a scan from ``load_pointcloud`` and its subsets, else float64;
+    ``_rows`` is the C-contiguous storage it views, a scan's (N, 4) records."""
 
     points: np.ndarray  # (N, 3) read-only; promote to float64 before arithmetic
     frame: Frame
@@ -109,22 +115,33 @@ class PointCloud:
                              and pts.max() <= MAX_POINT_RANGE_M):
             raise PointOutOfRange(f"a coordinate lies beyond {MAX_POINT_RANGE_M:g} m")
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_rows", pts)
 
     @classmethod
-    def _wrap(cls, points: np.ndarray, frame: Frame) -> "PointCloud":
-        """A cloud around a checked (N, 3) array, not copied: fresh, or a scan's records."""
+    def _wrap(cls, points: np.ndarray, frame: Frame,
+              rows: np.ndarray | None = None) -> "PointCloud":
+        """A cloud around a checked (N, 3) array, not copied: fresh, or a view of `rows`."""
+        rows = points if rows is None else rows
         points.setflags(write=False)
+        rows.setflags(write=False)
         cloud = object.__new__(cls)
         object.__setattr__(cloud, "points", points)
         object.__setattr__(cloud, "frame", frame)
+        object.__setattr__(cloud, "_rows", rows)
         return cloud
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def select(self, mask: np.ndarray) -> "PointCloud":
-        """Subset by boolean mask, index array or slice, preserving point order."""
-        return PointCloud._wrap(self.points[mask], self.frame)
+    def select(self, mask: np.ndarray | slice) -> "PointCloud":
+        """Subset by boolean mask, index array or slice, preserving point order;
+        a slice is a view, any other subset one ``np.take`` of whole rows."""
+        if isinstance(mask, slice):
+            return PointCloud._wrap(self.points[mask], self.frame, self._rows[mask])
+        if mask.dtype == bool:  # np.take would read it as 0/1 indices
+            mask = np.flatnonzero(mask.reshape(len(self)))
+        rows = np.take(self._rows, mask, axis=0)
+        return PointCloud._wrap(rows[:, :3], self.frame, rows)
 
 
 @dataclass(frozen=True)
@@ -141,11 +158,8 @@ class CalibrationSet:
     Tr_velo_to_cam: np.ndarray   # 3x4 rigid lidar-to-camera transform, meters
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "P2", _readonly(np.reshape(self.P2, (3, 4))))
-        object.__setattr__(self, "R0_rect", _readonly(np.reshape(self.R0_rect, (3, 3))))
-        object.__setattr__(
-            self, "Tr_velo_to_cam", _readonly(np.reshape(self.Tr_velo_to_cam, (3, 4)))
-        )
+        for name, shape in (("P2", (3, 4)), ("R0_rect", (3, 3)), ("Tr_velo_to_cam", (3, 4))):
+            object.__setattr__(self, name, _readonly(np.reshape(getattr(self, name), shape)))
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             biggest = np.abs(np.concatenate([self.P2.ravel(), self.R0_rect.ravel(),
                                              self.Tr_velo_to_cam.ravel(), *self.reach()])).max()
@@ -174,12 +188,19 @@ class CalibrationSet:
         return camera, np.abs(self.P2) @ np.append(camera, 1.0)
 
 
+def mul_rows(points: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """points @ m for (N, 3) rows and a 3x3 m, the same bits with m C-contiguous; one
+    row goes to gemv, whose rounding depends on that layout, so it keeps m as given."""
+    return points @ (m if len(points) == 1 else np.ascontiguousarray(m))
+
+
 def apply_affine(points: np.ndarray, m: np.ndarray) -> np.ndarray:
     """[p;1] . m^T for each row p of (N, 3) points and a 3x4 matrix, as a fresh array.
 
-    No (N, 4) copy, float32 promoted exactly: from two rows on this rounds as that product.
+    No (N, 4) copy, float32 promoted exactly, ``mul_rows``: from two rows on this
+    rounds as that product.
     """
-    out = points @ m[:, :3].T
+    out = mul_rows(points, m[:, :3].T)
     for k in range(3):  # column by column: a broadcast (N, 3) add is 2x slower
         out[:, k] += m[k, 3]
     return out
@@ -232,7 +253,7 @@ def load_pointcloud(data: bytes) -> PointCloud:
     minimum and maximum both lie within MAX_POINT_RANGE_M passes every check at
     once (a NaN fails the comparison); any other scan goes through the checks one
     by one (intensity, coordinate finiteness, range) and raises the first that
-    fails. Either way the points are a read-only float32 view of the records.
+    fails. Either way the points are a read-only float32 view of the records, its rows.
     """
     if len(data) % POINT_RECORD_BYTES != 0:
         raise TruncatedPointcloud(
@@ -243,7 +264,24 @@ def load_pointcloud(data: bytes) -> PointCloud:
         if not np.isfinite(raw[:, 3]).all():
             raise NonFinitePoint("pointcloud contains non-finite intensities")
         PointCloud(raw[:, :3], Frame.LIDAR)  # the remaining checks, in order
-    return PointCloud._wrap(raw[:, :3], Frame.LIDAR)
+    return PointCloud._wrap(raw[:, :3], Frame.LIDAR, raw)
+
+
+def write_whole(path: str | Path, data: str | bytes) -> None:
+    """Write a file whole, as a temporary file beside it renamed onto it, or not at all:
+    a failed write leaves the old file, no temporary one, and a FarFrustumError naming
+    the path. An existing path that is no regular file (a pipe, a device) is written in place."""
+    path = Path(path)
+    special = path.exists() and not path.is_file()
+    tmp = path if special else path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(data) if isinstance(data, str) else tmp.write_bytes(data)
+        if not special:
+            os.replace(tmp, path)
+    except OSError as exc:
+        if not special:
+            tmp.unlink(missing_ok=True)
+        raise FarFrustumError(f"{path}: cannot write ({exc.strerror or exc})") from exc
 
 
 # --- P5 PGM masks ----------------------------------------------------------

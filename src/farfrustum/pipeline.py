@@ -11,7 +11,6 @@ merged in as fallback boxes.
 from __future__ import annotations
 
 import math
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,6 +43,7 @@ from .kitti_io import (
     parse_labels,
     wrap_angle,
     write_results,
+    write_whole,
 )
 from .regressor import (  # is_faraway: the routing rule, for pipeline's callers
     BoxRegression,
@@ -410,12 +410,7 @@ def run_dataset(
         inputs = load_frame_inputs(config.data_root, frame_id, config, labels=False)
         boxes = process_frame(inputs.cloud, inputs.detections, inputs.fallback_boxes,
                               inputs.calib, config, params=params, stats=summary)
-        path, tmp = out_dir / f"{frame_id}.txt", out_dir / f".{frame_id}.{os.getpid()}.tmp"
-        try:  # whole or not at all: a temporary file beside it, renamed onto it
-            tmp.write_text(write_results(boxes, inputs.calib, config.image_size))
-            os.replace(tmp, path)
-        except OSError as exc:
-            tmp.unlink(missing_ok=True)
-            raise FarFrustumError(f"{path}: cannot write ({exc.strerror or exc})") from exc
+        write_whole(out_dir / f"{frame_id}.txt",
+                    write_results(boxes, inputs.calib, config.image_size))
         summary.frames += 1
     return summary

@@ -32,7 +32,7 @@ from .geometry import (
     rot_y,
 )
 from .kitti_io import CalibrationSet, Detection2D, LabelRecord, PointCloud
-from .kitti_io import wrap_angle, wrap_angles
+from .kitti_io import wrap_angle, wrap_angles, write_whole
 
 if TYPE_CHECKING:  # pragma: no cover
     from .pipeline import PipelineConfig
@@ -465,7 +465,7 @@ def save_checkpoint(params: RegressorParams, path: str | Path) -> None:
     )
     extent = np.array([params.extent], dtype="<f8").tobytes()
     body = np.concatenate([flatten_params(params), params.priors.ravel()]).astype("<f8")
-    Path(path).write_bytes(header.tobytes() + extent + names + body.tobytes())
+    write_whole(path, header.tobytes() + extent + names + body.tobytes())
 
 
 def load_checkpoint(

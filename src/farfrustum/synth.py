@@ -22,6 +22,7 @@ from .kitti_io import (
     CalibrationSet,
     Frame,
     PointCloud,
+    mul_rows,
     wrap_angle,
     write_pgm,
     write_results,
@@ -52,7 +53,7 @@ def camera_to_lidar_points(points_cam: np.ndarray, calib: CalibrationSet) -> np.
     rot = calib.Tr_velo_to_cam[:, :3]
     t = calib.Tr_velo_to_cam[:, 3]
     unrect = pts @ calib.R0_rect  # R0^T applied row-wise
-    return (unrect - t) @ rot
+    return mul_rows(unrect - t, rot)
 
 
 def calibration_text(calib: CalibrationSet) -> str:

@@ -1,4 +1,6 @@
+import errno
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,3 +68,17 @@ def random_calibration(rng: np.random.Generator) -> CalibrationSet:
     r0 = np.eye(3) + math.sin(angle) * k + (1 - math.cos(angle)) * (k @ k)
     tr = np.hstack([random_rotation(rng), rng.uniform(-2, 2, size=(3, 1))])
     return CalibrationSet(P2=p2, R0_rect=r0, Tr_velo_to_cam=tr)
+
+
+def cut_writes(monkeypatch, directory):
+    """Make every write of a file in `directory` stop halfway with ENOSPC."""
+    for method in ("write_text", "write_bytes"):
+        real = getattr(Path, method)
+
+        def cut(path, data, *args, _real=real, **kwargs):
+            if path.parent != directory:
+                return _real(path, data, *args, **kwargs)
+            _real(path, data[: len(data) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        monkeypatch.setattr(Path, method, cut)

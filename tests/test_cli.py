@@ -16,7 +16,7 @@ from farfrustum.evaluation import points_per_object_stats
 from farfrustum.pipeline import PipelineConfig, load_frame_inputs
 from farfrustum.plots import bev_scene_ppm, bev_scene_svg, stats_scatter_svg
 
-from conftest import BAD_PGMS
+from conftest import BAD_PGMS, cut_writes
 
 
 def run_cli(*args):
@@ -408,6 +408,47 @@ def test_truncated_checkpoint_exits_1_naming_the_path(
     assert code == 1
     assert str(ckpt) in err
     assert "Traceback" not in err
+
+
+# each command that writes a file of its own, given that file and a second output
+WRITERS = {
+    "train --out": lambda root, target, other: [
+        "train", f"data_root={root}", "--out", target, "--epochs", "2", "--hidden", "8"],
+    "stats --out": lambda root, target, other: ["stats", f"data_root={root}", "--out", target],
+    "plot --out": lambda root, target, other: [
+        "plot", "--frame", "000000", "--out", target, f"data_root={root}"],
+    "plot --ppm": lambda root, target, other: [
+        "plot", "--frame", "000000", "--out", other, "--ppm", target, f"data_root={root}"],
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_a_write_cut_partway_keeps_the_previous_file(
+    mini_dataset, tmp_path, capsys, monkeypatch, writer
+):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    target = out_dir / "previous"
+    target.write_bytes(b"previous output")
+    args = WRITERS[writer](mini_dataset.root, target, tmp_path / "other.svg")
+    with monkeypatch.context() as m:
+        cut_writes(m, out_dir)  # half the file reaches the disk, then ENOSPC
+        assert run_cli(*args) == 1
+    err = capsys.readouterr().err
+    assert f"{target}: cannot write (No space left on device)" in err
+    assert target.read_bytes() == b"previous output"
+    assert [p.name for p in out_dir.iterdir()] == ["previous"]
+    assert run_cli(*args) == 0
+    assert target.read_bytes() != b"previous output"
+    assert [p.name for p in out_dir.iterdir()] == ["previous"]
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_an_unwritable_output_exits_1_naming_it(mini_dataset, tmp_path, capsys, writer):
+    target = tmp_path / "missing" / "out"
+    assert run_cli(*WRITERS[writer](mini_dataset.root, target, tmp_path / "other.svg")) == 1
+    err = capsys.readouterr().err
+    assert f"{target}: cannot write" in err and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

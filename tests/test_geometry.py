@@ -11,6 +11,7 @@ from farfrustum import geometry
 from farfrustum.errors import BadCalibration, CropMismatch, FarFrustumError, FrameMismatch
 from farfrustum.geometry import (
     BLOCK_ROWS,
+    CHAIN_ROWS,
     frustum_rotation,
     lidar_to_camera,
     points_in_box_frustum,
@@ -25,6 +26,7 @@ from farfrustum.kitti_io import (
     Frame,
     MaskRef,
     PointCloud,
+    apply_affine,
     load_pointcloud,
     parse_calibration,
     write_pgm,
@@ -462,12 +464,12 @@ def test_projection_keeps_a_pixel_that_rounds_to_minus_zero():
 
 @pytest.mark.parametrize("n_view, sizes", [
     (1, [2]),  # a lone candidate takes a neighbour along
-    (BLOCK_ROWS + 1, [BLOCK_ROWS + 1]),  # a lone tail row joins the block before it
-    (2 * BLOCK_ROWS + 5, [BLOCK_ROWS, BLOCK_ROWS, 5]),
+    (2 * CHAIN_ROWS + 1, [CHAIN_ROWS, CHAIN_ROWS + 1]),  # a lone tail row joins the one before
+    (4 * CHAIN_ROWS + 5, [CHAIN_ROWS] * 4 + [5]),
 ])
 def test_project_cloud_chains_the_candidates_in_blocks(monkeypatch, n_view, sizes):
     # candidates spread over every source block go through the chain in
-    # blocks of BLOCK_ROWS candidates, never in a block of one row
+    # blocks of CHAIN_ROWS candidates, never in a block of one row
     rng = np.random.default_rng(n_view)
     n = 3 * BLOCK_ROWS + 3
     pts = np.column_stack([rng.uniform(0, 1000, n), rng.uniform(0, 300, n), np.full(n, -10.0)])
@@ -528,6 +530,93 @@ def test_a_scan_projects_as_its_float64_copy(seed, n):
     detections = [make_det((u - 25, v - 15, u + 25, v + 15), cls=("car", "pedestrian")[k % 2])
                   for k, (u, v) in enumerate(np.clip(centers, [30, 20], [1210, 355]))]
     assert _frame_boxes(scan, detections, calib) == _frame_boxes(copy, detections, calib)
+
+
+def _transposed_affine(points, m):
+    """apply_affine over a transposed view of m: the bits its C-contiguous operand must keep."""
+    out = points @ m[:, :3].T
+    for k in range(3):
+        out[:, k] += m[k, 3]
+    return out
+
+
+def _bounded_calibration(rng):
+    """A KITTI-like calibration with P2 scaled up to CalibrationSet's magnitude bound."""
+    calib = _kitti_like_calibration(rng)
+    return CalibrationSet(P2=calib.P2 * 10.0 ** rng.uniform(-3, 90), R0_rect=calib.R0_rect,
+                          Tr_velo_to_cam=calib.Tr_velo_to_cam)
+
+
+def _clouds_of_each_layout(rng, n, frame):
+    """Random points within +-1e4 as a float32 scan view, a float64 cloud and a
+    strided float64 view of (n, 4) records."""
+    scale = 10.0 ** rng.uniform(-2, 4)
+    scan = load_pointcloud((rng.uniform(-scale, scale, size=(n, 4))).astype("<f4").tobytes())
+    records = rng.uniform(-scale, scale, size=(n, 4))
+    return [PointCloud._wrap(scan.points, frame, scan._rows),
+            PointCloud(records[:, :3], frame),
+            PointCloud._wrap(records[:, :3], frame, records)]
+
+
+ROW_COUNTS = st.one_of(st.sampled_from([1, 2, 8191, 8193]), st.integers(0, 20))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(seed=st.integers(0, 2**32 - 1), n=ROW_COUNTS, bounded=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_products_match_the_transposed_operand_bit_for_bit(seed, n, bounded):
+    rng = np.random.default_rng(seed)
+    calib = (_bounded_calibration if bounded else _kitti_like_calibration)(rng)
+    for cloud in _clouds_of_each_layout(rng, n, Frame.LIDAR):
+        want = _transposed_affine(cloud.points, calib.Tr_velo_to_cam) @ calib.R0_rect.T
+        assert lidar_to_camera(cloud, calib).points.tobytes() == want.tobytes()
+        for m in (calib.P2, calib.Tr_velo_to_cam):
+            assert apply_affine(cloud.points, m).tobytes() == \
+                _transposed_affine(cloud.points, m).tobytes()
+    for cloud in _clouds_of_each_layout(rng, n, Frame.CAMERA):
+        uvw = _transposed_affine(cloud.points, calib.P2)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            uv = np.column_stack([uvw[:, 0] / uvw[:, 2], uvw[:, 1] / uvw[:, 2]])
+        valid = (cloud.points[:, 2] > 0) & np.isfinite(uv).all(axis=1)
+        got_uv, got_valid = project_to_image(cloud, calib)
+        _assert_same_bytes((got_uv, got_valid), (uv, valid))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3, 40, 8191, 8193, 16385]),
+       bounded=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_project_cloud_matches_the_row_gather_and_transposed_products(seed, n, bounded):
+    # the whole-row gather and the contiguous operands change no bit of what the
+    # point gather and the transposed products made, cropped or not
+    rng = np.random.default_rng(seed)
+    calib = (_bounded_calibration if bounded else _kitti_like_calibration)(rng)
+    for cloud in _clouds_of_each_layout(rng, n, Frame.LIDAR):
+        cam = _transposed_affine(cloud.points, calib.Tr_velo_to_cam) @ calib.R0_rect.T
+        uvw = _transposed_affine(cam, calib.P2)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            u, v = uvw[:, 0] / uvw[:, 2], uvw[:, 1] / uvw[:, 2]
+        valid = (cam[:, 2] > 0) & np.isfinite(u) & np.isfinite(v)
+        for size in (None, (1242, 375)):
+            keep = valid if size is None else valid & (u >= 0) & (u < 1242) & (v >= 0) & (v < 375)
+            idx = np.flatnonzero(keep)
+            got = project_cloud(cloud, calib, size)
+            _assert_same_bytes((got.camera.points, got.u, got.v), (cam[idx], u[idx], v[idx]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_products_keep_their_bits_at_the_calibration_bound():
+    rng = np.random.default_rng(5)
+    calib = _kitti_like_calibration(rng)
+    calib = CalibrationSet(P2=calib.P2 * 1e90, R0_rect=calib.R0_rect,
+                           Tr_velo_to_cam=calib.Tr_velo_to_cam)
+    corners = np.array(list(itertools.product([-1e4, 1e4], repeat=3)))
+    for pts in (corners, corners[::2], corners.astype(np.float32)):
+        want = _transposed_affine(_transposed_affine(pts, calib.Tr_velo_to_cam)
+                                  @ calib.R0_rect.T, calib.P2)
+        got = apply_affine(lidar_to_camera(PointCloud._wrap(pts, Frame.LIDAR), calib).points,
+                           calib.P2)
+        assert np.isfinite(got).all() and got.tobytes() == want.tobytes()
 
 
 def _lidar_sweep(n, seed=0):

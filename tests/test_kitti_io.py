@@ -1,8 +1,12 @@
 import gc
 import itertools
 import math
+import os
+import re
+import stat
 import struct
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,12 +47,13 @@ from farfrustum.kitti_io import (
     wrap_angle,
     write_pgm,
     write_results,
+    write_whole,
 )
 from farfrustum.geometry import lidar_to_camera, project_to_image
 from farfrustum.synth import default_calibration
 
 import oracles
-from conftest import BAD_PGMS
+from conftest import BAD_PGMS, cut_writes
 
 CALIB_TEXT = """\
 P2: 700 0 600 0 0 700 180 0 0 0 1 0
@@ -344,6 +349,98 @@ class TestLoadPointcloud:
         buffer[:] = np.full((2, 4), 7.0, dtype="<f4").tobytes()
         assert cloud.points.tolist() == records[:, :3].tolist()
         assert not cloud.points.flags.writeable
+
+
+@st.composite
+def _subsets(draw, n):
+    """An index array (empty, negative or repeated rows), a boolean mask or a slice of n rows."""
+    kind = draw(st.sampled_from(["index", "mask", "slice"]))
+    if kind == "index":
+        rows = draw(st.lists(st.integers(-n, n - 1), max_size=12)) if n else []
+        return np.array(rows, dtype=np.intp)
+    if kind == "mask":
+        return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    bound = st.none() | st.integers(-n - 2, n + 2)
+    return slice(draw(bound), draw(bound), draw(st.sampled_from([None, 1, 2, -1, -3])))
+
+
+@given(data=st.data(), n=st.integers(0, 24), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_select_matches_indexing_the_points(data, n, seed):
+    # the same values, dtype and shape as points[subset]; read-only, and sharing
+    # no memory with the caller's array or index
+    rng = np.random.default_rng(seed)
+    records = rng.uniform(-100, 100, size=(n, 4))
+    callers = records[:, :3].copy()
+    scan = load_pointcloud(records.astype("<f4").tobytes())
+    built = PointCloud(callers, Frame.CAMERA)
+    clouds = [scan, built, scan.select(slice(None, None, -1)), built.select(np.arange(n)[::-1])]
+    for cloud in clouds:
+        for _ in range(2):  # a subset, then a subset of it
+            subset = data.draw(_subsets(len(cloud)))
+            want = cloud.points[subset]
+            got = cloud.select(subset)
+            assert got.frame == cloud.frame and got.points.dtype == want.dtype
+            assert got.points.shape == want.shape and got.points.tobytes() == want.tobytes()
+            assert not got.points.flags.writeable
+            assert not np.shares_memory(got.points, callers)
+            if isinstance(subset, np.ndarray):
+                assert not np.shares_memory(got.points, subset)
+            cloud = got
+
+
+def test_select_reads_a_boolean_mask_as_a_mask():
+    cloud = PointCloud([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]], Frame.LIDAR)
+    assert cloud.select(np.array([False, True, True])).points[:, 0].tolist() == [1.0, 2.0]
+    assert cloud.select(np.zeros(3, dtype=bool)).points.shape == (0, 3)
+    with pytest.raises(ValueError):
+        cloud.select(np.array([False, True]))  # not one flag per point
+
+
+def test_a_scans_subset_stays_float32_records():
+    records = np.arange(20, dtype="<f4").reshape(5, 4)
+    scan = load_pointcloud(records.tobytes())
+    for subset in (np.array([4, 0, 4]), np.array([True, False, True, False, False]), slice(1, 3)):
+        got = scan.select(subset)
+        assert got.points.dtype == np.float32
+        assert got.points.tolist() == records[:, :3][subset].tolist()
+        assert got.select(np.array([-1])).points.tolist() == [records[:, :3][subset][-1].tolist()]
+
+
+@pytest.mark.parametrize("data", ["new text\n" * 50, b"new bytes" * 50])
+def test_write_whole_replaces_the_file_or_leaves_it(tmp_path, monkeypatch, data):
+    target = tmp_path / "out.bin"
+    for before in (None, b"old"):
+        if before is not None:
+            target.write_bytes(before)
+        with monkeypatch.context() as m:
+            cut_writes(m, tmp_path)
+            with pytest.raises(FarFrustumError, match=re.escape(str(target))):
+                write_whole(target, data)
+        assert [p.name for p in tmp_path.iterdir()] == ([] if before is None else ["out.bin"])
+        assert before is None or target.read_bytes() == before
+    write_whole(target, data)
+    assert target.read_bytes() == (data.encode() if isinstance(data, str) else data)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+def test_write_whole_names_a_path_it_cannot_write(tmp_path):
+    for target in (tmp_path / "missing" / "out.svg", tmp_path):  # no directory; a directory
+        with pytest.raises(FarFrustumError, match=re.escape(f"{target}: cannot write")):
+            write_whole(target, "text")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_whole_writes_into_a_pipe_in_place(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # a rename would leave it unread
+    try:
+        write_whole(fifo, b"through the pipe")
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert os.read(reader, 100) == b"through the pipe"
+    finally:
+        os.close(reader)
 
 
 class TestParseDetections:
