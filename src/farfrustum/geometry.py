@@ -23,12 +23,12 @@ applied as an affine map (``kitti_io.apply_affine``). From two rows on it
 rounds as the homogeneous product, but numpy hands a one-row product to
 BLAS gemv, which rounds otherwise, so a lone tail row joins the block
 before it and a lone candidate takes a neighbour along.
-``points_in_box_frustum`` and ``points_in_mask_frustum`` cut each
-detection's frustum from that projection and refuse a detection whose
-image size differs from the crop; ``frustum_rotations`` then rotates all of
-a frame's frustums, held as segments of one array, in one call. All
-operations preserve point order, and a projection is never modified after
-it is built.
+``frustum_rows`` cuts each detection's frustum from that projection as rows
+of its camera points (``points_in_box_frustum`` and ``points_in_mask_frustum``
+cut one) and refuses a detection whose image size differs from the crop;
+``frustum_rotations`` then rotates all of a frame's frustums, held as segments
+of one array, in one call. All operations preserve point order, and a
+projection is never modified after it is built.
 
 Clouds and calibrations are checked where they are built (``kitti_io``), so
 no product here overflows, and ``frustum_rotation`` can back-project through
@@ -37,8 +37,8 @@ P2 because ``CalibrationSet`` refuses a singular left 3x3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -108,7 +108,6 @@ class CloudProjection:
     u: np.ndarray        # (N,) pixel columns, contiguous, read-only
     v: np.ndarray        # (N,) pixel rows, contiguous, read-only
     image_size: tuple[int, int] | None  # the crop (W, H), or None
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def require_crop(self, image_size: tuple[int, int] | None) -> None:
         """Raise CropMismatch unless a frustum on an image of that size lies in the crop."""
@@ -117,21 +116,6 @@ class CloudProjection:
                 f"detection image size {image_size} differs from the projection's "
                 f"crop {self.image_size}"
             )
-
-    def pixel_index(self, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        """Points whose floor(u), floor(v) pixel lies in an (H, W) bitmap.
-
-        Returns (point indices, row-major flat pixel indices), once per
-        bitmap shape, so once per frame when every mask is image-sized.
-        """
-        if shape not in self._cache:
-            h, w = shape
-            with np.errstate(invalid="ignore"):  # a finite pixel can exceed int64
-                iu = np.floor(self.u).astype(np.int64, copy=False)
-                iv = np.floor(self.v).astype(np.int64, copy=False)
-            idx = np.flatnonzero((iu >= 0) & (iu < w) & (iv >= 0) & (iv < h))
-            self._cache[shape] = (idx, iv[idx] * w + iu[idx])
-        return self._cache[shape]
 
 
 def _blocks(n: int, size: int = BLOCK_ROWS) -> list[tuple[int, int]]:
@@ -207,40 +191,59 @@ def project_cloud(
     return CloudProjection(PointCloud._wrap(points, Frame.CAMERA), u, v, image_size)
 
 
-def _clamped_bbox(det: Detection2D) -> tuple[float, float, float, float]:
-    u0, v0, u1, v1 = det.bbox
-    if det.image_size is not None:
-        w, h = det.image_size
-        u0, u1 = max(u0, 0.0), min(u1, float(w))
-        v0, v1 = max(v0, 0.0), min(v1, float(h))
-    return u0, v0, u1, v1
+def _pixel_index(u: np.ndarray, v: np.ndarray, shape: tuple[int, int]):
+    """(rows whose floor(u), floor(v) pixel lies in an (H, W) bitmap, that
+    pixel's row-major flat index)."""
+    h, w = shape
+    with np.errstate(invalid="ignore"):  # a finite pixel can exceed int64
+        iu = np.floor(u).astype(np.int64, copy=False)
+        iv = np.floor(v).astype(np.int64, copy=False)
+    idx = np.flatnonzero((iu >= 0) & (iu < w) & (iv >= 0) & (iv < h))
+    return idx, iv[idx] * w + iu[idx]
+
+
+def frustum_rows(
+    projection: CloudProjection, detections: Sequence[Detection2D], masks: bool
+) -> Iterator[np.ndarray]:
+    """Each detection's frustum as increasing rows of projection.camera, in order.
+
+    With `masks`, a detection that has a mask keeps the rows whose floor(u),
+    floor(v) pixel is positive on it (the pixel index is built once per mask
+    shape); any other keeps those in its image-clamped box, u0 <= u < u1 and
+    v0 <= v < v1. A mask that fails to load, or a detection whose image size
+    differs from the crop (CropMismatch), raises after the segments before it.
+    """
+    u, v = projection.u, projection.v
+    pixels: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+    for det in detections:
+        if masks and det.mask is not None:
+            mask = det.mask.load()
+            projection.require_crop((mask.shape[1], mask.shape[0]))
+            if mask.shape not in pixels:
+                pixels[mask.shape] = _pixel_index(u, v, mask.shape)
+            idx, flat = pixels[mask.shape]
+            yield idx[mask.reshape(-1)[flat] > 0]
+        else:
+            projection.require_crop(det.image_size)
+            u0, v0, u1, v1 = det.bbox
+            if det.image_size is not None:
+                w, h = det.image_size
+                u0, u1 = max(u0, 0.0), min(u1, float(w))
+                v0, v1 = max(v0, 0.0), min(v1, float(h))
+            yield np.flatnonzero((u >= u0) & (u < u1) & (v >= v0) & (v < v1))
 
 
 def points_in_box_frustum(projection: CloudProjection, det: Detection2D) -> PointCloud:
-    """Camera-frame subset of the cloud whose projection falls in the 2D box.
-
-    Membership uses the half-open convention u_min <= u < u_max (likewise v)
-    on the image-clamped box; points behind the camera are never members.
-    """
-    projection.require_crop(det.image_size)
-    u0, v0, u1, v1 = _clamped_bbox(det)
-    u, v = projection.u, projection.v
-    inside = (u >= u0) & (u < u1) & (v >= v0) & (v < v1)
-    return projection.camera.select(np.flatnonzero(inside))
+    """Camera-frame subset of the cloud whose projection falls in the 2D box
+    (frustum_rows of the one detection, without its mask)."""
+    return projection.camera.select(next(frustum_rows(projection, [det], masks=False)))
 
 
 def points_in_mask_frustum(projection: CloudProjection, det: Detection2D) -> PointCloud:
-    """Camera-frame subset whose projection lands on a positive mask pixel.
-
-    The pixel is selected by floor(u), floor(v); projections outside the
-    bitmap are simply excluded. Whenever the mask's support lies inside the
-    detection bbox this is a subset of the box-frustum result.
-    """
-    mask = det.mask.load()
-    projection.require_crop((mask.shape[1], mask.shape[0]))
-    idx, flat = projection.pixel_index(mask.shape)
-    hit = mask.reshape(-1)[flat] > 0
-    return projection.camera.select(idx[hit])
+    """Camera-frame subset whose projection lands on a positive mask pixel
+    (frustum_rows of the one detection). Whenever the mask's support lies
+    inside the detection bbox this is a subset of the box-frustum result."""
+    return projection.camera.select(next(frustum_rows(projection, [det], masks=True)))
 
 
 def frustum_rotations(

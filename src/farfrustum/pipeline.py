@@ -1,9 +1,10 @@
 """Per-frame detection pipeline and batch dataset runner.
 
-For every 2D detection: extract its frustum points, rotate to the frustum
-frame, estimate the centroid by histogram clustering, and route by the
-per-class faraway depth threshold; after the frustums, each step runs as one
-array pass over all of a frame's detections (regressor.frustum_chain).
+For every 2D detection: cut its frustum as rows of the frame's projection
+(geometry.frustum_rows), rotate to the frustum frame, estimate the centroid
+by histogram clustering, and route by the per-class faraway depth threshold;
+each step after the cut is one array pass over all of a frame's detections
+(regressor.frustum_chain).
 Faraway objects get a regressed 3D box anchored at the clustered centroid;
 near-range objects are left to an external detector whose result files are
 merged in as fallback boxes.
@@ -29,7 +30,7 @@ from .errors import (
     ZeroAreaBox,
 )
 from .evaluation import faraway_filter
-from .geometry import project_cloud, rot_y
+from .geometry import CloudProjection, frustum_rows, project_cloud, rot_y
 from .kitti_io import (
     MAX_BBOX_PIXEL,
     Box3D,
@@ -50,7 +51,6 @@ from .regressor import (  # is_faraway: the routing rule, for pipeline's callers
     RegressorParams,
     Route,
     frustum_chain,
-    frustum_points,
     is_faraway,
 )
 
@@ -249,12 +249,12 @@ def process_frame(
 ) -> list[Box3D]:
     """Run the faraway branch over all detections and merge with fallback.
 
-    The cloud is projected once for the frame, cropped to config.image_size,
-    and each detection's frustum is cut from that projection (CropMismatch
-    for a detection of another image size). regressor.frustum_chain then
-    routes all of them at once, and the faraway ones' rasters go through
-    the network in one stacked pass; params default to zero weights.
-    Detections whose frustum holds no points, or whose class is not listed
+    A frame with detections is projected once, cropped to config.image_size;
+    geometry.frustum_rows cuts each detection's frustum from it as rows, by
+    its mask in mask mode (CropMismatch for another image size), and
+    regressor.frustum_chain routes all of them at once; the faraway ones'
+    rasters go through the network in one stacked pass (params default to
+    zero weights). Detections whose frustum holds no points, or whose class is not listed
     or has no threshold, are skipped; near-range ones are routed to the
     fallback detector (all three are counted, never fatal). Errors raise in
     detection order: a regressed box that Box3D refuses (a size that
@@ -275,13 +275,17 @@ def process_frame(
             config.raster_grid, config.classes, priors=config.size_priors,
             extent=config.raster_extent,
         )
-    projection = project_cloud(cloud, calib, config.image_size) if detections else None
-    frustums: list[PointCloud] = []
-    try:
-        for det in detections:
-            frustums.append(frustum_points(projection, det, config))
-    finally:  # a frustum that fails raises after the detections before it
-        ours = _faraway_boxes(frustums, detections, calib, config, params, source, stats)
+    ours: list[Box3D] = []
+    if detections:  # a frame without detections is not projected
+        projection = project_cloud(cloud, calib, config.image_size)
+        segments: list[np.ndarray] = []
+        try:
+            for rows in frustum_rows(projection, detections, config.frustum_mode == "mask"):
+                segments.append(rows)
+        finally:  # a frustum that fails raises after the detections before it
+            if segments:
+                ours = _faraway_boxes(projection, segments, detections, calib, config,
+                                      params, source, stats)
 
     faraway_box = faraway_filter(config.thresholds)
     kept = [box for box in fallback_boxes if not faraway_box(box)]
@@ -294,7 +298,8 @@ def process_frame(
 
 
 def _faraway_boxes(
-    frustums: Sequence[PointCloud],
+    projection: CloudProjection,
+    segments: Sequence[np.ndarray],
     detections: Sequence[Detection2D],
     calib: CalibrationSet,
     config: PipelineConfig,
@@ -302,9 +307,9 @@ def _faraway_boxes(
     source: str,
     stats: RunSummary,
 ) -> list[Box3D]:
-    """The boxes of the first len(frustums) detections, counting every route;
+    """The boxes of the first len(segments) detections, counting every route;
     a refused box names the weights' `source`, the frame and the detection."""
-    batch = frustum_chain(frustums, detections[:len(frustums)], calib, config, config.thresholds)
+    batch = frustum_chain(projection, segments, detections, calib, config, config.thresholds)
     stats.count(batch.routes)
     far = [k for k, route in enumerate(batch.routes) if route is Route.FARAWAY]
     regs = regressor.forward_rasters(params, batch.rasters)

@@ -12,7 +12,6 @@ but discarded in favor of the clustered centroid.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -26,8 +25,7 @@ from .errors import ConfigError, EmptyDataset, ShapeError, UnknownClass
 from .geometry import (
     CloudProjection,
     frustum_rotations,
-    points_in_box_frustum,
-    points_in_mask_frustum,
+    frustum_rows,
     project_cloud,
     rot_y,
 )
@@ -36,8 +34,6 @@ from .kitti_io import wrap_angle, wrap_angles, write_whole
 
 if TYPE_CHECKING:  # pragma: no cover
     from .pipeline import PipelineConfig
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_CLASSES: tuple[str, ...] = ("pedestrian", "car")
 # Per-class mean (w, l, h) over common KITTI training labels; overridable
@@ -440,7 +436,6 @@ def train(
         else:
             stale += 1
             if stale > hyper.patience:
-                logger.debug("early stop at epoch %d (best %.6f)", step, best_loss)
                 break
     return best
 
@@ -570,15 +565,6 @@ def is_faraway(depth: float, class_name: str, thresholds: Mapping[str, float]) -
     return depth >= thresholds[class_name]
 
 
-def frustum_points(
-    projection: CloudProjection, det: Detection2D, config: "PipelineConfig"
-) -> PointCloud:
-    """The detection's frustum: by its mask in mask mode when it has one, else by its box."""
-    if config.frustum_mode == "mask" and det.mask is not None:
-        return points_in_mask_frustum(projection, det)
-    return points_in_box_frustum(projection, det)
-
-
 def _segments(rows: np.ndarray, bounds: np.ndarray, chosen: Sequence[int]):
     """The rows of the chosen segments, in order, and their bounds."""
     sizes = np.diff(bounds)
@@ -588,7 +574,8 @@ def _segments(rows: np.ndarray, bounds: np.ndarray, chosen: Sequence[int]):
 
 
 def frustum_chain(
-    frustums: Sequence[PointCloud],
+    projection: CloudProjection,
+    segments: Sequence[np.ndarray],
     detections: Sequence[Detection2D],
     calib: CalibrationSet,
     config: "PipelineConfig",
@@ -596,23 +583,26 @@ def frustum_chain(
 ) -> FrustumBatch:
     """Every detection's chain, as array passes over all of a frame's frustums.
 
-    frustums[k] is detections[k]'s frustum (frustum_points). Each non-empty
-    frustum is rotated (frustum_rotations) and its depth histogrammed
-    (modal_midpoints). Given `thresholds`, a detection whose class has none
-    is UNKNOWN and one whose depth is below it NEAR; the others whose class
-    is in config.classes get their x and y histograms and a raster of their
-    (x, z) relative to the centroid: they are FARAWAY. No histogram passes
-    MAX_BINS bins: every CalibrationSet is a rigid mount, and PipelineConfig
-    keeps bin_width at MIN_BIN_WIDTH or above.
+    segments[k] is detections[k]'s frustum as rows of projection.camera
+    (geometry.frustum_rows), all gathered in one np.take; detections past
+    the last segment are left out. Each non-empty frustum is rotated
+    (frustum_rotations) and its depth histogrammed (modal_midpoints).
+    Given `thresholds`, a detection whose class has none is UNKNOWN and one
+    whose depth is below it NEAR; the others whose class is in
+    config.classes get their x and y histograms and a raster of their (x, z)
+    relative to the centroid: they are FARAWAY. No histogram passes MAX_BINS
+    bins: every CalibrationSet is a rigid mount, and PipelineConfig keeps
+    bin_width at MIN_BIN_WIDTH or above.
     """
-    sizes = np.array([len(frustum) for frustum in frustums], dtype=np.int64)
+    sizes = np.array([len(rows) for rows in segments], dtype=np.int64)
     live = np.flatnonzero(sizes > 0)  # segment s is detection live[s]
     bounds = np.concatenate([[0], np.cumsum(sizes[live])])
-    points = np.concatenate([frustums[k].points for k in live] or [np.empty((0, 3))])
+    points = np.take(projection.camera.points,
+                     np.concatenate([np.empty(0, np.intp), *segments]), axis=0)
     rotated, theta = frustum_rotations(points, bounds, [detections[k] for k in live], calib)
     depth = modal_midpoints(rotated[:, 2], bounds, config.bin_width)
 
-    routes = [Route.EMPTY] * len(frustums)
+    routes = [Route.EMPTY] * len(segments)
     far = []  # the FARAWAY segments
     for s, k in enumerate(live):
         name = detections[k].class_name
@@ -651,9 +641,10 @@ def build_training_set(
     """Pair each matched ground-truth object with its raster and targets.
 
     Detections are matched to same-class ground truth greedily by score at
-    2D IoU >= 0.5. A frame's matched detections run frustum_chain, without
-    thresholds, on its projection (one per frame, cropped to
-    config.image_size); a match whose frustum is empty is skipped. Targets
+    2D IoU >= 0.5. A frame's matched detections are cut from its projection
+    (one per frame, cropped to config.image_size) by geometry.frustum_rows,
+    with their masks in mask mode, and run frustum_chain without thresholds;
+    a match whose frustum is empty is skipped. Targets
     are the ground-truth center minus the estimated centroid (expressed in
     the frustum frame), the ground-truth size, and the ground-truth yaw
     minus the frustum rotation. Returns (samples, number of ground-truth
@@ -689,8 +680,8 @@ def build_training_set(
 
         projection = project_cloud(clouds[frame_id], calib, config.image_size)
         dets = [det for _, det in pairs]
-        frustums = [frustum_points(projection, det, config) for det in dets]
-        batch = frustum_chain(frustums, dets, calib, config)
+        segments = list(frustum_rows(projection, dets, config.frustum_mode == "mask"))
+        batch = frustum_chain(projection, segments, dets, calib, config)
         kept = [gi for (gi, _), route in zip(pairs, batch.routes) if route is Route.FARAWAY]
         skipped += len(pairs) - len(kept)
         for gi, angle, centroid, raster in zip(kept, batch.theta, batch.centroids, batch.rasters):
@@ -703,5 +694,5 @@ def build_training_set(
                 yaw=wrap_angle(rec.box.yaw - theta),
             )
             samples.append((raster, target))
-        del projection, frustums  # so the next frame's are built without these alive
+        del projection, segments  # so the next frame's are built without these alive
     return samples, skipped

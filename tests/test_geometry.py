@@ -13,6 +13,7 @@ from farfrustum.geometry import (
     BLOCK_ROWS,
     CHAIN_ROWS,
     frustum_rotation,
+    frustum_rows,
     lidar_to_camera,
     points_in_box_frustum,
     points_in_mask_frustum,
@@ -32,7 +33,7 @@ from farfrustum.kitti_io import (
     write_pgm,
 )
 from farfrustum.pipeline import PipelineConfig, RunSummary, process_frame
-from farfrustum.regressor import Route, frustum_chain, frustum_points, rasterize_bev
+from farfrustum.regressor import Route, frustum_chain, rasterize_bev
 from farfrustum.synth import camera_to_lidar_points
 
 import oracles
@@ -261,11 +262,12 @@ _detection_specs = st.tuples(
 
 
 @given(seed=st.integers(0, 2**32 - 1),
-       specs=st.lists(_detection_specs, min_size=1, max_size=4))
+       specs=st.lists(_detection_specs, min_size=1, max_size=4), odd=st.integers(0, 3))
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_shared_projection_matches_oracles(tmp_path, seed, specs):
-    """Every detection cut from one projection equals per-point brute force."""
+def test_shared_projection_matches_oracles(tmp_path, seed, specs, odd):
+    """Every detection cut from one projection equals per-point brute force,
+    alone and as a segment of the whole list's frustum_rows."""
     rng = np.random.default_rng(seed)
     calib = random_calibration(rng)
     w, h = SMALL_IMAGE
@@ -280,6 +282,9 @@ def test_shared_projection_matches_oracles(tmp_path, seed, specs):
     cam_all = lidar_to_camera(PointCloud(pts, Frame.LIDAR), calib)
     chain = (pts.tolist(), calib.R0_rect.tolist(), calib.Tr_velo_to_cam.tolist(),
              calib.P2.tolist())
+    # the cloud row of each projection row: the uncropped projection keeps the valid ones
+    kept = np.flatnonzero(project_to_image(cam_all, calib)[1])
+    dets, want = [], {False: [], True: []}  # each detection's rows, by `masks`
     for k, (u0, v0, bw, bh, clamped, masked) in enumerate(specs):
         bbox = (u0, v0, u0 + bw, v0 + bh)
         image_size = SMALL_IMAGE if clamped else None
@@ -296,10 +301,32 @@ def test_shared_projection_matches_oracles(tmp_path, seed, specs):
         want_box = oracles.box_frustum_indices(*chain, bbox, image_size)
         got_box = points_in_box_frustum(projection, det)
         np.testing.assert_array_equal(got_box.points, cam_all.points[want_box])
+        want_mask = want_box
         if masked:
             want_mask = oracles.mask_frustum_indices(*chain, mask)
             got_mask = points_in_mask_frustum(projection, det)
             np.testing.assert_array_equal(got_mask.points, cam_all.points[want_mask])
+        dets.append(det)
+        want[False].append(want_box)
+        want[True].append(want_mask)
+    for masks in (False, True):
+        segments = list(frustum_rows(projection, dets, masks))
+        assert len(segments) == len(dets)
+        for rows, want_rows in zip(segments, want[masks]):
+            assert (np.diff(rows) > 0).all()
+            np.testing.assert_array_equal(kept[rows], want_rows)
+    # detection k of another image size: the k before it are cut, then it raises
+    k = odd % len(dets)
+    cropped = project_cloud(PointCloud(pts, Frame.LIDAR), calib, SMALL_IMAGE)
+    sized = [Detection2D("f", "car", 0.9, det.bbox, mask=det.mask, image_size=SMALL_IMAGE)
+             for det in dets]
+    sized[k] = Detection2D("f", "car", 0.9, dets[k].bbox, image_size=(w + 1, h))
+    for masks in (False, True):
+        cut = []
+        with pytest.raises(CropMismatch):
+            for rows in frustum_rows(cropped, sized, masks):
+                cut.append(rows)
+        assert len(cut) == k
 
 
 def _reference_projection(points, calib):
@@ -386,7 +413,7 @@ def _check_crops(pts, calib, rng, exact):
         _assert_same_bytes((projection.camera.points, projection.u, projection.v),
                            want, exact)
         for shape in ((375, 1242), small[::-1]) if size is None else (size[::-1],):
-            _assert_same_bytes(projection.pixel_index(shape),
+            _assert_same_bytes(geometry._pixel_index(projection.u, projection.v, shape),
                                _reference_pixel_index(want[1], want[2], shape))
 
 
@@ -721,8 +748,8 @@ class TestCentroidFrameAndBev:
         config = PipelineConfig(frustum_mode="box", raster_grid=grid,
                                 raster_extent=extent, bin_width=bin_width)
         projection = project_cloud(PointCloud(pts, Frame.LIDAR), IDENTITY_CALIB)
-        frustum = frustum_points(projection, self.DET, config)
-        batch = frustum_chain([frustum], [self.DET], IDENTITY_CALIB, config)
+        segments = list(frustum_rows(projection, [self.DET], masks=False))
+        batch = frustum_chain(projection, segments, [self.DET], IDENTITY_CALIB, config)
         assert batch.routes == [Route.FARAWAY] and batch.theta[0] == 0.0
         return tuple(batch.centroids[0].tolist()), batch.rasters[0]
 

@@ -1,5 +1,6 @@
 import errno
 import gc
+import itertools
 import math
 import re
 import shutil
@@ -320,11 +321,108 @@ def test_process_frame_raises_the_first_failing_detection(simple_calib, tmp_path
     assert isinstance(error, NonFiniteBox)
     assert "checkpoint w.ckpt, frame f, detection 0 (pedestrian)" in str(error)
     assert isinstance(first_error([bad_mask, far]), MaskDimMismatch)
+    # a box detection of another image size fails its crop in turn
+    boxes = PipelineConfig(checkpoint="w.ckpt", frustum_mode="box")
+    bad_size = Detection2D("f", "car", 0.5, far.bbox, image_size=(1242, 376))
+    assert isinstance(first_error([far, bad_size], boxes), NonFiniteBox)
+    assert isinstance(first_error([bad_size, far], boxes), CropMismatch)
     # with no checkpoint, a prior past 10 km is the size-prior baseline's fault
     huge = PipelineConfig(size_priors={"pedestrian": (2e4, 1.0, 1.0), "car": (1.0, 1.0, 1.0)})
     error = first_error([far, bad_mask], huge, None)
     assert isinstance(error, NonFiniteBox) and "checkpoint" not in str(error)
     assert "size-prior baseline, frame f, detection 0 (pedestrian)" in str(error)
+
+
+def _concatenated_chain(projection, segments, detections, calib, config, thresholds):
+    """frustum_chain as it ran on one cloud per detection: each frustum gathered
+    by camera.select, the live ones joined by np.concatenate. Returns routes,
+    theta, centroids and grids."""
+    frustums = [projection.camera.select(rows) for rows in segments]
+    sizes = np.array([len(frustum) for frustum in frustums], dtype=np.int64)
+    live = np.flatnonzero(sizes > 0)
+    bounds = np.concatenate([[0], np.cumsum(sizes[live])])
+    points = np.concatenate([frustums[k].points for k in live] or [np.empty((0, 3))])
+    rotated, theta = geometry.frustum_rotations(points, bounds, [detections[k] for k in live],
+                                                calib)
+    depth = regressor.modal_midpoints(rotated[:, 2], bounds, config.bin_width)
+    routes, far = [regressor.Route.EMPTY] * len(frustums), []
+    for s, k in enumerate(live):
+        name = detections[k].class_name
+        if thresholds is not None and name not in thresholds:
+            routes[k] = regressor.Route.UNKNOWN
+        elif thresholds is not None and depth[s] < thresholds[name]:
+            routes[k] = regressor.Route.NEAR
+        elif name in config.classes:
+            routes[k] = regressor.Route.FARAWAY
+            far.append(s)
+        else:
+            routes[k] = regressor.Route.UNKNOWN
+    rows, far_bounds = regressor._segments(rotated, bounds, far)
+    xy = regressor.modal_midpoints(np.concatenate([rows[:, 0], rows[:, 1]]),
+                                   np.concatenate([far_bounds, far_bounds[1:] + len(rows)]),
+                                   config.bin_width)
+    centroids = np.column_stack([xy[:len(far)], xy[len(far):], depth[far]])
+    bev = rows[:, [0, 2]] - np.repeat(centroids[:, [0, 2]], np.diff(far_bounds), axis=0)
+    grids = regressor.bev_grids(bev, far_bounds, config.raster_grid, config.raster_extent)
+    return routes, theta[far], centroids, grids
+
+
+def test_frustum_chain_over_row_segments_keeps_the_concatenated_bits(
+    simple_calib, mini_dataset
+):
+    mixed, mixed_dets = _mixed_frame(simple_calib)
+    far, far_det, _ = _planted_scene(simple_calib, depth=80.0, x=-3.0, cls="car", n=30)
+    cloud = PointCloud(np.vstack([mixed.points, far.points]), Frame.LIDAR)
+    frames = [(cloud, dets, simple_calib) for dets in (
+        mixed_dets + [far_det], [far_det, *mixed_dets[::-1]], mixed_dets[3:])]
+    for fid in mini_dataset.frame_ids:
+        inputs = load_frame_inputs(mini_dataset.root, fid, PipelineConfig())
+        frames.append((inputs.cloud, inputs.detections, inputs.calib))
+    seen = set()
+    for (cloud, dets, calib), mode, thresholds in itertools.product(
+            frames, ("mask", "box"), (None, DEFAULT_THRESHOLDS)):
+        config = PipelineConfig(frustum_mode=mode)
+        projection = geometry.project_cloud(cloud, calib, config.image_size)
+        segments = list(geometry.frustum_rows(projection, dets, mode == "mask"))
+        got = regressor.frustum_chain(projection, segments, dets, calib, config, thresholds)
+        routes, theta, centroids, grids = _concatenated_chain(
+            projection, segments, dets, calib, config, thresholds)
+        assert got.routes == routes
+        assert got.theta.tobytes() == theta.tobytes()
+        assert got.centroids.tobytes() == centroids.tobytes()
+        assert [r.grid.tobytes() for r in got.rasters] == [g.tobytes() for g in grids]
+        seen.update(routes)
+    assert seen == set(regressor.Route)  # empty, near, faraway and unknown-class
+
+
+def test_process_frame_builds_no_cloud_per_detection(simple_calib, monkeypatch, tmp_path):
+    cloud, det, _ = _planted_scene(simple_calib)
+    clouds = []
+    real_wrap, real_check = PointCloud._wrap.__func__, PointCloud.__post_init__
+    monkeypatch.setattr(PointCloud, "_wrap", classmethod(
+        lambda cls, *args: clouds.append(1) or real_wrap(cls, *args)))
+    monkeypatch.setattr(PointCloud, "__post_init__",
+                        lambda self: clouds.append(1) or real_check(self))
+    built = []
+    for n in (1, 30):
+        clouds.clear()
+        assert len(process_frame(cloud, [det] * n, [], simple_calib,
+                                 PipelineConfig(frustum_mode="box"))) == n
+        built.append(len(clouds))
+    assert built[0] == built[1]  # the projection's clouds only
+    # in mask mode the pixel index is built once for the frame's image-sized masks
+    bitmap = np.zeros((375, 1242), dtype=np.uint8)
+    u0, v0, u1, v1 = (int(e) for e in det.bbox)
+    bitmap[v0:v1 + 1, u0:u1 + 1] = 255
+    write_pgm(tmp_path / "m.pgm", bitmap)
+    masked = Detection2D("f", "pedestrian", 0.9, det.bbox, image_size=(1242, 375),
+                         mask=MaskRef(tmp_path / "m.pgm", (1242, 375)))
+    indexed = []
+    monkeypatch.setattr(geometry, "_pixel_index",
+                        lambda *args, _fn=geometry._pixel_index: indexed.append(1) or _fn(*args))
+    assert len(process_frame(cloud, [masked, det, masked, masked], [], simple_calib,
+                             PipelineConfig(frustum_mode="mask"))) == 4
+    assert len(indexed) == 1
 
 
 def test_refused_box_of_weights_given_without_a_checkpoint_names_them(simple_calib):

@@ -25,7 +25,6 @@ from farfrustum.regressor import (
     forward,
     forward_rasters,
     frustum_chain,
-    frustum_points,
     init_params,
     load_checkpoint,
     loss_and_gradients,
@@ -199,7 +198,7 @@ class TestTranslationConsistency:
         # absolute position never reaches the network: frustum_chain rasters
         # the points relative to their centroid, so shifting the whole cloud
         # leaves the grid (and hence the output) bit-identical
-        from farfrustum.geometry import project_cloud
+        from farfrustum.geometry import frustum_rows, project_cloud
         from farfrustum.kitti_io import CalibrationSet, Detection2D, Frame, PointCloud
 
         calib = CalibrationSet(
@@ -220,8 +219,8 @@ class TestTranslationConsistency:
 
             def raster_of(points):
                 projection = project_cloud(PointCloud(points, Frame.LIDAR), calib)
-                frustum = frustum_points(projection, det, config)
-                batch = frustum_chain([frustum], [det], calib, config)
+                segments = list(frustum_rows(projection, [det], masks=False))
+                batch = frustum_chain(projection, segments, [det], calib, config)
                 assert batch.routes == [regressor.Route.FARAWAY]
                 raster = batch.rasters[0]
                 assert batch.theta[0] == 0.0 and raster.grid.sum() == len(points)
