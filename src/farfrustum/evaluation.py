@@ -15,12 +15,15 @@ blocks of one vertex count, with the bits of np.sum on that polygon's row.
 for aIoU, AP-BEV and AP-3D; ``match_greedy`` and ``ap_11point`` zero the
 cross-class cells of class-blind ones. ``Box3D`` bounds every box's center
 and sizes where it is built, so each footprint area and volume is positive
-and both tables are always defined.
+and both tables are always defined. ``_match`` is the one greedy matcher:
+aIoU runs it per frame over ground truths, AP once over the score-ranked
+predictions of all frames (ground truths numbered across frames), and
+``regressor.build_training_set`` over detections at 2D IoU 0.5.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -182,49 +185,57 @@ def _same_class_tables(
 # --- matching and aggregate metrics ------------------------------------------
 
 
-def _overlaps(table: np.ndarray) -> list[list[tuple[int, float]]]:
-    """Positive entries of each row as (column, IoU), in column order.
+def _overlaps(table: np.ndarray, offset: int) -> list[list[tuple[int, float]]]:
+    """Positive entries of each row as (column + offset, IoU), in column order.
 
     Matching only ever takes an IoU above 0, so the pruned majority of a
     table never needs a look.
     """
     rows: list[list[tuple[int, float]]] = [[] for _ in range(len(table))]
     ri, ci = np.nonzero(table > 0.0)
-    for r, c, value in zip(ri.tolist(), ci.tolist(), table[ri, ci].tolist()):
+    for r, c, value in zip(ri.tolist(), (ci + offset).tolist(), table[ri, ci].tolist()):
         rows[r].append((c, value))
     return rows
 
 
+def _match(
+    rows: Sequence[Sequence[tuple[int, float]]], order: Iterable[int], threshold: float
+) -> list[tuple[int, int, float]]:
+    """Greedy one-to-one matching over ``_overlaps`` rows.
+
+    Each row of ``order`` in turn takes its highest-IoU column not yet taken
+    with IoU >= threshold, a tie going to the lowest column. Returns the
+    (row, column, IoU) of each match, in the order they were made.
+    """
+    taken: set[int] = set()
+    matches = []
+    for r in order:
+        best, best_iou = None, 0.0
+        for c, value in rows[r]:
+            if value > best_iou and value >= threshold and c not in taken:
+                best, best_iou = c, value
+        if best is not None:
+            taken.add(best)
+            matches.append((r, best, best_iou))
+    return matches
+
+
 def _greedy(table: np.ndarray) -> list[tuple[int, int | None, float]]:
     """Greedy one-to-one matching on a (gt, pred) IoU table; see match_greedy."""
-    rows = _overlaps(table)
-    order = sorted(
-        range(len(rows)), key=lambda gi: -max((v for _, v in rows[gi]), default=0.0)
-    )
-    used: set[int] = set()
-    result: list[tuple[int, int | None, float]] = []
-    for gi in order:
-        best_pi, best_iou = None, 0.0
-        for pi, value in rows[gi]:
-            if pi not in used and value > best_iou:
-                best_pi, best_iou = pi, value
-        if best_pi is not None:
-            used.add(best_pi)
-            result.append((gi, best_pi, best_iou))
-        else:
-            result.append((gi, None, 0.0))
-    result.sort(key=lambda t: t[0])
-    return result
+    order = np.argsort(-table.max(axis=1, initial=0.0), kind="stable")
+    found = {gi: (pi, iou) for gi, pi, iou in _match(_overlaps(table, 0), order.tolist(), 0.0)}
+    return [(gi, *found.get(gi, (None, 0.0))) for gi in range(len(table))]
 
 
 def match_greedy(
     gt: Sequence[Box3D], preds: Sequence[Box3D]
 ) -> list[tuple[int, int | None, float]]:
-    """One-to-one same-class matching, greedy over GTs by best available IoU.
+    """One-to-one same-class matching, greedy over GTs by their best IoU.
 
-    Ground truths are processed in descending order of their best IoU over
-    the still-unmatched predictions; each prediction is consumed at most
-    once. Returns (gt index, pred index or None, BEV iou) per ground truth.
+    Ground truths are ordered once, by descending best IoU over all
+    predictions (stable on index); in that order each takes its
+    highest-IoU prediction not yet taken. Returns (gt index, pred index or
+    None, BEV iou) per ground truth.
     """
     return _greedy(_same_class_tables([(gt, preds)])[0])
 
@@ -250,27 +261,18 @@ def _ap_from_tables(
     iou_threshold: float,
 ) -> float:
     """11-point AP from per-frame (gt, pred) IoU tables; see ap_11point."""
-    pool = [
-        (frame, i, box)
-        for frame in preds_by_frame
-        for i, box in enumerate(preds_by_frame[frame])
-    ]
-    pool.sort(key=lambda t: -t[2].score)  # sort() is stable: ties keep input order
-    overlaps = {frame: _overlaps(table.T) for frame, table in tables.items()}
-    matched: dict[str, set[int]] = {frame: set() for frame in tables}
-    tp = np.zeros(len(pool))
-    for rank, (frame, pi, _) in enumerate(pool):
-        if frame not in tables:
-            continue
-        best_gi, best_iou = None, 0.0
-        for gi, value in overlaps[frame][pi]:
-            if gi not in matched[frame] and value >= iou_threshold and value > best_iou:
-                best_gi, best_iou = gi, value
-        if best_gi is not None:
-            matched[frame].add(best_gi)
-            tp[rank] = 1.0
+    pool = sorted(  # sorted() is stable: ties keep input order
+        ((frame, i, box.score) for frame, boxes in preds_by_frame.items()
+         for i, box in enumerate(boxes)), key=lambda t: -t[2])
     if not pool:
         return 0.0
+    overlaps, start = {}, 0
+    for frame, table in tables.items():
+        overlaps[frame] = _overlaps(table.T, start)
+        start += len(table)
+    ranked = [overlaps[frame][pi] if frame in overlaps else () for frame, pi, _ in pool]
+    tp = np.zeros(len(pool))
+    tp[[rank for rank, _, _ in _match(ranked, range(len(pool)), iou_threshold)]] = 1.0
     cum_tp = np.cumsum(tp)
     return _interp_ap(cum_tp / n_gt, cum_tp / np.arange(1, len(pool) + 1))
 

@@ -27,7 +27,7 @@ whose left 3x3 is singular. Every ``Box3D`` has its center within
 MAX_POINT_RANGE_M and its sizes in [MIN_BOX_SIZE_M, MAX_POINT_RANGE_M], so
 its footprint area and volume are positive and finite; ``parse_labels``
 runs each box through that one check on the floats it has just read. Every
-``Detection2D`` edge lies within MAX_BBOX_PIXEL.
+edge of a ``Detection2D`` and of a label's 2D box lies within MAX_BBOX_PIXEL.
 """
 from __future__ import annotations
 
@@ -557,7 +557,8 @@ def parse_labels(text: str) -> list[LabelRecord]:
     Field layout: type truncated occluded alpha bbox(4) h w l x y z
     rotation_y [score]. The on-disk (h, w, l) order is reordered into the
     Box3D (w, l, h) size convention; score defaults to 1.0 when absent.
-    Truncation, occlusion and alpha must be numbers and are not kept.
+    Truncation, occlusion and alpha must be numbers and are not kept. 2D box
+    edges must lie within MAX_BBOX_PIXEL; an inverted or empty 2D box is kept.
     """
     out: list[LabelRecord] = []
     for raw in text.splitlines():
@@ -571,10 +572,13 @@ def parse_labels(text: str) -> list[LabelRecord]:
             )
         name = tokens[0].lower()
         try:
-            vals = [float(t) for t in tokens[1:]]
+            vals = list(map(float, tokens[1:]))
         except ValueError as exc:
             raise MalformedLabelLine(f"{exc}: {line!r}") from exc
-        bbox2d = (vals[3], vals[4], vals[5], vals[6])
+        u0, v0, u1, v1 = bbox2d = (vals[3], vals[4], vals[5], vals[6])
+        if not (abs(u0) <= MAX_BBOX_PIXEL and abs(v0) <= MAX_BBOX_PIXEL
+                and abs(u1) <= MAX_BBOX_PIXEL and abs(v1) <= MAX_BBOX_PIXEL):
+            raise MalformedLabelLine(f"2D box edge not within {MAX_BBOX_PIXEL:g} px: {line!r}")
         dontcare = name == "dontcare"
         box = None
         if not dontcare:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .clustering import modal_midpoints
 from .errors import ConfigError, EmptyDataset, ShapeError, UnknownClass
+from .evaluation import _match, _overlaps
 from .geometry import (
     CloudProjection,
     frustum_rotations,
@@ -640,15 +641,16 @@ def build_training_set(
 ) -> tuple[list[tuple[BevRaster, BoxRegression]], int]:
     """Pair each matched ground-truth object with its raster and targets.
 
-    Detections are matched to same-class ground truth greedily by score at
-    2D IoU >= 0.5. A frame's matched detections are cut from its projection
-    (one per frame, cropped to config.image_size) by geometry.frustum_rows,
-    with their masks in mask mode, and run frustum_chain without thresholds;
-    a match whose frustum is empty is skipped. Targets
-    are the ground-truth center minus the estimated centroid (expressed in
-    the frustum frame), the ground-truth size, and the ground-truth yaw
-    minus the frustum rotation. Returns (samples, number of ground-truth
-    objects skipped).
+    Detections, by descending score, are matched to same-class ground truth
+    at 2D IoU >= 0.5 by evaluation's one greedy matcher, ``_match``, which
+    also scores aIoU and AP. A frame's matched detections are cut from its
+    projection (one per frame, cropped to config.image_size) by
+    geometry.frustum_rows, with their masks in mask mode, and run
+    frustum_chain without thresholds; a match whose frustum is empty is
+    skipped. Targets are the ground-truth center minus the estimated
+    centroid (expressed in the frustum frame), the ground-truth size, and
+    the ground-truth yaw minus the frustum rotation. Returns (samples,
+    number of ground-truth objects skipped).
     """
     samples: list[tuple[BevRaster, BoxRegression]] = []
     skipped = 0
@@ -661,29 +663,20 @@ def build_training_set(
             if not rec.dontcare and rec.box is not None
             and rec.class_name in config.classes
         ]
-        matched_gt: set[int] = set()
-        pairs: list[tuple[int, Detection2D]] = []
-        for det in sorted(detections[frame_id], key=lambda d: -d.score):
-            best_iou, best_idx = 0.0, -1
-            for gi, rec in enumerate(gt):
-                if gi in matched_gt or rec.class_name != det.class_name:
-                    continue
-                iou = bbox_iou_2d(det.bbox, rec.bbox2d)
-                if iou > best_iou:
-                    best_iou, best_idx = iou, gi
-            if best_idx >= 0 and best_iou >= 0.5:
-                matched_gt.add(best_idx)
-                pairs.append((best_idx, det))
-        skipped += len(gt) - len(matched_gt)
-        if not pairs:
+        ranked = sorted(detections[frame_id], key=lambda d: -d.score)
+        table = np.array([[bbox_iou_2d(d.bbox, rec.bbox2d) if rec.class_name == d.class_name
+                           else 0.0 for rec in gt] for d in ranked]).reshape(len(ranked), len(gt))
+        matches = _match(_overlaps(table, 0), range(len(ranked)), 0.5)
+        skipped += len(gt) - len(matches)
+        if not matches:
             continue
 
         projection = project_cloud(clouds[frame_id], calib, config.image_size)
-        dets = [det for _, det in pairs]
+        dets = [ranked[k] for k, _, _ in matches]
         segments = list(frustum_rows(projection, dets, config.frustum_mode == "mask"))
         batch = frustum_chain(projection, segments, dets, calib, config)
-        kept = [gi for (gi, _), route in zip(pairs, batch.routes) if route is Route.FARAWAY]
-        skipped += len(pairs) - len(kept)
+        kept = [gi for (_, gi, _), route in zip(matches, batch.routes) if route is Route.FARAWAY]
+        skipped += len(matches) - len(kept)
         for gi, angle, centroid, raster in zip(kept, batch.theta, batch.centroids, batch.rasters):
             rec, theta = gt[gi], float(angle)
             gt_center_frustum = rot_y(-theta) @ np.asarray(rec.box.center)

@@ -271,6 +271,84 @@ def point_in_box3d(p, center, size, yaw):
     )
 
 
+# --- greedy matching and 11-point AP -----------------------------------------------
+
+def greedy_match_by_scan(table, order, threshold):
+    """Rows of ``order`` in turn each scan every column of their ``table`` row
+    (nested lists) and take the first column of highest IoU, above 0 and at
+    or above ``threshold``, that no earlier row took. Returns {row: (column, iou)}.
+    """
+    taken = set()
+    found = {}
+    for r in order:
+        best = None
+        for c in range(len(table[r])):
+            value = table[r][c]
+            if c in taken or not value > 0.0 or not value >= threshold:
+                continue
+            if best is None or value > table[r][best]:
+                best = c
+        if best is not None:
+            taken.add(best)
+            found[r] = (best, table[r][best])
+    return found
+
+
+def match_gt_by_scan(table):
+    """``match_greedy`` on a (gt, pred) IoU table of nested lists: ground truths
+    by descending best IoU over all predictions (0 when none), index order on
+    ties, each taking its best free prediction. Returns (gt, pred or None, iou)
+    per ground truth."""
+    best = [max([v for v in row if v > 0.0], default=0.0) for row in table]
+    order = sorted(range(len(table)), key=lambda g: -best[g])
+    found = greedy_match_by_scan(table, order, 0.0)
+    return [(g, *found.get(g, (None, 0.0))) for g in range(len(table))]
+
+
+def ap_11point_by_scan(tables, scores, n_gt, threshold):
+    """11-point interpolated AP in percent over per-frame IoU tables.
+
+    ``tables`` maps a frame to its (gt, pred) table as nested lists, and
+    ``scores`` maps every frame to its predictions' scores; a frame of
+    ``scores`` with no table has no ground truth. Predictions go by
+    descending score, frame order then index order on ties, and each takes
+    its frame's highest-IoU free ground truth at IoU >= threshold. At each
+    recall level the best precision of any rank reaching it counts.
+    """
+    pool = []
+    for frame in scores:
+        for i in range(len(scores[frame])):
+            pool.append((frame, i))
+    pool = sorted(pool, key=lambda fp: -scores[fp[0]][fp[1]])
+    if not pool:
+        return 0.0
+    taken = {frame: set() for frame in tables}
+    hits = []
+    for frame, p in pool:
+        best = None
+        if frame in tables:
+            table = tables[frame]
+            for g in range(len(table)):
+                value = table[g][p]
+                if g in taken[frame] or not value > 0.0 or not value >= threshold:
+                    continue
+                if best is None or value > table[best][p]:
+                    best = g
+        if best is not None:
+            taken[frame].add(best)
+        hits.append(best is not None)
+    recall, precision, tp = [], [], 0.0
+    for rank, hit in enumerate(hits):
+        tp += 1.0 if hit else 0.0
+        recall.append(tp / n_gt)
+        precision.append(tp / (rank + 1))
+    total = 0.0
+    for level in range(11):
+        reached = [pr for r, pr in zip(recall, precision) if r >= level / 10 - 1e-12]
+        total += max(reached) if reached else 0.0
+    return 100.0 * total / 11.0
+
+
 # --- calculus ---------------------------------------------------------------------
 
 def central_difference_gradient(fn, x0, step=1e-6):

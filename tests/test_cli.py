@@ -711,6 +711,13 @@ BAD_FILES = {
     "labels not text": ("eval", "label_2/000000.txt", b"Car \xff\xfe\n"),
     "results": ("eval", "results/000000.txt", b"Car 1 2 3\n"),
     "plotted results": ("plot", "results/000000.txt", b"Car 1 2 3\n"),
+    # a 2D edge like these once dropped the object from training and scoring
+    "label 2D edge NaN": ("eval", "label_2/000000.txt",
+                          b"Car 0 0 0 nan 100 200 200 1.5 1.6 3.9 0 1 80 0\n"),
+    "trained label 2D edge NaN": ("train", "label_2/000000.txt",
+                                  b"Car 0 0 0 nan 100 200 200 1.5 1.6 3.9 0 1 80 0\n"),
+    "result 2D edge 1e300": ("eval", "results/000000.txt",
+                             b"Car 0 0 0 100 100 1e300 200 1.5 1.6 3.9 0 1 80 0 0.9\n"),
 }
 
 
@@ -725,6 +732,7 @@ def test_malformed_input_file_exits_1_naming_the_file(
     path = root / name
     path.write_bytes(content)
     extra = {"run": ["--out", tmp_path / "out"], "eval": [],
+             "train": ["--out", tmp_path / "reg.ckpt", "--epochs", "2"],
              "plot": ["--frame", "000000", "--out", tmp_path / "bev.svg"]}[verb]
     code = run_cli(verb, f"data_root={root}", *extra)
     _assert_refused(code, capsys.readouterr().err, path)

@@ -552,6 +552,49 @@ class TestAp11Point:
         assert ap_11point(gt, pred, 0.5) == pytest.approx(0.0)
 
 
+# IoUs and scores from small sets, so that ties and IoUs at a threshold are common
+_CELL = st.one_of(st.sampled_from([0.0, 0.0, 0.1, 0.25, 0.5, 0.5, 1.0]), st.floats(0.0, 1.0))
+_SCORE = st.sampled_from([0.25, 0.5, 0.5, 0.75])
+
+
+@st.composite
+def _scored_frames(draw):
+    """({frame: (gt, pred) IoU table}, {frame: scores}): a frame without ground
+    truth may have no table, and one without predictions no scores."""
+    tables, scores = {}, {}
+    for f in range(draw(st.integers(1, 4))):
+        frame = f"f{f}"
+        n_gt, n_pred = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+        cells = draw(st.lists(_CELL, min_size=n_gt * n_pred, max_size=n_gt * n_pred))
+        if n_pred or draw(st.booleans()):
+            scores[frame] = draw(st.lists(_SCORE, min_size=n_pred, max_size=n_pred))
+        if n_gt or draw(st.booleans()):
+            tables[frame] = np.array(cells, dtype=np.float64).reshape(n_gt, n_pred)
+    return tables, scores
+
+
+@given(_scored_frames(), st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+@example(  # score and IoU ties, IoUs at the threshold, predictions in a frame with no GT
+    ({"a": np.array([[0.5, 0.5, 0.25], [0.5, 0.0, 0.5]]), "b": np.zeros((0, 2)),
+      "c": np.array([[0.5], [0.5]])},
+     {"a": [0.5, 0.5, 0.75], "b": [0.75, 0.5], "c": [0.5], "d": [0.75]}),
+    0.5,
+)
+@settings(max_examples=300, deadline=None)
+def test_ap_and_matches_equal_the_scan_oracle_bit_for_bit(frames, threshold):
+    tables, scores = frames
+    for table in tables.values():
+        assert evaluation._greedy(table) == oracles.match_gt_by_scan(table.tolist())
+    n_gt = sum(len(table) for table in tables.values())
+    if n_gt == 0:
+        return
+    preds = {frame: [box(score=s) for s in values] for frame, values in scores.items()}
+    got = evaluation._ap_from_tables(tables, preds, n_gt, threshold)
+    want = oracles.ap_11point_by_scan(
+        {frame: table.tolist() for frame, table in tables.items()}, scores, n_gt, threshold)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 class TestEvaluateBoxes:
     def test_self_evaluation_perfect(self):
         gt = {"f0": [box(cz=80.0), box(cz=77.0, cx=5.0)],

@@ -654,6 +654,30 @@ LABEL_LINE = ("Car 0.0 {occlusion} -1.58 587.0 173.3 614.1 200.1 "
               "1.5 1.62 3.88 2.1 1.6 70.2 -1.55 0.9")
 
 
+_OVER = math.nextafter(MAX_BBOX_PIXEL, math.inf)
+
+
+@pytest.mark.parametrize("name", ["Car", "DontCare"])
+@pytest.mark.parametrize("edges, kept", [
+    ((-MAX_BBOX_PIXEL, 0.0, MAX_BBOX_PIXEL, 1.0), True),
+    ((0.0, 0.0, 0.0, 0.0), True),  # a result box with no corner in front of the camera
+    ((614.1, 200.1, 587.0, 173.3), True),  # inverted
+    ((_OVER, 0.0, 1.0, 1.0), False),
+    ((0.0, -_OVER, 1.0, 1.0), False),
+    ((0.0, 0.0, 1e300, 1.0), False),
+    ((0.0, 0.0, 1.0, math.nan), False),
+    ((math.inf, 0.0, 1.0, 1.0), False),
+])
+def test_label_2d_box_edges_lie_within_the_pixel_bound(name, edges, kept):
+    line = f"{name} 0 0 0 {' '.join(map(repr, edges))} 1.5 1.62 3.88 2.1 1.6 70.2 -1.55"
+    if kept:
+        (rec,) = parse_labels(line)
+        assert rec.bbox2d == edges
+    else:
+        with pytest.raises(MalformedLabelLine, match="2D box edge"):
+            parse_labels(line)
+
+
 @pytest.mark.parametrize("occlusion", ["nan", "inf", "-inf", "1e400"])
 def test_non_finite_occlusion_parses_like_zero(occlusion):
     got = parse_labels(LABEL_LINE.format(occlusion=occlusion))

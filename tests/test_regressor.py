@@ -684,6 +684,122 @@ class TestBuildTrainingSet:
         yaws = [t.yaw for _, t in samples]
         assert any(abs(wrap_angle(y - want)) < 1e-9 for y in yaws)
 
+    @staticmethod
+    def _reference_training_set(clouds, detections, labels, calibs, config):
+        """build_training_set with a per-detection matching loop of its own:
+        each detection by score scans every free same-class label."""
+        from farfrustum.geometry import frustum_rows, project_cloud, rot_y
+        from farfrustum.regressor import Route
+
+        samples, skipped = [], 0
+        for frame_id in sorted(set(clouds) & set(detections) & set(labels) & set(calibs)):
+            calib = calibs[frame_id]
+            gt = [rec for rec in labels[frame_id] if not rec.dontcare
+                  and rec.box is not None and rec.class_name in config.classes]
+            matched_gt, pairs = set(), []
+            for det in sorted(detections[frame_id], key=lambda d: -d.score):
+                best_iou, best_idx = 0.0, -1
+                for gi, rec in enumerate(gt):
+                    if gi in matched_gt or rec.class_name != det.class_name:
+                        continue
+                    iou = bbox_iou_2d(det.bbox, rec.bbox2d)
+                    if iou > best_iou:
+                        best_iou, best_idx = iou, gi
+                if best_idx >= 0 and best_iou >= 0.5:
+                    matched_gt.add(best_idx)
+                    pairs.append((best_idx, det))
+            skipped += len(gt) - len(matched_gt)
+            if not pairs:
+                continue
+            projection = project_cloud(clouds[frame_id], calib, config.image_size)
+            dets = [det for _, det in pairs]
+            segments = list(frustum_rows(projection, dets, config.frustum_mode == "mask"))
+            batch = frustum_chain(projection, segments, dets, calib, config)
+            kept = [gi for (gi, _), route in zip(pairs, batch.routes) if route is Route.FARAWAY]
+            skipped += len(pairs) - len(kept)
+            for gi, angle, centroid, raster in zip(kept, batch.theta, batch.centroids,
+                                                   batch.rasters):
+                rec, theta = gt[gi], float(angle)
+                shift = rot_y(-theta) @ np.asarray(rec.box.center) - centroid
+                samples.append((raster, BoxRegression(
+                    shift=(shift[0], shift[1], shift[2]), size=rec.box.size,
+                    yaw=wrap_angle(rec.box.yaw - theta))))
+        return samples, skipped
+
+    @staticmethod
+    def _constructed_frames(calib):
+        """Frames with score ties, a 2D IoU of exactly 0.5, a detection of
+        another class overlapping better, an IoU tie between two ground
+        truths and more detections than ground truths; then seeded frames
+        of boxes on a 20 px grid."""
+        from farfrustum.kitti_io import Box3D, Detection2D, Frame, LabelRecord, PointCloud
+        from farfrustum.synth import camera_to_lidar_points
+
+        rng = np.random.default_rng(3)
+        pts = np.column_stack([rng.uniform(-40, 40, 4000), rng.uniform(-3, 2, 4000),
+                               rng.uniform(70, 90, 4000)])  # u 202-1019, v 142-194
+        cloud = PointCloud(camera_to_lidar_points(pts, calib), Frame.LIDAR)
+
+        def label(name, bbox):
+            box = Box3D((rng.uniform(-5, 5), 1.0, rng.uniform(70, 90)),
+                        rng.uniform(-3, 3), (1.6, 3.9, 1.5), name)
+            return LabelRecord(name, box, bbox)
+
+        def det(name, score, bbox):
+            return Detection2D("f", name, score, bbox, image_size=(1242, 375))
+
+        labels = {"a": [label("car", (300, 150, 400, 190)), label("car", (420, 150, 520, 190)),
+                        label("pedestrian", (600, 150, 640, 190)),
+                        label("car", (700, 150, 800, 190)),
+                        LabelRecord("dontcare", None, (300, 150, 400, 190), True),
+                        label("car", (850, 150, 950, 190)), label("car", (850, 150, 950, 190))],
+                  "b": [], "c": [label("car", (300, 150, 400, 190))]}
+        detections = {
+            "a": [det("car", 0.9, (300, 150, 400, 190)),  # IoU 1 with car 0
+                  det("car", 0.9, (420, 150, 470, 190)),  # IoU exactly 0.5 with car 1
+                  det("pedestrian", 0.8, (420, 150, 520, 190)),  # IoU 1 with car 1
+                  det("car", 0.9, (300, 150, 400, 190)),  # car 0 taken by the tie before
+                  det("car", 0.5, (760, 150, 860, 190)),  # IoU 0.25 with car 3
+                  det("pedestrian", 0.6, (600, 150, 640, 190)),
+                  det("car", 0.7, (850, 150, 950, 190))],  # IoU 1 with both last cars
+            "b": [det("car", 0.9, (300, 150, 400, 190))], "c": []}
+        for f in range(12):
+            edges = [300 + 20 * int(rng.integers(0, 30)) for _ in range(4)]
+            labels[f"r{f}"] = [
+                label(str(rng.choice(CLASSES)), (u, 150, u + 20 * int(rng.integers(2, 5)), 190))
+                for u in edges[:int(rng.integers(0, 5))]]
+            detections[f"r{f}"] = [
+                det(str(rng.choice(CLASSES)), float(rng.choice([0.5, 0.9])),
+                    (u + 20 * shift, 150, u + 20 * (shift + int(rng.integers(2, 5))), 190))
+                for u in edges for shift in rng.integers(-1, 2, int(rng.integers(0, 4)))]
+        frames = sorted(labels)
+        return ({f: cloud for f in frames}, detections, labels, {f: calib for f in frames})
+
+    def test_pairs_equal_the_per_detection_loop(self, simple_calib, mini_dataset):
+        from farfrustum.pipeline import load_frame_inputs
+
+        demo = self._config(mini_dataset.root)
+        inputs = {f: load_frame_inputs(mini_dataset.root, f, demo) for f in mini_dataset.frame_ids}
+        cases = [
+            (self._constructed_frames(simple_calib),
+             PipelineConfig(frustum_mode="box", raster_grid=16)),
+            (tuple({f: getattr(i, name) for f, i in inputs.items()}
+                   for name in ("cloud", "detections", "labels", "calib")), demo),
+        ]
+        for frames, config in cases:
+            samples, skipped = build_training_set(*frames, config)
+            want_samples, want_skipped = self._reference_training_set(*frames, config)
+            assert skipped == want_skipped
+            assert len(samples) == len(want_samples)
+            for (raster, target), (want_raster, want_target) in zip(samples, want_samples):
+                assert raster.class_name == want_raster.class_name
+                assert raster.grid.tobytes() == want_raster.grid.tobytes()
+                assert target == want_target
+        # frame a pairs the first two cars (IoU 1 and 0.5), the pedestrian and the first
+        # of the tied cars, and skips the car at IoU 0.25 and the second tied car
+        frames, config = cases[0]
+        assert build_training_set(*({"a": d["a"], "c": d["c"]} for d in frames), config)[1] == 3
+
     def test_constructed_depth_offset(self, simple_calib):
         # single GT whose center sits 0.5 m deeper than the planted cluster
         from farfrustum.kitti_io import Detection2D, Frame, PointCloud, Box3D, LabelRecord
