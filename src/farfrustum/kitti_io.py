@@ -171,14 +171,17 @@ class CalibrationSet:
         if not err < ROTATION_TOLERANCE:
             raise BadCalibration(f"R0_rect not orthonormal (|R R^T - I| = {err:g})")
         r, offset = self.Tr_velo_to_cam[:, :3], self.Tr_velo_to_cam[:, 3]
-        err, det = np.abs(r @ r.T - np.eye(3)).max(), np.linalg.det(r)
+        # a subnormal pivot makes det divide by zero; such a matrix is refused below
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            err, det = np.abs(r @ r.T - np.eye(3)).max(), np.linalg.det(r)
+            p2_det = np.linalg.det(self.P2[:, :3])
         if not (err < ROTATION_TOLERANCE and det > 0):
             raise BadCalibration(f"Tr_velo_to_cam is not a rotation "
                                  f"(|R R^T - I| = {err:g}, det = {det:g})")
         if not np.abs(offset).max() <= MAX_MOUNT_OFFSET_M:
             raise BadCalibration(f"Tr_velo_to_cam offsets the lidar beyond "
                                  f"{MAX_MOUNT_OFFSET_M:g} m")
-        if abs(np.linalg.det(self.P2[:, :3])) < 1e-12:
+        if not abs(p2_det) >= 1e-12:
             raise BadCalibration("left 3x3 of P2 is not invertible")
 
     def reach(self) -> tuple[np.ndarray, np.ndarray]:

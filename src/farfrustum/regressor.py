@@ -275,13 +275,14 @@ def training_batch(params: RegressorParams, data: Samples | TrainingBatch) -> Tr
         return data
     if not data:
         raise EmptyDataset("no training samples")
-    xs, ts, ps = [], [], []
-    for raster, target in data:
+    x = np.empty((len(data), params.grid_size**2 + len(params.classes)))
+    ts, ps = [], []
+    for row, (raster, target) in zip(x, data):
         _check_layout(params, raster)
-        xs.append(raster.feature_vector())
+        row[:] = raster.feature_vector()
         ts.append(target.as_vector())
         ps.append(params.priors[params.classes.index(raster.class_name)])
-    return TrainingBatch(np.array(xs), np.array(ts), np.array(ps))
+    return TrainingBatch(x, np.array(ts), np.array(ps))
 
 
 def mean_loss(params: RegressorParams, data: Samples | TrainingBatch) -> float:
@@ -308,14 +309,16 @@ def _batch_loss(
 
 
 def loss_and_gradients(
-    params: RegressorParams, data: Samples | TrainingBatch
+    params: RegressorParams, data: Samples | TrainingBatch, *, grad_w1: np.ndarray | None = None
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean summed MAE over the dataset and its gradient in each tensor.
 
     `data` is a sample list or the TrainingBatch that train() builds from
     one before its epoch loop. MAE derivatives are sign functions; the exp
     size mapping contributes a factor of the predicted size itself, and the
-    yaw wrap has unit slope almost everywhere.
+    yaw wrap has unit slope almost everywhere. Given a w1-shaped `grad_w1`,
+    the w1 gradient is written into it, in the same product, and returned
+    as grads["w1"]; without one it is a fresh array.
     """
     x, targets, priors = training_batch(params, data)
     loss, diff, hidden, pred = _batch_loss(params, x, targets, priors)
@@ -326,7 +329,7 @@ def loss_and_gradients(
     grad_b2 = d_raw.sum(axis=0)
     d_hidden = d_raw @ params.w2
     d_pre = d_hidden * (1.0 - hidden**2)
-    grad_w1 = d_pre.T @ x
+    grad_w1 = np.matmul(d_pre.T, x, out=grad_w1)
     grad_b1 = d_pre.sum(axis=0)
     grads = {"w1": grad_w1, "b1": grad_b1, "w2": grad_w2, "b2": grad_b2}
     return loss, grads
@@ -385,8 +388,11 @@ def train(
     samples); the monitored loss is validation when available, else train.
     Each split becomes a TrainingBatch once, before the epochs, which pass
     it to loss_and_gradients and mean_loss. The best-seen parameters are
-    restored at the end. Deterministic for a fixed seed: two runs yield
-    bit-identical parameters.
+    restored at the end. Every epoch runs in buffers allocated once per
+    call: the w1 gradient, one Adam scratch array per weight tensor and the
+    best-seen snapshot. They change no bit of the arithmetic, which is
+    Adam's out-of-place update step for step. Deterministic for a fixed
+    seed: two runs yield bit-identical parameters.
     """
     if not dataset:
         raise EmptyDataset("cannot train on an empty dataset")
@@ -409,30 +415,38 @@ def train(
     train_batch = training_batch(params, [dataset[i] for i in order[n_val:]])
     monitor = training_batch(params, [dataset[i] for i in order[:n_val]]) if n_val else train_batch
 
-    # Adam state, one slot per weight tensor; updated in place, grads as scratch.
+    # Adam state and scratch, one slot per weight tensor, all updated in place;
+    # each grad is scratch too, the w1 one a buffer that every epoch refills.
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    moment1 = {k: np.zeros_like(getattr(params, k)) for k in ("w1", "b1", "w2", "b2")}
+    keys = ("w1", "b1", "w2", "b2")
+    moment1 = {k: np.zeros_like(getattr(params, k)) for k in keys}
     moment2 = {k: np.zeros_like(v) for k, v in moment1.items()}
+    scratch = {k: np.empty_like(v) for k, v in moment1.items()}
+    grad_w1 = np.empty_like(params.w1)
 
     best = params.copy()
     best_loss = math.inf
     stale = 0
     for step in range(1, hyper.epochs + 1):
-        _, grads = loss_and_gradients(params, train_batch)
+        _, grads = loss_and_gradients(params, train_batch, grad_w1=grad_w1)
         for key, grad in grads.items():
-            m, v, tensor = moment1[key], moment2[key], getattr(params, key)
+            m, v, s, tensor = moment1[key], moment2[key], scratch[key], getattr(params, key)
             m *= beta1
-            m += (1.0 - beta1) * grad
+            m += np.multiply(1.0 - beta1, grad, out=s)
             v *= beta2
-            v += (1.0 - beta2) * np.square(grad, out=grad)
+            v += np.multiply(1.0 - beta2, np.square(grad, out=grad), out=s)
             # lr * m_hat first, then / (sqrt(v_hat) + eps): the order fixes the rounding
-            update = np.multiply(hyper.learning_rate, m / (1.0 - beta1**step), out=grad)
-            update /= np.sqrt(v / (1.0 - beta2**step)) + eps
+            update = np.multiply(hyper.learning_rate,
+                                 np.divide(m, 1.0 - beta1**step, out=grad), out=grad)
+            np.sqrt(np.divide(v, 1.0 - beta2**step, out=s), out=s)
+            s += eps
+            update /= s
             tensor -= update
         monitored = mean_loss(params, monitor)
         if monitored < best_loss:
             best_loss = monitored
-            best = params.copy()
+            for key in keys:
+                np.copyto(getattr(best, key), getattr(params, key))
             stale = 0
         else:
             stale += 1
@@ -539,6 +553,22 @@ def bbox_iou_2d(
     area_a = (a[2] - a[0]) * (a[3] - a[1])
     area_b = (b[2] - b[0]) * (b[3] - b[1])
     return inter / (area_a + area_b - inter)
+
+
+def bbox_iou_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """bbox_iou_2d of each row of (D, 4) `a` with each row of (G, 4) `b`, as (D, G).
+
+    One broadcast of bbox_iou_2d's own operations, so every overlap has its
+    bits; a cell without one is 0.
+    """
+    a, b = np.asarray(a, np.float64)[:, None, :], np.asarray(b, np.float64)[None, :, :]
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = iw * ih
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    return np.divide(inter, area_a + area_b - inter, out=np.zeros_like(inter),
+                     where=(iw > 0) & (ih > 0))
 
 
 class Route(Enum):
@@ -654,6 +684,7 @@ def build_training_set(
     """
     samples: list[tuple[BevRaster, BoxRegression]] = []
     skipped = 0
+    code = {name: k for k, name in enumerate(config.classes)}
     frame_ids = sorted(set(clouds) & set(detections) & set(labels) & set(calibs))
     for frame_id in frame_ids:
         calib = calibs[frame_id]
@@ -664,8 +695,10 @@ def build_training_set(
             and rec.class_name in config.classes
         ]
         ranked = sorted(detections[frame_id], key=lambda d: -d.score)
-        table = np.array([[bbox_iou_2d(d.bbox, rec.bbox2d) if rec.class_name == d.class_name
-                           else 0.0 for rec in gt] for d in ranked]).reshape(len(ranked), len(gt))
+        table = bbox_iou_table(np.array([d.bbox for d in ranked]).reshape(-1, 4),
+                               np.array([rec.bbox2d for rec in gt]).reshape(-1, 4))
+        table[np.array([code.get(d.class_name, -1) for d in ranked], dtype=np.intp)[:, None]
+              != np.array([code[rec.class_name] for rec in gt], dtype=np.intp)] = 0.0
         matches = _match(_overlaps(table, 0), range(len(ranked)), 0.5)
         skipped += len(gt) - len(matches)
         if not matches:

@@ -689,8 +689,23 @@ def _assert_refused(code, err, path):
     assert code == 1 and err.startswith(f"error: {path}: ") and err.count("\n") == 1, (code, err)
 
 
+def _kitti_calib(tr_velo_to_cam: str) -> bytes:
+    """A calibration file in KITTI's layout, every camera given, with this mount."""
+    p = "P{}: 721.5377 0 609.5593 {} 0 721.5377 172.854 0 0 0 1 0\n"
+    return "".join([
+        *(p.format(k, offset) for k, offset in enumerate(("0", "-387.5744", "44.85728",
+                                                          "-337.2877"))),
+        "R0_rect: 1 0 0 0 1 0 0 0 1\n",
+        f"Tr_velo_to_cam: {tr_velo_to_cam}\n",
+        "Tr_imu_to_velo: 1 0 0 -0.81 0 1 0 0.32 0 0 1 -0.8\n",
+    ]).encode()
+
+
 BAD_FILES = {
     "calib": ("run", "calib/000000.txt", b"R0_rect: 1 0\n"),
+    # a subnormal entry once made det print a divide-by-zero RuntimeWarning first
+    "calib subnormal mount": ("run", "calib/000000.txt",
+                              _kitti_calib("0 1e-320 0 0 0 0 -1 -0.075 1 0 0 -0.272")),
     "velodyne": ("run", "velodyne/000000.bin", bytes(13)),
     "velodyne intensity": ("run", "velodyne/000000.bin", struct.pack("<4f", 1, 2, 3, math.nan)),
     # a signaling NaN x once printed a cast RuntimeWarning before the error

@@ -1,6 +1,7 @@
 import math
 import re
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -397,10 +398,10 @@ def reference_train(dataset, hyper, priors):
     return best
 
 
-def two_class_samples(rng, n):
+def two_class_samples(rng, n, grid_size=8):
     """n samples alternating the two classes, yaw targets anywhere on the circle."""
     return [
-        (random_raster(rng, cls=CLASSES[i % 2]),
+        (random_raster(rng, grid_size=grid_size, cls=CLASSES[i % 2]),
          BoxRegression(tuple(rng.uniform(-1, 1, 3)), tuple(rng.uniform(0.5, 4.0, 3)),
                        float(rng.uniform(-math.pi, math.pi))))
         for i in range(n)
@@ -423,6 +424,42 @@ class TestTrainMatchesReference:
         want = reference_train(dataset, hyper, PRIORS)
         assert np.array_equal(flatten_params(got), flatten_params(want))
         assert np.array_equal(got.priors, want.priors)
+
+    def test_benchmark_layout_bit_identical(self):
+        # train_mask's layout: a 32 x 32 grid and 64 hidden units take w1's
+        # gradient and Adam step through BLAS's large-matrix kernels
+        dataset = two_class_samples(np.random.default_rng(59), 48, grid_size=32)
+        hyper = TrainConfig(hidden=64, epochs=40, patience=40, seed=5)
+        got = train(dataset, hyper, priors=PRIORS)
+        want = reference_train(dataset, hyper, PRIORS)
+        assert got.w1.shape == (64, 32 * 32 + 2)
+        assert np.array_equal(flatten_params(got), flatten_params(want))
+        assert np.array_equal(got.priors, want.priors)
+
+    def test_epochs_allocate_nothing_of_w1_size(self, monkeypatch):
+        """From one loss_and_gradients call to the next, one epoch's gradient,
+        Adam step and monitoring allocate no array of w1's size: its gradient,
+        Adam's scratch and the best-epoch snapshot are allocated before."""
+        windows = []
+        inner = regressor.loss_and_gradients
+
+        def watching(*args, **kwargs):
+            current, peak = tracemalloc.get_traced_memory()
+            windows.append(peak - current)
+            tracemalloc.reset_peak()
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(regressor, "loss_and_gradients", watching)
+        # few samples, so the (N, hidden) arrays of an epoch stay small
+        dataset = two_class_samples(np.random.default_rng(61), 8, grid_size=32)
+        tracemalloc.start()
+        try:
+            params = train(dataset, TrainConfig(hidden=64, epochs=12, patience=12),
+                           priors=PRIORS)
+        finally:
+            tracemalloc.stop()
+        assert len(windows) == 12
+        assert max(windows[1:]) < params.w1.nbytes / 2, windows
 
     def test_each_sample_converted_once_per_call(self, monkeypatch):
         calls = Counter()
@@ -629,6 +666,33 @@ def test_bbox_iou_2d_basics():
     assert bbox_iou_2d(a, a) == pytest.approx(1.0)
     assert bbox_iou_2d(a, (20.0, 20.0, 30.0, 30.0)) == 0.0
     assert bbox_iou_2d(a, (5.0, 0.0, 15.0, 10.0)) == pytest.approx(1.0 / 3.0)
+
+
+_EDGE_BOXES = [
+    (0.0, 0.0, 10.0, 10.0),
+    (0.0, 0.0, 10.0, 10.0),     # identical to the first
+    (10.0, 0.0, 20.0, 10.0),    # touches the first along u = 10
+    (0.0, 10.0, 10.0, 20.0),    # touches it along v = 10
+    (10.0, 10.0, 20.0, 20.0),   # touches it at one corner
+    (10.0, 10.0, 0.0, 0.0),     # the first, inverted
+    (5.0, -3.0, 2.0, 8.0),      # inverted in u only
+    (-0.0, -0.0, 0.0, 0.0),     # no area, signed zeros
+    (0.1, 0.2, 9.7, 3.3),
+    (-1e5, -1e5, 1e5, 1e5),     # the widest box a label may hold
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(*[st.one_of(st.sampled_from([-0.0, 0.0, 1.0, 2.5, 10.0]),
+                                      st.floats(-1e5, 1e5))] * 4), max_size=8),
+       st.lists(st.sampled_from(_EDGE_BOXES), max_size=6))
+def test_bbox_iou_table_is_bbox_iou_2d_bit_for_bit(drawn, picked):
+    a = _EDGE_BOXES + drawn
+    b = picked + drawn[::-1] + _EDGE_BOXES
+    table = regressor.bbox_iou_table(np.array(a).reshape(-1, 4), np.array(b).reshape(-1, 4))
+    assert table.shape == (len(a), len(b))
+    want = np.array([[bbox_iou_2d(u, w) for w in b] for u in a]).reshape(len(a), len(b))
+    assert table.tobytes() == want.tobytes()
 
 
 class TestBuildTrainingSet:
