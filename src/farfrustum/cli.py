@@ -131,6 +131,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.machine:
         for line in evaluation.machine_lines(report):
             print(line)
+    if args.matches:
+        for frame, cls, gi, pi, iou in report.matches:
+            print(f"{frame},{cls},{gi},{'' if pi is None else pi},{iou:.6f}")
     return 0
 
 
@@ -243,6 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--faraway-only", action="store_true")
     p_eval.add_argument("--machine", action="store_true",
                         help="also print class,metric,value lines")
+    p_eval.add_argument("--matches", action="store_true",
+                        help="also print frame,class,gt,pred,iou lines, one per ground truth")
     p_eval.set_defaults(func=cmd_eval)
 
     p_stats = sub.add_parser("stats", help="per-object point counts vs depth")

@@ -6,11 +6,14 @@ ray becomes +z).
 
 The lidar -> camera -> image step depends only on the frame, so it runs
 once per frame. ``project_cloud`` keeps only the points that can be frustum
-members: those in front of the camera with finite pixels and, given an
-image size (W, H), with 0 <= u < W and 0 <= v < H. The crop loses nothing,
-since a box clamped to the image and a mask of the image's size hold no
-other point. Given an image size, a pre-test first drops the points that
-are certainly behind the camera or off the image, by one product with a
+members: those in front of the camera with finite pixels and, given a crop
+(u0, v0, u1, v1), with u0 <= u < u1 and v0 <= v < v1. A frame's crop is
+``detection_window``: the bounding rectangle of its detections' clamped
+boxes, or the whole image (0, 0, W, H) when one of them is cut by its mask.
+The crop loses nothing, since each box frustum lies in its clamped box and a
+mask of the image's size holds no point off the image; ``frustum_rows``
+refuses a frustum that leaves the crop. Given a crop, a pre-test first drops the points
+that are certainly behind the camera or outside it, by one product with a
 6x3 matrix built once per frame; its margin, 2^-40 of the magnitude each
 tested value reaches on points within MAX_POINT_RANGE_M, dwarfs the
 rounding of either path, so the chain alone decides which of the other
@@ -25,7 +28,8 @@ BLAS gemv, which rounds otherwise, so a lone tail row joins the block
 before it and a lone candidate takes a neighbour along.
 ``frustum_rows`` cuts each detection's frustum from that projection as rows
 of its camera points (``points_in_box_frustum`` and ``points_in_mask_frustum``
-cut one) and refuses a detection whose image size differs from the crop;
+cut one) and refuses a detection whose image size differs from the
+projection's or whose frustum leaves its crop (``CropMismatch``);
 ``frustum_rotations`` then rotates all of a frame's frustums, held as segments
 of one array, in one call. All operations preserve point order, and a
 projection is never modified after it is built.
@@ -95,27 +99,64 @@ def project_to_image(
     return uv.T, valid
 
 
+Window = tuple[float, float, float, float]  # a pixel rectangle (u0, v0, u1, v1)
+
+
 @dataclass(frozen=True, eq=False)
 class CloudProjection:
     """The points of one frame that can be frustum members, on the image plane.
 
     Rows keep the input order: the points in front of the camera with
-    finite pixels and, when `image_size` (W, H) is set, 0 <= u < W and
-    0 <= v < H.
+    finite pixels and, when `window` (u0, v0, u1, v1) is set, u0 <= u < u1
+    and v0 <= v < v1. With `image_size` (W, H) set, the window lies in
+    (0, 0, W, H).
     """
 
     camera: PointCloud   # camera-frame points
     u: np.ndarray        # (N,) pixel columns, contiguous, read-only
     v: np.ndarray        # (N,) pixel rows, contiguous, read-only
-    image_size: tuple[int, int] | None  # the crop (W, H), or None
+    image_size: tuple[int, int] | None  # the image (W, H), or None
+    window: Window | None  # the crop, or None
 
-    def require_crop(self, image_size: tuple[int, int] | None) -> None:
-        """Raise CropMismatch unless a frustum on an image of that size lies in the crop."""
+    def require_crop(self, image_size: tuple[int, int] | None, rect: Window) -> None:
+        """Raise CropMismatch unless a frustum within `rect` on an image of that size
+        lies in the crop; an empty `rect` always does."""
         if self.image_size is not None and image_size != self.image_size:
             raise CropMismatch(
                 f"detection image size {image_size} differs from the projection's "
-                f"crop {self.image_size}"
+                f"image {self.image_size}"
             )
+        u0, v0, u1, v1 = rect
+        if self.window is not None and u0 < u1 and v0 < v1:
+            wu0, wv0, wu1, wv1 = self.window
+            if not (wu0 <= u0 and wv0 <= v0 and u1 <= wu1 and v1 <= wv1):
+                raise CropMismatch(f"frustum {rect} leaves the projection's crop {self.window}")
+
+
+def _clamped(det: Detection2D) -> Window:
+    """The detection's box, clamped to its image when the image's size is known."""
+    u0, v0, u1, v1 = det.bbox
+    if det.image_size is not None:
+        w, h = det.image_size
+        u0, u1 = max(u0, 0.0), min(u1, float(w))
+        v0, v1 = max(v0, 0.0), min(v1, float(h))
+    return u0, v0, u1, v1
+
+
+def detection_window(detections: Sequence[Detection2D], masks: bool) -> Window | None:
+    """The crop that holds every frustum of `detections`, cut as ``frustum_rows`` cuts them.
+
+    The bounding rectangle of their clamped boxes; a box that misses its image adds nothing
+    (no box: the empty (0, 0, 0, 0)); None, for the whole image, when `masks` is set and
+    a detection has a mask.
+    """
+    if masks and any(det.mask is not None for det in detections):
+        return None
+    boxes = [box for box in map(_clamped, detections) if box[0] < box[2] and box[1] < box[3]]
+    if not boxes:
+        return (0.0, 0.0, 0.0, 0.0)
+    u0, v0, u1, v1 = zip(*boxes)
+    return min(u0), min(v0), max(u1), max(v1)
 
 
 def _blocks(n: int, size: int = BLOCK_ROWS) -> list[tuple[int, int]]:
@@ -126,27 +167,26 @@ def _blocks(n: int, size: int = BLOCK_ROWS) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n]))
 
 
-def _screen(
-    calib: CalibrationSet, image_size: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
+def _screen(calib: CalibrationSet, window: Window) -> tuple[np.ndarray, np.ndarray]:
     """The pre-test: a 6x3 matrix and the limit each row of its product must reach.
 
-    Rows: camera z, w, u*w, W*w - u*w, v*w, H*w - v*w, less their offsets.
-    Each limit is widened by _SLACK of the row's reach plus w's (a tiny
-    negative u rounds to -0.0); the w limit is raised, to mean w > 0.
+    Rows: camera z, w, u*w - u0*w, u1*w - u*w, v*w - v0*w, v1*w - v*w, less
+    their offsets. Each limit is widened by _SLACK of the row's reach plus w's
+    (a tiny negative u rounds to -0.0); the w limit is raised, to mean w > 0.
     """
-    w_img, h_img = image_size
+    u0, v0, u1, v1 = window
     camera = calib.R0_rect @ calib.Tr_velo_to_cam  # camera = R0 . (Tr . [p;1])
     uw, vw, w = calib.P2 @ np.vstack([camera, [0.0, 0.0, 0.0, 1.0]])
-    rows = np.array([camera[2], w, uw, w_img * w - uw, vw, h_img * w - vw])
+    rows = np.array([camera[2], w, uw - u0 * w, u1 * w - uw, vw - v0 * w, v1 * w - vw])
     (_, _, rz), (ru, rv, rw) = calib.reach()
-    reach = np.array([rz, rw, ru, ru + w_img * rw, rv, rv + h_img * rw]) + rw
+    reach = np.array([rz, rw, ru + abs(u0) * rw, ru + abs(u1) * rw,
+                      rv + abs(v0) * rw, rv + abs(v1) * rw]) + rw
     sign = np.array([-1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
     return rows[:, :3], (sign * _SLACK * reach - rows[:, 3])[:, None]
 
 
 def _candidates(points: np.ndarray, matrix: np.ndarray, limits: np.ndarray) -> np.ndarray:
-    """Rows not certainly behind the camera or off the image, tested block by block;
+    """Rows not certainly behind the camera or outside the crop, tested block by block;
     never just one of several."""
     rows = []
     for start, stop in _blocks(len(points)):  # matmul promotes a scan's float32 block
@@ -159,15 +199,24 @@ def _candidates(points: np.ndarray, matrix: np.ndarray, limits: np.ndarray) -> n
 
 
 def project_cloud(
-    cloud: PointCloud, calib: CalibrationSet, image_size: tuple[int, int] | None = None
+    cloud: PointCloud,
+    calib: CalibrationSet,
+    image_size: tuple[int, int] | None = None,
+    window: Window | None = None,
 ) -> CloudProjection:
     """Project a lidar cloud once, keeping the rows that can be frustum members.
 
-    The candidate rows (every row without `image_size`) go through ``lidar_to_camera``
-    and ``project_to_image`` in blocks of CHAIN_ROWS; with `image_size` (W, H) only the
-    points inside the image are kept, in arrays sized for every candidate.
+    The crop is `window` (u0, v0, u1, v1), clipped to the image (W, H) when
+    `image_size` is given; without a window it is the whole image, or nothing
+    without either. The candidate rows (every row without a crop) go through
+    ``lidar_to_camera`` and ``project_to_image`` in blocks of CHAIN_ROWS; only the
+    points inside the crop are kept, in arrays sized for every candidate.
     """
-    rows = None if image_size is None else _candidates(cloud.points, *_screen(calib, image_size))
+    if image_size is not None:
+        w, h = image_size
+        u0, v0, u1, v1 = (0.0, 0.0, float(w), float(h)) if window is None else window
+        window = (max(u0, 0.0), max(v0, 0.0), min(u1, float(w)), min(v1, float(h)))
+    rows = None if window is None else _candidates(cloud.points, *_screen(calib, window))
     n = len(cloud) if rows is None else len(rows)
     points, uv, kept = np.empty((n, 3)), np.empty((2, n)), 0
     for start, stop in _blocks(n, CHAIN_ROWS):
@@ -177,9 +226,9 @@ def project_cloud(
         del records  # freed before the projection's temporaries
         block_uv, keep = project_to_image(camera, calib)
         u, v = block_uv[:, 0], block_uv[:, 1]
-        if image_size is not None:
-            w, h = image_size
-            keep &= (u >= 0) & (u < w) & (v >= 0) & (v < h)
+        if window is not None:
+            u0, v0, u1, v1 = window
+            keep &= (u >= u0) & (u < u1) & (v >= v0) & (v < v1)
         idx = np.flatnonzero(keep)
         end = kept + len(idx)
         for part, out in ((camera.points, points), (u, uv[0]), (v, uv[1])):
@@ -188,7 +237,7 @@ def project_cloud(
     points, (u, v) = points[:kept], uv[:, :kept]
     u.setflags(write=False)
     v.setflags(write=False)
-    return CloudProjection(PointCloud._wrap(points, Frame.CAMERA), u, v, image_size)
+    return CloudProjection(PointCloud._wrap(points, Frame.CAMERA), u, v, image_size, window)
 
 
 def _pixel_index(u: np.ndarray, v: np.ndarray, shape: tuple[int, int]):
@@ -211,25 +260,24 @@ def frustum_rows(
     floor(v) pixel is positive on it (the pixel index is built once per mask
     shape); any other keeps those in its image-clamped box, u0 <= u < u1 and
     v0 <= v < v1. A mask that fails to load, or a detection whose image size
-    differs from the crop (CropMismatch), raises after the segments before it.
+    differs from the projection's or whose box or mask image leaves the
+    projection's crop (CropMismatch), raises after the segments before it.
     """
     u, v = projection.u, projection.v
     pixels: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
     for det in detections:
         if masks and det.mask is not None:
             mask = det.mask.load()
-            projection.require_crop((mask.shape[1], mask.shape[0]))
+            h, w = mask.shape
+            projection.require_crop((w, h), (0.0, 0.0, float(w), float(h)))
             if mask.shape not in pixels:
                 pixels[mask.shape] = _pixel_index(u, v, mask.shape)
             idx, flat = pixels[mask.shape]
             yield idx[mask.reshape(-1)[flat] > 0]
         else:
-            projection.require_crop(det.image_size)
-            u0, v0, u1, v1 = det.bbox
-            if det.image_size is not None:
-                w, h = det.image_size
-                u0, u1 = max(u0, 0.0), min(u1, float(w))
-                v0, v1 = max(v0, 0.0), min(v1, float(h))
+            box = _clamped(det)
+            projection.require_crop(det.image_size, box)
+            u0, v0, u1, v1 = box
             yield np.flatnonzero((u >= u0) & (u < u1) & (v >= v0) & (v < v1))
 
 

@@ -273,7 +273,8 @@ def load_pointcloud(data: bytes) -> PointCloud:
 def write_whole(path: str | Path, data: str | bytes) -> None:
     """Write a file whole, as a temporary file beside it renamed onto it, or not at all:
     a failed write leaves the old file, no temporary one, and a FarFrustumError naming
-    the path. An existing path that is no regular file (a pipe, a device) is written in place."""
+    the path; any other exception (an interrupt) leaves the same and is re-raised as it
+    is. An existing path that is no regular file (a pipe, a device) is written in place."""
     path = Path(path)
     special = path.exists() and not path.is_file()
     tmp = path if special else path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -282,9 +283,10 @@ def write_whole(path: str | Path, data: str | bytes) -> None:
         if not special:
             os.replace(tmp, path)
     except OSError as exc:
+        raise FarFrustumError(f"{path}: cannot write ({exc.strerror or exc})") from exc
+    finally:  # after a rename the temporary name is gone already
         if not special:
             tmp.unlink(missing_ok=True)
-        raise FarFrustumError(f"{path}: cannot write ({exc.strerror or exc})") from exc
 
 
 # --- P5 PGM masks ----------------------------------------------------------

@@ -30,7 +30,7 @@ from .errors import (
     ZeroAreaBox,
 )
 from .evaluation import faraway_filter
-from .geometry import CloudProjection, frustum_rows, project_cloud, rot_y
+from .geometry import CloudProjection, detection_window, frustum_rows, project_cloud, rot_y
 from .kitti_io import (
     MAX_BBOX_PIXEL,
     Box3D,
@@ -249,7 +249,8 @@ def process_frame(
 ) -> list[Box3D]:
     """Run the faraway branch over all detections and merge with fallback.
 
-    A frame with detections is projected once, cropped to config.image_size;
+    A frame with detections is projected once, cropped to the detections'
+    extent in config.image_size (geometry.detection_window);
     geometry.frustum_rows cuts each detection's frustum from it as rows, by
     its mask in mask mode (CropMismatch for another image size), and
     regressor.frustum_chain routes all of them at once; the faraway ones'
@@ -277,10 +278,12 @@ def process_frame(
         )
     ours: list[Box3D] = []
     if detections:  # a frame without detections is not projected
-        projection = project_cloud(cloud, calib, config.image_size)
+        masks = config.frustum_mode == "mask"
+        projection = project_cloud(cloud, calib, config.image_size,
+                                   detection_window(detections, masks))
         segments: list[np.ndarray] = []
         try:
-            for rows in frustum_rows(projection, detections, config.frustum_mode == "mask"):
+            for rows in frustum_rows(projection, detections, masks):
                 segments.append(rows)
         finally:  # a frustum that fails raises after the detections before it
             if segments:

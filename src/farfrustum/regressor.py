@@ -25,6 +25,7 @@ from .errors import ConfigError, EmptyDataset, ShapeError, UnknownClass
 from .evaluation import _match, _overlaps
 from .geometry import (
     CloudProjection,
+    detection_window,
     frustum_rotations,
     frustum_rows,
     project_cloud,
@@ -674,7 +675,7 @@ def build_training_set(
     Detections, by descending score, are matched to same-class ground truth
     at 2D IoU >= 0.5 by evaluation's one greedy matcher, ``_match``, which
     also scores aIoU and AP. A frame's matched detections are cut from its
-    projection (one per frame, cropped to config.image_size) by
+    projection (one per frame, cropped to their extent in config.image_size) by
     geometry.frustum_rows, with their masks in mask mode, and run
     frustum_chain without thresholds; a match whose frustum is empty is
     skipped. Targets are the ground-truth center minus the estimated
@@ -704,9 +705,11 @@ def build_training_set(
         if not matches:
             continue
 
-        projection = project_cloud(clouds[frame_id], calib, config.image_size)
         dets = [ranked[k] for k, _, _ in matches]
-        segments = list(frustum_rows(projection, dets, config.frustum_mode == "mask"))
+        masks = config.frustum_mode == "mask"
+        projection = project_cloud(clouds[frame_id], calib, config.image_size,
+                                   detection_window(dets, masks))
+        segments = list(frustum_rows(projection, dets, masks))
         batch = frustum_chain(projection, segments, dets, calib, config)
         kept = [gi for (_, gi, _), route in zip(matches, batch.routes) if route is Route.FARAWAY]
         skipped += len(matches) - len(kept)

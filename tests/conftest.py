@@ -70,8 +70,8 @@ def random_calibration(rng: np.random.Generator) -> CalibrationSet:
     return CalibrationSet(P2=p2, R0_rect=r0, Tr_velo_to_cam=tr)
 
 
-def cut_writes(monkeypatch, directory):
-    """Make every write of a file in `directory` stop halfway with ENOSPC."""
+def cut_writes(monkeypatch, directory, error=None):
+    """Make every write of a file in `directory` stop halfway with ENOSPC (or `error`)."""
     for method in ("write_text", "write_bytes"):
         real = getattr(Path, method)
 
@@ -79,6 +79,6 @@ def cut_writes(monkeypatch, directory):
             if path.parent != directory:
                 return _real(path, data, *args, **kwargs)
             _real(path, data[: len(data) // 2], *args, **kwargs)
-            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+            raise error or OSError(errno.ENOSPC, "No space left on device", str(path))
 
         monkeypatch.setattr(Path, method, cut)

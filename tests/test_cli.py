@@ -2,6 +2,7 @@ import math
 import re
 import shutil
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +171,37 @@ class TestEval:
         # the last override, placed after the options, took effect
         assert "car,n_gt," in outputs[0]
         assert "pedestrian," not in outputs[0]
+
+    def test_matches_prints_one_line_per_ground_truth_after_the_report(
+        self, mini_dataset, tmp_path, capsys
+    ):
+        results = tmp_path / "results"
+        shutil.copytree(mini_dataset.root / "label_2", results)
+        (results / "000001.txt").unlink()  # that frame's ground truth goes unmatched
+        outputs = {}
+        for flags in ((), ("--matches",), ("--machine",), ("--machine", "--matches")):
+            assert run_cli("eval", "--results", results, *flags,
+                           f"data_root={mini_dataset.root}") == 0
+            outputs[flags] = capsys.readouterr().out
+        # the report and the --machine lines come first, byte for byte
+        for base in ((), ("--machine",)):
+            assert outputs[(*base, "--matches")].startswith(outputs[base])
+        lines = outputs[("--matches",)][len(outputs[()]):].splitlines()
+        assert lines == outputs[("--machine", "--matches")][len(outputs[("--machine",)]):] \
+            .splitlines()
+        rows = [line.split(",") for line in lines]
+        n_gt = {cls: int(v) for cls, metric, v in
+                (line.split(",") for line in outputs[("--machine",)].splitlines()
+                 if line.count(",") == 2) if metric == "n_gt"}
+        assert len(rows) == sum(n_gt.values()) > 0
+        assert all(len(row) == 5 for row in rows)
+        for frame, cls, gt, pred, iou in rows:
+            assert cls in n_gt and int(gt) >= 0
+            if frame == "000001":
+                assert (pred, iou) == ("", "0.000000")
+            else:  # a result file that copies the labels matches each box to itself
+                assert (pred, iou) == (gt, "1.000000")
+        assert {row[0] for row in rows} >= {"000000", "000001"}
 
     @pytest.mark.parametrize("token", ["stray", "--no-such-flag", "--no-such=1"])
     def test_leftover_non_override_is_usage_error(self, mini_dataset, token, capsys):
@@ -824,6 +856,41 @@ def test_number_scaled_out_of_range_exits_0_or_1_naming_it(mini_dataset, tmp_pat
     path.write_text(original[:start] + repr(float(original[start:stop]) * scale) + original[stop:])
     try:
         _assert_each_verb_passes_or_names(path, root, tmp_path, capsys)
+    finally:
+        path.write_text(original)
+
+
+# extreme and malformed tokens: NaN, +-inf, +-1e308, a subnormal, -0, a non-number, nothing
+FUZZ_TOKENS = ["nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "-0", "x7", ""]
+
+
+@given(data=st.data())
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_detection_token_fuzz_exits_0_or_1_naming_the_file(mini_dataset, tmp_path, capsys, data):
+    """Replace one token of a frame's detection file, which also sets the frame's crop,
+    and run that frame: exit 0 saying nothing, or 1 naming the file; never a warning."""
+    root = tmp_path / "data"
+    if not root.exists():  # one copy for every example; each restores its file
+        shutil.copytree(mini_dataset.root, root)
+    path = root / "detections_2d" / "000000.txt"
+    original = path.read_text()
+    start, stop = data.draw(st.sampled_from([m.span() for m in re.finditer(r"\S+", original)]),
+                            label="token")
+    token = data.draw(st.sampled_from(FUZZ_TOKENS), label="value")
+    mode = data.draw(st.sampled_from(["mask", "box"]), label="frustum_mode")
+    path.write_text(original[:start] + token + original[stop:])
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("run", "--frames", "000000", f"data_root={root}",
+                           f"frustum_mode={mode}", "--out", tmp_path / "out")
+        err = capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+        if code == 0:
+            assert err == ""
+        else:
+            _assert_refused(code, err, path)
     finally:
         path.write_text(original)
 

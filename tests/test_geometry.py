@@ -12,6 +12,7 @@ from farfrustum.errors import BadCalibration, CropMismatch, FarFrustumError, Fra
 from farfrustum.geometry import (
     BLOCK_ROWS,
     CHAIN_ROWS,
+    detection_window,
     frustum_rotation,
     frustum_rows,
     lidar_to_camera,
@@ -261,6 +262,23 @@ _detection_specs = st.tuples(
 )
 
 
+def _oracle_scene(rng, n=300):
+    """(calibration, lidar points, their camera points, the oracles' chain arguments):
+    points back-projected from pixels around SMALL_IMAGE, a quarter behind the camera."""
+    calib = random_calibration(rng)
+    w, h = SMALL_IMAGE
+    pix = np.column_stack([
+        rng.uniform(-60, w + 60, n), rng.uniform(-30, h + 30, n), np.ones(n)
+    ])
+    depth = rng.uniform(-20, 60, n)
+    cam = (pix @ np.linalg.inv(calib.P2[:, :3]).T) * depth[:, None]
+    pts = camera_to_lidar_points(cam, calib)
+    cam_all = lidar_to_camera(PointCloud(pts, Frame.LIDAR), calib)
+    chain = (pts.tolist(), calib.R0_rect.tolist(), calib.Tr_velo_to_cam.tolist(),
+             calib.P2.tolist())
+    return calib, pts, cam_all, chain
+
+
 @given(seed=st.integers(0, 2**32 - 1),
        specs=st.lists(_detection_specs, min_size=1, max_size=4), odd=st.integers(0, 3))
 @settings(max_examples=30, deadline=None,
@@ -269,19 +287,9 @@ def test_shared_projection_matches_oracles(tmp_path, seed, specs, odd):
     """Every detection cut from one projection equals per-point brute force,
     alone and as a segment of the whole list's frustum_rows."""
     rng = np.random.default_rng(seed)
-    calib = random_calibration(rng)
+    calib, pts, cam_all, chain = _oracle_scene(rng)
     w, h = SMALL_IMAGE
-    # back-projected from pixels around the image; a quarter lie behind the camera
-    pix = np.column_stack([
-        rng.uniform(-60, w + 60, 300), rng.uniform(-30, h + 30, 300), np.ones(300)
-    ])
-    depth = rng.uniform(-20, 60, 300)
-    cam = (pix @ np.linalg.inv(calib.P2[:, :3]).T) * depth[:, None]
-    pts = camera_to_lidar_points(cam, calib)
     projection = project_cloud(PointCloud(pts, Frame.LIDAR), calib)
-    cam_all = lidar_to_camera(PointCloud(pts, Frame.LIDAR), calib)
-    chain = (pts.tolist(), calib.R0_rect.tolist(), calib.Tr_velo_to_cam.tolist(),
-             calib.P2.tolist())
     # the cloud row of each projection row: the uncropped projection keeps the valid ones
     kept = np.flatnonzero(project_to_image(cam_all, calib)[1])
     dets, want = [], {False: [], True: []}  # each detection's rows, by `masks`
@@ -327,6 +335,115 @@ def test_shared_projection_matches_oracles(tmp_path, seed, specs, odd):
             for rows in frustum_rows(cropped, sized, masks):
                 cut.append(rows)
         assert len(cut) == k
+
+
+def _clamped_box(det):
+    u0, v0, u1, v1 = det.bbox
+    if det.image_size is not None:
+        w, h = det.image_size
+        u0, v0, u1, v1 = max(u0, 0.0), max(v0, 0.0), min(u1, w), min(v1, h)
+    return u0, v0, u1, v1
+
+
+def _spec_detections(specs):
+    """Box detections of the specs, each clamped to SMALL_IMAGE or not (image_size None)."""
+    return [Detection2D("f", "car", 0.9, (u0, v0, u0 + bw, v0 + bh),
+                        image_size=SMALL_IMAGE if clamped else None)
+            for u0, v0, bw, bh, clamped, _ in specs]
+
+
+@given(seed=st.integers(0, 2**32 - 1), specs=st.lists(_detection_specs, min_size=1, max_size=5))
+@settings(max_examples=30, derandomize=True, deadline=None)
+def test_detection_window_crop_cuts_what_the_oracle_cuts(seed, specs):
+    """Cropped to the boxes' window, each box frustum keeps the oracle's camera points,
+    and the projection holds no point outside the boxes' bounding rectangle."""
+    rng = np.random.default_rng(seed)
+    calib, pts, cam_all, chain = _oracle_scene(rng)
+    cloud = PointCloud(pts, Frame.LIDAR)
+    dets = _spec_detections(specs)
+    sizes = [None, SMALL_IMAGE] if all(det.image_size == SMALL_IMAGE for det in dets) else [None]
+    boxes = [b for b in map(_clamped_box, dets) if b[0] < b[2] and b[1] < b[3]]
+    for image_size in sizes:
+        projection = project_cloud(cloud, calib, image_size, detection_window(dets, masks=False))
+        if boxes:
+            (u0, v0, _, _), (_, _, u1, v1) = np.min(boxes, axis=0), np.max(boxes, axis=0)
+            u, v = projection.u, projection.v
+            assert ((u >= u0) & (u < u1) & (v >= v0) & (v < v1)).all()
+        else:
+            assert len(projection.u) == 0
+        for det, rows in zip(dets, frustum_rows(projection, dets, masks=False)):
+            want = cam_all.points[oracles.box_frustum_indices(*chain, det.bbox, det.image_size)]
+            np.testing.assert_array_equal(projection.camera.points[rows], want)
+            np.testing.assert_array_equal(points_in_box_frustum(projection, det).points, want)
+
+
+@given(seed=st.integers(0, 2**32 - 1), specs=st.lists(_detection_specs, min_size=1, max_size=4),
+       masked=st.integers(0, 3))
+@settings(max_examples=15, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_one_masked_detection_keeps_the_image_wide_crop(tmp_path, seed, specs, masked):
+    rng = np.random.default_rng(seed)
+    calib, pts, cam_all, chain = _oracle_scene(rng)
+    w, h = SMALL_IMAGE
+    mask = np.zeros((h, w), dtype=np.uint8)
+    r, c = int(rng.integers(0, h)), int(rng.integers(0, w))
+    block = mask[r:r + int(rng.integers(1, h)), c:c + int(rng.integers(1, w))]
+    block[...] = (rng.uniform(size=block.shape) < 0.6) * 255
+    write_pgm(tmp_path / "m.pgm", mask)
+    k = masked % len(specs)
+    dets = [Detection2D("f", "car", 0.9, det.bbox, image_size=SMALL_IMAGE,
+                        mask=MaskRef(tmp_path / "m.pgm", SMALL_IMAGE) if i == k else None)
+            for i, det in enumerate(_spec_detections(specs))]
+    assert detection_window(dets, masks=True) is None
+    projection = project_cloud(PointCloud(pts, Frame.LIDAR), calib, SMALL_IMAGE,
+                               detection_window(dets, masks=True))
+    assert projection.window == (0.0, 0.0, w, h)
+    for i, (det, rows) in enumerate(zip(dets, frustum_rows(projection, dets, masks=True))):
+        want = (oracles.mask_frustum_indices(*chain, mask) if i == k
+                else oracles.box_frustum_indices(*chain, det.bbox, SMALL_IMAGE))
+        np.testing.assert_array_equal(projection.camera.points[rows], cam_all.points[want])
+
+
+@given(seed=st.integers(0, 2**32 - 1), specs=st.lists(_detection_specs, min_size=2, max_size=5))
+@settings(max_examples=30, derandomize=True, deadline=None)
+def test_a_box_that_leaves_the_crop_raises(seed, specs):
+    """Cut from a projection cropped to the first box's window, a box inside it keeps the
+    oracle's points; one that leaves it raises CropMismatch rather than losing points."""
+    rng = np.random.default_rng(seed)
+    calib, pts, cam_all, chain = _oracle_scene(rng)
+    dets = _spec_detections(specs)
+    window = detection_window(dets[:1], masks=False)
+    projection = project_cloud(PointCloud(pts, Frame.LIDAR), calib, None, window)
+    assert projection.window == window
+    for det in dets[1:]:
+        u0, v0, u1, v1 = _clamped_box(det)
+        if (u0 >= u1 or v0 >= v1 or window[0] <= u0 and window[1] <= v0
+                and u1 <= window[2] and v1 <= window[3]):
+            want = oracles.box_frustum_indices(*chain, det.bbox, det.image_size)
+            np.testing.assert_array_equal(points_in_box_frustum(projection, det).points,
+                                          cam_all.points[want])
+        else:
+            with pytest.raises(CropMismatch):
+                points_in_box_frustum(projection, det)
+            with pytest.raises(CropMismatch):
+                next(frustum_rows(projection, [det], masks=False))
+
+
+def test_a_mask_cut_on_a_narrowed_projection_raises(tmp_path):
+    w, h = SMALL_IMAGE
+    write_pgm(tmp_path / "m.pgm", np.full((h, w), 255, dtype=np.uint8))
+    det = Detection2D("f", "car", 0.9, (0.0, 0.0, w, h), image_size=SMALL_IMAGE,
+                      mask=MaskRef(tmp_path / "m.pgm", SMALL_IMAGE))
+    cloud = PointCloud([[0.0, 0.0, 10.0]], Frame.LIDAR)
+    whole = project_cloud(cloud, IDENTITY_CALIB, SMALL_IMAGE, (-5.0, -5.0, w + 5.0, h + 5.0))
+    assert whole.window == (0.0, 0.0, w, h)  # clipped to the image
+    assert len(points_in_mask_frustum(whole, det)) == 0
+    for window in ((1.0, 0.0, w, h), (0.0, 0.0, w, h - 0.5)):
+        narrow = project_cloud(cloud, IDENTITY_CALIB, SMALL_IMAGE, window)
+        with pytest.raises(CropMismatch, match="leaves the projection's crop"):
+            points_in_mask_frustum(narrow, det)
+        with pytest.raises(CropMismatch):  # the box, the whole image, leaves it too
+            points_in_box_frustum(narrow, det)
 
 
 def _reference_projection(points, calib):

@@ -419,6 +419,14 @@ def test_write_whole_replaces_the_file_or_leaves_it(tmp_path, monkeypatch, data)
                 write_whole(target, data)
         assert [p.name for p in tmp_path.iterdir()] == ([] if before is None else ["out.bin"])
         assert before is None or target.read_bytes() == before
+    interrupt = KeyboardInterrupt()  # cut mid-write: re-raised as it is, the old file kept
+    with monkeypatch.context() as m:
+        cut_writes(m, tmp_path, interrupt)
+        with pytest.raises(KeyboardInterrupt) as raised:
+            write_whole(target, data)
+    assert raised.value is interrupt
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+    assert target.read_bytes() == b"old"
     write_whole(target, data)
     assert target.read_bytes() == (data.encode() if isinstance(data, str) else data)
     assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]

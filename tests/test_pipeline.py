@@ -478,11 +478,13 @@ def test_process_frame_passes_every_candidate_row_through_lidar_to_camera_once(
     rng = np.random.default_rng(3)
     clutter = rng.uniform(-40.0, 40.0, size=(3 * geometry.BLOCK_ROWS + 7, 3))
     cloud = PointCloud(np.vstack([clutter, planted.points]), Frame.LIDAR)
-    # the rows the whole-cloud chain keeps in the image
+    # the rows the whole-cloud chain keeps in the image, and in the detection's box
     uv, valid = geometry.project_to_image(
         geometry.lidar_to_camera(cloud, simple_calib), simple_calib)
     (w, h), (u, v) = PipelineConfig().image_size, uv.T
     in_image = np.flatnonzero(valid & (u >= 0) & (u < w) & (v >= 0) & (v < h))
+    u0, v0, u1, v1 = det.bbox  # inside the image, so clamping leaves it
+    in_box = np.flatnonzero(valid & (u >= u0) & (u < u1) & (v >= v0) & (v < v1))
     blocks = []
 
     def recorded(block, calib, _fn=geometry.lidar_to_camera):
@@ -495,8 +497,9 @@ def test_process_frame_passes_every_candidate_row_through_lidar_to_camera_once(
     row_of = {p.tobytes(): k for k, p in enumerate(cloud.points)}
     sent = np.array([row_of[p.tobytes()] for p in np.vstack(blocks)])
     assert (np.diff(sent) > 0).all()  # each candidate once, in cloud order
-    assert np.isin(in_image, sent).all()
-    assert len(in_image) <= len(sent) < len(cloud) / 3
+    assert len(in_box) >= len(planted) and np.isin(in_box, sent).all()
+    # the screen is the detection's box, not the image: most in-image rows stay out
+    assert len(np.setdiff1d(in_image, sent)) > len(in_image) / 2
 
 
 def test_process_frame_refuses_a_detection_sized_otherwise(simple_calib):
