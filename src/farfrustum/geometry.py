@@ -31,8 +31,10 @@ of its camera points (``points_in_box_frustum`` and ``points_in_mask_frustum``
 cut one) and refuses a detection whose image size differs from the
 projection's or whose frustum leaves its crop (``CropMismatch``);
 ``frustum_rotations`` then rotates all of a frame's frustums, held as segments
-of one array, in one call. All operations preserve point order, and a
-projection is never modified after it is built.
+of one array, in one call. ``regressor.frustum_chain`` is the one caller of
+the crop, the projection and the cut, for ``run`` and ``train`` alike. All
+operations preserve point order, and a projection is never modified after
+it is built.
 
 Clouds and calibrations are checked where they are built (``kitti_io``), so
 no product here overflows, and ``frustum_rotation`` can back-project through

@@ -1,10 +1,11 @@
 """Per-frame detection pipeline and batch dataset runner.
 
-For every 2D detection: cut its frustum as rows of the frame's projection
-(geometry.frustum_rows), rotate to the frustum frame, estimate the centroid
-by histogram clustering, and route by the per-class faraway depth threshold;
-each step after the cut is one array pass over all of a frame's detections
-(regressor.frustum_chain).
+For every 2D detection, regressor.frustum_chain cuts its frustum from the
+frame's one projection, rotates it to the frustum frame, estimates the
+centroid by histogram clustering and routes it by the per-class faraway
+depth threshold; each step after the cut is one array pass over all of a
+frame's detections, and `train` (regressor.build_training_set) runs the
+same chain.
 Faraway objects get a regressed 3D box anchored at the clustered centroid;
 near-range objects are left to an external detector whose result files are
 merged in as fallback boxes.
@@ -30,9 +31,10 @@ from .errors import (
     ZeroAreaBox,
 )
 from .evaluation import faraway_filter
-from .geometry import CloudProjection, detection_window, frustum_rows, project_cloud, rot_y
+from .geometry import rot_y
 from .kitti_io import (
     MAX_BBOX_PIXEL,
+    MAX_POINT_RANGE_M,
     Box3D,
     CalibrationSet,
     Detection2D,
@@ -84,19 +86,23 @@ class PipelineConfig:
         self.checkpoint = Path(self.checkpoint) if self.checkpoint is not None else None
         if self.frustum_mode not in ("mask", "box"):
             raise ConfigError(f"frustum_mode must be mask or box, got {self.frustum_mode!r}")
-        if not all(t > 0 for t in self.thresholds.values()):
-            raise ConfigError("faraway thresholds must be positive")
+        for name, threshold in self.thresholds.items():
+            if not threshold > 0:
+                raise ConfigError(f"threshold.{name} must be positive, got {threshold}")
+        if len(set(self.classes)) != len(self.classes):
+            raise ConfigError(f"classes must be unique, got {self.classes}")
         if not (1 <= self.raster_grid <= regressor.MAX_RASTER_GRID
-                and 0 < self.raster_extent < math.inf):
+                and regressor.MIN_RASTER_EXTENT <= self.raster_extent <= MAX_POINT_RANGE_M):
             raise ConfigError(f"raster_grid must be in [1, {regressor.MAX_RASTER_GRID}] and "
-                              f"raster_extent positive and finite, got {self.raster_grid}, "
+                              f"raster_extent in [{regressor.MIN_RASTER_EXTENT:g}, "
+                              f"{MAX_POINT_RANGE_M:g}] m, got {self.raster_grid}, "
                               f"{self.raster_extent}")
         if not all(1 <= n <= MAX_BBOX_PIXEL for n in self.image_size):
             raise ConfigError(f"image_width, image_height must be in [1, {MAX_BBOX_PIXEL:g}], "
                               f"got {self.image_size}")
-        if not MIN_BIN_WIDTH <= self.bin_width < math.inf:
-            raise ConfigError(f"bin_width must be finite and at least {MIN_BIN_WIDTH:g} m, "
-                              f"got {self.bin_width}")
+        if not MIN_BIN_WIDTH <= self.bin_width <= MAX_POINT_RANGE_M:
+            raise ConfigError(f"bin_width must be in [{MIN_BIN_WIDTH:g}, "
+                              f"{MAX_POINT_RANGE_M:g}] m, got {self.bin_width}")
         if not all(0 < v < math.inf for prior in self.size_priors.values() for v in prior):
             raise ConfigError("size priors must be positive and finite")
 
@@ -249,20 +255,18 @@ def process_frame(
 ) -> list[Box3D]:
     """Run the faraway branch over all detections and merge with fallback.
 
-    A frame with detections is projected once, cropped to the detections'
-    extent in config.image_size (geometry.detection_window);
-    geometry.frustum_rows cuts each detection's frustum from it as rows, by
-    its mask in mask mode (CropMismatch for another image size), and
-    regressor.frustum_chain routes all of them at once; the faraway ones'
-    rasters go through the network in one stacked pass (params default to
-    zero weights). Detections whose frustum holds no points, or whose class is not listed
-    or has no threshold, are skipped; near-range ones are routed to the
-    fallback detector (all three are counted, never fatal). Errors raise in
-    detection order: a regressed box that Box3D refuses (a size that
-    overflows past 10 km or underflows below 1 cm, or a center beyond 10 km)
-    raises naming the checkpoint (or the given weights, or the size-prior
-    baseline), the frame and the detection, after the mask or crop error of
-    any earlier detection.
+    regressor.frustum_chain projects the frame once and cuts and routes
+    every detection, by its mask in mask mode (CropMismatch for another
+    image size); the faraway ones' rasters go through the network in one
+    stacked pass (params default to zero weights). Detections whose frustum
+    holds no points, or whose class is not listed or has no threshold, are
+    skipped; near-range ones are routed to the fallback detector (all three
+    are counted, never fatal). Errors raise in detection order: a regressed
+    box that Box3D refuses (a size that overflows past 10 km or underflows
+    below 1 cm, or a center beyond 10 km) raises naming the checkpoint (or
+    the given weights, or the size-prior baseline), the frame and the
+    detection; the chain's mask or crop error raises after the boxes of the
+    detections before it.
     Fallback boxes survive only when their own center depth is below their
     class threshold; classes without a threshold are kept unconditionally.
     The merged list is sorted by descending score, stable on input order
@@ -276,19 +280,22 @@ def process_frame(
             config.raster_grid, config.classes, priors=config.size_priors,
             extent=config.raster_extent,
         )
-    ours: list[Box3D] = []
-    if detections:  # a frame without detections is not projected
-        masks = config.frustum_mode == "mask"
-        projection = project_cloud(cloud, calib, config.image_size,
-                                   detection_window(detections, masks))
-        segments: list[np.ndarray] = []
+    batch = frustum_chain(cloud, detections, calib, config, config.thresholds)
+    stats.count(batch.routes)
+    far = [k for k, route in enumerate(batch.routes) if route is Route.FARAWAY]
+    regs = regressor.forward_rasters(params, batch.rasters)
+    ours = []
+    for k, theta, centroid, reg in zip(far, batch.theta, batch.centroids, regs):
+        det = detections[k]
         try:
-            for rows in frustum_rows(projection, detections, masks):
-                segments.append(rows)
-        finally:  # a frustum that fails raises after the detections before it
-            if segments:
-                ours = _faraway_boxes(projection, segments, detections, calib, config,
-                                      params, source, stats)
+            ours.append(assemble_box(tuple(centroid), reg, float(theta), det.class_name,
+                                     det.score))
+        except (NonFiniteBox, ZeroAreaBox) as exc:  # weights that overflow exp()
+            raise type(exc)(
+                f"{source}, frame {det.frame_id}, detection {k} ({det.class_name}): {exc}"
+            ) from exc
+    if batch.error is not None:  # after the boxes of the detections before it
+        raise batch.error
 
     faraway_box = faraway_filter(config.thresholds)
     kept = [box for box in fallback_boxes if not faraway_box(box)]
@@ -298,34 +305,6 @@ def process_frame(
     merged = kept + ours
     order = sorted(range(len(merged)), key=lambda i: (-merged[i].score, i))
     return [merged[i] for i in order]
-
-
-def _faraway_boxes(
-    projection: CloudProjection,
-    segments: Sequence[np.ndarray],
-    detections: Sequence[Detection2D],
-    calib: CalibrationSet,
-    config: PipelineConfig,
-    params: RegressorParams,
-    source: str,
-    stats: RunSummary,
-) -> list[Box3D]:
-    """The boxes of the first len(segments) detections, counting every route;
-    a refused box names the weights' `source`, the frame and the detection."""
-    batch = frustum_chain(projection, segments, detections, calib, config, config.thresholds)
-    stats.count(batch.routes)
-    far = [k for k, route in enumerate(batch.routes) if route is Route.FARAWAY]
-    regs = regressor.forward_rasters(params, batch.rasters)
-    boxes = []
-    for k, theta, centroid, reg in zip(far, batch.theta, batch.centroids, regs):
-        det = detections[k]
-        try:
-            boxes.append(assemble_box(tuple(centroid), reg, float(theta), det.class_name, det.score))
-        except (NonFiniteBox, ZeroAreaBox) as exc:  # weights that overflow exp()
-            raise type(exc)(
-                f"{source}, frame {det.frame_id}, detection {k} ({det.class_name}): {exc}"
-            ) from exc
-    return boxes
 
 
 # --- dataset layout -----------------------------------------------------------

@@ -8,7 +8,10 @@ count grid is enough capacity; sizes are emitted as prior * exp(raw) so
 positivity is structural. Training minimizes the unweighted sum of the
 seven per-output mean-absolute errors with Adam and early stopping. At
 assembly time only dz, size, and yaw are consumed; dx and dy are trained
-but discarded in favor of the clustered centroid.
+but discarded in favor of the clustered centroid. ``frustum_chain`` takes
+a frame from its lidar cloud and 2D detections to each detection's route
+and raster; ``run`` (pipeline.process_frame) and ``train``
+(build_training_set) share it.
 """
 from __future__ import annotations
 
@@ -21,17 +24,10 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .clustering import modal_midpoints
-from .errors import ConfigError, EmptyDataset, ShapeError, UnknownClass
+from .errors import ConfigError, EmptyDataset, FarFrustumError, ShapeError, UnknownClass
 from .evaluation import _match, _overlaps
-from .geometry import (
-    CloudProjection,
-    detection_window,
-    frustum_rotations,
-    frustum_rows,
-    project_cloud,
-    rot_y,
-)
-from .kitti_io import CalibrationSet, Detection2D, LabelRecord, PointCloud
+from .geometry import detection_window, frustum_rotations, frustum_rows, project_cloud, rot_y
+from .kitti_io import MAX_POINT_RANGE_M, CalibrationSet, Detection2D, LabelRecord, PointCloud
 from .kitti_io import wrap_angle, wrap_angles, write_whole
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -48,6 +44,10 @@ DEFAULT_SIZE_PRIORS: dict[str, tuple[float, float, float]] = {
 CHECKPOINT_VERSION = 2
 _OUTPUT_DIM = 7
 MAX_RASTER_GRID = 256  # zero_params(256) holds 34 MB of weights; the layouts in use take 32
+# meters; an extent in [MIN_RASTER_EXTENT, MAX_POINT_RANGE_M] keeps the cell
+# finite, and the int64 cast of the cell index of a point 35.2 km off (the
+# widest frustum) below 2^30 on any grid
+MIN_RASTER_EXTENT = 0.01
 MAX_HIDDEN = 1024  # 16x the default width; its first layer on a 32 grid holds 8.4 MB
 # tanh bounds the hidden layer, so under this bound on every weight and prior
 # no product of a loaded checkpoint overflows
@@ -493,7 +493,7 @@ def load_checkpoint(
     if version != CHECKPOINT_VERSION:
         raise ShapeError(f"checkpoint {path}: unsupported version {version}")
     if out_dim != _OUTPUT_DIM or min(grid_size, hidden, name_bytes + 1) < 1 \
-            or grid_size > MAX_RASTER_GRID or not 0 < extent < math.inf:
+            or grid_size > MAX_RASTER_GRID or not MIN_RASTER_EXTENT <= extent <= MAX_POINT_RANGE_M:
         raise ShapeError(f"checkpoint {path}: bad header {header.tolist()}, extent {extent}")
     names_end = _HEADER_BYTES + name_bytes
     try:
@@ -548,9 +548,9 @@ def bbox_iou_2d(
     """Axis-aligned IoU of two (u_min, v_min, u_max, v_max) boxes."""
     iw = min(a[2], b[2]) - max(a[0], b[0])
     ih = min(a[3], b[3]) - max(a[1], b[1])
-    if iw <= 0 or ih <= 0:
+    inter = max(iw, 0.0) * max(ih, 0.0)
+    if inter == 0.0:  # no overlap, or one whose area underflows (then so does the union)
         return 0.0
-    inter = iw * ih
     area_a = (a[2] - a[0]) * (a[3] - a[1])
     area_b = (b[2] - b[0]) * (b[3] - b[1])
     return inter / (area_a + area_b - inter)
@@ -565,11 +565,10 @@ def bbox_iou_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a, b = np.asarray(a, np.float64)[:, None, :], np.asarray(b, np.float64)[None, :, :]
     iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = iw * ih
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
     area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
     area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
-    return np.divide(inter, area_a + area_b - inter, out=np.zeros_like(inter),
-                     where=(iw > 0) & (ih > 0))
+    return np.divide(inter, area_a + area_b - inter, out=np.zeros_like(inter), where=inter > 0)
 
 
 class Route(Enum):
@@ -584,10 +583,11 @@ class Route(Enum):
 class FrustumBatch(NamedTuple):
     """The chain's outcome for one frame's detections, in input order."""
 
-    routes: list[Route]        # one per detection
+    routes: list[Route]        # one per detection, up to the failing one
     theta: np.ndarray          # (F,) frustum angle of each FARAWAY detection
     centroids: np.ndarray      # (F, 3) their frustum-frame centroids (x, y, depth)
     rasters: list[BevRaster]   # their centroid-frame BEV rasters
+    error: Exception | None    # why detection len(routes) has no frustum, or None
 
 
 def is_faraway(depth: float, class_name: str, thresholds: Mapping[str, float]) -> bool:
@@ -606,8 +606,7 @@ def _segments(rows: np.ndarray, bounds: np.ndarray, chosen: Sequence[int]):
 
 
 def frustum_chain(
-    projection: CloudProjection,
-    segments: Sequence[np.ndarray],
+    cloud: PointCloud,
     detections: Sequence[Detection2D],
     calib: CalibrationSet,
     config: "PipelineConfig",
@@ -615,9 +614,13 @@ def frustum_chain(
 ) -> FrustumBatch:
     """Every detection's chain, as array passes over all of a frame's frustums.
 
-    segments[k] is detections[k]'s frustum as rows of projection.camera
-    (geometry.frustum_rows), all gathered in one np.take; detections past
-    the last segment are left out. Each non-empty frustum is rotated
+    The cloud is projected once, cropped to the detections' extent in
+    config.image_size (geometry.detection_window), and each detection's
+    frustum is cut from it as rows (geometry.frustum_rows), by its mask in
+    mask mode; without detections nothing is projected. A cut that raises a
+    FarFrustumError or an OSError ends the batch: it is returned as `error`,
+    and the detections from that one on get no route. The frustums are
+    gathered in one np.take. Each non-empty one is rotated
     (frustum_rotations) and its depth histogrammed (modal_midpoints).
     Given `thresholds`, a detection whose class has none is UNKNOWN and one
     whose depth is below it NEAR; the others whose class is in
@@ -626,6 +629,18 @@ def frustum_chain(
     bins: every CalibrationSet is a rigid mount, and PipelineConfig keeps
     bin_width at MIN_BIN_WIDTH or above.
     """
+    if not detections:
+        return FrustumBatch([], np.empty(0), np.empty((0, 3)), [], None)
+    masks = config.frustum_mode == "mask"
+    projection = project_cloud(cloud, calib, config.image_size,
+                               detection_window(detections, masks))
+    segments: list[np.ndarray] = []
+    error = None
+    try:
+        for rows in frustum_rows(projection, detections, masks):
+            segments.append(rows)
+    except (FarFrustumError, OSError) as exc:  # detection len(segments)'s mask or crop
+        error = exc
     sizes = np.array([len(rows) for rows in segments], dtype=np.int64)
     live = np.flatnonzero(sizes > 0)  # segment s is detection live[s]
     bounds = np.concatenate([[0], np.cumsum(sizes[live])])
@@ -660,7 +675,7 @@ def frustum_chain(
                   class_name=detections[live[s]].class_name, classes=config.classes)
         for s, grid in zip(far, grids)
     ]
-    return FrustumBatch(routes, theta[far], centroids, rasters)
+    return FrustumBatch(routes, theta[far], centroids, rasters, error)
 
 
 def build_training_set(
@@ -674,14 +689,13 @@ def build_training_set(
 
     Detections, by descending score, are matched to same-class ground truth
     at 2D IoU >= 0.5 by evaluation's one greedy matcher, ``_match``, which
-    also scores aIoU and AP. A frame's matched detections are cut from its
-    projection (one per frame, cropped to their extent in config.image_size) by
-    geometry.frustum_rows, with their masks in mask mode, and run
-    frustum_chain without thresholds; a match whose frustum is empty is
-    skipped. Targets are the ground-truth center minus the estimated
-    centroid (expressed in the frustum frame), the ground-truth size, and
-    the ground-truth yaw minus the frustum rotation. Returns (samples,
-    number of ground-truth objects skipped).
+    also scores aIoU and AP. A frame's matched detections run frustum_chain
+    once, without thresholds, with their masks in mask mode; a match whose
+    frustum is empty is skipped, and one whose mask or crop fails raises.
+    Targets are the ground-truth center minus the estimated centroid
+    (expressed in the frustum frame), the ground-truth size, and the
+    ground-truth yaw minus the frustum rotation. Returns (samples, number of
+    ground-truth objects skipped).
     """
     samples: list[tuple[BevRaster, BoxRegression]] = []
     skipped = 0
@@ -702,15 +716,10 @@ def build_training_set(
               != np.array([code[rec.class_name] for rec in gt], dtype=np.intp)] = 0.0
         matches = _match(_overlaps(table, 0), range(len(ranked)), 0.5)
         skipped += len(gt) - len(matches)
-        if not matches:
-            continue
-
-        dets = [ranked[k] for k, _, _ in matches]
-        masks = config.frustum_mode == "mask"
-        projection = project_cloud(clouds[frame_id], calib, config.image_size,
-                                   detection_window(dets, masks))
-        segments = list(frustum_rows(projection, dets, masks))
-        batch = frustum_chain(projection, segments, dets, calib, config)
+        batch = frustum_chain(clouds[frame_id], [ranked[k] for k, _, _ in matches], calib,
+                              config)
+        if batch.error is not None:
+            raise batch.error
         kept = [gi for (_, gi, _), route in zip(matches, batch.routes) if route is Route.FARAWAY]
         skipped += len(matches) - len(kept)
         for gi, angle, centroid, raster in zip(kept, batch.theta, batch.centroids, batch.rasters):
@@ -723,5 +732,4 @@ def build_training_set(
                 yaw=wrap_angle(rec.box.yaw - theta),
             )
             samples.append((raster, target))
-        del projection, segments  # so the next frame's are built without these alive
     return samples, skipped

@@ -864,9 +864,7 @@ class TestCentroidFrameAndBev:
     def raster(self, pts, grid=5, extent=1.0, bin_width=0.125):
         config = PipelineConfig(frustum_mode="box", raster_grid=grid,
                                 raster_extent=extent, bin_width=bin_width)
-        projection = project_cloud(PointCloud(pts, Frame.LIDAR), IDENTITY_CALIB)
-        segments = list(frustum_rows(projection, [self.DET], masks=False))
-        batch = frustum_chain(projection, segments, [self.DET], IDENTITY_CALIB, config)
+        batch = frustum_chain(PointCloud(pts, Frame.LIDAR), [self.DET], IDENTITY_CALIB, config)
         assert batch.routes == [Route.FARAWAY] and batch.theta[0] == 0.0
         return tuple(batch.centroids[0].tolist()), batch.rasters[0]
 

@@ -382,9 +382,10 @@ def test_frustum_chain_over_row_segments_keeps_the_concatenated_bits(
     for (cloud, dets, calib), mode, thresholds in itertools.product(
             frames, ("mask", "box"), (None, DEFAULT_THRESHOLDS)):
         config = PipelineConfig(frustum_mode=mode)
-        projection = geometry.project_cloud(cloud, calib, config.image_size)
+        got = regressor.frustum_chain(cloud, dets, calib, config, thresholds)
+        assert got.error is None
+        projection = geometry.project_cloud(cloud, calib, config.image_size)  # uncropped
         segments = list(geometry.frustum_rows(projection, dets, mode == "mask"))
-        got = regressor.frustum_chain(projection, segments, dets, calib, config, thresholds)
         routes, theta, centroids, grids = _concatenated_chain(
             projection, segments, dets, calib, config, thresholds)
         assert got.routes == routes
@@ -393,6 +394,20 @@ def test_frustum_chain_over_row_segments_keeps_the_concatenated_bits(
         assert [r.grid.tobytes() for r in got.rasters] == [g.tobytes() for g in grids]
         seen.update(routes)
     assert seen == set(regressor.Route)  # empty, near, faraway and unknown-class
+
+
+def test_frustum_chain_ends_the_batch_at_a_failing_cut(simple_calib, tmp_path, monkeypatch):
+    cloud, far, _ = _planted_scene(simple_calib, depth=65.0, x=2.0)
+    write_pgm(tmp_path / "m.pgm", np.zeros((10, 10), dtype=np.uint8))
+    bad_mask = Detection2D("f", "car", 0.5, far.bbox, image_size=(1242, 375),
+                           mask=MaskRef(tmp_path / "m.pgm", (1242, 375)))
+    batch = regressor.frustum_chain(cloud, [far, bad_mask, far], simple_calib,
+                                    PipelineConfig(), DEFAULT_THRESHOLDS)
+    assert batch.routes == [regressor.Route.FARAWAY] and len(batch.rasters) == 1
+    assert isinstance(batch.error, MaskDimMismatch)
+    monkeypatch.setattr(regressor, "project_cloud", None)  # a frame without detections
+    empty = regressor.frustum_chain(cloud, [], simple_calib, PipelineConfig())
+    assert empty.routes == [] and empty.rasters == [] and empty.error is None
 
 
 def test_process_frame_builds_no_cloud_per_detection(simple_calib, monkeypatch, tmp_path):
@@ -565,8 +580,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="classes"):
             PipelineConfig.from_mapping({"classes": "car,a\nb"})
 
-    @pytest.mark.parametrize("key", ["raster_extent", "bin_width"])
-    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("value, key", [
+        *itertools.product(["0", "-1", "nan", "inf"], ["raster_extent", "bin_width"]),
+        # a finer extent overflows the int64 cell index, a wider one the cell, a wider
+        # bin the bin edges
+        ("5e-324", "raster_extent"), ("1e-300", "raster_extent"), ("0.0099", "raster_extent"),
+        ("1e308", "raster_extent"), ("1e308", "bin_width"), ("10000.1", "bin_width"),
+    ])
     def test_non_positive_or_non_finite_raster_setting_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
             PipelineConfig.from_mapping({key: value})

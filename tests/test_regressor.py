@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from farfrustum.errors import EmptyDataset, FarFrustumError, ShapeError, UnknownClass
 from farfrustum import regressor
-from farfrustum.kitti_io import parse_labels, wrap_angle, wrap_angles
+from farfrustum.kitti_io import MAX_POINT_RANGE_M, parse_labels, wrap_angle, wrap_angles
 from farfrustum.pipeline import PipelineConfig
 from farfrustum.regressor import (
     MAX_HIDDEN,
@@ -199,7 +199,6 @@ class TestTranslationConsistency:
         # absolute position never reaches the network: frustum_chain rasters
         # the points relative to their centroid, so shifting the whole cloud
         # leaves the grid (and hence the output) bit-identical
-        from farfrustum.geometry import frustum_rows, project_cloud
         from farfrustum.kitti_io import CalibrationSet, Detection2D, Frame, PointCloud
 
         calib = CalibrationSet(
@@ -219,9 +218,7 @@ class TestTranslationConsistency:
             offset = rng.uniform(-8, 8, size=3)
 
             def raster_of(points):
-                projection = project_cloud(PointCloud(points, Frame.LIDAR), calib)
-                segments = list(frustum_rows(projection, [det], masks=False))
-                batch = frustum_chain(projection, segments, [det], calib, config)
+                batch = frustum_chain(PointCloud(points, Frame.LIDAR), [det], calib, config)
                 assert batch.routes == [regressor.Route.FARAWAY]
                 raster = batch.rasters[0]
                 assert batch.theta[0] == 0.0 and raster.grid.sum() == len(points)
@@ -548,12 +545,14 @@ class TestCheckpoint:
         with pytest.raises(ShapeError, match=re.escape(str(path)) + ".*version 1"):
             load_checkpoint(path, CLASSES)
 
-    @pytest.mark.parametrize("slot, value", [(0, -4), (3, 6)])  # G=-4 fits G=4's body
+    # G=-4 fits G=4's body; slot 6 is the float64 extent, whose cell index overflows
+    # int64 at 1e-300 and whose cell overflows at 1e308
+    @pytest.mark.parametrize("slot, value", [(0, -4), (3, 6), (6, 1e-300), (6, 1e308)])
     def test_bad_header_refused(self, tmp_path, slot, value):
         path = tmp_path / "reg.ckpt"
         save_checkpoint(zero_params(4, CLASSES, hidden=3, priors=PRIORS), path)
         data = bytearray(path.read_bytes())
-        data[8 * slot : 8 * slot + 8] = np.array([value], "<i8").tobytes()
+        data[8 * slot : 8 * slot + 8] = np.array([value], "<f8" if slot == 6 else "<i8").tobytes()
         path.write_bytes(bytes(data))
         with pytest.raises(ShapeError, match=re.escape(str(path)) + ".*bad header"):
             load_checkpoint(path)
@@ -653,7 +652,7 @@ def test_checkpoint_fuzz_raises_only_package_errors(
         try:
             back = load_checkpoint(path, tuple(names) if expect else None)
         except FarFrustumError:
-            assert edit != "none" or not 0 < extent < math.inf
+            assert edit != "none" or not regressor.MIN_RASTER_EXTENT <= extent <= MAX_POINT_RANGE_M
         else:  # a loaded layout is one the raster accepts
             rasterize_bev(np.zeros((0, 2)), back.classes[0], back.grid_size,
                           back.extent, back.classes)
@@ -679,6 +678,7 @@ _EDGE_BOXES = [
     (-0.0, -0.0, 0.0, 0.0),     # no area, signed zeros
     (0.1, 0.2, 9.7, 3.3),
     (-1e5, -1e5, 1e5, 1e5),     # the widest box a label may hold
+    (0.0, 0.0, 2e-313, 2e-313),  # an area that underflows to 0
 ]
 
 
@@ -752,7 +752,7 @@ class TestBuildTrainingSet:
     def _reference_training_set(clouds, detections, labels, calibs, config):
         """build_training_set with a per-detection matching loop of its own:
         each detection by score scans every free same-class label."""
-        from farfrustum.geometry import frustum_rows, project_cloud, rot_y
+        from farfrustum.geometry import rot_y
         from farfrustum.regressor import Route
 
         samples, skipped = [], 0
@@ -773,12 +773,7 @@ class TestBuildTrainingSet:
                     matched_gt.add(best_idx)
                     pairs.append((best_idx, det))
             skipped += len(gt) - len(matched_gt)
-            if not pairs:
-                continue
-            projection = project_cloud(clouds[frame_id], calib, config.image_size)
-            dets = [det for _, det in pairs]
-            segments = list(frustum_rows(projection, dets, config.frustum_mode == "mask"))
-            batch = frustum_chain(projection, segments, dets, calib, config)
+            batch = frustum_chain(clouds[frame_id], [det for _, det in pairs], calib, config)
             kept = [gi for (gi, _), route in zip(pairs, batch.routes) if route is Route.FARAWAY]
             skipped += len(pairs) - len(kept)
             for gi, angle, centroid, raster in zip(kept, batch.theta, batch.centroids,
