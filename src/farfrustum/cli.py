@@ -101,11 +101,13 @@ def _labeled_frames(config: PipelineConfig, frames: list[str]) -> list[str]:
     return [f for f in frames if (label_dir / f"{f}.txt").is_file()]
 
 
-def _labeled_inputs(args: argparse.Namespace, config: PipelineConfig) -> dict:
-    return {
-        f: load_frame_inputs(config.data_root, f, config)
-        for f in _labeled_frames(config, _frame_list(args, config))
-    }
+def _each_labeled_frame(args: argparse.Namespace, config: PipelineConfig, use) -> dict:
+    """use(frame, inputs) of each listed labeled frame, keyed by frame in list
+    order. One frame's inputs are loaded at a time and dropped after `use`."""
+    out = dict.fromkeys(_labeled_frames(config, _frame_list(args, config)))
+    for f in out:
+        out[f] = use(f, load_frame_inputs(config.data_root, f, config))
+    return out
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -139,12 +141,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    inputs = _labeled_inputs(args, config)
-    stats = evaluation.points_per_object_stats(
-        {f: i.labels for f, i in inputs.items()},
-        {f: i.cloud for f, i in inputs.items()},
-        {f: i.calib for f, i in inputs.items()},
-    )
+    per_frame = _each_labeled_frame(args, config, lambda f, i: evaluation.points_per_object_stats(
+        {f: i.labels}, {f: i.cloud}, {f: i.calib}))
+    stats = [s for f in sorted(per_frame) for s in per_frame[f]]
     print(f"{'frame':<10} {'class':<12} {'depth_m':>8} {'points':>7}")
     for s in stats:
         print(f"{s.frame_id:<10} {s.class_name:<12} {s.depth:>8.2f} {s.count:>7}")
@@ -180,19 +179,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     hyper = TrainConfig(hidden=args.hidden, learning_rate=args.lr, epochs=args.epochs,
                         patience=args.patience, seed=args.seed)
     config = _build_config(args)
-    inputs = _labeled_inputs(args, config)
-    priors = regressor.compute_size_priors(
-        rec for i in inputs.values() for rec in i.labels
-    )
+    per_frame = _each_labeled_frame(args, config, lambda f, i: (i.labels, *build_training_set(
+        {f: i.cloud}, {f: i.detections}, {f: i.labels}, {f: i.calib}, config)))
+    # (labels, samples, skipped) per frame: priors sum in list order, samples go in frame order
+    priors = regressor.compute_size_priors(rec for recs, _, _ in per_frame.values() for rec in recs)
     for name in config.classes:
         priors.setdefault(name, config.size_priors.get(name, (1.0, 1.0, 1.0)))
-    samples, skipped = build_training_set(
-        {f: i.cloud for f, i in inputs.items()},
-        {f: i.detections for f, i in inputs.items()},
-        {f: i.labels for f, i in inputs.items()},
-        {f: i.calib for f, i in inputs.items()},
-        config,
-    )
+    samples = [s for f in sorted(per_frame) for s in per_frame[f][1]]
+    skipped = sum(skip for _, _, skip in per_frame.values())
     if not samples:
         raise FarFrustumError("no training samples could be built from the dataset")
     params = regressor.train(samples, hyper, priors=priors)

@@ -4,6 +4,8 @@ Dense learned representations degrade badly on the handful of points a
 faraway object returns; a per-axis histogram mode is robust there because
 surface returns concentrate in one bin while stray background points
 scatter. The estimate is the modal bin's midpoint, independently per axis.
+``modal_midpoints`` is that rule's one implementation, for the frustum chain
+and ``estimate_centroid``; no pipeline path calls ``axis_histogram``.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, EmptyCluster
-from .kitti_io import PointCloud
+from .kitti_io import MAX_POINT_RANGE_M, PointCloud
 
 DEFAULT_BIN_WIDTH = 0.1  # meters, finer than any target object's surface spread
 MAX_BINS = 1 << 20  # 8 MB each of edges and counts
@@ -26,6 +28,18 @@ class AxisHistogram(NamedTuple):
     counts: np.ndarray  # (n_bins,) int64
 
 
+def _bin_count(spread: float, bin_width: float) -> float:
+    """ceil(spread / bin_width), the bins of a (max - min) spread; ConfigError
+    unless bin_width lies in (0, MAX_POINT_RANGE_M] and the count in MAX_BINS."""
+    if not 0 < bin_width <= MAX_POINT_RANGE_M:
+        raise ConfigError(f"bin_width must be in (0, {MAX_POINT_RANGE_M:g}] m, got {bin_width}")
+    count = np.ceil(float(spread) / float(bin_width))  # a float's overflow is inf, silently
+    if not count <= MAX_BINS:
+        raise ConfigError(f"bin_width {bin_width:g} splits a {spread:g} m spread "
+                          f"into more than {MAX_BINS} bins")
+    return count
+
+
 def axis_histogram(values: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH) -> AxisHistogram:
     """Bin values into contiguous fixed-width bins covering [min, max].
 
@@ -36,15 +50,9 @@ def axis_histogram(values: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH) -> 
     vals = np.asarray(values, dtype=np.float64).reshape(-1)
     if vals.size == 0:
         raise EmptyCluster("cannot histogram zero values")
-    if not bin_width > 0:
-        raise ConfigError(f"bin_width must be positive, got {bin_width}")
     vmin = float(vals.min())
     vmax = float(vals.max())
-    span = np.ceil((vmax - vmin) / bin_width)
-    if not span <= MAX_BINS:
-        raise ConfigError(f"bin_width {bin_width:g} splits a {vmax - vmin:g} m spread "
-                          f"into more than {MAX_BINS} bins")
-    n_bins = max(1, int(span))
+    n_bins = max(1, int(_bin_count(vmax - vmin, bin_width)))
     edge_vals = vmin + np.arange(n_bins + 1, dtype=np.float64) * bin_width
     # Last left edge <= v guarantees idx in [0, n_bins - 1] for v in [min, max].
     idx = np.searchsorted(edge_vals[:-1], vals, side="right") - 1
@@ -52,17 +60,11 @@ def axis_histogram(values: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH) -> 
     return AxisHistogram(edge_vals, counts)
 
 
-def modal_midpoint(values: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH) -> float:
-    """Midpoint of the fullest bin of axis_histogram(values); ties go to the lowest bin."""
-    edges, counts = axis_histogram(values, bin_width)
-    i = int(np.argmax(counts))
-    return 0.5 * (float(edges[i]) + float(edges[i + 1]))
-
-
 def modal_midpoints(
     values: np.ndarray, bounds: np.ndarray, bin_width: float = DEFAULT_BIN_WIDTH
 ) -> np.ndarray:
-    """modal_midpoint of every segment values[bounds[k]:bounds[k + 1]], bit for bit.
+    """The midpoint of the fullest bin of axis_histogram(values[bounds[k]:bounds[k + 1]])
+    for every segment k, bit for bit; ties go to the lowest bin.
 
     Every segment must hold a value and span at most MAX_BINS bins, as every
     frustum of a CalibrationSet does at a bin_width of at least
@@ -97,8 +99,12 @@ def estimate_centroid(
 ) -> tuple[float, float, float]:
     """Estimate the object centroid as per-axis modal-bin midpoints.
 
-    Run after frustum rotation, so the returned z is directly the depth
-    used for faraway routing. Raises EmptyCluster on zero points.
+    One modal_midpoints call over the x, y and z columns. Run after frustum
+    rotation, so the returned z is directly the depth used for faraway
+    routing. Raises EmptyCluster on zero points, ConfigError as axis_histogram.
     """
-    x, y, z = (modal_midpoint(cloud.points[:, col], bin_width) for col in range(3))
-    return (x, y, z)
+    pts = np.asarray(cloud.points, dtype=np.float64)
+    if len(pts) == 0:
+        raise EmptyCluster("cannot histogram zero values")
+    _bin_count(float((pts.max(axis=0) - pts.min(axis=0)).max()), bin_width)  # the widest axis
+    return tuple(modal_midpoints(pts.T.ravel(), np.arange(4) * len(pts), bin_width).tolist())

@@ -13,12 +13,15 @@ that one intersection area. numpy sums each polygon's shoelace terms in
 blocks of one vertex count, with the bits of np.sum on that polygon's row.
 ``evaluate_boxes`` splits the frames by class before it builds the tables
 for aIoU, AP-BEV and AP-3D; ``match_greedy`` and ``ap_11point`` zero the
-cross-class cells of class-blind ones. ``Box3D`` bounds every box's center
+cross-class cells of class-blind ones (``_zero_across_classes``, as
+``regressor.build_training_set`` does). ``Box3D`` bounds every box's center
 and sizes where it is built, so each footprint area and volume is positive
 and both tables are always defined. ``_match`` is the one greedy matcher:
 aIoU runs it per frame over ground truths, AP once over the score-ranked
 predictions of all frames (ground truths numbered across frames), and
 ``regressor.build_training_set`` over detections at 2D IoU 0.5.
+``is_faraway`` is the one faraway boundary: the frustum chain routes by it,
+``faraway_filter`` (``eval --faraway-only``, ``run``'s fallback) selects by it.
 """
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .errors import UnknownClass
 from .geometry import lidar_to_camera, rot_y
 from .kitti_io import Box3D, CalibrationSet, LabelRecord, PointCloud, bev_footprints, mul_rows
 
@@ -174,12 +178,15 @@ def _same_class_tables(
 ) -> list[np.ndarray]:
     """BEV IoU table of each (gt, preds) frame, +0.0 across classes. A pair's IoU
     does not depend on the other pairs, so same-class cells keep their bits."""
-    tables = []
-    for (gt, preds), (bev, _) in zip(frames, _iou_tables(frames)):
-        differ = [[g.class_name != p.class_name for p in preds] for g in gt]
-        bev[np.array(differ, dtype=bool).reshape(bev.shape)] = 0.0
-        tables.append(bev)
-    return tables
+    return [_zero_across_classes(bev, gt, preds)
+            for (gt, preds), (bev, _) in zip(frames, _iou_tables(frames))]
+
+
+def _zero_across_classes(table: np.ndarray, rows: Sequence, cols: Sequence) -> np.ndarray:
+    """`table` with +0.0 in every cell whose row and column differ in class_name."""
+    differ = [[r.class_name != c.class_name for c in cols] for r in rows]
+    table[np.array(differ, dtype=bool).reshape(table.shape)] = 0.0
+    return table
 
 
 # --- matching and aggregate metrics ------------------------------------------
@@ -325,14 +332,21 @@ class EvalReport:
     )  # (frame, class, gt idx, pred idx or None, iou)
 
 
+def is_faraway(depth: float, class_name: str, thresholds: Mapping[str, float]) -> bool:
+    """True iff depth >= the class threshold (inclusive boundary)."""
+    if class_name not in thresholds:
+        raise UnknownClass(f"no faraway threshold for class {class_name!r}")
+    return depth >= thresholds[class_name]
+
+
 def faraway_filter(
     thresholds: Mapping[str, float],
 ) -> Callable[[Box3D], bool]:
-    """Predicate selecting boxes at or beyond their class depth threshold."""
+    """Predicate selecting the boxes whose class has a threshold and that is_faraway."""
 
     def check(box: Box3D) -> bool:
-        threshold = thresholds.get(box.class_name)
-        return threshold is not None and box.center[2] >= threshold
+        return box.class_name in thresholds and is_faraway(box.center[2], box.class_name,
+                                                           thresholds)
 
     return check
 

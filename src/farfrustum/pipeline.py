@@ -30,7 +30,7 @@ from .errors import (
     NonFiniteBox,
     ZeroAreaBox,
 )
-from .evaluation import faraway_filter
+from .evaluation import faraway_filter, is_faraway  # is_faraway: for pipeline's callers
 from .geometry import rot_y
 from .kitti_io import (
     MAX_BBOX_PIXEL,
@@ -48,13 +48,7 @@ from .kitti_io import (
     write_results,
     write_whole,
 )
-from .regressor import (  # is_faraway: the routing rule, for pipeline's callers
-    BoxRegression,
-    RegressorParams,
-    Route,
-    frustum_chain,
-    is_faraway,
-)
+from .regressor import BoxRegression, RegressorParams, Route, frustum_chain
 
 DEFAULT_THRESHOLDS: dict[str, float] = {"pedestrian": 60.0, "car": 75.0}
 DEFAULT_IMAGE_SIZE: tuple[int, int] = (1242, 375)

@@ -11,7 +11,8 @@ assembly time only dz, size, and yaw are consumed; dx and dy are trained
 but discarded in favor of the clustered centroid. ``frustum_chain`` takes
 a frame from its lidar cloud and 2D detections to each detection's route
 and raster; ``run`` (pipeline.process_frame) and ``train``
-(build_training_set) share it.
+(build_training_set) share it. Each rule has one home: the centroid in
+clustering.modal_midpoints, the faraway boundary in evaluation.is_faraway.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .clustering import modal_midpoints
 from .errors import ConfigError, EmptyDataset, FarFrustumError, ShapeError, UnknownClass
-from .evaluation import _match, _overlaps
+from .evaluation import _match, _overlaps, _zero_across_classes, is_faraway
 from .geometry import detection_window, frustum_rotations, frustum_rows, project_cloud, rot_y
 from .kitti_io import MAX_POINT_RANGE_M, CalibrationSet, Detection2D, LabelRecord, PointCloud
 from .kitti_io import wrap_angle, wrap_angles, write_whole
@@ -68,8 +69,7 @@ class BevRaster:
         grid = np.array(self.grid, dtype=np.int64, copy=True)
         if grid.ndim != 2 or grid.shape[0] != grid.shape[1] or grid.shape[0] < 1:
             raise ShapeError(f"raster grid must be square, got {grid.shape}")
-        if not self.extent > 0:
-            raise ShapeError(f"raster extent must be positive, got {self.extent}")
+        _check_extent(self.extent)
         if self.class_name not in self.classes:
             raise UnknownClass(f"{self.class_name!r} not in {self.classes}")
         grid.setflags(write=False)
@@ -91,6 +91,12 @@ class BevRaster:
         return np.concatenate([self.grid.ravel().astype(np.float64), self.class_onehot])
 
 
+def _check_extent(extent: float) -> None:
+    if not MIN_RASTER_EXTENT <= extent <= MAX_POINT_RANGE_M:
+        raise ShapeError(f"raster extent must be in [{MIN_RASTER_EXTENT:g}, "
+                         f"{MAX_POINT_RANGE_M:g}] m, got {extent}")
+
+
 def rasterize_bev(
     points: np.ndarray,
     class_name: str,
@@ -101,9 +107,10 @@ def rasterize_bev(
     """Count (x, z) points into a G x G grid over [-extent, extent)^2.
 
     Cell (i, j) covers x in [-R + i*2R/G, -R + (i+1)*2R/G) and likewise z;
-    points outside the extent are dropped. BevRaster checks the extent and
-    the class; PipelineConfig and load_checkpoint keep G >= 1.
+    points outside the extent are dropped. The extent is checked before any
+    point is binned, and BevRaster checks the class; G must be at least 1.
     """
+    _check_extent(extent)
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     grid = bev_grids(pts, [0, len(pts)], grid_size, extent)[0]
     return BevRaster(grid=grid, extent=extent, class_name=class_name, classes=classes)
@@ -381,7 +388,7 @@ class TrainConfig:
 def train(
     dataset: Samples,
     hyper: TrainConfig = TrainConfig(),
-    priors: Mapping[str, Sequence[float]] | None = None,
+    priors: Mapping[str, Sequence[float]] = DEFAULT_SIZE_PRIORS,
 ) -> RegressorParams:
     """Fit the regressor with full-batch Adam and early stopping.
 
@@ -393,22 +400,14 @@ def train(
     call: the w1 gradient, one Adam scratch array per weight tensor and the
     best-seen snapshot. They change no bit of the arithmetic, which is
     Adam's out-of-place update step for step. Deterministic for a fixed
-    seed: two runs yield bit-identical parameters.
+    seed: two runs yield bit-identical parameters. A class of the rasters
+    without a size prior raises UnknownClass.
     """
     if not dataset:
         raise EmptyDataset("cannot train on an empty dataset")
     raster0 = dataset[0][0]
-    prior_map = dict(priors) if priors is not None else dict(DEFAULT_SIZE_PRIORS)
-    for name in raster0.classes:
-        prior_map.setdefault(name, DEFAULT_SIZE_PRIORS.get(name, (1.0, 1.0, 1.0)))
-    params = init_params(
-        grid_size=raster0.grid_size,
-        classes=raster0.classes,
-        hidden=hyper.hidden,
-        priors=prior_map,
-        seed=hyper.seed,
-        extent=raster0.extent,
-    )
+    params = init_params(raster0.grid_size, raster0.classes, hyper.hidden, priors, hyper.seed,
+                         raster0.extent)
 
     rng = np.random.default_rng(hyper.seed)
     order = rng.permutation(len(dataset))
@@ -542,25 +541,12 @@ def compute_size_priors(
     }
 
 
-def bbox_iou_2d(
-    a: tuple[float, float, float, float], b: tuple[float, float, float, float]
-) -> float:
-    """Axis-aligned IoU of two (u_min, v_min, u_max, v_max) boxes."""
-    iw = min(a[2], b[2]) - max(a[0], b[0])
-    ih = min(a[3], b[3]) - max(a[1], b[1])
-    inter = max(iw, 0.0) * max(ih, 0.0)
-    if inter == 0.0:  # no overlap, or one whose area underflows (then so does the union)
-        return 0.0
-    area_a = (a[2] - a[0]) * (a[3] - a[1])
-    area_b = (b[2] - b[0]) * (b[3] - b[1])
-    return inter / (area_a + area_b - inter)
-
-
 def bbox_iou_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """bbox_iou_2d of each row of (D, 4) `a` with each row of (G, 4) `b`, as (D, G).
+    """Axis-aligned IoU of each (u_min, v_min, u_max, v_max) row of (D, 4) `a`
+    with each row of (G, 4) `b`, as (D, G).
 
-    One broadcast of bbox_iou_2d's own operations, so every overlap has its
-    bits; a cell without one is 0.
+    One broadcast; a cell without an overlap, or with one whose area
+    underflows (then so does the union), is 0.
     """
     a, b = np.asarray(a, np.float64)[:, None, :], np.asarray(b, np.float64)[None, :, :]
     iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
@@ -588,13 +574,6 @@ class FrustumBatch(NamedTuple):
     centroids: np.ndarray      # (F, 3) their frustum-frame centroids (x, y, depth)
     rasters: list[BevRaster]   # their centroid-frame BEV rasters
     error: Exception | None    # why detection len(routes) has no frustum, or None
-
-
-def is_faraway(depth: float, class_name: str, thresholds: Mapping[str, float]) -> bool:
-    """True iff depth >= the class threshold (inclusive boundary)."""
-    if class_name not in thresholds:
-        raise UnknownClass(f"no faraway threshold for class {class_name!r}")
-    return depth >= thresholds[class_name]
 
 
 def _segments(rows: np.ndarray, bounds: np.ndarray, chosen: Sequence[int]):
@@ -689,9 +668,11 @@ def build_training_set(
 
     Detections, by descending score, are matched to same-class ground truth
     at 2D IoU >= 0.5 by evaluation's one greedy matcher, ``_match``, which
-    also scores aIoU and AP. A frame's matched detections run frustum_chain
-    once, without thresholds, with their masks in mask mode; a match whose
-    frustum is empty is skipped, and one whose mask or crop fails raises.
+    also scores aIoU and AP; ``_zero_across_classes`` zeroes the table's
+    cross-class cells, as for ``match_greedy``. A frame's matched detections
+    run frustum_chain once, without thresholds, with their masks in mask
+    mode; a match whose frustum is empty is skipped, and one whose mask or
+    crop fails raises.
     Targets are the ground-truth center minus the estimated centroid
     (expressed in the frustum frame), the ground-truth size, and the
     ground-truth yaw minus the frustum rotation. Returns (samples, number of
@@ -699,7 +680,6 @@ def build_training_set(
     """
     samples: list[tuple[BevRaster, BoxRegression]] = []
     skipped = 0
-    code = {name: k for k, name in enumerate(config.classes)}
     frame_ids = sorted(set(clouds) & set(detections) & set(labels) & set(calibs))
     for frame_id in frame_ids:
         calib = calibs[frame_id]
@@ -712,9 +692,8 @@ def build_training_set(
         ranked = sorted(detections[frame_id], key=lambda d: -d.score)
         table = bbox_iou_table(np.array([d.bbox for d in ranked]).reshape(-1, 4),
                                np.array([rec.bbox2d for rec in gt]).reshape(-1, 4))
-        table[np.array([code.get(d.class_name, -1) for d in ranked], dtype=np.intp)[:, None]
-              != np.array([code[rec.class_name] for rec in gt], dtype=np.intp)] = 0.0
-        matches = _match(_overlaps(table, 0), range(len(ranked)), 0.5)
+        matches = _match(_overlaps(_zero_across_classes(table, ranked, gt), 0),
+                         range(len(ranked)), 0.5)
         skipped += len(gt) - len(matches)
         batch = frustum_chain(clouds[frame_id], [ranked[k] for k, _, _ in matches], calib,
                               config)

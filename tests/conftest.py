@@ -4,10 +4,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from farfrustum.kitti_io import CalibrationSet
 from farfrustum.pipeline import PipelineConfig
 from farfrustum.synth import IMAGE_SIZE, build_mini_dataset, default_calibration
+
+# Every hypothesis test draws the same examples on every run (and keeps no
+# example database): a run fails or passes as the last one did, and a failing
+# example reproduces. A test's own @settings keep its example count.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 # one malformed P5 file per read_pgm failure
 BAD_PGMS = {

@@ -219,6 +219,18 @@ def intersection_area(subject, clip) -> float:
     return polygon_area(poly) if len(poly) else 0.0
 
 
+def bbox_iou_2d(a, b) -> float:
+    """Axis-aligned IoU of two (u_min, v_min, u_max, v_max) boxes."""
+    iw = min(a[2], b[2]) - max(a[0], b[0])
+    ih = min(a[3], b[3]) - max(a[1], b[1])
+    inter = max(iw, 0.0) * max(ih, 0.0)
+    if inter == 0.0:  # no overlap, or one whose area underflows (then so does the union)
+        return 0.0
+    area_a = (a[2] - a[0]) * (a[3] - a[1])
+    area_b = (b[2] - b[0]) * (b[3] - b[1])
+    return inter / (area_a + area_b - inter)
+
+
 def axis_aligned_bev_iou(box_a, box_b):
     """Closed-form IoU for yaw-0 boxes: (cx, cz, w, l)."""
 

@@ -1,8 +1,10 @@
+import gc
 import math
 import re
 import shutil
 import struct
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from farfrustum import regressor
+from farfrustum import cli, regressor
 from farfrustum.cli import main
 from farfrustum.kitti_io import Box3D
 from farfrustum.evaluation import points_per_object_stats
@@ -917,6 +919,120 @@ def test_config_token_fuzz_exits_0_or_1_naming_the_key(
     else:
         named = str(Path(token) / "velodyne") if key == "data_root" else key
         assert code == 1 and named in err and err.count("\n") == 1, (code, err)
+
+
+# the verbs that read each input file of frame 000000; train reads every frame,
+# so that another frame's samples remain when this one's are gone
+READERS = {
+    "calib/000000.txt": ("run", "train", "stats", "plot"),
+    "label_2/000000.txt": ("train", "eval", "stats", "plot"),
+    "fallback/000000.txt": ("run", "train", "stats", "plot"),
+    "velodyne/000000.bin": ("run", "train", "stats", "plot"),
+    "detections_2d/masks/000000_0.pgm": ("run", "train"),
+}
+
+
+def _fuzz_root(mini_dataset, tmp_path):
+    """One dataset copy, with the results of a clean run, for every example of a test."""
+    root = tmp_path / "data"
+    if not root.exists():
+        shutil.copytree(mini_dataset.root, root)
+        assert run_cli("run", f"data_root={root}", "--out", tmp_path / "clean") == 0
+    return root
+
+
+def _assert_readers_pass_or_name(path, root, tmp_path, capsys):
+    """Each verb that reads `path` exits 0 saying nothing, or 1 naming it; none warns."""
+    extra = {
+        "run": ["--frames", "000000", "--out", tmp_path / "out"],
+        "train": ["--out", tmp_path / "reg.ckpt", "--epochs", "2"],
+        "eval": ["--frames", "000000", "--results", tmp_path / "clean"],
+        "stats": ["--frames", "000000"],
+        "plot": ["--frame", "000000", "--out", tmp_path / "bev.svg"],
+    }
+    capsys.readouterr()
+    for verb in READERS[str(path.relative_to(root))]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(verb, f"data_root={root}", *extra[verb])
+        err = capsys.readouterr().err
+        assert [str(w.message) for w in caught] == [], verb
+        if code == 0:
+            assert err == "", verb
+        else:
+            _assert_refused(code, err, path)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_text_input_token_fuzz_exits_0_or_1_naming_the_file(mini_dataset, tmp_path, capsys,
+                                                           data):
+    """Replace one token of frame 000000's calibration, label or fallback file and run
+    every verb that reads it."""
+    root = _fuzz_root(mini_dataset, tmp_path)
+    name = data.draw(st.sampled_from(["calib/000000.txt", "label_2/000000.txt",
+                                      "fallback/000000.txt"]), label="file")
+    path = root / name
+    original = path.read_text()
+    start, stop = data.draw(st.sampled_from([m.span() for m in re.finditer(r"\S+", original)]),
+                            label="token")
+    token = data.draw(st.sampled_from(FUZZ_TOKENS), label="value")
+    path.write_text(original[:start] + token + original[stop:])
+    try:
+        _assert_readers_pass_or_name(path, root, tmp_path, capsys)
+    finally:
+        path.write_text(original)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_binary_input_fuzz_exits_0_or_1_naming_the_file(mini_dataset, tmp_path, capsys, data):
+    """Flip the bits of one byte of, or truncate, frame 000000's velodyne scan or a PGM
+    mask and run every verb that reads it; offsets favour the scan's first record and
+    the mask's header."""
+    root = _fuzz_root(mini_dataset, tmp_path)
+    name = data.draw(st.sampled_from(["velodyne/000000.bin",
+                                      "detections_2d/masks/000000_0.pgm"]), label="file")
+    path = root / name
+    original = path.read_bytes()
+    where = st.one_of(st.integers(0, 31), st.integers(0, len(original) - 1))
+    if data.draw(st.booleans(), label="truncate"):
+        changed = original[:data.draw(where, label="length")]
+    else:
+        at, bits = data.draw(where, label="offset"), data.draw(st.integers(1, 255), label="bits")
+        changed = original[:at] + bytes([original[at] ^ bits]) + original[at + 1:]
+    path.write_bytes(changed)
+    try:
+        _assert_readers_pass_or_name(path, root, tmp_path, capsys)
+    finally:
+        path.write_bytes(original)
+
+
+@pytest.mark.parametrize("verb", ["train", "stats"])
+def test_train_and_stats_hold_one_frame_scan_at_a_time(mini_dataset, tmp_path, monkeypatch,
+                                                       verb):
+    """Each frame's scan is gone before the next frame is loaded, and after the verb."""
+    real, scans = cli.load_frame_inputs, []
+
+    def load(*args, **kwargs):
+        gc.collect()
+        assert [f for f, scan in scans if scan() is not None] == []
+        inputs = real(*args, **kwargs)
+        base = inputs.cloud.points
+        while isinstance(base.base, np.ndarray):  # the array every view of the scan keeps
+            base = base.base
+        scans.append((inputs.frame_id, weakref.ref(base)))
+        return inputs
+
+    monkeypatch.setattr(cli, "load_frame_inputs", load)
+    frames = ["000003", "000001", "000000", "000004", "000002"]
+    extra = ["--out", tmp_path / "reg.ckpt", "--epochs", "2"] if verb == "train" else []
+    assert run_cli(verb, "--frames", ",".join(frames), f"data_root={mini_dataset.root}",
+                   *extra) == 0
+    gc.collect()
+    assert [(f, scan()) for f, scan in scans] == [(f, None) for f in frames]
 
 
 def _set_first_line_field(path, index, value):

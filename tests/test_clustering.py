@@ -11,7 +11,6 @@ from farfrustum.clustering import (
     MIN_BIN_WIDTH,
     axis_histogram,
     estimate_centroid,
-    modal_midpoint,
     modal_midpoints,
 )
 from farfrustum.errors import ConfigError, EmptyCluster
@@ -51,6 +50,7 @@ class TestAxisHistogram:
         ([0.0, 1.0], 1e-7),             # ten million bins per metre
         ([-8e3, 8e3], 0.01),            # a spread far wider than any frustum
         ([-1e308, 1e308], 0.1),         # the spread itself overflows
+        ([0.0, 1.0], np.float64(1e-310)),  # a numpy width once warned of the overflow
     ])
     def test_too_many_bins_is_refused_before_allocating(self, values, width):
         with pytest.raises(ConfigError, match="bins"):
@@ -102,6 +102,27 @@ class TestEstimateCentroid:
     def test_empty_cloud(self):
         with pytest.raises(EmptyCluster):
             estimate_centroid(_cloud(np.zeros((0, 3))), 0.1)
+
+    @pytest.mark.parametrize("width", [0.0, -0.1, math.nan, math.inf, 1e308,
+                                       2 * MAX_POINT_RANGE_M])
+    def test_bin_width_out_of_bounds_is_refused(self, width):
+        # inf once made nan midpoints with a warning, and 1e308 (5e307, 5e307, 5e307)
+        with pytest.raises(ConfigError, match="bin_width"):
+            estimate_centroid(_cloud([[1.0, 2.0, 3.0]]), width)
+        with pytest.raises(ConfigError, match="bin_width"):
+            axis_histogram([1.0], width)
+
+    @pytest.mark.parametrize("width", [1e-310, 1e-7])
+    def test_too_many_bins_is_refused(self, width):
+        with pytest.raises(ConfigError, match="bins"):
+            estimate_centroid(_cloud([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), width)
+
+    def test_a_float32_cloud_gives_the_centroid_of_its_float64_values(self):
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            pts = rng.uniform(-90, 90, size=(int(rng.integers(1, 40)), 3)).astype(np.float32)
+            want = oracles.centroid_by_scan(pts.astype(np.float64).tolist(), 0.1)
+            assert estimate_centroid(_cloud(pts), 0.1) == tuple(want)
 
     def test_centroid_within_value_range(self):
         rng = np.random.default_rng(23)
@@ -157,13 +178,16 @@ class TestEstimateCentroid:
 
 
 def _same_midpoints(values_by_segment, width):
-    """modal_midpoints over all segments against modal_midpoint of each, bit for bit."""
+    """modal_midpoints over all segments against the midpoint of the fullest bin of
+    axis_histogram of each, the lowest on a tie, bit for bit."""
     values = np.concatenate([np.asarray(v, dtype=np.float64) for v in values_by_segment])
     bounds = np.cumsum([0] + [len(v) for v in values_by_segment])
     got = modal_midpoints(values, bounds, width)
     assert got.shape == (len(values_by_segment),)
     for mid, segment in zip(got, values_by_segment):
-        want = modal_midpoint(np.asarray(segment, dtype=np.float64), width)
+        edges, counts = axis_histogram(segment, width)
+        i = int(np.argmax(counts))
+        want = 0.5 * (float(edges[i]) + float(edges[i + 1]))
         assert np.float64(mid).tobytes() == np.float64(want).tobytes()
 
 

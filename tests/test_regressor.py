@@ -20,7 +20,6 @@ from farfrustum.regressor import (
     BoxRegression,
     TrainConfig,
     build_training_set,
-    bbox_iou_2d,
     compute_size_priors,
     flatten_params,
     forward,
@@ -78,7 +77,9 @@ class TestRasterize:
             want = oracles.rasterize_by_scan(pts.tolist(), 16, 4.0)
             np.testing.assert_array_equal(raster.grid, want)
 
-    @pytest.mark.parametrize("extent", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("extent", [0.0, -1.0, math.nan, math.inf, 1e-320, 1e308,
+                                        regressor.MIN_RASTER_EXTENT / 2,
+                                        2 * MAX_POINT_RANGE_M])
     def test_bad_extent_is_a_shape_error(self, extent):
         with pytest.raises(ShapeError, match="extent"):
             rasterize_bev(np.zeros((0, 2)), "car", 4, extent, CLASSES)
@@ -338,6 +339,12 @@ class TestTrain:
         dataset = [(random_raster(rng, grid_size=5, extent=6.0), random_target(rng))]
         params = train(dataset, TrainConfig(hidden=4, epochs=2), priors=PRIORS)
         assert (params.classes, params.grid_size, params.extent) == (CLASSES, 5, 6.0)
+
+    def test_a_class_without_a_prior_is_refused(self):
+        rng = np.random.default_rng(43)
+        dataset = [(random_raster(rng), random_target(rng))]
+        with pytest.raises(UnknownClass, match="pedestrian"):
+            train(dataset, TrainConfig(hidden=4, epochs=2), priors={"car": PRIORS["car"]})
 
 
 def reference_train(dataset, hyper, priors):
@@ -662,9 +669,9 @@ def test_checkpoint_fuzz_raises_only_package_errors(
 
 def test_bbox_iou_2d_basics():
     a = (0.0, 0.0, 10.0, 10.0)
-    assert bbox_iou_2d(a, a) == pytest.approx(1.0)
-    assert bbox_iou_2d(a, (20.0, 20.0, 30.0, 30.0)) == 0.0
-    assert bbox_iou_2d(a, (5.0, 0.0, 15.0, 10.0)) == pytest.approx(1.0 / 3.0)
+    assert oracles.bbox_iou_2d(a, a) == pytest.approx(1.0)
+    assert oracles.bbox_iou_2d(a, (20.0, 20.0, 30.0, 30.0)) == 0.0
+    assert oracles.bbox_iou_2d(a, (5.0, 0.0, 15.0, 10.0)) == pytest.approx(1.0 / 3.0)
 
 
 _EDGE_BOXES = [
@@ -691,7 +698,7 @@ def test_bbox_iou_table_is_bbox_iou_2d_bit_for_bit(drawn, picked):
     b = picked + drawn[::-1] + _EDGE_BOXES
     table = regressor.bbox_iou_table(np.array(a).reshape(-1, 4), np.array(b).reshape(-1, 4))
     assert table.shape == (len(a), len(b))
-    want = np.array([[bbox_iou_2d(u, w) for w in b] for u in a]).reshape(len(a), len(b))
+    want = np.array([[oracles.bbox_iou_2d(u, w) for w in b] for u in a]).reshape(len(a), len(b))
     assert table.tobytes() == want.tobytes()
 
 
@@ -766,7 +773,7 @@ class TestBuildTrainingSet:
                 for gi, rec in enumerate(gt):
                     if gi in matched_gt or rec.class_name != det.class_name:
                         continue
-                    iou = bbox_iou_2d(det.bbox, rec.bbox2d)
+                    iou = oracles.bbox_iou_2d(det.bbox, rec.bbox2d)
                     if iou > best_iou:
                         best_iou, best_idx = iou, gi
                 if best_idx >= 0 and best_iou >= 0.5:
