@@ -64,15 +64,15 @@ def _frame_list(args: argparse.Namespace, config: PipelineConfig) -> list[str]:
 def _load_params(
     config: PipelineConfig, explicit: dict[str, str]
 ) -> regressor.RegressorParams | None:
-    """The checkpoint's weights. Its layout sets the config's classes,
-    raster_grid and raster_extent; an explicit key must hold the same value."""
+    """The checkpoint's weights. It sets the config's classes, raster_grid,
+    raster_extent and bin_width; an explicit key must hold the same value."""
     if config.checkpoint is None:
         return None
     if not config.checkpoint.is_file():
         raise FarFrustumError(f"checkpoint not found: {config.checkpoint}")
     params = regressor.load_checkpoint(config.checkpoint)
     for key, value in (("classes", params.classes), ("raster_grid", params.grid_size),
-                       ("raster_extent", params.extent)):
+                       ("raster_extent", params.extent), ("bin_width", params.bin_width)):
         if key not in explicit:
             setattr(config, key, value)
         elif getattr(config, key) != value:
@@ -182,14 +182,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     per_frame = _each_labeled_frame(args, config, lambda f, i: (i.labels, *build_training_set(
         {f: i.cloud}, {f: i.detections}, {f: i.labels}, {f: i.calib}, config)))
     # (labels, samples, skipped) per frame: priors sum in list order, samples go in frame order
-    priors = regressor.compute_size_priors(rec for recs, _, _ in per_frame.values() for rec in recs)
-    for name in config.classes:
-        priors.setdefault(name, config.size_priors.get(name, (1.0, 1.0, 1.0)))
+    priors = {**config.size_priors, **regressor.compute_size_priors(
+        rec for recs, _, _ in per_frame.values() for rec in recs)}
     samples = [s for f in sorted(per_frame) for s in per_frame[f][1]]
     skipped = sum(skip for _, _, skip in per_frame.values())
     if not samples:
         raise FarFrustumError("no training samples could be built from the dataset")
     params = regressor.train(samples, hyper, priors=priors)
+    params.bin_width = config.bin_width
     out = Path(args.out) if args.out else (
         config.checkpoint if config.checkpoint else config.data_root / "regressor.ckpt"
     )

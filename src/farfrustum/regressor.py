@@ -17,14 +17,14 @@ clustering.modal_midpoints, the faraway boundary in evaluation.is_faraway.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .clustering import modal_midpoints
+from .clustering import DEFAULT_BIN_WIDTH, MIN_BIN_WIDTH, modal_midpoints
 from .errors import ConfigError, EmptyDataset, FarFrustumError, ShapeError, UnknownClass
 from .evaluation import _match, _overlaps, _zero_across_classes, is_faraway
 from .geometry import detection_window, frustum_rotations, frustum_rows, project_cloud, rot_y
@@ -42,7 +42,7 @@ DEFAULT_SIZE_PRIORS: dict[str, tuple[float, float, float]] = {
     "car": (1.63, 3.88, 1.53),
 }
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 _OUTPUT_DIM = 7
 MAX_RASTER_GRID = 256  # zero_params(256) holds 34 MB of weights; the layouts in use take 32
 # meters; an extent in [MIN_RASTER_EXTENT, MAX_POINT_RANGE_M] keeps the cell
@@ -145,7 +145,8 @@ class BoxRegression:
 
 @dataclass
 class RegressorParams:
-    """Network weights, per-class size priors and their input layout."""
+    """Network weights, per-class size priors and their input layout,
+    including the centroid bin width the rasters were anchored with."""
 
     classes: tuple[str, ...]
     grid_size: int
@@ -155,22 +156,15 @@ class RegressorParams:
     w2: np.ndarray       # (7, hidden)
     b2: np.ndarray       # (7,)
     priors: np.ndarray   # (n_classes, 3) mean (w, l, h) per class
+    bin_width: float = DEFAULT_BIN_WIDTH  # meters, of the centroid histogram
 
     @property
     def hidden_dim(self) -> int:
         return self.w1.shape[0]
 
     def copy(self) -> "RegressorParams":
-        return RegressorParams(
-            classes=self.classes,
-            grid_size=self.grid_size,
-            extent=self.extent,
-            w1=self.w1.copy(),
-            b1=self.b1.copy(),
-            w2=self.w2.copy(),
-            b2=self.b2.copy(),
-            priors=self.priors.copy(),
-        )
+        return replace(self, **{k: getattr(self, k).copy()
+                                for k in ("w1", "b1", "w2", "b2", "priors")})
 
 
 def _priors_matrix(
@@ -179,7 +173,7 @@ def _priors_matrix(
     rows = []
     for name in classes:
         if name not in priors:
-            raise UnknownClass(f"no size prior for class {name!r}")
+            raise UnknownClass(f"no size prior for class {name!r} (set prior.{name})")
         rows.append([float(v) for v in priors[name]])
     return np.array(rows, dtype=np.float64).reshape(len(classes), 3)
 
@@ -427,43 +421,50 @@ def train(
     best = params.copy()
     best_loss = math.inf
     stale = 0
-    for step in range(1, hyper.epochs + 1):
-        _, grads = loss_and_gradients(params, train_batch, grad_w1=grad_w1)
-        for key, grad in grads.items():
-            m, v, s, tensor = moment1[key], moment2[key], scratch[key], getattr(params, key)
-            m *= beta1
-            m += np.multiply(1.0 - beta1, grad, out=s)
-            v *= beta2
-            v += np.multiply(1.0 - beta2, np.square(grad, out=grad), out=s)
-            # lr * m_hat first, then / (sqrt(v_hat) + eps): the order fixes the rounding
-            update = np.multiply(hyper.learning_rate,
-                                 np.divide(m, 1.0 - beta1**step, out=grad), out=grad)
-            np.sqrt(np.divide(v, 1.0 - beta2**step, out=s), out=s)
-            s += eps
-            update /= s
-            tensor -= update
-        monitored = mean_loss(params, monitor)
-        if monitored < best_loss:
-            best_loss = monitored
-            for key in keys:
-                np.copyto(getattr(best, key), getattr(params, key))
-            stale = 0
-        else:
-            stale += 1
-            if stale > hyper.patience:
+    # a diverging rate overflows exp() and fills the weights with inf and nan;
+    # its first non-finite loss ends training as early stopping does
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, hyper.epochs + 1):
+            _, grads = loss_and_gradients(params, train_batch, grad_w1=grad_w1)
+            for key, grad in grads.items():
+                m, v, s, tensor = moment1[key], moment2[key], scratch[key], getattr(params, key)
+                m *= beta1
+                m += np.multiply(1.0 - beta1, grad, out=s)
+                v *= beta2
+                v += np.multiply(1.0 - beta2, np.square(grad, out=grad), out=s)
+                # lr * m_hat first, then / (sqrt(v_hat) + eps): the order fixes the rounding
+                update = np.multiply(hyper.learning_rate,
+                                     np.divide(m, 1.0 - beta1**step, out=grad), out=grad)
+                np.sqrt(np.divide(v, 1.0 - beta2**step, out=s), out=s)
+                s += eps
+                update /= s
+                tensor -= update
+            monitored = mean_loss(params, monitor)
+            if not math.isfinite(monitored):
                 break
+            if monitored < best_loss:
+                best_loss = monitored
+                for key in keys:
+                    np.copyto(getattr(best, key), getattr(params, key))
+                stale = 0
+            else:
+                stale += 1
+                if stale > hyper.patience:
+                    break
     return best
 
 
 # --- checkpoint file --------------------------------------------------------
 #
-# Flat little-endian binary, version 2. Header: six int64 (G, n_classes,
-# hidden, 7, version, name bytes), the float64 raster extent, and the class
-# names in order as newline-separated UTF-8. Body: float64 weights in (w1,
-# b1, w2, b2) order, then n_classes*3 float64 priors. Version 1 lacks names
-# and extent; its version sits in the same place, so it is refused.
+# Flat little-endian binary, version 3. Header: six int64 (G, n_classes,
+# hidden, 7, version, name bytes), the float64 raster extent (offset 48), the
+# float64 centroid bin width (offset 56), and the class names in order as
+# newline-separated UTF-8 (offset 64). Body: float64 weights in (w1, b1, w2,
+# b2) order, then n_classes*3 float64 priors. Version 1 lacks names and
+# extent, version 2 the bin width; their version sits in the same place, so
+# they are refused.
 
-_HEADER_BYTES = 7 * 8
+_HEADER_BYTES = 8 * 8
 
 
 def save_checkpoint(params: RegressorParams, path: str | Path) -> None:
@@ -473,27 +474,31 @@ def save_checkpoint(params: RegressorParams, path: str | Path) -> None:
          _OUTPUT_DIM, CHECKPOINT_VERSION, len(names)],
         dtype="<i8",
     )
-    extent = np.array([params.extent], dtype="<f8").tobytes()
+    reals = np.array([params.extent, params.bin_width], dtype="<f8").tobytes()
     body = np.concatenate([flatten_params(params), params.priors.ravel()]).astype("<f8")
-    write_whole(path, header.tobytes() + extent + names + body.tobytes())
+    write_whole(path, header.tobytes() + reals + names + body.tobytes())
 
 
 def load_checkpoint(
     path: str | Path, classes: Sequence[str] | None = None
 ) -> RegressorParams:
-    """Read a checkpoint, layout included; given `classes` must equal its class
-    names, order included. Any other file raises ShapeError naming the path."""
+    """Read a checkpoint, layout and bin width included; given `classes` must
+    equal its class names, order included. Any other file raises ShapeError
+    naming the path."""
     data = Path(path).read_bytes()
     if len(data) < _HEADER_BYTES:
         raise ShapeError(f"checkpoint {path} is {len(data)} bytes, shorter than a header")
     header = np.frombuffer(data, dtype="<i8", count=6)
     grid_size, n_classes, hidden, out_dim, version, name_bytes = (int(v) for v in header)
-    extent = float(np.frombuffer(data, dtype="<f8", count=1, offset=48)[0])
+    extent, bin_width = np.frombuffer(data, dtype="<f8", count=2, offset=48).tolist()
     if version != CHECKPOINT_VERSION:
         raise ShapeError(f"checkpoint {path}: unsupported version {version}")
     if out_dim != _OUTPUT_DIM or min(grid_size, hidden, name_bytes + 1) < 1 \
-            or grid_size > MAX_RASTER_GRID or not MIN_RASTER_EXTENT <= extent <= MAX_POINT_RANGE_M:
-        raise ShapeError(f"checkpoint {path}: bad header {header.tolist()}, extent {extent}")
+            or grid_size > MAX_RASTER_GRID \
+            or not MIN_RASTER_EXTENT <= extent <= MAX_POINT_RANGE_M \
+            or not MIN_BIN_WIDTH <= bin_width <= MAX_POINT_RANGE_M:
+        raise ShapeError(f"checkpoint {path}: bad header {header.tolist()}, extent {extent}, "
+                         f"bin width {bin_width}")
     names_end = _HEADER_BYTES + name_bytes
     try:
         names = tuple(data[_HEADER_BYTES:names_end].decode("utf-8").split("\n"))
@@ -519,6 +524,7 @@ def load_checkpoint(
     )
     params = with_flat_params(params, body[:n_weights])
     params.priors = body[n_weights:].reshape(n_classes, 3).copy()
+    params.bin_width = bin_width
     return params
 
 

@@ -491,7 +491,8 @@ def trained(mini_dataset, tmp_path_factory):
     out = tmp_path_factory.mktemp("trained")
     layouts = {
         "default": [],
-        "custom": ["classes=car,pedestrian", "raster_grid=16", "raster_extent=6"],
+        "custom": ["classes=car,pedestrian", "raster_grid=16", "raster_extent=6",
+                   "bin_width=0.2"],
     }
     for name, keys in layouts.items():
         assert run_cli(
@@ -519,7 +520,8 @@ def test_run_takes_the_layout_from_the_checkpoint(mini_dataset, trained, tmp_pat
 
 @pytest.mark.parametrize(
     "key, value",
-    [("classes", "car,pedestrian"), ("raster_grid", "16"), ("raster_extent", "9")],
+    [("classes", "car,pedestrian"), ("raster_grid", "16"), ("raster_extent", "9"),
+     ("bin_width", "0.2")],
 )
 @pytest.mark.parametrize("where", ["override", "config file"])
 def test_run_refuses_a_layout_key_the_checkpoint_contradicts(
@@ -620,6 +622,89 @@ def test_version_1_checkpoint_exits_1_naming_the_path(mini_dataset, tmp_path, ca
     assert code == 1
     assert str(ckpt) in err and "version 1" in err
     assert "Traceback" not in err
+
+
+def test_version_2_checkpoint_exits_1_naming_the_path(mini_dataset, trained, tmp_path, capsys):
+    # a version-2 checkpoint is a version-3 one without the bin width
+    data = (trained[0] / "default.ckpt").read_bytes()
+    ckpt = tmp_path / "v2.ckpt"
+    ckpt.write_bytes(data[:32] + np.array([2], "<i8").tobytes() + data[40:56] + data[64:])
+    code = run_cli("run", f"data_root={mini_dataset.root}", f"checkpoint={ckpt}",
+                   "--out", tmp_path / "out")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert str(ckpt) in err and "version 2" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["train", "run"])
+def test_a_class_with_neither_labels_nor_a_prior_exits_1_naming_its_prior_key(
+    mini_dataset, tmp_path, capsys, verb
+):
+    ckpt = tmp_path / "reg.ckpt"
+    extra = {"train": ["--out", ckpt, "--epochs", "2"], "run": ["--out", tmp_path / "out"]}[verb]
+    code = run_cli(verb, f"data_root={mini_dataset.root}", "classes=pedestrian,car,truck", *extra)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "prior.truck" in err and "Traceback" not in err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("lr", ["100", "1e6"])
+def test_a_diverging_train_exits_0_without_a_warning(mini_dataset, tmp_path, capsys, lr):
+    """Weights that overflow end training at the first non-finite loss, as early
+    stopping does; the best epoch's weights are saved."""
+    ckpt = tmp_path / "reg.ckpt"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("train", f"data_root={mini_dataset.root}", "--out", ckpt, "--lr", lr)
+    assert [str(w.message) for w in caught] == []
+    assert code == 0 and capsys.readouterr().err == ""
+    assert np.isfinite(regressor.load_checkpoint(ckpt).w1).all()
+
+
+CHECKPOINT_INTS = [-(2**63), -1, 0, 1, 2, 3, 4, 7, 8, 16, 31, 33, 256, 2**31, 2**63 - 1]
+CHECKPOINT_REALS = [-1.0, 0.0, 5e-324, 0.01, 0.05, 0.1, 0.2, 1.0, 4.0, 6.0, 1e4, 1e308,
+                    math.inf, math.nan]
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_checkpoint_fuzz_exits_0_or_1_naming_the_checkpoint(
+    mini_dataset, trained, tmp_path, capsys, data
+):
+    """Set one header int, the extent or the bin width of a trained checkpoint, or flip
+    the bits of one of its bytes, and run with it from the config file."""
+    original = (trained[0] / "default.ckpt").read_bytes()
+    changed = bytearray(original)
+    edit = data.draw(st.sampled_from(["header int", "header real", "byte"]), label="edit")
+    if edit == "header int":  # G, n_classes, hidden, 7, version or name bytes
+        at = 8 * data.draw(st.integers(0, 5), label="slot")
+        value = data.draw(st.sampled_from(CHECKPOINT_INTS), label="value")
+        changed[at : at + 8] = value.to_bytes(8, "little", signed=True)
+    elif edit == "header real":  # the extent or the bin width
+        at = 8 * data.draw(st.integers(6, 7), label="slot")
+        value = data.draw(st.sampled_from(CHECKPOINT_REALS), label="value")
+        changed[at : at + 8] = struct.pack("<d", value)
+    else:  # favour the header and the class names
+        at = data.draw(st.one_of(st.integers(0, 90), st.integers(0, len(original) - 1)),
+                       label="offset")
+        changed[at] ^= data.draw(st.integers(1, 255), label="bits")
+    ckpt = tmp_path / "fuzz.ckpt"
+    ckpt.write_bytes(bytes(changed))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("run", "--config", mini_dataset.root / "config.txt",
+                       f"checkpoint={ckpt}", "--out", tmp_path / "out")
+    err = capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 1 and err.startswith(f"error: checkpoint {ckpt}") \
+            and err.count("\n") == 1, (code, err)
 
 
 # the entries scaled: Tr's rotation block, or P2's two focal lengths

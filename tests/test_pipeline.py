@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from farfrustum import geometry, regressor
+from farfrustum import geometry, regressor, synth
 from farfrustum.errors import (
     ConfigError,
     CropMismatch,
@@ -747,3 +747,101 @@ def test_load_frame_inputs_reads_all_parts(mini_dataset, mini_config):
     assert len(inputs.detections) == 3
     assert len(inputs.fallback_boxes) == 2
     assert inputs.labels is not None
+
+
+def _kitti_scale_frames(root: Path, seed: int, n_frames: int = 4, n_points: int = 120_000,
+                        n_detections: int = 30) -> dict[str, np.ndarray]:
+    """Frames of a KITTI-sized 360-degree scan with 30 detections of planted objects,
+    half of them planted faraway and every other one cut by an elliptic mask;
+    returns each frame's velodyne records."""
+    calib = synth.default_calibration()
+    (root / "detections_2d" / "masks").mkdir(parents=True)
+    for sub in ("velodyne", "calib"):
+        (root / sub).mkdir()
+    width, height = synth.IMAGE_SIZE
+    vv, uu = np.mgrid[0:height, 0:width] + 0.5  # pixel centres
+    rng = np.random.default_rng(seed)
+    scans = {}
+    for f in range(n_frames):
+        fid = f"{f:06d}"
+        objects, lines = [], []
+        for k in range(n_detections):
+            cls = "car" if k % 3 else "pedestrian"
+            z = rng.uniform(*((80.0, 115.0) if cls == "car" else (65.0, 95.0))) if k % 4 < 2 \
+                else rng.uniform(8.0, 50.0)
+            center = np.array([rng.uniform(-0.35, 0.35) * z, rng.uniform(0.5, 1.2), z])
+            spread = (0.8, 0.7, 0.4) if cls == "car" else (0.3, 0.9, 0.3)
+            pts = center + rng.uniform(-1, 1, (rng.integers(10, 20) if z > 60 else 80, 3)) * spread
+            objects.append(pts)
+            uv, _ = geometry.project_to_image(PointCloud(pts, Frame.CAMERA), calib)
+            u0, v0 = uv.min(axis=0) - 2.0
+            u1, v1 = uv.max(axis=0) + 2.0
+            mask = ""
+            if k % 2 == 0:
+                inside = ((uu - (u0 + u1) / 2) / ((u1 - u0) / 2)) ** 2 \
+                    + ((vv - (v0 + v1) / 2) / ((v1 - v0) / 2)) ** 2 <= 1.0
+                write_pgm(root / "detections_2d" / "masks" / f"{fid}_{k}.pgm",
+                          np.where(inside, 255, 0).astype(np.uint8))
+                mask = f" masks/{fid}_{k}.pgm"
+            lines.append(f"{fid} {cls} {rng.uniform(0.3, 1.0):.2f} "
+                         f"{u0:.2f} {v0:.2f} {u1:.2f} {v1:.2f}{mask}\n")
+        planted = synth.camera_to_lidar_points(np.vstack(objects), calib)
+        n_scan = n_points - len(planted)
+        azimuth, reach = rng.uniform(-math.pi, math.pi, n_scan), rng.uniform(3.0, 80.0, n_scan)
+        scan = np.column_stack([reach * np.cos(azimuth), reach * np.sin(azimuth),
+                                rng.uniform(-1.8, 2.0, n_scan)])
+        cloud = np.vstack([scan, planted])
+        scans[fid] = np.column_stack([cloud, rng.uniform(0, 1, len(cloud))]).astype("<f4")
+        (root / "velodyne" / f"{fid}.bin").write_bytes(scans[fid].tobytes())
+        (root / "calib" / f"{fid}.txt").write_text(synth.calibration_text(calib))
+        (root / "detections_2d" / f"{fid}.txt").write_text("".join(lines))
+    return scans
+
+
+@pytest.fixture(scope="module")
+def kitti_scale(tmp_path_factory):
+    root = tmp_path_factory.mktemp("kitti_scale")
+    return root, _kitti_scale_frames(root, seed=11)
+
+
+def _behind_the_camera(rng, n: int) -> np.ndarray:
+    """n velodyne records whose points lie behind the camera, many of them on the
+    image once the depth's sign is dropped."""
+    calib = synth.default_calibration()
+    cam = np.column_stack([rng.uniform(-40, 40, n), rng.uniform(-3, 3, n),
+                           rng.uniform(-60, -0.5, n)])
+    records = np.column_stack([synth.camera_to_lidar_points(cam, calib),
+                               rng.uniform(0, 1, n)]).astype("<f4")
+    camera = geometry.lidar_to_camera(PointCloud(records[:, :3], Frame.LIDAR), calib).points
+    assert (camera[:, 2] < 0).all()
+    return records
+
+
+@pytest.mark.parametrize("mode", ["box", "mask"])
+def test_a_scan_is_a_set_of_points_end_to_end(kitti_scale, tmp_path, mode):
+    """The result files keep their bytes when the velodyne rows are permuted, and when
+    5,000 points behind the camera are inserted mid-scan."""
+    root, scans = kitti_scale
+    config = PipelineConfig(data_root=root, frustum_mode=mode)
+    params = regressor.init_params(config.raster_grid, config.classes, seed=5)
+    rng = np.random.default_rng(12)
+    variants = {
+        "permuted": {f: s[rng.permutation(len(s))] for f, s in scans.items()},
+        "behind": {f: np.insert(s, len(s) // 2, _behind_the_camera(rng, 5000), axis=0)
+                   for f, s in scans.items()},
+    }
+    results = {}
+    try:
+        for name, variant in {"original": scans, **variants}.items():
+            for f, records in variant.items():
+                (root / "velodyne" / f"{f}.bin").write_bytes(records.tobytes())
+            config.out_dir = tmp_path / name
+            summary = run_dataset(sorted(scans), config, params=params)
+            assert summary.faraway >= 40 and summary.detections == 120
+            results[name] = [p.read_bytes() for p in sorted(config.out_dir.iterdir())]
+    finally:
+        for f, records in scans.items():
+            (root / "velodyne" / f"{f}.bin").write_bytes(records.tobytes())
+    assert len(results["original"]) == len(scans)
+    assert results["permuted"] == results["original"]
+    assert results["behind"] == results["original"]

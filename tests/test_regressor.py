@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from farfrustum.clustering import MIN_BIN_WIDTH
 from farfrustum.errors import EmptyDataset, FarFrustumError, ShapeError, UnknownClass
 from farfrustum import regressor
 from farfrustum.kitti_io import MAX_POINT_RANGE_M, parse_labels, wrap_angle, wrap_angles
@@ -506,26 +507,29 @@ def test_wrap_angles_is_wrap_angle_bit_for_bit(values):
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
         params = init_params(8, CLASSES, hidden=8, priors=PRIORS, seed=5, extent=6.5)
+        params.bin_width = 0.25
         path = tmp_path / "reg.ckpt"
         save_checkpoint(params, path)
         back = load_checkpoint(path, CLASSES)
         assert back.grid_size == 8
         assert back.classes == CLASSES
         assert back.extent == 6.5
+        assert back.bin_width == 0.25
         np.testing.assert_array_equal(flatten_params(back), flatten_params(params))
         np.testing.assert_array_equal(back.priors, params.priors)
 
     def test_header_layout(self, tmp_path):
         params = zero_params(4, CLASSES, hidden=3, priors=PRIORS, extent=6.5)
+        params.bin_width = 0.125
         path = tmp_path / "reg.ckpt"
         save_checkpoint(params, path)
         data = path.read_bytes()
         names = b"pedestrian\ncar"
         header = np.frombuffer(data, dtype="<i8", count=6)
-        assert header.tolist() == [4, 2, 3, 7, 2, len(names)]
-        assert np.frombuffer(data, dtype="<f8", count=1, offset=48).tolist() == [6.5]
-        assert data[56 : 56 + len(names)] == names
-        body = np.frombuffer(data, dtype="<f8", offset=56 + len(names))
+        assert header.tolist() == [4, 2, 3, 7, 3, len(names)]
+        assert np.frombuffer(data, dtype="<f8", count=2, offset=48).tolist() == [6.5, 0.125]
+        assert data[64 : 64 + len(names)] == names
+        body = np.frombuffer(data, dtype="<f8", offset=64 + len(names))
         np.testing.assert_array_equal(
             body, np.concatenate([flatten_params(params), params.priors.ravel()])
         )
@@ -553,13 +557,15 @@ class TestCheckpoint:
             load_checkpoint(path, CLASSES)
 
     # G=-4 fits G=4's body; slot 6 is the float64 extent, whose cell index overflows
-    # int64 at 1e-300 and whose cell overflows at 1e308
-    @pytest.mark.parametrize("slot, value", [(0, -4), (3, 6), (6, 1e-300), (6, 1e308)])
+    # int64 at 1e-300 and whose cell overflows at 1e308; slot 7 is the float64 bin
+    # width, which must lie within the bounds a config applies
+    @pytest.mark.parametrize("slot, value", [(0, -4), (3, 6), (6, 1e-300), (6, 1e308),
+                                             (7, 0.01), (7, 1e308), (7, math.nan)])
     def test_bad_header_refused(self, tmp_path, slot, value):
         path = tmp_path / "reg.ckpt"
         save_checkpoint(zero_params(4, CLASSES, hidden=3, priors=PRIORS), path)
         data = bytearray(path.read_bytes())
-        data[8 * slot : 8 * slot + 8] = np.array([value], "<f8" if slot == 6 else "<i8").tobytes()
+        data[8 * slot : 8 * slot + 8] = np.array([value], "<f8" if slot >= 6 else "<i8").tobytes()
         path.write_bytes(bytes(data))
         with pytest.raises(ShapeError, match=re.escape(str(path)) + ".*bad header"):
             load_checkpoint(path)
@@ -601,7 +607,7 @@ class TestCheckpoint:
         path = tmp_path / "reg.ckpt"
         save_checkpoint(zero_params(4, CLASSES, hidden=3, priors=PRIORS), path)
         data = bytearray(path.read_bytes())
-        data[56] = 0xFF  # first byte of the class names
+        data[64] = 0xFF  # first byte of the class names
         path.write_bytes(bytes(data))
         with pytest.raises(ShapeError, match=re.escape(str(path))):
             load_checkpoint(path)
@@ -629,18 +635,22 @@ _NAMES = st.lists(
     names=_NAMES,
     grid=st.integers(1, 3),
     extent=st.one_of(st.floats(0.5, 8.0), st.floats()),
-    edit=st.sampled_from(["none", "truncate", "mutate", "extend", "header_int"]),
+    bin_width=st.one_of(st.floats(0.05, 1.0), st.floats()),
+    edit=st.sampled_from(["none", "truncate", "mutate", "extend", "header_int", "header_real"]),
     where=st.integers(0, 10_000),
     value=st.one_of(st.integers(-4, 300), st.integers(-(2**63), 2**63 - 1)),
+    real=st.floats(),
     expect=st.booleans(),
 )
 def test_checkpoint_fuzz_raises_only_package_errors(
-    names, grid, extent, edit, where, value, expect
+    names, grid, extent, bin_width, edit, where, value, real, expect
 ):
     """Truncated, mutated and extended checkpoints, non-ASCII class names,
-    wrong name lengths and bad extents fail with a package error only."""
+    wrong name lengths and bad extents or bin widths fail with a package error
+    only."""
     params = zero_params(grid, tuple(names), hidden=2,
                          priors={n: (1.0, 2.0, 3.0) for n in names}, extent=extent)
+    params.bin_width = bin_width
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "reg.ckpt"
         save_checkpoint(params, path)
@@ -655,16 +665,23 @@ def test_checkpoint_fuzz_raises_only_package_errors(
         elif edit == "header_int":  # G, n_classes, hidden, 7, version or name bytes
             slot = 8 * (where % 6)
             data[slot : slot + 8] = value.to_bytes(8, "little", signed=True)
+        elif edit == "header_real":  # the extent or the bin width
+            slot = 48 + 8 * (where % 2)
+            data[slot : slot + 8] = np.array([real], "<f8").tobytes()
         path.write_bytes(bytes(data))
         try:
             back = load_checkpoint(path, tuple(names) if expect else None)
         except FarFrustumError:
-            assert edit != "none" or not regressor.MIN_RASTER_EXTENT <= extent <= MAX_POINT_RANGE_M
-        else:  # a loaded layout is one the raster accepts
+            assert edit != "none" or not (
+                regressor.MIN_RASTER_EXTENT <= extent <= MAX_POINT_RANGE_M
+                and MIN_BIN_WIDTH <= bin_width <= MAX_POINT_RANGE_M)
+        else:  # a loaded layout is one the raster accepts, a bin width one a config does
             rasterize_bev(np.zeros((0, 2)), back.classes[0], back.grid_size,
                           back.extent, back.classes)
+            PipelineConfig(bin_width=back.bin_width)
             if edit == "none":
-                assert (back.classes, back.extent) == (tuple(names), extent)
+                assert (back.classes, back.extent, back.bin_width) == (
+                    tuple(names), extent, bin_width)
 
 
 def test_bbox_iou_2d_basics():
