@@ -177,10 +177,9 @@ def _screen(calib: CalibrationSet, window: Window) -> tuple[np.ndarray, np.ndarr
     (a tiny negative u rounds to -0.0); the w limit is raised, to mean w > 0.
     """
     u0, v0, u1, v1 = window
-    camera = calib.R0_rect @ calib.Tr_velo_to_cam  # camera = R0 . (Tr . [p;1])
-    uw, vw, w = calib.P2 @ np.vstack([camera, [0.0, 0.0, 0.0, 1.0]])
-    rows = np.array([camera[2], w, uw - u0 * w, u1 * w - uw, vw - v0 * w, v1 * w - vw])
-    (_, _, rz), (ru, rv, rw) = calib.reach()
+    uw, vw, w = calib._image  # built with the calibration, once per distinct text
+    rows = np.array([calib._camera[2], w, uw - u0 * w, u1 * w - uw, vw - v0 * w, v1 * w - vw])
+    (_, _, rz), (ru, rv, rw) = calib._reach
     reach = np.array([rz, rw, ru + abs(u0) * rw, ru + abs(u1) * rw,
                       rv + abs(v0) * rw, rv + abs(v1) * rw]) + rw
     sign = np.array([-1.0, 1.0, -1.0, -1.0, -1.0, -1.0])

@@ -11,7 +11,8 @@ Covers every on-disk format the pipeline exchanges with the outside world:
 Parsers tolerate repeated whitespace and blank lines. ``write_results``
 produces text that round-trips through ``parse_labels`` to 1e-4 on every
 numeric field. All returned objects are immutable after construction, so
-different frames can be parsed in parallel.
+different frames can be parsed in parallel, and frames that repeat a
+calibration text share its one parsed set.
 
 Point arrays are checked where they enter: ``load_pointcloud`` returns a
 read-only view of the file's float32 records, and its subsets stay float32;
@@ -31,6 +32,7 @@ edge of a ``Detection2D`` and of a label's 2D box lies within MAX_BBOX_PIXEL.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -67,6 +69,7 @@ MAX_CALIBRATION_MAGNITUDE = 1e100
 MAX_MOUNT_OFFSET_M = 100.0  # a lidar this far from its camera is not on the same vehicle
 ROTATION_TOLERANCE = 1e-3  # largest |R R^T - I| of a calibration rotation
 MAX_BBOX_PIXEL = 1e5  # a 2D box edge this far off any image is a corrupt record
+_CALIBRATION_CACHE_SIZE = 64  # distinct calibration texts kept parsed
 
 
 def wrap_angle(angle: float) -> float:
@@ -161,8 +164,9 @@ class CalibrationSet:
         for name, shape in (("P2", (3, 4)), ("R0_rect", (3, 3)), ("Tr_velo_to_cam", (3, 4))):
             object.__setattr__(self, name, _readonly(np.reshape(getattr(self, name), shape)))
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            reach = self.reach()
             biggest = np.abs(np.concatenate([self.P2.ravel(), self.R0_rect.ravel(),
-                                             self.Tr_velo_to_cam.ravel(), *self.reach()])).max()
+                                             self.Tr_velo_to_cam.ravel(), *reach])).max()
         if not biggest <= MAX_CALIBRATION_MAGNITUDE:
             raise BadCalibration(f"an entry or a mapped {MAX_POINT_RANGE_M:g} m point exceeds "
                                  f"{MAX_CALIBRATION_MAGNITUDE:g}: products could turn non-finite")
@@ -183,6 +187,11 @@ class CalibrationSet:
                                  f"{MAX_MOUNT_OFFSET_M:g} m")
         if not abs(p2_det) >= 1e-12:
             raise BadCalibration("left 3x3 of P2 is not invertible")
+        camera = self.R0_rect @ self.Tr_velo_to_cam  # camera = R0 . (Tr . [p;1])
+        image = self.P2 @ np.vstack([camera, [0.0, 0.0, 0.0, 1.0]])  # rows u*w, v*w, w
+        for arr in (camera, image, *reach):  # geometry._screen's; one per cached text
+            arr.setflags(write=False)
+        self.__dict__.update(_camera=camera, _image=image, _reach=reach)
 
     def reach(self) -> tuple[np.ndarray, np.ndarray]:
         """Bounds on |camera (x, y, z)| and |(u*w, v*w, w)| of a point within MAX_POINT_RANGE_M."""
@@ -209,13 +218,16 @@ def apply_affine(points: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=_CALIBRATION_CACHE_SIZE)
 def parse_calibration(text: str) -> CalibrationSet:
     """Parse a KITTI calibration file (``key: v v v ...`` lines).
 
     Only P2 (the left color camera's projection), R0_rect, and
-    Tr_velo_to_cam are consumed; other keys are ignored. Raises
-    MissingCalibKey / MalformedCalibLine on bad input and BadCalibration on
-    matrices that CalibrationSet refuses.
+    Tr_velo_to_cam are consumed, each once; other keys are ignored. Raises
+    MissingCalibKey / MalformedCalibLine on bad input (a consumed key given
+    twice, too) and BadCalibration on matrices that CalibrationSet refuses.
+    The frames of one drive repeat one text: the last _CALIBRATION_CACHE_SIZE
+    texts parsed map to their one read-only set; a text that raises is not kept.
     """
     wanted = {"P2": 12, "R0_rect": 9, "Tr_velo_to_cam": 12}
     found: dict[str, np.ndarray] = {}
@@ -227,6 +239,8 @@ def parse_calibration(text: str) -> CalibrationSet:
         key = key.strip()
         if key not in wanted:
             continue
+        if key in found:
+            raise MalformedCalibLine(f"{key}: repeated key")
         tokens = rest.split()
         if len(tokens) != wanted[key]:
             raise MalformedCalibLine(
@@ -389,18 +403,34 @@ class Detection2D:
     image_size: tuple[int, int] | None = None  # (W, H), when known
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.score <= 1.0:
-            raise BadScore(f"score {self.score} outside [0, 1]")
-        u0, v0, u1, v1 = self.bbox
-        if not all(-MAX_BBOX_PIXEL <= e <= MAX_BBOX_PIXEL for e in self.bbox):
-            raise BadBBox(f"bbox edge beyond {MAX_BBOX_PIXEL:g} px or non-finite in {self.bbox}")
-        if not (u0 < u1 and v0 < v1):
-            raise BadBBox(f"inverted bbox {self.bbox}")
+        _check_detection(self.score, self.bbox)
+
+    @classmethod
+    def _checked(cls, frame_id: str, class_name: str, score: float, bbox: tuple[float, ...],
+                 mask: MaskRef | None, image_size: tuple[int, int] | None) -> "Detection2D":
+        """A detection from fields already of their types: checked, not converted again."""
+        _check_detection(score, bbox)
+        det = object.__new__(cls)
+        det.__dict__.update(frame_id=frame_id, class_name=class_name, score=score, bbox=bbox,
+                            mask=mask, image_size=image_size)
+        return det
 
     @property
     def bbox_center(self) -> tuple[float, float]:
         u0, v0, u1, v1 = self.bbox
         return (0.5 * (u0 + u1), 0.5 * (v0 + v1))
+
+
+def _check_detection(score: float, bbox: tuple[float, float, float, float]) -> None:
+    """The bounds every Detection2D is built under; see Detection2D."""
+    if not 0.0 <= score <= 1.0:
+        raise BadScore(f"score {score} outside [0, 1]")
+    u0, v0, u1, v1 = bbox
+    if not (abs(u0) <= MAX_BBOX_PIXEL and abs(v0) <= MAX_BBOX_PIXEL
+            and abs(u1) <= MAX_BBOX_PIXEL and abs(v1) <= MAX_BBOX_PIXEL):
+        raise BadBBox(f"bbox edge beyond {MAX_BBOX_PIXEL:g} px or non-finite in {bbox}")
+    if not (u0 < u1 and v0 < v1):
+        raise BadBBox(f"inverted bbox {bbox}")
 
 
 def parse_detections(
@@ -414,6 +444,7 @@ def parse_detections(
     Mask paths are resolved against ``mask_dir`` and loaded lazily; their
     dimensions are checked against ``image_dims`` at load time.
     """
+    size = (int(image_dims[0]), int(image_dims[1]))
     out: list[Detection2D] = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -426,7 +457,7 @@ def parse_detections(
             )
         try:
             score = float(tokens[2])
-            bbox = tuple(float(t) for t in tokens[3:7])
+            bbox = tuple(map(float, tokens[3:7]))
         except ValueError as exc:
             raise MalformedDetectionLine(f"{exc}: {line!r}") from exc
         mask = None
@@ -434,17 +465,8 @@ def parse_detections(
             mask_path = Path(tokens[7])
             if mask_dir is not None and not mask_path.is_absolute():
                 mask_path = Path(mask_dir) / mask_path
-            mask = MaskRef(mask_path, image_dims)
-        out.append(
-            Detection2D(
-                frame_id=tokens[0],
-                class_name=tokens[1].lower(),
-                score=score,
-                bbox=bbox,  # type: ignore[arg-type]
-                mask=mask,
-                image_size=(int(image_dims[0]), int(image_dims[1])),
-            )
-        )
+            mask = MaskRef(mask_path, size)
+        out.append(Detection2D._checked(tokens[0], tokens[1].lower(), score, bbox, mask, size))
     return out
 
 
@@ -623,6 +645,10 @@ def _projected_bboxes(
     return bboxes
 
 
+# type -1 -1 alpha bbox(4) h w l x y z rotation_y score: parse_labels' layout, scored
+_RESULT_LINE = "%s -1 -1" + " %.4f" * 13 + "\n"
+
+
 def write_results(
     boxes: list[Box3D], calib: CalibrationSet, image_dims: tuple[int, int]
 ) -> str:
@@ -634,14 +660,10 @@ def write_results(
     if not boxes:
         return ""
     lines = []
-    for box, (u0, v0, u1, v1) in zip(boxes, _projected_bboxes(boxes, calib, image_dims)):
+    for box, (u0, v0, u1, v1) in zip(boxes, _projected_bboxes(boxes, calib, image_dims).tolist()):
         x, y, z = box.center
         w, l, h = box.size
         alpha = wrap_angle(box.yaw - math.atan2(x, z))
-        lines.append(
-            f"{box.class_name.capitalize()} -1 -1 {alpha:.4f} "
-            f"{u0:.4f} {v0:.4f} {u1:.4f} {v1:.4f} "
-            f"{h:.4f} {w:.4f} {l:.4f} "
-            f"{x:.4f} {y:.4f} {z:.4f} {box.yaw:.4f} {box.score:.4f}"
-        )
-    return "".join(line + "\n" for line in lines)
+        lines.append(_RESULT_LINE % (box.class_name.capitalize(), alpha, u0, v0, u1, v1,
+                                     h, w, l, x, y, z, box.yaw, box.score))
+    return "".join(lines)

@@ -780,6 +780,18 @@ def test_non_rigid_mount_exits_1_naming_the_file(
     _assert_refused(code, capsys.readouterr().err, path)
 
 
+def test_a_repeated_calibration_key_exits_1_naming_the_file(mini_dataset, tmp_path, capsys):
+    # the second P2 used to win silently and change the frame's boxes
+    root = tmp_path / "data"
+    shutil.copytree(mini_dataset.root, root)
+    path = root / "calib" / "000000.txt"
+    path.write_text(path.read_text() + "P2: 700 0 600 0 0 700 180 0 0 0 1 0\n")
+    code = run_cli("run", f"data_root={root}", "--out", tmp_path / "out")
+    err = capsys.readouterr().err
+    _assert_refused(code, err, path)
+    assert err.endswith(": P2: repeated key\n")
+
+
 @pytest.mark.parametrize("verb", ["run", "train", "stats", "plot"])
 def test_only_the_verbs_that_read_labels_parse_them(mini_dataset, tmp_path, capsys, verb):
     root = tmp_path / "data"

@@ -6,6 +6,7 @@ import re
 import stat
 import struct
 import weakref
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,10 +33,12 @@ from farfrustum.errors import (
     ZeroAreaBox,
 )
 from farfrustum.kitti_io import (
+    _CALIBRATION_CACHE_SIZE,
     MAX_BBOX_PIXEL,
     MAX_POINT_RANGE_M,
     Box3D,
     CalibrationSet,
+    Detection2D,
     Frame,
     MaskRef,
     PointCloud,
@@ -53,7 +56,7 @@ from farfrustum.geometry import lidar_to_camera, project_to_image
 from farfrustum.synth import default_calibration
 
 import oracles
-from conftest import BAD_PGMS, cut_writes
+from conftest import BAD_PGMS, cut_writes, random_calibration
 
 CALIB_TEXT = """\
 P2: 700 0 600 0 0 700 180 0 0 0 1 0
@@ -94,6 +97,54 @@ class TestParseCalibration:
     def test_non_numeric_value(self):
         with pytest.raises(MalformedCalibLine):
             parse_calibration(CALIB_TEXT.replace("700 0 600", "abc 0 600"))
+
+    @pytest.mark.parametrize("key", ["P2", "R0_rect", "Tr_velo_to_cam"])
+    def test_repeated_key_refused(self, key):
+        # the last line used to win silently; an ignored key may repeat
+        line = next(line for line in CALIB_TEXT.splitlines() if line.startswith(f"{key}:"))
+        with pytest.raises(MalformedCalibLine, match=f"^{key}: repeated key$"):
+            parse_calibration(CALIB_TEXT + line + "\n")
+        assert parse_calibration("P0: 1\nP0: 2\n" + CALIB_TEXT).P2[0, 0] == 700
+
+    def test_a_repeated_text_returns_its_one_read_only_set(self):
+        parse_calibration.cache_clear()
+        calib = parse_calibration(CALIB_TEXT)
+        assert parse_calibration(CALIB_TEXT) is calib
+        assert parse_calibration.cache_info().hits == 1
+        arrays = [calib.P2, calib.R0_rect, calib.Tr_velo_to_cam, calib._camera, calib._image,
+                  *calib._reach]
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(FrozenInstanceError):
+            calib.P2 = calib.P2
+
+    def test_a_text_that_raises_raises_on_every_call(self):
+        parse_calibration.cache_clear()
+        bad = CALIB_TEXT.replace("R0_rect: 1 0 0 0 1 0 0 0 1", "R0_rect: 1 0 0 0 1 0 0 0 2")
+        for _ in range(3):
+            with pytest.raises(BadCalibration, match="not orthonormal"):
+                parse_calibration(bad)
+        assert parse_calibration.cache_info().currsize == 0
+
+    def test_the_cache_stays_at_its_bound(self):
+        parse_calibration.cache_clear()
+        texts = [f"P0: {k}\n{CALIB_TEXT}" for k in range(_CALIBRATION_CACHE_SIZE + 10)]
+        sets = [parse_calibration(text) for text in texts]
+        info = parse_calibration.cache_info()
+        assert info.currsize == info.maxsize == _CALIBRATION_CACHE_SIZE
+        assert info.misses == len(texts) and len({id(c) for c in sets}) == len(texts)
+        assert parse_calibration(texts[-1]) is sets[-1]
+        assert parse_calibration(texts[0]) is not sets[0]  # the oldest went first
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_screen_rows_are_the_calibrations_products(self, seed):
+        # geometry._screen reads these in place of the products it computed per frame
+        calib = random_calibration(np.random.default_rng(seed))
+        camera = calib.R0_rect @ calib.Tr_velo_to_cam
+        assert np.array_equal(calib._camera, camera)
+        assert np.array_equal(calib._image,
+                              calib.P2 @ np.vstack([camera, [0.0, 0.0, 0.0, 1.0]]))
+        for got, want in zip(calib._reach, calib.reach()):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
     def test_non_finite_value(self, value):
@@ -496,6 +547,38 @@ class TestParseDetections:
     def test_wrong_field_count(self):
         with pytest.raises(MalformedDetectionLine):
             parse_detections("000001 car 0.9 100 50 120", self.DIMS)
+
+    def test_parsed_detections_are_the_ones_the_constructor_builds(self, tmp_path):
+        text = ("000001 Car 0.9 -10.5 50 120 110.25\n"
+                "000001 pedestrian 1 100 50 120.5 110 m.pgm\n"
+                f"000001 car 0 0 0 1 1 {tmp_path / 'sub' / 'abs.pgm'}\n")
+        dets = parse_detections(text, (1242.0, 375.0), mask_dir=tmp_path)
+        masks = [None, tmp_path / "m.pgm", tmp_path / "sub" / "abs.pgm"]
+        for det, line, mask in zip(dets, text.splitlines(), masks, strict=True):
+            frame_id, name, score, *edges = line.split()[:7]
+            want = Detection2D(frame_id, name.lower(), float(score), tuple(map(float, edges)),
+                               image_size=(1242, 375))
+            assert replace(det, mask=None) == want
+            assert all(type(v) is float for v in (det.score, *det.bbox))
+            assert all(type(n) is int for n in det.image_size)  # 1242.0 == 1242
+            if mask is None:
+                assert det.mask is None and det == want and hash(det) == hash(want)
+            else:
+                assert (det.mask.path, det.mask.expected_size) == (mask, (1242, 375))
+
+    @pytest.mark.parametrize("score, bbox", [
+        (1.5, (100.0, 50.0, 120.0, 110.0)),
+        (0.9, (100.0, math.nan, 120.0, 110.0)),
+        (0.9, (100.0, 50.0, 2e5, 110.0)),
+        (0.9, (200.0, 50.0, 100.0, 110.0)),
+        (math.nan, (200.0, 50.0, 100.0, 110.0)),  # the score is checked first
+    ], ids=["score", "nan edge", "far edge", "inverted", "score then box"])
+    def test_a_parsed_detection_is_refused_as_the_constructor_refuses_it(self, score, bbox):
+        with pytest.raises((BadScore, BadBBox)) as built:
+            Detection2D("000001", "car", score, bbox, image_size=self.DIMS)
+        line = f"000001 car {score} " + " ".join(map(repr, bbox))
+        with pytest.raises(built.type, match=f"^{re.escape(str(built.value))}$"):
+            parse_detections(line, self.DIMS)
 
     def test_mask_dim_mismatch(self, tmp_path):
         write_pgm(tmp_path / "m.pgm", np.ones((10, 10), dtype=np.uint8))

@@ -103,3 +103,23 @@ def test_every_function_a_benchmark_metric_traces_exists(monkeypatch):
         module, function = name.split(".")
         module = importlib.import_module(f"farfrustum.{module}")
         assert callable(getattr(module, function, None)), name
+
+
+def test_each_frames_calibration_lookup_stays_traceable(mini_dataset, mini_config, monkeypatch):
+    # the benchmark's tracer swaps kitti_io.parse_calibration by name in every module that
+    # binds it; the per-text cache sits behind that name, so each frame's lookup is a span
+    from farfrustum import kitti_io, pipeline
+
+    assert callable(kitti_io.parse_calibration)
+    assert pipeline.parse_calibration is kitti_io.parse_calibration
+    assert farfrustum.parse_calibration is kitti_io.parse_calibration
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracing").Tracer()
+    tracer.install()
+    try:
+        pipeline.run_dataset(mini_dataset.frame_ids, mini_config)
+    finally:
+        tracer.uninstall()
+    assert pipeline.parse_calibration is kitti_io.parse_calibration
+    names = [span[0] for span in tracer.spans]
+    assert names.count("kitti_io.parse_calibration") == len(mini_dataset.frame_ids)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from farfrustum import geometry, regressor, synth
 from farfrustum.errors import (
+    BadCalibration,
     ConfigError,
     CropMismatch,
     FarFrustumError,
@@ -24,7 +25,15 @@ from farfrustum.errors import (
     UnknownClass,
 )
 from farfrustum.geometry import rot_y
-from farfrustum.kitti_io import Box3D, Detection2D, Frame, MaskRef, PointCloud, write_pgm
+from farfrustum.kitti_io import (
+    Box3D,
+    Detection2D,
+    Frame,
+    MaskRef,
+    PointCloud,
+    parse_calibration,
+    write_pgm,
+)
 from farfrustum.pipeline import (
     DEFAULT_THRESHOLDS,
     PipelineConfig,
@@ -739,6 +748,87 @@ def test_detection_of_another_frame_names_the_file(mini_dataset, tmp_path):
     path.write_text(path.read_text().replace("000000 ", "999999 ", 1))
     with pytest.raises(MalformedDetectionLine, match=re.escape(str(path))):
         load_frame_inputs(root, "000000", PipelineConfig(data_root=root))
+
+
+def _result_files(config: PipelineConfig, frames, out_dir: Path) -> dict[str, bytes]:
+    config.out_dir = out_dir
+    run_dataset(frames, config)
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def test_result_files_do_not_depend_on_the_calibration_cache(mini_dataset, mini_config, tmp_path):
+    frames = mini_dataset.frame_ids
+    parse_calibration.cache_clear()
+    first = _result_files(mini_config, frames, tmp_path / "first")
+    info = parse_calibration.cache_info()
+    assert (info.hits, info.misses) == (len(frames) - 1, 1)  # the demo repeats one text
+    warm = _result_files(mini_config, frames, tmp_path / "warm")
+    parse_calibration.cache_clear()
+    cleared = _result_files(mini_config, frames, tmp_path / "cleared")
+    backwards = _result_files(mini_config, frames[::-1], tmp_path / "backwards")
+    assert len(first) == len(frames)
+    assert warm == first and cleared == first and backwards == first
+    # each frame's text made its own by an ignored line: a miss on every frame
+    root = tmp_path / "data"
+    shutil.copytree(mini_dataset.root, root)
+    for k, fid in enumerate(frames):
+        path = root / "calib" / f"{fid}.txt"
+        path.write_text(f"P0: {k}\n" + path.read_text())
+    mini_config.data_root = root
+    before = parse_calibration.cache_info()
+    distinct = _result_files(mini_config, frames, tmp_path / "distinct")
+    after = parse_calibration.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses + len(frames))
+    assert distinct == first
+
+
+def test_frames_sharing_a_bad_calibration_each_name_their_own_file(
+    mini_dataset, mini_config, tmp_path
+):
+    root = tmp_path / "data"
+    shutil.copytree(mini_dataset.root, root)
+    frames = mini_dataset.frame_ids[:2]
+    text = (root / "calib" / f"{frames[0]}.txt").read_text()
+    r0 = next(line for line in text.splitlines() if line.startswith("R0_rect:"))
+    bad = text.replace(r0, "R0_rect: 1 0 0 0 1 0 0 0 2")
+    for fid in frames:
+        (root / "calib" / f"{fid}.txt").write_text(bad)
+    for fid in frames * 2:  # a text that raises is never kept
+        with pytest.raises(BadCalibration) as exc:
+            load_frame_inputs(root, fid, mini_config)
+        assert str(exc.value).startswith(f"{root / 'calib' / fid}.txt: R0_rect not orthonormal")
+
+
+def _bits(boxes: list[Box3D]) -> list[tuple]:
+    return [(b.class_name, *map(float.hex, (*b.center, b.yaw, *b.size, b.score)))
+            for b in boxes]
+
+
+@pytest.mark.parametrize("checkpoint", [False, True], ids=["priors", "checkpoint"])
+@pytest.mark.parametrize("mode", ["box", "mask"])
+def test_a_box_does_not_depend_on_its_frame_mates(kitti_scale, tmp_path, mode, checkpoint):
+    """Every box of a frame keeps its bits when its detection runs alone, although the
+    frame's crop, its CHAIN_ROWS blocks and the stacked network pass depend on them all."""
+    root, scans = kitti_scale
+    config = PipelineConfig(data_root=root, frustum_mode=mode)
+    params = None
+    if checkpoint:
+        config.checkpoint = tmp_path / "m.ckpt"
+        regressor.save_checkpoint(regressor.init_params(config.raster_grid, config.classes,
+                                                        seed=5), config.checkpoint)
+        params = regressor.load_checkpoint(config.checkpoint, config.classes)
+    boxes = 0
+    for fid in sorted(scans):
+        inputs = load_frame_inputs(root, fid, config, labels=False)
+        together = process_frame(inputs.cloud, inputs.detections, [], inputs.calib, config,
+                                 params=params)
+        alone = [box for det in inputs.detections
+                 for box in process_frame(inputs.cloud, [det], [], inputs.calib, config,
+                                          params=params)]
+        alone.sort(key=lambda box: -box.score)  # stable, as process_frame sorts
+        assert _bits(alone) == _bits(together)
+        boxes += len(together)
+    assert boxes >= 40
 
 
 def test_load_frame_inputs_reads_all_parts(mini_dataset, mini_config):
