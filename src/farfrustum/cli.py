@@ -14,8 +14,8 @@ from . import evaluation, plots, regressor
 from .errors import ConfigError, FarFrustumError
 from .geometry import lidar_to_camera
 from .kitti_io import write_whole
-from .pipeline import PipelineConfig, config_mapping, load_frame_inputs, naming, read_boxes
-from .pipeline import run_dataset
+from .pipeline import PipelineConfig, add_config_key, config_mapping, load_frame_inputs, naming
+from .pipeline import read_boxes, run_dataset
 from .regressor import TrainConfig, build_training_set
 
 
@@ -29,7 +29,7 @@ def _parse_overrides(pairs: list[str]) -> dict[str, str]:
         if "=" not in pair:
             raise UsageError(f"override must be key=value, got {pair!r}")
         key, _, value = pair.partition("=")
-        out[key.strip()] = value.strip()
+        add_config_key(out, key.strip(), value.strip())
     return out
 
 

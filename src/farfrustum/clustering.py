@@ -70,8 +70,9 @@ def modal_midpoints(
     frustum of a CalibrationSet does at a bin_width of at least
     MIN_BIN_WIDTH. A value's bin is estimated by a floor, then corrected
     against the edges vmin + j * bin_width, computed as axis_histogram
-    computes them. The bins are counted by sorting their keys, so memory
-    grows with the values, not with the spans.
+    computes them. The bins are counted densely (one bincount) while the
+    segments span at most 4 * len(values) + 65536 bins in all, else by
+    sorting their keys, so memory grows with the values, not with the spans.
     """
     bounds = np.asarray(bounds)
     sizes = np.diff(bounds)
@@ -84,13 +85,18 @@ def modal_midpoints(
         j -= high
     while (short := (j < top) & (low + (j + 1) * bin_width <= values)).any():
         j += short
-    # keys sort by segment, then bin: each segment's first fullest key is its lowest modal bin
+    # keys order by segment, then bin: each segment's first fullest key is its lowest modal bin
     offsets = np.cumsum(n_bins) - n_bins
-    keys, counts = np.unique(np.repeat(offsets, sizes) + j, return_counts=True)
-    first = np.searchsorted(keys, offsets)
-    fullest = np.repeat(np.maximum.reduceat(counts, first), np.diff(first, append=len(keys)))
+    keys = np.repeat(offsets, sizes) + j
+    if n_bins.sum() <= 4 * len(values) + 65536:  # every bin counted: key k at index k
+        counts, first, keys = np.bincount(keys, minlength=n_bins.sum()), offsets, None
+    else:  # only the occupied keys, sorted
+        keys, counts = np.unique(keys, return_counts=True)
+        first = np.searchsorted(keys, offsets)
+    fullest = np.repeat(np.maximum.reduceat(counts, first), np.diff(first, append=len(counts)))
     modal = np.flatnonzero(counts == fullest)
-    i = (keys[modal[np.searchsorted(modal, first)]] - offsets).astype(np.float64)
+    i = modal[np.searchsorted(modal, first)]
+    i = ((i if keys is None else keys[i]) - offsets).astype(np.float64)
     return 0.5 * ((vmin + i * bin_width) + (vmin + (i + 1) * bin_width))
 
 

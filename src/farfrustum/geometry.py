@@ -31,10 +31,10 @@ of its camera points (``points_in_box_frustum`` and ``points_in_mask_frustum``
 cut one) and refuses a detection whose image size differs from the
 projection's or whose frustum leaves its crop (``CropMismatch``);
 ``frustum_rotations`` then rotates all of a frame's frustums, held as segments
-of one array, in one call. ``regressor.frustum_chain`` is the one caller of
-the crop, the projection and the cut, for ``run`` and ``train`` alike. All
-operations preserve point order, and a projection is never modified after
-it is built.
+of one array, in one call (every matrix from one ``rot_ys``).
+``regressor.frustum_chain`` is the one caller of the crop, the projection and
+the cut, for ``run`` and ``train`` alike. All operations preserve point order,
+and a projection is never modified after it is built.
 
 Clouds and calibrations are checked where they are built (``kitti_io``), so
 no product here overflows, and ``frustum_rotation`` can back-project through
@@ -64,8 +64,16 @@ def rot_y(angle: float) -> np.ndarray:
     Azimuth is atan2(x, z), so rot_y(a) maps a point at azimuth t to
     azimuth t + a while preserving y and the Euclidean norm.
     """
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    return rot_ys([angle])[0]
+
+
+def rot_ys(angles: Sequence[float]) -> np.ndarray:
+    """rot_y of every angle, as one (K, 3, 3) array; each entry is math.cos or math.sin."""
+    entries: list[float] = []
+    for angle in angles:
+        c, s = math.cos(angle), math.sin(angle)
+        entries += (c, 0.0, s, 0.0, 1.0, 0.0, -s, 0.0, c)
+    return np.array(entries).reshape(-1, 3, 3)
 
 
 def _require_frame(cloud: PointCloud, frame: Frame) -> None:
@@ -260,9 +268,9 @@ def frustum_rows(
     With `masks`, a detection that has a mask keeps the rows whose floor(u),
     floor(v) pixel is positive on it (the pixel index is built once per mask
     shape); any other keeps those in its image-clamped box, u0 <= u < u1 and
-    v0 <= v < v1. A mask that fails to load, or a detection whose image size
-    differs from the projection's or whose box or mask image leaves the
-    projection's crop (CropMismatch), raises after the segments before it.
+    v0 <= v < v1 (one mask, narrowed in place). A mask that fails to load, or a
+    detection whose image size differs from the projection's or whose box or
+    mask image leaves the crop (CropMismatch), raises after the segments before it.
     """
     u, v = projection.u, projection.v
     pixels: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -279,7 +287,11 @@ def frustum_rows(
             box = _clamped(det)
             projection.require_crop(det.image_size, box)
             u0, v0, u1, v1 = box
-            yield np.flatnonzero((u >= u0) & (u < u1) & (v >= v0) & (v < v1))
+            inside = u >= u0
+            inside &= u < u1
+            inside &= v >= v0
+            inside &= v < v1
+            yield inside.nonzero()[0]
 
 
 def points_in_box_frustum(projection: CloudProjection, det: Detection2D) -> PointCloud:
@@ -304,15 +316,17 @@ def frustum_rotations(
     """frustum_rotation of each segment points[bounds[k]:bounds[k + 1]] by detections[k].
 
     Returns (rotated points, (K,) theta). All center rays are solved in one
-    stacked call, the same LAPACK solve per ray as a one-ray call; each
-    segment is rotated by its own product, written in place.
+    stacked call, the same LAPACK solve per ray as a one-ray call, and every
+    matrix in one ``rot_ys``; each segment is rotated by its own product,
+    written in place, as in a one-segment call.
     """
     rhs = np.array([[*det.bbox_center, 1.0] for det in detections]).reshape(-1, 3, 1)
     rays = np.linalg.solve(np.broadcast_to(calib.P2[:, :3], (len(rhs), 3, 3)), rhs)
-    theta = np.array([math.atan2(x, z) for x, _, z in rays[:, :, 0]])
+    theta = np.array([math.atan2(x, z) for x, _, z in rays[:, :, 0].tolist()])
     rotated = np.empty_like(points)
-    for angle, start, stop in zip(theta, bounds[:-1], bounds[1:]):
-        np.matmul(points[start:stop], rot_y(-angle).T, out=rotated[start:stop])
+    bounds = np.asarray(bounds).tolist()
+    for m, start, stop in zip(rot_ys((-theta).tolist()), bounds[:-1], bounds[1:]):
+        np.matmul(points[start:stop], m.T, out=rotated[start:stop])
     return rotated, theta
 
 

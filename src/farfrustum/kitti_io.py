@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import stat
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -290,16 +291,21 @@ def write_whole(path: str | Path, data: str | bytes) -> None:
     the path; any other exception (an interrupt) leaves the same and is re-raised as it
     is. An existing path that is no regular file (a pipe, a device) is written in place."""
     path = Path(path)
-    special = path.exists() and not path.is_file()
+    try:
+        special = not stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:  # nothing there to keep: written whole, or refused below
+        special = False
     tmp = path if special else path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    written = special  # a special file is written in place, never unlinked
     try:
         tmp.write_text(data) if isinstance(data, str) else tmp.write_bytes(data)
         if not special:
             os.replace(tmp, path)
+        written = True
     except OSError as exc:
         raise FarFrustumError(f"{path}: cannot write ({exc.strerror or exc})") from exc
-    finally:  # after a rename the temporary name is gone already
-        if not special:
+    finally:
+        if not written:  # the temporary file of a write that did not complete
             tmp.unlink(missing_ok=True)
 
 

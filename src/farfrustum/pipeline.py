@@ -31,7 +31,7 @@ from .errors import (
     ZeroAreaBox,
 )
 from .evaluation import faraway_filter, is_faraway  # is_faraway: for pipeline's callers
-from .geometry import rot_y
+from .geometry import rot_ys
 from .kitti_io import (
     MAX_BBOX_PIXEL,
     MAX_POINT_RANGE_M,
@@ -157,7 +157,7 @@ class PipelineConfig:
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Parse a flat key=value config file; '#' starts a comment line."""
+    """Parse a flat key=value config file ('#' starts a comment line); no key twice."""
     out: dict[str, str] = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -166,8 +166,15 @@ def parse_config_text(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        add_config_key(out, key.strip(), value.strip())
     return out
+
+
+def add_config_key(mapping: dict[str, str], key: str, value: str) -> None:
+    """Set one key of a config layer (a file, or the overrides); ConfigError if it is set."""
+    if key in mapping:
+        raise ConfigError(f"config key {key!r} given twice")
+    mapping[key] = value
 
 
 def config_mapping(
@@ -194,15 +201,20 @@ def assemble_box(
     and vertical positions come from the clustered centroid. The center is
     rotated back by +theta and the yaw converted to the camera frame.
     """
-    center_frustum = np.array([centroid[0], centroid[1], centroid[2] + reg.shift[2]])
-    center_cam = rot_y(theta) @ center_frustum
-    return Box3D(
-        center=(center_cam[0], center_cam[1], center_cam[2]),
-        yaw=wrap_angle(reg.yaw + theta),
-        size=reg.size,
-        class_name=class_name,
-        score=score,
-    )
+    return next(_assembled(np.array([centroid]), [reg], [theta], [(class_name, score)]))
+
+
+def _assembled(centroids: np.ndarray, regs: Sequence[BoxRegression], theta: Sequence[float],
+               labels: Sequence[tuple[str, float]]) -> Iterator[Box3D]:
+    """assemble_box of each (F, 3) centroid with its regression, angle and (class, score),
+    in order: every rot_y(theta) @ center in one stacked (F, 3, 3) @ (F, 3, 1) product."""
+    centers = np.array(centroids, dtype=np.float64).reshape(-1, 3, 1)
+    centers[:, 2, 0] += [reg.shift[2] for reg in regs]
+    centers = (rot_ys(theta) @ centers)[:, :, 0].tolist()
+    for center, reg, angle, (name, score) in zip(centers, regs, theta, labels):
+        w, l, h = reg.size  # converted and wrapped as Box3D() does
+        yield Box3D._checked((*center,), wrap_angle(reg.yaw + angle),
+                             (float(w), float(l), float(h)), name, float(score))
 
 
 @dataclass
@@ -252,8 +264,9 @@ def process_frame(
     regressor.frustum_chain projects the frame once and cuts and routes
     every detection, by its mask in mask mode (CropMismatch for another
     image size); the faraway ones' rasters go through the network in one
-    stacked pass (params default to zero weights). Detections whose frustum
-    holds no points, or whose class is not listed or has no threshold, are
+    stacked pass (params default to zero weights) and their centers are
+    rotated back in another, each box as assemble_box builds it. Detections
+    whose frustum holds no points, or whose class is not listed or has no threshold, are
     skipped; near-range ones are routed to the fallback detector (all three
     are counted, never fatal). Errors raise in detection order: a regressed
     box that Box3D refuses (a size that overflows past 10 km or underflows
@@ -278,16 +291,17 @@ def process_frame(
     stats.count(batch.routes)
     far = [k for k, route in enumerate(batch.routes) if route is Route.FARAWAY]
     regs = regressor.forward_rasters(params, batch.rasters)
-    ours = []
-    for k, theta, centroid, reg in zip(far, batch.theta, batch.centroids, regs):
+    labels = [(detections[k].class_name, detections[k].score) for k in far]
+    ours: list[Box3D] = []
+    try:
+        for box in _assembled(batch.centroids, regs, batch.theta.tolist(), labels):
+            ours.append(box)
+    except (NonFiniteBox, ZeroAreaBox) as exc:  # weights that overflow exp()
+        k = far[len(ours)]
         det = detections[k]
-        try:
-            ours.append(assemble_box(tuple(centroid), reg, float(theta), det.class_name,
-                                     det.score))
-        except (NonFiniteBox, ZeroAreaBox) as exc:  # weights that overflow exp()
-            raise type(exc)(
-                f"{source}, frame {det.frame_id}, detection {k} ({det.class_name}): {exc}"
-            ) from exc
+        raise type(exc)(
+            f"{source}, frame {det.frame_id}, detection {k} ({det.class_name}): {exc}"
+        ) from exc
     if batch.error is not None:  # after the boxes of the detections before it
         raise batch.error
 

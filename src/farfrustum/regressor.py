@@ -80,15 +80,14 @@ class BevRaster:
     def grid_size(self) -> int:
         return self.grid.shape[0]
 
-    @property
-    def class_onehot(self) -> np.ndarray:
-        onehot = np.zeros(len(self.classes))
-        onehot[self.classes.index(self.class_name)] = 1.0
-        return onehot
-
-    def feature_vector(self) -> np.ndarray:
-        """Flattened grid followed by the class one-hot."""
-        return np.concatenate([self.grid.ravel().astype(np.float64), self.class_onehot])
+    def feature_vector(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Flattened grid followed by the class one-hot, written into `out` when given."""
+        cells = self.grid.size
+        out = np.empty(cells + len(self.classes)) if out is None else out
+        out[:cells] = self.grid.reshape(-1)
+        out[cells:] = 0.0
+        out[cells + self.classes.index(self.class_name)] = 1.0
+        return out
 
 
 def _check_extent(extent: float) -> None:
@@ -234,6 +233,16 @@ def forward(params: RegressorParams, raster: BevRaster) -> BoxRegression:
     return forward_rasters(params, [raster])[0]
 
 
+def _features(params: RegressorParams, rasters: Sequence[BevRaster]) -> tuple[np.ndarray, list]:
+    """(K, D) rows of each raster's feature_vector, checked against the params' layout,
+    and each raster's class index (ints): the network input of ``run`` and ``train`` alike."""
+    x = np.empty((len(rasters), params.grid_size**2 + len(params.classes)))
+    for row, raster in zip(x, rasters):
+        _check_layout(params, raster)
+        raster.feature_vector(out=row)
+    return x, [params.classes.index(raster.class_name) for raster in rasters]
+
+
 def forward_rasters(
     params: RegressorParams, rasters: Sequence[BevRaster]
 ) -> list[BoxRegression]:
@@ -242,20 +251,16 @@ def forward_rasters(
     Each raster's row is its own product, as in a one-raster call, so every
     output is bit-identical to it; one (K, D) product rounds otherwise.
     """
-    for raster in rasters:
-        _check_layout(params, raster)
+    x, index = _features(params, rasters)
     if not rasters:
         return []
-    x = np.array([raster.feature_vector() for raster in rasters])
     _, raw = _forward_batch(params, x[:, None, :])
     raw = raw[:, 0]
-    prior = params.priors[[params.classes.index(raster.class_name) for raster in rasters]]
     with np.errstate(over="ignore"):  # Box3D refuses the inf
-        size = prior * np.exp(raw[:, 3:6])
+        size = params.priors[index] * np.exp(raw[:, 3:6])
     return [
-        BoxRegression(shift=(y[0], y[1], y[2]), size=(s[0], s[1], s[2]),
-                      yaw=wrap_angle(float(y[6])))
-        for y, s in zip(raw, size)
+        BoxRegression(shift=(y[0], y[1], y[2]), size=(s[0], s[1], s[2]), yaw=wrap_angle(y[6]))
+        for y, s in zip(raw.tolist(), size.tolist())
     ]
 
 
@@ -277,14 +282,9 @@ def training_batch(params: RegressorParams, data: Samples | TrainingBatch) -> Tr
         return data
     if not data:
         raise EmptyDataset("no training samples")
-    x = np.empty((len(data), params.grid_size**2 + len(params.classes)))
-    ts, ps = [], []
-    for row, (raster, target) in zip(x, data):
-        _check_layout(params, raster)
-        row[:] = raster.feature_vector()
-        ts.append(target.as_vector())
-        ps.append(params.priors[params.classes.index(raster.class_name)])
-    return TrainingBatch(x, np.array(ts), np.array(ps))
+    x, index = _features(params, [raster for raster, _ in data])
+    return TrainingBatch(x, np.array([target.as_vector() for _, target in data]),
+                         params.priors[index])
 
 
 def mean_loss(params: RegressorParams, data: Samples | TrainingBatch) -> float:

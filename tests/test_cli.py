@@ -95,6 +95,24 @@ class TestRun:
         assert run_cli("run", "--config", config) == 1
         assert "no_such_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["run", "train", "eval", "stats"])
+    def test_a_key_given_twice_in_one_layer_exits_1_naming_it(
+            self, dataset_args, tmp_path, capsys, verb):
+        _, args, out = dataset_args
+        config = tmp_path / "c.txt"
+        config.write_text("bin_width=0.1\n# the second one used to win\nbin_width=0.5\n")
+        assert run_cli(verb, "--config", config, *args) == 1
+        err = capsys.readouterr().err
+        assert f"{config}: config key 'bin_width' given twice" in err
+        assert "Traceback" not in err
+        assert run_cli(verb, *args, "bin_width=0.1", "bin_width=0.5") == 1
+        assert "config key 'bin_width' given twice" in capsys.readouterr().err
+        assert not out.exists()
+        # one key per layer: the override still wins over the file, the flag over both
+        config.write_text("frustum_mode=mask\nthreshold.pedestrian=60\n")
+        assert run_cli("run", "--config", config, *args, "threshold.pedestrian=70",
+                       "--frustum-mode", "box", "frustum_mode=mask") == 0
+
     def test_nan_faraway_threshold_is_runtime_error(self, dataset_args, capsys):
         _, args, out = dataset_args
         assert run_cli("run", *args, "threshold.car=nan") == 1

@@ -204,6 +204,26 @@ def test_modal_midpoints_hand_cases():
     assert modal_midpoints(np.empty(0), [0], 0.1).shape == (0,)
 
 
+@pytest.mark.parametrize("span, counter", [(65555.0, "bincount"), (65556.0, "unique")])
+def test_modal_midpoints_count_every_bin_up_to_their_bound_then_sort(
+    monkeypatch, span, counter
+):
+    """Two segments of 5 values in all span 65556 bins, the most counted densely
+    (4 * 5 + 65536), or one more, which are sorted; ties at both ends of the wide one."""
+    segments = [[0.0, 0.5, span - 0.5, span], [3.0]]
+    calls = {"bincount": 0, "unique": 0}
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(np, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np, name, counting)
+    modal_midpoints(np.concatenate(segments), [0, 4, 5], 1.0)
+    monkeypatch.undo()
+    assert calls == {"bincount": 0, "unique": 0, counter: 1}
+    _same_midpoints(segments, 1.0)
+    _same_midpoints([[0.0, 1.0, 1.0, span - 0.5, span - 0.5, span], [-2.0, -1.5]], 1.0)
+
+
 @st.composite
 def _segment_sets(draw):
     """Segments of values near bin edges: ties, singletons, one-bin spans,

@@ -14,6 +14,7 @@ from farfrustum.geometry import (
     CHAIN_ROWS,
     detection_window,
     frustum_rotation,
+    frustum_rotations,
     frustum_rows,
     lidar_to_camera,
     points_in_box_frustum,
@@ -844,6 +845,29 @@ class TestFrustumRotation:
             m = oracles.rotation_y_matrix(-theta)
             want = np.array([oracles.matvec(m, p) for p in pts])
             np.testing.assert_allclose(out.points, want, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+           centers=st.lists(st.tuples(st.floats(-3e4, 3e4), st.floats(-3e4, 3e4)),
+                            min_size=8, max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stacked_rotations_equal_one_segment_calls(self, sizes, centers, seed):
+        """frustum_rotations over segments of 1-6 rows, one-row ones included (numpy hands
+        a one-row product to gemv), gives each segment frustum_rotation's bits and those
+        of its product with the transposed oracle matrix."""
+        rng = np.random.default_rng(seed)
+        calib = random_calibration(rng)
+        points = rng.uniform(-80, 80, (sum(sizes), 3))
+        bounds = np.cumsum([0, *sizes])
+        dets = [make_det((u - 5, v - 5, u + 5, v + 5)) for u, v in centers[:len(sizes)]]
+        rotated, theta = frustum_rotations(points, bounds, dets, calib)
+        for k, det in enumerate(dets):
+            segment = points[bounds[k]:bounds[k + 1]]
+            alone, angle = frustum_rotation(PointCloud(segment, Frame.CAMERA), det, calib)
+            want = segment @ np.array(oracles.rotation_y_matrix(-angle)).T
+            assert angle == theta[k]
+            assert rotated[bounds[k]:bounds[k + 1]].tobytes() == alone.points.tobytes()
+            assert alone.points.tobytes() == want.tobytes()
 
     def test_degenerate_projection_matrix(self):
         # frustum_rotation back-projects through P2's left 3x3, so no parsed

@@ -483,6 +483,15 @@ def test_write_whole_replaces_the_file_or_leaves_it(tmp_path, monkeypatch, data)
     assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
 
+def test_write_whole_unlinks_nothing_after_a_complete_write(tmp_path, monkeypatch):
+    unlinked = []
+    monkeypatch.setattr(Path, "unlink", lambda self, missing_ok=False: unlinked.append(self))
+    for data in ("new", b"newer"):  # a missing file, then one replaced
+        write_whole(tmp_path / "out.txt", data)
+    assert unlinked == [] and (tmp_path / "out.txt").read_bytes() == b"newer"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
 def test_write_whole_names_a_path_it_cannot_write(tmp_path):
     for target in (tmp_path / "missing" / "out.svg", tmp_path):  # no directory; a directory
         with pytest.raises(FarFrustumError, match=re.escape(f"{target}: cannot write")):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from farfrustum import geometry, regressor, synth
+from farfrustum import geometry, pipeline, regressor, synth
 from farfrustum.errors import (
     BadCalibration,
     ConfigError,
@@ -32,6 +32,7 @@ from farfrustum.kitti_io import (
     MaskRef,
     PointCloud,
     parse_calibration,
+    wrap_angle,
     write_pgm,
 )
 from farfrustum.pipeline import (
@@ -48,6 +49,8 @@ from farfrustum.pipeline import (
 )
 from farfrustum.regressor import BoxRegression, build_training_set
 from farfrustum.synth import camera_to_lidar_points
+
+import oracles
 
 
 class TestIsFaraway:
@@ -70,6 +73,11 @@ class TestIsFaraway:
             is_faraway(50.0, "tram", DEFAULT_THRESHOLDS)
 
 
+# yaws and angles within a few ulps of +-pi, where the yaw wrap turns
+_NEAR_PI = [x for v in (math.pi, -math.pi) for x in
+            (v, math.nextafter(v, 0.0), math.nextafter(v, 2 * v), v + 1e-12, v - 1e-12)]
+
+
 class TestAssembleBox:
     def test_depth_shift_applied_at_zero_angle(self):
         reg = BoxRegression((0.0, 0.0, 0.5), (0.7, 0.9, 1.8), 0.0)
@@ -90,6 +98,28 @@ class TestAssembleBox:
         want = rot_y(theta) @ np.array([2.0, 0.5, 66.7])
         np.testing.assert_allclose(box.center, want, atol=1e-12)
         assert box.yaw == pytest.approx(0.25 + theta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.tuples(st.floats(-500, 500), st.floats(-5, 5), st.floats(0, 500)),
+        st.floats(-50, 50), st.tuples(*[st.floats(0.01, 40)] * 3),
+        st.one_of(st.floats(-math.pi, math.pi), st.sampled_from(_NEAR_PI)),
+        st.one_of(st.floats(-math.pi / 2, math.pi / 2), st.sampled_from(_NEAR_PI)),
+    ), min_size=1, max_size=10))
+    def test_batched_assembly_is_assemble_box_one_detection_at_a_time(self, rows):
+        """process_frame's batched assembly against assemble_box on each detection alone
+        and against the matrix-vector product and Box3D() that assemble_box once ran."""
+        centroids = np.array([centroid for centroid, *_ in rows])
+        regs = [BoxRegression((0.0, 0.0, dz), size, yaw) for _, dz, size, yaw, _ in rows]
+        theta = [angle for *_, angle in rows]
+        assembled = list(pipeline._assembled(centroids, regs, theta, [("car", 0.5)] * len(rows)))
+        for batched, reg, angle, (centroid, dz, *_) in zip(assembled, regs, theta, rows):
+            one = assemble_box(centroid, reg, angle, "car", 0.5)
+            cam = np.array(oracles.rotation_y_matrix(angle)) @ np.array(
+                [centroid[0], centroid[1], centroid[2] + dz])
+            want = Box3D((cam[0], cam[1], cam[2]), wrap_angle(reg.yaw + angle), reg.size, "car",
+                         0.5)
+            assert _bits([batched]) == _bits([one]) == _bits([want])
 
     def test_non_finite_rejected(self):
         reg = BoxRegression((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.0)
@@ -561,6 +591,14 @@ class TestConfig:
             "bin_width": "0.2",
         }
 
+    def test_a_key_given_twice_is_refused_naming_it(self, tmp_path):
+        with pytest.raises(ConfigError, match="config key 'bin_width' given twice"):
+            parse_config_text("bin_width=0.1\nbin_width=0.5")
+        path = tmp_path / "c.txt"
+        path.write_text(" bin_width = 0.1\n# same value, still twice\nbin_width=0.1\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: config key 'bin_width'")):
+            config_mapping(path)
+
     def test_precedence_default_file_flag(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("threshold.pedestrian=60\nbin_width=0.2\n")
@@ -829,6 +867,119 @@ def test_a_box_does_not_depend_on_its_frame_mates(kitti_scale, tmp_path, mode, c
         assert _bits(alone) == _bits(together)
         boxes += len(together)
     assert boxes >= 40
+
+
+def _unrelated_detections(rng, fid: str, mask_dir: Path, n: int = 12) -> list[Detection2D]:
+    """Detections of nothing planted, scored below every planted one (0.30 and up): the
+    whole image (an unknown class, which widens the crop to it), a box that leaves the
+    image, and boxes anywhere of both classes, every other one cut by a mask of its own."""
+    width, height = synth.IMAGE_SIZE
+    size = (width, height)
+    dets = [Detection2D(fid, "cyclist", 0.29, (0.0, 0.0, float(width), float(height)),
+                        image_size=size),
+            Detection2D(fid, "car", 0.28, (-40.0, 150.0, 90.0, 260.0), image_size=size)]
+    vv, uu = np.mgrid[0:height, 0:width] + 0.5
+    for k in range(n):
+        u0, v0 = rng.uniform(0, width - 20), rng.uniform(0, height - 20)
+        u1, v1 = u0 + rng.uniform(8, 200), v0 + rng.uniform(8, 120)
+        mask = None
+        if k % 2:
+            path = mask_dir / f"unrelated_{fid}_{k}.pgm"
+            write_pgm(path, np.where((uu >= u0) & (uu < u1) & (vv >= v0) & (vv < v1)
+                                     & ((uu + vv) % 7 < 5), 255, 0).astype(np.uint8))
+            mask = MaskRef(path, size)
+        dets.append(Detection2D(fid, "car" if k % 3 else "pedestrian", 0.01 + 0.02 * k,
+                                (u0, v0, u1, v1), mask, size))
+    return dets
+
+
+@pytest.mark.parametrize("checkpoint", [False, True], ids=["priors", "checkpoint"])
+@pytest.mark.parametrize("mode", ["box", "mask"])
+def test_a_box_does_not_change_when_unrelated_detections_are_added(
+    kitti_scale, tmp_path, mode, checkpoint
+):
+    """Every box of a frame keeps its bits when detections of nothing planted are mixed in
+    among its own: they move the crop, the projection's rows, the joint histograms and the
+    stacked network and assembly passes, but no box of another detection."""
+    root, scans = kitti_scale
+    config = PipelineConfig(data_root=root, frustum_mode=mode)
+    params = None
+    if checkpoint:
+        config.checkpoint = tmp_path / "m.ckpt"
+        regressor.save_checkpoint(regressor.init_params(config.raster_grid, config.classes,
+                                                        seed=5), config.checkpoint)
+        params = regressor.load_checkpoint(config.checkpoint, config.classes)
+    rng = np.random.default_rng(21)
+    boxes = added = 0
+    for fid in sorted(scans):
+        inputs = load_frame_inputs(root, fid, config, labels=False)
+        assert min(det.score for det in inputs.detections) >= 0.3
+        alone = process_frame(inputs.cloud, inputs.detections, [], inputs.calib, config,
+                              params=params)
+        mixed = list(inputs.detections)
+        for det in _unrelated_detections(rng, fid, tmp_path):
+            mixed.insert(int(rng.integers(0, len(mixed) + 1)), det)
+        stats = RunSummary()
+        together = process_frame(inputs.cloud, mixed, [], inputs.calib, config, params=params,
+                                 stats=stats)
+        assert _bits([box for box in together if box.score >= 0.295]) == _bits(alone)
+        assert stats.skipped_unknown_class >= 1  # the whole-image cyclist
+        boxes += len(alone)
+        added += len(together) - len(alone)
+    assert boxes >= 40 and added >= 1
+
+
+def _irrelevant_points(rng, inputs, n: int = 20_000) -> np.ndarray:
+    """n velodyne records in front of the camera whose pixels lie 2 px or more outside every
+    detection's box, many of them within the frame's crop, some off the image."""
+    pool = 10 * n
+    cam = np.column_stack([rng.uniform(-1.5, 1.5, pool), rng.uniform(-0.2, 0.2, pool),
+                           np.ones(pool)]) * rng.uniform(2.0, 150.0, (pool, 1))
+    records = np.column_stack([synth.camera_to_lidar_points(cam, inputs.calib),
+                               rng.uniform(0, 1, pool)]).astype("<f4")
+    camera = geometry.lidar_to_camera(PointCloud(records[:, :3], Frame.LIDAR), inputs.calib)
+    uv, valid = geometry.project_to_image(camera, inputs.calib)
+    u, v = uv[:, 0], uv[:, 1]
+    outside = valid.copy()
+    for det in inputs.detections:
+        u0, v0, u1, v1 = det.bbox
+        outside &= (u < u0 - 2) | (u >= u1 + 2) | (v < v0 - 2) | (v >= v1 + 2)
+    u0, v0, u1, v1 = geometry.detection_window(inputs.detections, masks=False)
+    in_crop = outside & (u >= u0) & (u < u1) & (v >= v0) & (v < v1)
+    off_image = outside & ((u < 0) | (u >= synth.IMAGE_SIZE[0]))
+    assert in_crop.sum() >= n // 2 and off_image.sum() >= n // 2
+    picked = np.concatenate([np.flatnonzero(in_crop)[:n // 2],
+                             np.flatnonzero(outside & ~in_crop)[:n - n // 2]])
+    return records[rng.permutation(picked)]
+
+
+@pytest.mark.parametrize("mode", ["box", "mask"])
+def test_irrelevant_points_change_no_byte(kitti_scale, tmp_path, mode):
+    """The result files keep their bytes when 20,000 points in front of the camera but in
+    no detection's box are inserted into the scan: at its start, mid-scan and at its end."""
+    root, scans = kitti_scale
+    config = PipelineConfig(data_root=root, frustum_mode=mode)
+    params = regressor.init_params(config.raster_grid, config.classes, seed=5)
+    rng = np.random.default_rng(13)
+    variants = {"original": scans, "irrelevant": {}}
+    for f, records in scans.items():
+        extra = _irrelevant_points(rng, load_frame_inputs(root, f, config, labels=False))
+        at = np.sort(rng.choice([0, len(records) // 2, len(records)], len(extra)))
+        variants["irrelevant"][f] = np.insert(records, at, extra, axis=0)
+    results = {}
+    try:
+        for name, variant in variants.items():
+            for f, records in variant.items():
+                (root / "velodyne" / f"{f}.bin").write_bytes(records.tobytes())
+            config.out_dir = tmp_path / name
+            summary = run_dataset(sorted(scans), config, params=params)
+            assert summary.faraway >= 40 and summary.detections == 120
+            results[name] = [p.read_bytes() for p in sorted(config.out_dir.iterdir())]
+    finally:
+        for f, records in scans.items():
+            (root / "velodyne" / f"{f}.bin").write_bytes(records.tobytes())
+    assert len(results["original"]) == len(scans)
+    assert results["irrelevant"] == results["original"]
 
 
 def test_load_frame_inputs_reads_all_parts(mini_dataset, mini_config):
